@@ -3,14 +3,14 @@
 //! Drives the service's non-blocking [`submit_async`] path with a
 //! **duplicate-heavy closed-loop workload at an overload factor**:
 //! `ceil(workers * overload)` client threads hammer a small set of
-//! identical problems (shared input tensors, so requests are
-//! byte-identical in flight), far more concurrency than the executor's
-//! worker pool can drain. The study runs the same workload twice —
-//! once with in-flight request coalescing disabled (every request
-//! executes its own kernel) and once enabled (identical in-flight
-//! problems single-flight onto one execution) — and reports what the
-//! feature buys: throughput, executions-per-request, the coalesced
-//! ratio, and the interactive (client-observed) p50/p95/p99 both ways.
+//! identical problems, far more concurrency than the executor's worker
+//! pool can drain. The study runs the same workload twice: once
+//! with every request on its own copy of the input, so no two requests
+//! share a coalescing key and each executes its own kernel, and once on
+//! shared inputs, so identical in-flight problems single-flight onto
+//! one execution. It reports what coalescing buys: throughput,
+//! executions-per-request, the coalesced ratio, and the interactive
+//! (client-observed) p50/p95/p99 both ways.
 //!
 //! [`submit_async`]: ttlg_runtime::TransposeService::submit_async
 
@@ -29,10 +29,10 @@ const WORKERS: usize = 2;
 /// than client threads guarantees concurrent duplicates.
 const UNIQUE_PROBLEMS: usize = 2;
 
-/// One phase of the study (coalescing off or on).
+/// One phase of the study (private or shared inputs).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseOutcome {
-    /// Whether in-flight coalescing was enabled.
+    /// Whether requests shared their inputs, and so could coalesce.
     pub coalesce: bool,
     /// Requests submitted (and completed — the loop is closed).
     pub requests: u64,
@@ -69,9 +69,9 @@ pub struct AsyncStudy {
     pub clients: usize,
     /// Unique problems in the duplicate-heavy mix.
     pub unique_problems: usize,
-    /// Coalescing disabled.
+    /// Every request on its own input copy: nothing coalesces.
     pub baseline: PhaseOutcome,
-    /// Coalescing enabled.
+    /// Shared inputs: identical in-flight requests coalesce.
     pub coalesced: PhaseOutcome,
     /// Fractional cut in executions-per-request from coalescing
     /// (`1 - coalesced.epr / baseline.epr`; 0.5 = half the kernels).
@@ -91,24 +91,23 @@ fn quantile_us(samples: &mut [f64], q: f64) -> f64 {
 }
 
 /// Run one phase: a fresh service, `clients` closed-loop threads
-/// cycling through the shared duplicate-heavy problem list for
-/// `seconds` of wall clock.
+/// cycling through the duplicate-heavy problem list for `seconds` of
+/// wall clock. Without `coalesce`, each request carries its own copy of
+/// the input.
 fn run_phase(seconds: f64, clients: usize, coalesce: bool) -> PhaseOutcome {
     let cfg = RuntimeConfig {
+        workers: WORKERS,
         async_exec: AsyncConfig {
-            workers: WORKERS,
             submit_capacity: 4096,
-            completion_capacity: 4096,
-            coalesce,
         },
         ..RuntimeConfig::default()
     };
     let svc: Arc<TransposeService<f64>> =
         Arc::new(TransposeService::with_config(Transposer::new_k40c(), cfg));
 
-    // The duplicate-heavy mix: every client cycles the same problems on
-    // the same shared input tensors, so concurrent iterations collide
-    // on identical in-flight keys.
+    // The duplicate-heavy mix: every client cycles the same problems.
+    // On the shared input tensors, concurrent iterations collide on
+    // identical in-flight keys.
     let input = Arc::new(DenseTensor::<f64>::iota(Shape::new(&[32, 16, 8]).unwrap()));
     let perms = [[2usize, 0, 1], [1, 2, 0], [2, 1, 0], [0, 2, 1]];
     let problems: Vec<TransposeRequest<f64>> = perms
@@ -128,8 +127,12 @@ fn run_phase(seconds: f64, clients: usize, coalesce: bool) -> PhaseOutcome {
                     let mut lat = Vec::new();
                     let mut i = 0usize;
                     while Instant::now() < deadline {
+                        let mut req = problems[i % problems.len()].clone();
+                        if !coalesce {
+                            req.input = Arc::new((*req.input).clone());
+                        }
                         let sent = Instant::now();
-                        let ticket = svc.submit_async(problems[i % problems.len()].clone());
+                        let ticket = svc.submit_async(req);
                         let out = ticket.wait();
                         assert!(out.result.is_ok(), "async study request failed");
                         lat.push(sent.elapsed().as_secs_f64() * 1e6);
@@ -146,7 +149,7 @@ fn run_phase(seconds: f64, clients: usize, coalesce: bool) -> PhaseOutcome {
     });
     let wall_s = t0.elapsed().as_secs_f64();
 
-    let stats = svc.async_stats().expect("executor started");
+    let stats = svc.pipeline_stats();
     let mut all: Vec<f64> = latencies.into_iter().flatten().collect();
     let requests = stats.submitted;
     PhaseOutcome {
@@ -297,7 +300,7 @@ mod tests {
         }
         assert_eq!(
             study.baseline.coalesced, 0,
-            "baseline phase has coalescing disabled"
+            "baseline requests never share an input"
         );
         assert!(
             (study.baseline.executions_per_request - 1.0).abs() < 1e-9,

@@ -110,8 +110,9 @@ USAGE:
   ttlg bench-serve --async [--seconds=F] [--overload=F] [--json-out=PATH]
                                                 async-submission study: hammer
                                                 submit_async with a duplicate-
-                                                heavy overload workload, with
-                                                in-flight coalescing off vs on;
+                                                heavy overload workload, on
+                                                private vs shared inputs (no
+                                                coalescing vs coalescing);
                                                 reports throughput, executions
                                                 per request and p99 both ways;
                                                 writes BENCH_async.json

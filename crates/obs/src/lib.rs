@@ -106,7 +106,9 @@ pub struct RequestTrace {
     /// Whether the plan came from the cache (`None` = planning failed
     /// before the cache answered).
     pub cache_hit: Option<bool>,
-    /// Time spent waiting for an execution permit, ns.
+    /// Time from submission until the run began (executor queue plus
+    /// execution permit), ns. A coalesced request's queue wait is the
+    /// part of its wait before the shared execute.
     pub queue_wait_ns: u64,
     /// Time spent fetching (or building) the plan, ns.
     pub plan_fetch_ns: u64,

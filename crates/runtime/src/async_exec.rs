@@ -1,594 +1,369 @@
-//! In-tree completion-queue executor: non-blocking submission with
-//! single-flight request coalescing.
+//! Tickets, the single-flight table, and the executor behind
+//! [`TransposeService::submit_async`].
 //!
-//! [`TransposeService::submit_async`] hands a request to a small worker
-//! pool and returns a [`TicketHandle`] immediately — the caller never
-//! blocks, not even when the executor is saturated (a full submission
-//! queue completes the ticket with an overload error instead of
-//! waiting). The moving parts, all `std`-only:
+//! Every request registers in one **single-flight table** keyed by
+//! `(PlanKey problem fingerprint, input identity)`, whichever of
+//! `submit`, `submit_async` or `submit_batch` brought it in. The first
+//! registration of a problem leads: it runs the service's staged
+//! pipeline. Identical registrations that arrive while it is in flight
+//! follow: they attach a ticket to the leader's entry and run nothing.
+//! Whichever thread finishes a leader completes its followers' tickets
+//! itself.
 //!
-//! * a **bounded submission queue** workers drain; `submit_async` uses a
-//!   non-blocking `try_push` so the caller's latency is bounded by two
-//!   short mutex critical sections;
-//! * a **bounded MPSC completion queue**: workers push completion
-//!   records, a single dispatcher thread pops them, fulfills the
-//!   ticket's result slot, wakes waiters, and fires the per-ticket
-//!   completion hook — so planning, execution, and result delivery are
-//!   three decoupled stages;
-//! * a **waiter table with parked-thread wakeups**: [`TicketHandle::wait`]
-//!   registers the calling thread and parks; completion unparks every
-//!   registered waiter ([`TicketHandle::poll`] never blocks at all);
-//! * a **single-flight table** keyed by `(PlanKey problem fingerprint,
-//!   input identity)`: identical in-flight problems share one plan *and*
-//!   one execution. The first submission becomes the leader and is
-//!   enqueued; later identical submissions attach as followers and are
-//!   never enqueued. When the leader's execution completes, every
-//!   follower receives the shared result (`Arc`) with its own
-//!   [`RequestTrace`] marked `coalesced`.
-//!
-//! Worker threads hold only a [`Weak`] reference to the service, so
-//! dropping the last service `Arc` tears the executor down: queues
-//! close, in-flight tickets fail with a shutdown error, threads join.
+//! `submit_async` hands its leaders to a small executor: a bounded queue
+//! drained by `ttlg-async-N` workers. The caller never blocks; a full
+//! queue completes the ticket at once with an overload error. Workers
+//! hold only a [`Weak`] reference to the service and complete every
+//! ticket of a run before letting go of it. When a worker turns out to
+//! hold the last reference, the service's teardown runs on that worker,
+//! which then skips joining itself.
 
-use crate::service::{ServeError, TransposeRequest, TransposeResponse, TransposeService};
+use crate::service::{Outcome, TransposeRequest, TransposeService};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
-use std::thread::{self, JoinHandle, Thread};
-use std::time::{Duration, Instant};
-use ttlg::DecisionTrace;
-use ttlg_obs::{RequestTrace, SpanNode};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::thread::{self, JoinHandle};
+use std::time::Duration;
+use ttlg::PlanKey;
+use ttlg_obs::clock_ns;
 use ttlg_tensor::Element;
 
-/// Executor geometry, embedded in
-/// [`crate::RuntimeConfig::async_exec`]. `Copy` so the enclosing config
-/// stays `Copy`.
+/// Geometry of the executor behind `submit_async`, embedded in
+/// [`crate::RuntimeConfig::async_exec`]. The executor runs
+/// [`crate::RuntimeConfig::workers`] threads.
 #[derive(Debug, Clone, Copy)]
 pub struct AsyncConfig {
-    /// Executor worker threads; `0` means "same as the service's
-    /// `workers`".
-    pub workers: usize,
-    /// Submission-queue capacity. A full queue rejects (completes the
-    /// ticket with an overload error) instead of blocking the caller.
+    /// Executor queue capacity. A full queue completes the ticket with
+    /// an overload error instead of blocking the caller.
     pub submit_capacity: usize,
-    /// Completion-queue capacity. A full queue backpressures *workers*
-    /// (never the submitting caller).
-    pub completion_capacity: usize,
-    /// Single-flight coalescing of identical in-flight problems.
-    pub coalesce: bool,
 }
 
 impl Default for AsyncConfig {
     fn default() -> Self {
         AsyncConfig {
-            workers: 0,
             submit_capacity: 256,
-            completion_capacity: 256,
-            coalesce: true,
         }
     }
 }
 
-/// What a completed ticket resolves to. The response is `Arc`-shared:
-/// coalesced followers receive the same execution's output without
-/// copying it.
-pub struct AsyncOutcome<E: Element> {
-    /// The request outcome (shared across coalesced waiters).
-    pub result: Result<Arc<TransposeResponse<E>>, ServeError>,
-    /// This request's own phase trace (followers get their own trace,
-    /// marked [`RequestTrace::coalesced`], with the leader's measured
-    /// numbers copied in).
-    pub trace: RequestTrace,
-    /// Service-side span forest (`submit_spanned` parity).
-    pub spans: Vec<SpanNode>,
-    /// The planner's decision trace, when retained.
-    pub decision: Option<Arc<DecisionTrace>>,
-    /// Whether this request rode another request's execution.
-    pub coalesced: bool,
+/// Lock `m`, ignoring poison: every critical section here leaves its
+/// data consistent, and a panic caught elsewhere must not wedge tickets.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Per-ticket completion callback, fired exactly once by the dispatcher
-/// thread after the result slot is filled and waiters are woken. This
-/// is how push-style consumers (the gateway) drain the completion queue
-/// without dedicating a blocked thread per request.
-pub type CompletionHook<E> = Box<dyn FnOnce(&Arc<AsyncOutcome<E>>) + Send>;
-
-/// Shared ticket state: the result slot, the done flag, and the parked
-/// waiter table.
-struct TicketState<E: Element> {
-    id: u64,
-    done: AtomicBool,
-    payload: Mutex<Option<Arc<AsyncOutcome<E>>>>,
-    waiters: Mutex<Vec<Thread>>,
-    hook: Mutex<Option<CompletionHook<E>>>,
+/// One request's completion slot.
+pub(crate) struct Ticket<E: Element> {
+    /// Clock reading ([`clock_ns`]) at submission: the request's trace
+    /// starts here.
+    pub(crate) submitted_ns: u64,
+    slot: Mutex<Option<Arc<Outcome<E>>>>,
+    ready: Condvar,
 }
 
-impl<E: Element> TicketState<E> {
-    fn new(id: u64, hook: Option<CompletionHook<E>>) -> Arc<Self> {
-        Arc::new(TicketState {
-            id,
-            done: AtomicBool::new(false),
-            payload: Mutex::new(None),
-            waiters: Mutex::new(Vec::new()),
-            hook: Mutex::new(hook),
+impl<E: Element> Ticket<E> {
+    fn new(submitted_ns: u64) -> Arc<Self> {
+        Arc::new(Ticket {
+            submitted_ns,
+            slot: Mutex::new(None),
+            ready: Condvar::new(),
         })
     }
 
-    /// Fill the slot, publish `done`, wake every parked waiter, fire the
-    /// hook. Idempotent: later calls are no-ops.
-    fn complete(&self, payload: Arc<AsyncOutcome<E>>) {
-        {
-            let mut slot = self.payload.lock().expect("ticket slot poisoned");
-            if slot.is_some() {
-                return;
-            }
-            *slot = Some(Arc::clone(&payload));
-        }
-        self.done.store(true, Ordering::Release);
-        let waiters = std::mem::take(&mut *self.waiters.lock().expect("waiter table poisoned"));
-        for w in waiters {
-            w.unpark();
-        }
-        let hook = self.hook.lock().expect("hook slot poisoned").take();
-        if let Some(hook) = hook {
-            hook(&payload);
+    /// Fill the slot and wake every waiter. Only the first call counts.
+    pub(crate) fn complete(&self, outcome: Outcome<E>) {
+        let mut slot = lock(&self.slot);
+        if slot.is_none() {
+            *slot = Some(Arc::new(outcome));
+            drop(slot);
+            self.ready.notify_all();
         }
     }
 }
 
-/// The caller's side of one async submission: poll, park-wait, or both.
+/// The caller's side of one submission: poll it, or wait for it.
 pub struct TicketHandle<E: Element> {
-    state: Arc<TicketState<E>>,
+    ticket: Arc<Ticket<E>>,
 }
 
 impl<E: Element> TicketHandle<E> {
-    /// Monotonic ticket id (unique per executor).
-    pub fn id(&self) -> u64 {
-        self.state.id
+    /// The outcome, if ready. Never blocks beyond one short mutex.
+    pub fn poll(&self) -> Option<Arc<Outcome<E>>> {
+        lock(&self.ticket.slot).clone()
     }
 
-    /// Whether the result is ready. Never blocks.
-    pub fn is_done(&self) -> bool {
-        self.state.done.load(Ordering::Acquire)
-    }
-
-    /// The result, if ready. Never blocks beyond one uncontended mutex.
-    pub fn poll(&self) -> Option<Arc<AsyncOutcome<E>>> {
-        if !self.is_done() {
-            return None;
-        }
-        self.state
-            .payload
-            .lock()
-            .expect("ticket slot poisoned")
-            .clone()
-    }
-
-    /// Park the calling thread until the result is ready.
-    pub fn wait(&self) -> Arc<AsyncOutcome<E>> {
-        loop {
-            if let Some(p) = self.poll() {
-                return p;
-            }
-            self.state
-                .waiters
-                .lock()
-                .expect("waiter table poisoned")
-                .push(thread::current());
-            // Re-check after registering: completion may have drained the
-            // table between our poll and our push. The timeout is a
-            // belt-and-braces backstop against a lost unpark.
-            if !self.is_done() {
-                thread::park_timeout(Duration::from_millis(20));
-            }
-        }
+    /// Block until the outcome is ready.
+    pub fn wait(&self) -> Arc<Outcome<E>> {
+        let slot = self
+            .ticket
+            .ready
+            .wait_while(lock(&self.ticket.slot), |s| s.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(slot.as_ref().expect("woken with an outcome"))
     }
 
     /// [`Self::wait`] with a deadline; `None` on timeout.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Arc<AsyncOutcome<E>>> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(p) = self.poll() {
-                return Some(p);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return self.poll();
-            }
-            self.state
-                .waiters
-                .lock()
-                .expect("waiter table poisoned")
-                .push(thread::current());
-            if !self.is_done() {
-                thread::park_timeout((deadline - now).min(Duration::from_millis(20)));
-            }
-        }
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<Arc<Outcome<E>>> {
+        let (slot, _) = self
+            .ticket
+            .ready
+            .wait_timeout_while(lock(&self.ticket.slot), timeout, |s| s.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        slot.clone()
     }
 }
 
-/// Point-in-time executor counters, exported by the service as the
-/// `ttlg_coalesced_*` / `ttlg_completion_queue_depth` families and
-/// consumed directly by `bench-serve --async`.
+/// Point-in-time counters of the single-flight table, consumed by
+/// `bench-serve --async`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct AsyncStatsSnapshot {
-    /// Tickets issued by `submit_async` (leaders + followers + rejects).
+pub struct PipelineStats {
+    /// Requests registered by any entry point (leaders, followers, rejects).
     pub submitted: u64,
-    /// Work items actually executed by the worker pool.
+    /// Leader runs; each plans and executes once.
     pub executed: u64,
-    /// Followers that shared another request's execution.
+    /// Followers that shared a leader's run.
     pub coalesced: u64,
-    /// Submissions rejected because the submission queue was full.
+    /// `submit_async` calls refused because the executor queue was full.
     pub rejected: u64,
-    /// Completion records currently queued for delivery.
-    pub completion_depth: usize,
-    /// Work items currently queued for execution.
-    pub submit_depth: usize,
 }
 
-/// Bounded two-condvar queue: non-blocking or blocking producers,
-/// blocking consumers, explicit close.
-struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    added: Condvar,
-    removed: Condvar,
+/// Identity of one in-flight problem: the plan key's fingerprint plus
+/// the input tensor's `Arc` identity (same allocation, same bytes). The
+/// leader holds the input alive for as long as its entry exists, so no
+/// other tensor can reuse the address meanwhile.
+pub(crate) type FlightKey = (u64, usize);
+
+pub(crate) fn flight_key<E: Element>(req: &TransposeRequest<E>, key: &PlanKey) -> FlightKey {
+    (key.problem_fingerprint(), Arc::as_ptr(&req.input) as usize)
 }
 
-struct QueueState<T> {
-    items: VecDeque<T>,
-    capacity: usize,
-    closed: bool,
+/// What registering a request made it.
+pub(crate) enum Role<E: Element> {
+    /// Run the pipeline, then complete the followers of this key.
+    Lead(FlightKey),
+    /// Wait: an identical leader is in flight.
+    Follow(TicketHandle<E>),
 }
 
-impl<T> BoundedQueue<T> {
-    fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                capacity: capacity.max(1),
-                closed: false,
-            }),
-            added: Condvar::new(),
-            removed: Condvar::new(),
-        }
-    }
+/// In-flight problem -> tickets of the followers waiting on its leader.
+type Table<E> = HashMap<FlightKey, Vec<Arc<Ticket<E>>>>;
 
-    /// Non-blocking push; the item comes back on a full or closed queue.
-    fn try_push(&self, item: T) -> Result<(), T> {
-        let mut s = self.state.lock().expect("queue poisoned");
-        if s.closed || s.items.len() >= s.capacity {
-            return Err(item);
-        }
-        s.items.push_back(item);
-        drop(s);
-        self.added.notify_one();
-        Ok(())
-    }
-
-    /// Blocking push: waits for space. `false` if the queue closed (the
-    /// item is dropped; callers complete tickets inline in that case).
-    fn push_blocking(&self, item: T) -> bool {
-        let mut s = self.state.lock().expect("queue poisoned");
-        while !s.closed && s.items.len() >= s.capacity {
-            s = self.removed.wait(s).expect("queue poisoned");
-        }
-        if s.closed {
-            return false;
-        }
-        s.items.push_back(item);
-        drop(s);
-        self.added.notify_one();
-        true
-    }
-
-    /// Blocking pop; `None` once the queue is closed *and* drained.
-    fn pop_blocking(&self) -> Option<T> {
-        let mut s = self.state.lock().expect("queue poisoned");
-        loop {
-            if let Some(item) = s.items.pop_front() {
-                drop(s);
-                self.removed.notify_one();
-                return Some(item);
-            }
-            if s.closed {
-                return None;
-            }
-            s = self.added.wait(s).expect("queue poisoned");
-        }
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("queue poisoned").closed = true;
-        self.added.notify_all();
-        self.removed.notify_all();
-    }
-
-    fn len(&self) -> usize {
-        self.state.lock().expect("queue poisoned").items.len()
-    }
-}
-
-/// Identity of one in-flight problem: the plan key's stable fingerprint
-/// plus the input tensor's `Arc` identity (same allocation ⇒ same
-/// bytes). The leader's work item holds the input `Arc` alive for the
-/// lifetime of the table entry, so the pointer cannot be recycled while
-/// the entry exists.
-type CoalesceKey = (u64, usize);
-
-struct WorkItem<E: Element> {
-    req: TransposeRequest<E>,
-    ticket: Arc<TicketState<E>>,
-    key: Option<CoalesceKey>,
-}
-
-struct CompletionRecord<E: Element> {
-    ticket: Arc<TicketState<E>>,
-    payload: Arc<AsyncOutcome<E>>,
-}
-
-struct AsyncShared<E: Element> {
-    submissions: BoundedQueue<WorkItem<E>>,
-    completions: BoundedQueue<CompletionRecord<E>>,
-    /// Single-flight table: in-flight problem -> followers awaiting the
-    /// leader's execution.
-    inflight: Mutex<HashMap<CoalesceKey, Vec<Arc<TicketState<E>>>>>,
-    coalesce: bool,
-    next_ticket: AtomicU64,
+/// The one single-flight table, with its counters.
+pub(crate) struct Flights<E: Element> {
+    table: Mutex<Table<E>>,
     submitted: AtomicU64,
     executed: AtomicU64,
     coalesced: AtomicU64,
     rejected: AtomicU64,
 }
 
-/// The executor: worker pool + dispatcher around the two queues. Owned
-/// by the service (lazily created on first `submit_async`); `Drop`
-/// closes the queues and joins every thread.
-pub struct AsyncExecutor<E: Element> {
-    shared: Arc<AsyncShared<E>>,
-    workers: Vec<JoinHandle<()>>,
-    dispatcher: Option<JoinHandle<()>>,
-}
-
-impl<E: Element> AsyncExecutor<E> {
-    pub(crate) fn start(svc: Weak<TransposeService<E>>, cfg: AsyncConfig, workers: usize) -> Self {
-        let shared = Arc::new(AsyncShared {
-            submissions: BoundedQueue::new(cfg.submit_capacity),
-            completions: BoundedQueue::new(cfg.completion_capacity),
-            inflight: Mutex::new(HashMap::new()),
-            coalesce: cfg.coalesce,
-            next_ticket: AtomicU64::new(0),
+impl<E: Element> Flights<E> {
+    pub(crate) fn new() -> Self {
+        Flights {
+            table: Mutex::new(HashMap::new()),
             submitted: AtomicU64::new(0),
             executed: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-        });
-        let n = if cfg.workers == 0 {
-            workers
-        } else {
-            cfg.workers
         }
-        .max(1);
-        let worker_handles = (0..n)
+    }
+
+    /// Register requests in order under one lock. Each follows an
+    /// identical in-flight leader (an earlier request of the same call
+    /// included) or leads.
+    pub(crate) fn register(
+        &self,
+        keys: impl IntoIterator<Item = FlightKey>,
+        submitted_ns: u64,
+    ) -> Vec<Role<E>> {
+        let mut table = lock(&self.table);
+        keys.into_iter()
+            .map(|key| {
+                self.submitted.fetch_add(1, Ordering::Relaxed);
+                match table.get_mut(&key) {
+                    Some(followers) => {
+                        self.coalesced.fetch_add(1, Ordering::Relaxed);
+                        let ticket = Ticket::new(submitted_ns);
+                        followers.push(Arc::clone(&ticket));
+                        Role::Follow(TicketHandle { ticket })
+                    }
+                    None => {
+                        table.insert(key, Vec::new());
+                        Role::Lead(key)
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Count one leader run.
+    pub(crate) fn note_run(&self) {
+        self.executed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Remove a finished leader's entry, returning the tickets of the
+    /// followers that attached while it ran.
+    pub(crate) fn land(&self, key: FlightKey) -> Vec<Arc<Ticket<E>>> {
+        lock(&self.table).remove(&key).unwrap_or_default()
+    }
+
+    pub(crate) fn stats(&self) -> PipelineStats {
+        PipelineStats {
+            submitted: self.submitted.load(Ordering::Relaxed),
+            executed: self.executed.load(Ordering::Relaxed),
+            coalesced: self.coalesced.load(Ordering::Relaxed),
+            rejected: self.rejected.load(Ordering::Relaxed),
+        }
+    }
+}
+
+impl<E: Element> Drop for Flights<E> {
+    /// The service is going away: a follower still attached here rides a
+    /// leader that will never run, so it fails now rather than hang.
+    fn drop(&mut self) {
+        let table = self.table.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for ticket in table.drain().flat_map(|(_, followers)| followers) {
+            ticket.complete(shutdown(&ticket, true));
+        }
+    }
+}
+
+fn shutdown<E: Element>(ticket: &Ticket<E>, coalesced: bool) -> Outcome<E> {
+    Outcome::error(
+        "service shut down before the request executed".into(),
+        ticket.submitted_ns,
+        coalesced,
+    )
+}
+
+/// One `submit_async` leader waiting for a worker.
+struct Job<E: Element> {
+    req: TransposeRequest<E>,
+    key: PlanKey,
+    flight: FlightKey,
+    ticket: Arc<Ticket<E>>,
+}
+
+/// Bounded FIFO of jobs: non-blocking push, blocking pop, explicit close.
+struct JobQueue<E: Element> {
+    /// Queued jobs, and whether the queue has closed.
+    state: Mutex<(VecDeque<Job<E>>, bool)>,
+    capacity: usize,
+    added: Condvar,
+}
+
+impl<E: Element> JobQueue<E> {
+    /// Block for the next job; `None` once the queue is closed and empty.
+    fn pop(&self) -> Option<Job<E>> {
+        let mut state = self
+            .added
+            .wait_while(lock(&self.state), |(jobs, closed)| {
+                jobs.is_empty() && !*closed
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        state.0.pop_front()
+    }
+
+    fn close(&self) {
+        lock(&self.state).1 = true;
+        self.added.notify_all();
+    }
+}
+
+/// The worker pool behind `submit_async`. Owned by the service, started
+/// on the first `submit_async`; `Drop` closes the queue and joins the
+/// workers.
+pub(crate) struct Executor<E: Element> {
+    queue: Arc<JobQueue<E>>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl<E: Element> Executor<E> {
+    pub(crate) fn start(svc: Weak<TransposeService<E>>, cfg: AsyncConfig, workers: usize) -> Self {
+        let queue = Arc::new(JobQueue {
+            state: Mutex::new((VecDeque::new(), false)),
+            capacity: cfg.submit_capacity.max(1),
+            added: Condvar::new(),
+        });
+        let workers = (0..workers.max(1))
             .map(|i| {
-                let shared = Arc::clone(&shared);
-                let svc = svc.clone();
+                let (queue, svc) = (Arc::clone(&queue), svc.clone());
                 thread::Builder::new()
                     .name(format!("ttlg-async-{i}"))
-                    .spawn(move || worker_loop(&shared, &svc))
+                    .spawn(move || {
+                        while let Some(job) = queue.pop() {
+                            let Some(svc) = svc.upgrade() else {
+                                job.ticket.complete(shutdown(&job.ticket, false));
+                                continue;
+                            };
+                            let out =
+                                svc.lead(&job.req, &job.key, job.flight, job.ticket.submitted_ns);
+                            job.ticket.complete(out);
+                        }
+                    })
                     .expect("spawn async worker")
             })
             .collect();
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("ttlg-async-cq".into())
-                .spawn(move || {
-                    while let Some(rec) = shared.completions.pop_blocking() {
-                        rec.ticket.complete(rec.payload);
-                    }
-                })
-                .expect("spawn completion dispatcher")
-        };
-        AsyncExecutor {
-            shared,
-            workers: worker_handles,
-            dispatcher: Some(dispatcher),
-        }
+        Executor { queue, workers }
     }
 
-    /// Issue a ticket for `req`. Never blocks: a coalescible request
-    /// attaches to the in-flight leader, a fresh one enqueues, and a
-    /// full queue completes the ticket with an overload error inline.
+    /// Issue a ticket for `req` without blocking: follow an identical
+    /// in-flight leader, or queue `req` as a leader, or (queue full)
+    /// complete the ticket at once with an overload error.
     pub(crate) fn submit(
         &self,
+        flights: &Flights<E>,
         req: TransposeRequest<E>,
-        hook: Option<CompletionHook<E>>,
+        key: PlanKey,
     ) -> TicketHandle<E> {
-        let shared = &self.shared;
-        shared.submitted.fetch_add(1, Ordering::Relaxed);
-        let ticket = TicketState::new(shared.next_ticket.fetch_add(1, Ordering::Relaxed), hook);
-        let key = if shared.coalesce {
-            let fp = req.plan_key().problem_fingerprint();
-            let identity = Arc::as_ptr(&req.input) as usize;
-            let key = (fp, identity);
-            let mut tbl = shared.inflight.lock().expect("inflight table poisoned");
-            if let Some(followers) = tbl.get_mut(&key) {
-                // Single-flight: ride the in-flight leader's execution.
-                followers.push(Arc::clone(&ticket));
-                return TicketHandle { state: ticket };
-            }
-            tbl.insert(key, Vec::new());
-            Some(key)
-        } else {
-            None
-        };
-        let item = WorkItem {
-            req,
+        let flight = flight_key(&req, &key);
+        let ticket = Ticket::new(clock_ns());
+        let handle = TicketHandle {
             ticket: Arc::clone(&ticket),
+        };
+        // Queue under the table lock, so the entry exists before a
+        // worker can finish the job and land it.
+        let mut table = lock(&flights.table);
+        flights.submitted.fetch_add(1, Ordering::Relaxed);
+        if let Some(followers) = table.get_mut(&flight) {
+            flights.coalesced.fetch_add(1, Ordering::Relaxed);
+            followers.push(ticket);
+            return handle;
+        }
+        let mut state = lock(&self.queue.state);
+        if state.0.len() >= self.queue.capacity {
+            let depth = state.0.len();
+            drop((state, table));
+            flights.rejected.fetch_add(1, Ordering::Relaxed);
+            let msg = format!("async executor overloaded: queue full ({depth} queued)");
+            ticket.complete(Outcome::error(msg, ticket.submitted_ns, false));
+            return handle;
+        }
+        state.0.push_back(Job {
+            req,
             key,
-        };
-        if let Err(item) = shared.submissions.try_push(item) {
-            // Saturated: fail fast, inline, without touching the
-            // (possibly also full) completion queue. Followers that
-            // attached between the table insert and this rejection fail
-            // with the same error.
-            let orphans = item
-                .key
-                .and_then(|k| {
-                    shared
-                        .inflight
-                        .lock()
-                        .expect("inflight table poisoned")
-                        .remove(&k)
-                })
-                .unwrap_or_default();
-            let payload = Arc::new(overload_outcome::<E>(shared.submissions.len()));
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
-            item.ticket.complete(Arc::clone(&payload));
-            for orphan in orphans {
-                shared.rejected.fetch_add(1, Ordering::Relaxed);
-                orphan.complete(Arc::clone(&payload));
-            }
-        }
-        TicketHandle { state: ticket }
-    }
-
-    /// Point-in-time counters.
-    pub(crate) fn stats(&self) -> AsyncStatsSnapshot {
-        AsyncStatsSnapshot {
-            submitted: self.shared.submitted.load(Ordering::Relaxed),
-            executed: self.shared.executed.load(Ordering::Relaxed),
-            coalesced: self.shared.coalesced.load(Ordering::Relaxed),
-            rejected: self.shared.rejected.load(Ordering::Relaxed),
-            completion_depth: self.shared.completions.len(),
-            submit_depth: self.shared.submissions.len(),
-        }
+            flight,
+            ticket,
+        });
+        table.insert(flight, Vec::new());
+        drop((state, table));
+        self.queue.added.notify_one();
+        handle
     }
 }
 
-impl<E: Element> Drop for AsyncExecutor<E> {
+impl<E: Element> Drop for Executor<E> {
     fn drop(&mut self) {
-        // Close the submission queue; workers drain what is already
-        // queued (failing tickets if the service is gone) and exit.
-        self.shared.submissions.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        // All producers are gone: close the completion queue so the
-        // dispatcher delivers the remainder and exits.
-        self.shared.completions.close();
-        if let Some(d) = self.dispatcher.take() {
-            let _ = d.join();
-        }
-    }
-}
-
-fn overload_outcome<E: Element>(depth: usize) -> AsyncOutcome<E> {
-    AsyncOutcome {
-        result: Err(ServeError {
-            message: format!("async executor overloaded: submission queue full ({depth} queued)"),
-        }),
-        trace: RequestTrace {
-            error: Some("async executor overloaded".into()),
-            ..Default::default()
-        },
-        spans: Vec::new(),
-        decision: None,
-        coalesced: false,
-    }
-}
-
-fn shutdown_outcome<E: Element>() -> AsyncOutcome<E> {
-    AsyncOutcome {
-        result: Err(ServeError {
-            message: "service shut down before the request executed".into(),
-        }),
-        trace: RequestTrace {
-            error: Some("service shut down".into()),
-            ..Default::default()
-        },
-        spans: Vec::new(),
-        decision: None,
-        coalesced: false,
-    }
-}
-
-fn worker_loop<E: Element>(shared: &AsyncShared<E>, svc: &Weak<TransposeService<E>>) {
-    while let Some(item) = shared.submissions.pop_blocking() {
-        let svc = match svc.upgrade() {
-            Some(svc) => svc,
-            None => {
-                let followers = take_followers(shared, item.key);
-                let payload = Arc::new(shutdown_outcome::<E>());
-                for f in followers {
-                    let p = Arc::new(AsyncOutcome {
-                        result: payload.result.clone(),
-                        trace: payload.trace.clone(),
-                        spans: payload.spans.clone(),
-                        decision: payload.decision.clone(),
-                        coalesced: true,
-                    });
-                    push_completion(shared, f, p);
-                }
-                push_completion(shared, Arc::clone(&item.ticket), payload);
-                continue;
+        // Workers fail what is still queued (the service is gone) and exit.
+        self.queue.close();
+        let me = thread::current().id();
+        for worker in self.workers.drain(..) {
+            // A worker that released the last service reference runs this
+            // teardown itself; it cannot join itself, and it exits once
+            // the queue drains.
+            if worker.thread().id() != me {
+                let _ = worker.join();
             }
-        };
-        shared.executed.fetch_add(1, Ordering::Relaxed);
-        let leader = svc.run_async_leader(&item.req);
-        let payload = Arc::new(leader);
-        let followers = take_followers(shared, item.key);
-        // Per-follower service accounting (request counters, ring
-        // trace marked coalesced, SLO) happens before delivery so
-        // metrics and results can never disagree.
-        let follower_payloads: Vec<Arc<AsyncOutcome<E>>> = followers
-            .iter()
-            .map(|_| {
-                shared.coalesced.fetch_add(1, Ordering::Relaxed);
-                let trace = svc.deliver_coalesced(&item.req, &payload);
-                Arc::new(AsyncOutcome {
-                    result: payload.result.clone(),
-                    trace,
-                    spans: payload.spans.clone(),
-                    decision: payload.decision.clone(),
-                    coalesced: true,
-                })
-            })
-            .collect();
-        drop(svc);
-        for (ticket, p) in followers.into_iter().zip(follower_payloads) {
-            push_completion(shared, ticket, p);
         }
-        push_completion(shared, Arc::clone(&item.ticket), payload);
-    }
-}
-
-fn take_followers<E: Element>(
-    shared: &AsyncShared<E>,
-    key: Option<CoalesceKey>,
-) -> Vec<Arc<TicketState<E>>> {
-    key.and_then(|k| {
-        shared
-            .inflight
-            .lock()
-            .expect("inflight table poisoned")
-            .remove(&k)
-    })
-    .unwrap_or_default()
-}
-
-/// Push one completion record, delivering inline if the completion
-/// queue has closed (shutdown race).
-fn push_completion<E: Element>(
-    shared: &AsyncShared<E>,
-    ticket: Arc<TicketState<E>>,
-    payload: Arc<AsyncOutcome<E>>,
-) {
-    let rec = CompletionRecord {
-        ticket: Arc::clone(&ticket),
-        payload: Arc::clone(&payload),
-    };
-    if !shared.completions.push_blocking(rec) {
-        ticket.complete(payload);
     }
 }

@@ -9,17 +9,19 @@
 //! * **Sharded plan cache** — [`ttlg::ShardedPlanCache`] (re-exported
 //!   here): N mutex shards keyed by problem fingerprint, per-shard LRU
 //!   eviction, single-flight planning, atomic counters.
-//! * **Batched submission** — [`TransposeService::submit_batch`] groups
-//!   requests by plan key, plans each distinct problem once, executes
-//!   each unique in-flight problem once (duplicates coalesce onto the
-//!   shared execution), and runs the batch across a scoped worker pool
-//!   with a configurable in-flight bound.
-//! * **Async submission** — [`TransposeService::submit_async`] hands the
-//!   request to an in-tree completion-queue executor ([`async_exec`]:
-//!   bounded MPSC of completion records, parked-thread wakeups, no
-//!   external async runtime) and returns a poll/wait [`TicketHandle`]
-//!   without ever blocking the caller; identical in-flight problems
-//!   single-flight onto one plan *and* one execution.
+//! * **One submission pipeline** — every request is keyed, registered
+//!   in one single-flight table ([`async_exec`]), and, if no identical
+//!   request is in flight, run through the stages: execution permit,
+//!   plan fetch, execute, record. A panic inside a run fails its
+//!   requests, not the service. Three entry points feed the pipeline and all
+//!   resolve to one [`Outcome`]: [`TransposeService::submit`] runs on
+//!   the caller's thread, [`TransposeService::submit_async`] returns a
+//!   poll/wait [`TicketHandle`] at once and runs on a small in-tree
+//!   executor (no external async runtime), and
+//!   [`TransposeService::submit_batch`] registers a whole batch under
+//!   one lock and runs its leaders on a scoped worker pool. Identical
+//!   in-flight problems share one plan, one execution and one `Arc`'d
+//!   response.
 //! * **Metrics** — per-schema request counters, bytes-moved totals,
 //!   plan/execute latency histograms with p50/p95/p99 quantiles, and a
 //!   per-schema prediction-accuracy tracker ([`Metrics`]); exported as a
@@ -70,7 +72,9 @@
 //! // Non-blocking submission: poll or wait on the returned ticket.
 //! let svc = Arc::new(svc);
 //! let ticket = svc.submit_async(reqs[0].clone());
-//! assert!(ticket.wait().result.is_ok());
+//! let outcome = ticket.wait();
+//! assert!(outcome.result.is_ok());
+//! assert!(!outcome.spans().is_empty());
 //! ```
 
 pub mod async_exec;
@@ -78,11 +82,11 @@ pub mod autotune;
 pub mod metrics;
 pub mod service;
 
-pub use async_exec::{AsyncConfig, AsyncOutcome, AsyncStatsSnapshot, CompletionHook, TicketHandle};
+pub use async_exec::{AsyncConfig, PipelineStats, TicketHandle};
 pub use autotune::{AutotuneConfig, AutotuneSnapshot, AutotunerHandle};
 pub use metrics::{LatencyHistogram, Metrics, RequestPhase, HIST_BUCKETS};
 pub use service::{
-    HistoryConfig, RuntimeConfig, ServeError, ServeResult, SpannedOutcome, TransposeRequest,
+    HistoryConfig, Outcome, RuntimeConfig, ServeError, ServeResult, TransposeRequest,
     TransposeResponse, TransposeService,
 };
 pub use ttlg::{CacheConfig, CacheStats, PlanKey, ShardedPlanCache};

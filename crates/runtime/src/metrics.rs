@@ -163,6 +163,9 @@ pub struct Metrics {
     /// own kernel. Counted in `requests_by_schema` too: a coalesced
     /// request is still a served request.
     coalesced_requests: AtomicU64,
+    /// Pipeline stages that panicked; the panic was caught and turned
+    /// into its requests' error.
+    panics: AtomicU64,
 }
 
 impl Default for Metrics {
@@ -186,6 +189,7 @@ impl Metrics {
             prediction: PredictionTracker::new(SCHEMAS.iter().map(|s| s.to_string())),
             residual_points: AtomicU64::new(0),
             coalesced_requests: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
         }
     }
 
@@ -262,6 +266,16 @@ impl Metrics {
     /// Requests served by sharing an identical in-flight execution.
     pub fn coalesced_requests(&self) -> u64 {
         self.coalesced_requests.load(Ordering::Relaxed)
+    }
+
+    /// Count one caught panic.
+    pub fn record_panic(&self) {
+        self.panics.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Caught panics.
+    pub fn panics(&self) -> u64 {
+        self.panics.load(Ordering::Relaxed)
     }
 
     /// Total completed requests across all schemas.
@@ -355,6 +369,12 @@ impl Metrics {
             "Failed requests (plan or execute errors).",
             MetricKind::Counter,
             vec![Sample::plain(self.failures() as f64)],
+        );
+        snap.push_metric(
+            "ttlg_panics_total",
+            "Pipeline stages that panicked; each panic was caught and failed its requests.",
+            MetricKind::Counter,
+            vec![Sample::plain(self.panics() as f64)],
         );
         snap.push_metric(
             "ttlg_batches_total",

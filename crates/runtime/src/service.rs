@@ -6,10 +6,15 @@
 //! 1. a sharded, bounded, single-flight plan cache
 //!    ([`ttlg::ShardedPlanCache`]) so concurrent clients never plan the
 //!    same problem twice;
-//! 2. batched submission: a batch is grouped by plan key, each distinct
-//!    problem is planned once (in parallel across the pool), then every
-//!    request executes across scoped worker threads under a configurable
-//!    in-flight bound (backpressure for the device);
+//! 2. one submission pipeline: key, single-flight, plan, execute,
+//!    record, complete. A request registers in the single-flight table
+//!    ([`crate::async_exec`]); a leader runs the stages (execution
+//!    permit, plan fetch, execute, record) inside a panic boundary and
+//!    then completes the followers that joined it. Three entry points feed
+//!    the same stages: [`TransposeService::submit`] on the caller's
+//!    thread, [`TransposeService::submit_async`] on the executor's
+//!    workers, and [`TransposeService::submit_batch`] on a scoped pool.
+//!    Every request resolves to one [`Outcome`];
 //! 3. lock-free metrics: per-schema request counters, bytes-moved
 //!    totals, plan/execute latency histograms, and a prediction-accuracy
 //!    tracker, rendered as plain text, Prometheus text, or JSON;
@@ -20,19 +25,20 @@
 //!    emitted as a span to an optional [`Subscriber`].
 
 use crate::async_exec::{
-    AsyncConfig, AsyncExecutor, AsyncOutcome, AsyncStatsSnapshot, CompletionHook, TicketHandle,
+    flight_key, AsyncConfig, Executor, FlightKey, Flights, PipelineStats, Role, TicketHandle,
 };
 use crate::autotune::{
     run_worker, AutotuneConfig, AutotuneSnapshot, AutotuneStats, AutotunerHandle,
 };
 use crate::metrics::{Metrics, RequestPhase};
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use ttlg::{
-    Backend, CacheConfig, CacheStats, DecisionTrace, FetchTiming, Plan, PlanError, PlanKey, Schema,
+    Backend, CacheConfig, CacheStats, DecisionTrace, FetchTiming, Plan, PlanError, PlanKey,
     ShardedPlanCache, TransposeOptions, TransposeReport, Transposer,
 };
 use ttlg_obs::{
@@ -66,9 +72,8 @@ pub struct RuntimeConfig {
     /// so slow-request exemplars carry the planning decision. Costs one
     /// allocation per *planning* (not per request); on by default.
     pub retain_decision_traces: bool,
-    /// Geometry of the lazily started completion-queue executor behind
-    /// [`TransposeService::submit_async`] (worker count, queue bounds,
-    /// coalescing switch).
+    /// Queue bound of the lazily started executor behind
+    /// [`TransposeService::submit_async`].
     pub async_exec: AsyncConfig,
     /// Metrics-history capture: scrape cadence and the retention rings
     /// of the in-memory [`TimeSeriesStore`].
@@ -151,8 +156,8 @@ pub struct TransposeResponse<E: Element> {
     pub report: TransposeReport,
 }
 
-/// Service-level error: cloneable so one failed plan can be fanned out
-/// to every request in the batch that shared it.
+/// Service-level error: cloneable so one failed run can be fanned out
+/// to every request that shared it.
 #[derive(Debug, Clone)]
 pub struct ServeError {
     /// Human-readable failure description.
@@ -175,74 +180,103 @@ impl From<PlanError> for ServeError {
     }
 }
 
-/// Result of one request through the service.
-pub type ServeResult<E> = Result<TransposeResponse<E>, ServeError>;
+/// Result of one request through the service. The response is shared by
+/// every request that coalesced onto the same run.
+pub type ServeResult<E> = Result<Arc<TransposeResponse<E>>, ServeError>;
 
-/// Outcome of [`TransposeService::submit_spanned`]: the response, the
-/// flat phase trace, a service-side span forest ready to graft under a
-/// caller-owned root span, and the planner's decision trace (when
-/// retention is on and the plan was built rather than replayed).
-pub struct SpannedOutcome<E: Element> {
-    /// The request outcome.
+/// What one request resolves to, whichever entry point submitted it.
+pub struct Outcome<E: Element> {
+    /// The response, or why there is none.
     pub result: ServeResult<E>,
-    /// Flat queue/plan/execute phase attribution.
+    /// This request's own trace. Its stages start at submission, so time
+    /// spent waiting in the executor queue counts in `queue_wait_ns`.
     pub trace: RequestTrace,
-    /// Service-side spans: `plan` (children `cache-lookup`,
-    /// `plan-build` with `alg3-sweep`), `queue-wait`, `execute`
-    /// (children `kernel-launch`, `kernel`).
-    pub spans: Vec<SpanNode>,
-    /// The full planning decision trace, if retained.
-    pub decision: Option<Arc<DecisionTrace>>,
+    /// Whether this request rode an identical in-flight request's run.
+    pub coalesced: bool,
+    /// The plan the run used and how its fetch split into lookup and
+    /// build; [`Self::spans`] and [`Self::decision`] derive from them.
+    plan: Option<Arc<Plan<E>>>,
+    fetch: FetchTiming,
 }
 
-/// Assemble the service-side span forest for one spanned request. Child
-/// starts are laid out sequentially from their parent's start: the
-/// phases genuinely are sequential here (lookup then build then sweep;
-/// launch then kernel), so the layout is faithful, not cosmetic.
-#[allow(clippy::too_many_arguments)]
-fn build_service_spans(
-    plan_start: u64,
-    fetch_ns: u64,
-    timing: FetchTiming,
-    hit: bool,
-    sweep_ns: u64,
-    candidates: usize,
-    launch_ns: u64,
-    trace: &RequestTrace,
-) -> Vec<SpanNode> {
-    let mut plan_span = SpanNode::new("plan", plan_start, fetch_ns)
-        .with_attr("cache", if hit { "hit" } else { "miss" })
-        .with_child(SpanNode::new("cache-lookup", plan_start, timing.lookup_ns));
-    if !hit && timing.build_ns > 0 {
-        let build_start = plan_start + timing.lookup_ns;
-        let mut build = SpanNode::new("plan-build", build_start, timing.build_ns);
-        if sweep_ns > 0 {
-            build = build.with_child(
-                SpanNode::new("alg3-sweep", build_start, sweep_ns)
-                    .with_attr("candidates", candidates.to_string()),
-            );
+impl<E: Element> Outcome<E> {
+    /// A request that failed without a plan: refused, shut down, or
+    /// caught panicking.
+    pub(crate) fn error(message: String, submitted_ns: u64, coalesced: bool) -> Self {
+        Outcome {
+            result: Err(ServeError {
+                message: message.clone(),
+            }),
+            trace: RequestTrace {
+                start_ns: submitted_ns,
+                coalesced,
+                error: Some(message),
+                ..Default::default()
+            },
+            coalesced,
+            plan: None,
+            fetch: FetchTiming::default(),
         }
-        plan_span = plan_span.with_child(build);
     }
-    let queue_span = SpanNode::new("queue-wait", trace.start_ns, trace.queue_wait_ns);
-    let exec_start = trace.start_ns + trace.queue_wait_ns;
-    let mut exec_span = SpanNode::new("execute", exec_start, trace.execute_ns)
-        .with_attr("schema", trace.schema.clone());
-    if let Some(err) = &trace.error {
-        exec_span = exec_span.with_attr("error", err.clone());
+
+    /// The planner's decision trace, when the plan retained one.
+    pub fn decision(&self) -> Option<&Arc<DecisionTrace>> {
+        self.plan.as_ref()?.decision_trace()
     }
-    if trace.ok {
-        let kernel_ns = trace.measured_ns.max(0.0) as u64;
-        exec_span = exec_span
-            .with_child(SpanNode::new("kernel-launch", exec_start, launch_ns))
-            .with_child(
-                SpanNode::new("kernel", exec_start + launch_ns, kernel_ns)
-                    .with_attr("predicted_ns", format!("{:.0}", trace.predicted_ns))
-                    .with_attr("dram_efficiency", format!("{:.3}", trace.dram_efficiency))
-                    .with_attr("smem_replay", format!("{:.3}", trace.smem_replay_rate)),
-            );
+
+    /// The service-side span forest, laid out from the trace's stage
+    /// times, which are sequential: `queue-wait`, then `plan` (children
+    /// `cache-lookup` and, on a miss, `plan-build` with `alg3-sweep`),
+    /// then `execute` (children `kernel-launch` and `kernel`).
+    pub fn spans(&self) -> Vec<SpanNode> {
+        let t = &self.trace;
+        let queue = SpanNode::new("queue-wait", t.start_ns, t.queue_wait_ns);
+        let plan_start = t.start_ns + t.queue_wait_ns;
+        let mut plan_span = SpanNode::new("plan", plan_start, t.plan_fetch_ns);
+        let Some(plan) = &self.plan else {
+            if let Some(err) = &t.error {
+                plan_span = plan_span.with_attr("error", err.clone());
+            }
+            return vec![queue, plan_span];
+        };
+        let hit = t.cache_hit == Some(true);
+        plan_span = plan_span
+            .with_attr("cache", if hit { "hit" } else { "miss" })
+            .with_child(SpanNode::new(
+                "cache-lookup",
+                plan_start,
+                self.fetch.lookup_ns,
+            ));
+        if !hit && self.fetch.build_ns > 0 {
+            let build_start = plan_start + self.fetch.lookup_ns;
+            let mut build = SpanNode::new("plan-build", build_start, self.fetch.build_ns);
+            if plan.sweep_wall_ns() > 0 {
+                build = build.with_child(
+                    SpanNode::new("alg3-sweep", build_start, plan.sweep_wall_ns())
+                        .with_attr("candidates", plan.candidates_evaluated().to_string()),
+                );
+            }
+            plan_span = plan_span.with_child(build);
+        }
+        let exec_start = plan_start + t.plan_fetch_ns;
+        let mut exec = SpanNode::new("execute", exec_start, t.execute_ns)
+            .with_attr("schema", t.schema.clone());
+        match &self.result {
+            Ok(r) => {
+                let launch_ns = r.report.timing.launch_ns as u64;
+                exec = exec
+                    .with_child(SpanNode::new("kernel-launch", exec_start, launch_ns))
+                    .with_child(
+                        SpanNode::new("kernel", exec_start + launch_ns, t.measured_ns as u64)
+                            .with_attr("predicted_ns", format!("{:.0}", t.predicted_ns))
+                            .with_attr("dram_efficiency", format!("{:.3}", t.dram_efficiency))
+                            .with_attr("smem_replay", format!("{:.3}", t.smem_replay_rate)),
+                    );
+            }
+            Err(e) => exec = exec.with_attr("error", e.message.clone()),
+        }
+        vec![queue, plan_span, exec]
     }
-    vec![plan_span, queue_span, exec_span]
 }
 
 /// Counting semaphore bounding in-flight executions (std has none).
@@ -250,6 +284,9 @@ struct Semaphore {
     permits: Mutex<usize>,
     freed: Condvar,
 }
+
+/// One execution permit, given back on drop (unwinding included).
+struct Permit<'a>(&'a Semaphore);
 
 impl Semaphore {
     fn new(permits: usize) -> Self {
@@ -259,17 +296,26 @@ impl Semaphore {
         }
     }
 
-    fn acquire(&self) {
+    fn acquire(&self) -> Permit<'_> {
         let mut p = self.permits.lock().expect("semaphore poisoned");
         while *p == 0 {
             p = self.freed.wait(p).expect("semaphore poisoned");
         }
         *p -= 1;
+        Permit(self)
     }
+}
 
-    fn release(&self) {
-        *self.permits.lock().expect("semaphore poisoned") += 1;
-        self.freed.notify_one();
+impl Drop for Permit<'_> {
+    /// Runs while a panicking run unwinds, so it must not panic itself:
+    /// the count is valid whatever poisoned the lock.
+    fn drop(&mut self) {
+        *self
+            .0
+            .permits
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) += 1;
+        self.0.freed.notify_one();
     }
 }
 
@@ -308,8 +354,10 @@ pub struct TransposeService<E: Element> {
     sink: Option<Arc<dyn MeasurementSink>>,
     slo: SloTracker,
     exemplars: ExemplarStore<Arc<DecisionTrace>>,
-    /// The completion-queue executor, started on first `submit_async`.
-    async_core: OnceLock<AsyncExecutor<E>>,
+    /// The single-flight table every entry point registers in.
+    flights: Flights<E>,
+    /// The worker pool behind `submit_async`, started on first use.
+    executor: OnceLock<Executor<E>>,
     async_cfg: AsyncConfig,
     /// Metrics history: the delta-encoded time-series store fed by
     /// [`Self::scrape_history_once`] / the background scraper.
@@ -365,7 +413,8 @@ impl<E: Element> TransposeService<E> {
             sink: None,
             slo: SloTracker::new(cfg.slo),
             exemplars: ExemplarStore::new(cfg.exemplars),
-            async_core: OnceLock::new(),
+            flights: Flights::new(),
+            executor: OnceLock::new(),
             async_cfg: cfg.async_exec,
             history: TimeSeriesStore::new(cfg.history.tsdb),
             history_cfg: cfg.history,
@@ -449,13 +498,6 @@ impl<E: Element> TransposeService<E> {
             MetricKind::Gauge,
             vec![Sample::plain(self.cache.pinned_plans() as f64)],
         );
-        let astats = self.async_stats().unwrap_or_default();
-        snap.push_metric(
-            "ttlg_completion_queue_depth",
-            "Completion records queued for delivery by the async executor.",
-            MetricKind::Gauge,
-            vec![Sample::plain(astats.completion_depth as f64)],
-        );
         self.slo.export_into(&mut snap, clock_ns());
         profile::export_into(&mut snap, &self.phase_profiles());
         snap.push_metric(
@@ -532,134 +574,9 @@ impl<E: Element> TransposeService<E> {
         self.traces.recent(n)
     }
 
-    /// Fetch (or build, single-flight) the plan for one request, timing
-    /// the fetch into the plan-latency histogram. Returns the plan, a
-    /// served-from-cache flag, the lookup/build split, and the fetch
-    /// wall time.
-    #[allow(clippy::type_complexity)]
-    fn fetch_plan(
-        &self,
-        req: &TransposeRequest<E>,
-        key: &PlanKey,
-    ) -> (Result<(Arc<Plan<E>>, bool, FetchTiming), ServeError>, u64) {
-        let t0 = Instant::now();
-        let fetched = self.cache.get_or_plan_keyed_timed(
-            &self.transposer,
-            key,
-            req.input.shape(),
-            &req.perm,
-            &req.opts,
-        );
-        let elapsed = t0.elapsed().as_nanos() as u64;
-        match fetched {
-            Ok((plan, hit, timing)) => {
-                self.metrics.plan_latency.record_ns(elapsed);
-                (Ok((plan, hit, timing)), elapsed)
-            }
-            Err(e) => {
-                self.metrics.record_failure(RequestPhase::Plan, elapsed);
-                self.subscriber.on_event(&Event {
-                    name: "plan-failure",
-                    at_ns: clock_ns(),
-                    attrs: vec![("error", AttrValue::Str(e.to_string()))],
-                });
-                (Err(ServeError::from(e)), elapsed)
-            }
-        }
-    }
-
-    /// Execute one planned request under the in-flight bound, producing
-    /// a fully attributed [`RequestTrace`] (returned alongside the
-    /// outcome so callers such as the gateway can fold the exact phase
-    /// decomposition into their own accounting).
-    fn execute_traced(
-        &self,
-        req: &TransposeRequest<E>,
-        plan: &Arc<Plan<E>>,
-        cache_hit: bool,
-        plan_fetch_ns: u64,
-    ) -> (ServeResult<E>, RequestTrace) {
-        let mut trace = RequestTrace {
-            id: self.next_id.fetch_add(1, Ordering::Relaxed),
-            start_ns: clock_ns(),
-            cache_hit: Some(cache_hit),
-            plan_fetch_ns,
-            shape_class: shape_class(req.input.shape().extents()),
-            warmed: plan.is_measured(),
-            ..Default::default()
-        };
-        let tq = Instant::now();
-        self.in_flight.acquire();
-        trace.queue_wait_ns = tq.elapsed().as_nanos() as u64;
-        let t0 = Instant::now();
-        let result = self.transposer.execute(plan, &req.input);
-        let execute_ns = t0.elapsed().as_nanos() as u64;
-        self.in_flight.release();
-        trace.execute_ns = execute_ns;
-        let outcome = match result {
-            Ok((output, report)) => {
-                self.metrics.exec_latency.record_ns(execute_ns);
-                self.metrics.record_backend(plan.backend(), execute_ns);
-                let bytes = 2 * req.input.volume() as u64 * E::BYTES as u64;
-                self.metrics.record_request(report.schema, bytes);
-                self.metrics.record_prediction(
-                    report.schema,
-                    report.predicted_ns,
-                    report.kernel_time_ns,
-                );
-                // Fold the foreground residual stream into refinement:
-                // every served request is also a (candidate, measured)
-                // training point, so cold keys refine the online model
-                // without waiting for the autotuner to re-measure them.
-                if let Some(sink) = &self.sink {
-                    sink.observe_candidate(plan.candidate(), report.kernel_time_ns);
-                    self.metrics.record_residual_point();
-                }
-                trace.ok = true;
-                trace.schema = report.schema.to_string();
-                trace.predicted_ns = report.predicted_ns;
-                trace.measured_ns = report.kernel_time_ns;
-                trace.dram_efficiency = report.stats.dram_efficiency(E::BYTES);
-                trace.smem_replay_rate = report.stats.smem_replay_rate();
-                Ok(TransposeResponse { output, report })
-            }
-            Err(e) => {
-                self.metrics
-                    .record_failure(RequestPhase::Execute, execute_ns);
-                trace.schema = plan.schema().to_string();
-                trace.error = Some(e.to_string());
-                Err(ServeError::from(e))
-            }
-        };
-        let copy = trace.clone();
-        self.finish_trace(trace, plan.decision_trace().cloned());
-        (outcome, copy)
-    }
-
-    /// Record a request that died before it had a plan (the cache never
-    /// answered, so `cache_hit` stays `None`).
-    fn record_plan_failure(
-        &self,
-        req: &TransposeRequest<E>,
-        plan_fetch_ns: u64,
-        err: &ServeError,
-    ) -> RequestTrace {
-        let trace = RequestTrace {
-            id: self.next_id.fetch_add(1, Ordering::Relaxed),
-            start_ns: clock_ns(),
-            plan_fetch_ns,
-            shape_class: shape_class(req.input.shape().extents()),
-            error: Some(err.message.clone()),
-            ..Default::default()
-        };
-        let copy = trace.clone();
-        self.finish_trace(trace, None);
-        copy
-    }
-
     /// Push a finished trace to the ring, emit its span, and feed the
     /// tail-attribution layer (SLO tracker + exemplar store).
-    fn finish_trace(&self, trace: RequestTrace, decision: Option<Arc<DecisionTrace>>) {
+    fn finish_trace(&self, trace: &RequestTrace, decision: Option<&Arc<DecisionTrace>>) {
         self.subscriber.on_span(&SpanRecord {
             name: "request",
             start_ns: trace.start_ns,
@@ -691,75 +608,8 @@ impl<E: Element> TransposeService<E> {
             ],
         });
         self.slo.record(trace.total_ns(), clock_ns());
-        self.exemplars.offer(&trace, decision.as_ref());
-        self.traces.push(trace);
-    }
-
-    /// Serve a single request (plan via the shared cache, execute under
-    /// the in-flight bound).
-    pub fn submit(&self, req: &TransposeRequest<E>) -> ServeResult<E> {
-        self.submit_traced(req).0
-    }
-
-    /// [`Self::submit`], also returning the request's finished
-    /// [`RequestTrace`] so network-facing callers can attribute
-    /// queue/plan/execute phases per request without racing the trace
-    /// ring.
-    pub fn submit_traced(&self, req: &TransposeRequest<E>) -> (ServeResult<E>, RequestTrace) {
-        let key = req.plan_key();
-        let (fetched, fetch_ns) = self.fetch_plan(req, &key);
-        match fetched {
-            Ok((plan, hit, _)) => {
-                self.note_request(&key);
-                self.execute_traced(req, &plan, hit, fetch_ns)
-            }
-            Err(e) => {
-                let trace = self.record_plan_failure(req, fetch_ns, &e);
-                (Err(e), trace)
-            }
-        }
-    }
-
-    /// [`Self::submit_traced`], additionally returning a service-side
-    /// span forest (plan with cache-lookup / plan-build / alg3-sweep
-    /// children; queue-wait; execute with kernel-launch / kernel
-    /// children) and the planner's decision trace when retained.
-    /// Network-facing callers graft these under their own root span to
-    /// form the full request span tree.
-    pub fn submit_spanned(&self, req: &TransposeRequest<E>) -> SpannedOutcome<E> {
-        let key = req.plan_key();
-        let plan_start = clock_ns();
-        let (fetched, fetch_ns) = self.fetch_plan(req, &key);
-        match fetched {
-            Ok((plan, hit, timing)) => {
-                self.note_request(&key);
-                let decision = plan.decision_trace().cloned();
-                let sweep_ns = plan.sweep_wall_ns();
-                let candidates = plan.candidates_evaluated();
-                let launch_ns = self.transposer.device().launch_overhead_ns as u64;
-                let (result, trace) = self.execute_traced(req, &plan, hit, fetch_ns);
-                let spans = build_service_spans(
-                    plan_start, fetch_ns, timing, hit, sweep_ns, candidates, launch_ns, &trace,
-                );
-                SpannedOutcome {
-                    result,
-                    trace,
-                    spans,
-                    decision,
-                }
-            }
-            Err(e) => {
-                let trace = self.record_plan_failure(req, fetch_ns, &e);
-                let plan_span = SpanNode::new("plan", plan_start, fetch_ns)
-                    .with_attr("error", e.message.clone());
-                SpannedOutcome {
-                    result: Err(e),
-                    trace,
-                    spans: vec![plan_span],
-                    decision: None,
-                }
-            }
-        }
+        self.exemplars.offer(trace, decision);
+        self.traces.push(trace.clone());
     }
 
     /// The latency objective the built-in [`SloTracker`] enforces, so
@@ -768,252 +618,260 @@ impl<E: Element> TransposeService<E> {
         self.slo.config()
     }
 
-    // ---- async submission ---------------------------------------------
+    // ---- the submission pipeline --------------------------------------
 
-    /// Non-blocking submission: hand `req` to the completion-queue
-    /// executor and return a [`TicketHandle`] immediately. The handle
-    /// can be polled (never blocks) or waited on (parks the calling
-    /// thread until a worker finishes the request and the dispatcher
-    /// delivers the completion record). Identical in-flight problems —
-    /// same plan-key fingerprint, same input tensor `Arc` — coalesce
-    /// onto one execution; every coalesced waiter receives the shared
-    /// result and its own [`RequestTrace`] marked `coalesced`. When the
-    /// submission queue is full the ticket completes inline with an
-    /// overload error rather than blocking the caller.
+    /// Serve one request on the caller's thread. If an identical request
+    /// is already in flight, wait for its run instead of starting
+    /// another. A panic inside the run comes back as an error.
+    pub fn submit(&self, req: &TransposeRequest<E>) -> ServeResult<E> {
+        let submitted_ns = clock_ns();
+        let key = req.plan_key();
+        let mut roles = self.flights.register([flight_key(req, &key)], submitted_ns);
+        match roles.pop().expect("one registration") {
+            Role::Lead(flight) => self.lead(req, &key, flight, submitted_ns).result,
+            Role::Follow(ticket) => ticket.wait().result.clone(),
+        }
+    }
+
+    /// Non-blocking submission: run `req` on the executor's workers and
+    /// return a [`TicketHandle`] at once, to poll (never blocks) or wait
+    /// on. If an identical request is in flight (same plan-key
+    /// fingerprint, same input `Arc`), `req` joins its run, and the
+    /// outcome is marked `coalesced`. A full executor queue completes the
+    /// ticket at once with an overload error instead of blocking.
     pub fn submit_async(self: &Arc<Self>, req: TransposeRequest<E>) -> TicketHandle<E> {
-        self.async_executor().submit(req, None)
+        let executor = self
+            .executor
+            .get_or_init(|| Executor::start(Arc::downgrade(self), self.async_cfg, self.workers));
+        let key = req.plan_key();
+        executor.submit(&self.flights, req, key)
     }
 
-    /// [`Self::submit_async`] with a completion hook: the closure runs
-    /// exactly once on the dispatcher thread after the result is
-    /// delivered. Push-style consumers (the gateway) use this to drain
-    /// the completion queue without parking a thread per request.
-    pub fn submit_async_hooked(
-        self: &Arc<Self>,
-        req: TransposeRequest<E>,
-        hook: CompletionHook<E>,
-    ) -> TicketHandle<E> {
-        self.async_executor().submit(req, Some(hook))
-    }
-
-    /// Executor counters, `None` until the first `submit_async` starts
-    /// the executor.
-    pub fn async_stats(&self) -> Option<AsyncStatsSnapshot> {
-        self.async_core.get().map(|c| c.stats())
-    }
-
-    fn async_executor(self: &Arc<Self>) -> &AsyncExecutor<E> {
-        self.async_core.get_or_init(|| {
-            AsyncExecutor::start(Arc::downgrade(self), self.async_cfg, self.workers)
-        })
-    }
-
-    /// One leader execution on an async worker thread: full
-    /// `submit_spanned` semantics with the response `Arc`-wrapped so
-    /// coalesced followers can share it.
-    pub(crate) fn run_async_leader(&self, req: &TransposeRequest<E>) -> AsyncOutcome<E> {
-        let out = self.submit_spanned(req);
-        AsyncOutcome {
-            result: out.result.map(Arc::new),
-            trace: out.trace,
-            spans: out.spans,
-            decision: out.decision,
-            coalesced: false,
-        }
-    }
-
-    /// Account one coalesced delivery: the request is counted
-    /// (requests/bytes/SLO/hotness) and leaves its own ring trace marked
-    /// `coalesced` with the leader's measured numbers copied in, but no
-    /// execution-side series (exec latency, backend histograms,
-    /// prediction residuals) are touched — nothing executed.
-    pub(crate) fn deliver_coalesced(
-        &self,
-        req: &TransposeRequest<E>,
-        leader: &AsyncOutcome<E>,
-    ) -> RequestTrace {
-        let schema = leader.result.as_ref().ok().map(|r| r.report.schema);
-        self.coalesced_accounting(req, &leader.trace, schema, leader.decision.clone())
-    }
-
-    /// Shared bookkeeping for both coalescing paths (async single-flight
-    /// and within-batch dedup).
-    fn coalesced_accounting(
-        &self,
-        req: &TransposeRequest<E>,
-        leader_trace: &RequestTrace,
-        schema: Option<Schema>,
-        decision: Option<Arc<DecisionTrace>>,
-    ) -> RequestTrace {
-        let trace = RequestTrace {
-            id: self.next_id.fetch_add(1, Ordering::Relaxed),
-            start_ns: clock_ns(),
-            schema: leader_trace.schema.clone(),
-            shape_class: leader_trace.shape_class.clone(),
-            warmed: leader_trace.warmed,
-            ok: leader_trace.ok,
-            cache_hit: Some(true),
-            queue_wait_ns: 0,
-            plan_fetch_ns: 0,
-            execute_ns: leader_trace.execute_ns,
-            predicted_ns: leader_trace.predicted_ns,
-            measured_ns: leader_trace.measured_ns,
-            dram_efficiency: leader_trace.dram_efficiency,
-            smem_replay_rate: leader_trace.smem_replay_rate,
-            coalesced: true,
-            error: leader_trace.error.clone(),
-        };
-        if let Some(schema) = schema {
-            let bytes = 2 * req.input.volume() as u64 * E::BYTES as u64;
-            self.metrics.record_request(schema, bytes);
-        }
-        self.metrics.record_coalesced();
-        self.note_request(&req.plan_key());
-        let copy = trace.clone();
-        self.finish_trace(trace, decision);
-        copy
-    }
-
-    /// Serve a batch: requests are grouped by plan key, each distinct
-    /// problem is planned exactly once (in parallel across the worker
-    /// pool); then each *unique in-flight problem* — same plan-key
-    /// fingerprint, same input tensor — executes exactly once, with
-    /// duplicates coalescing onto the representative's execution (their
-    /// responses copy the shared output and their traces are marked
-    /// `coalesced`). Responses come back in request order.
+    /// Serve a batch; results come back in request order. All members
+    /// register under one lock, so a duplicate always joins the first
+    /// identical member (or an identical request already in flight) and
+    /// shares its response. The leaders run on a scoped pool of
+    /// `workers` threads, each under an inner-parallelism cap. No member
+    /// goes through the executor's bounded queue.
     pub fn submit_batch(&self, reqs: &[TransposeRequest<E>]) -> Vec<ServeResult<E>> {
         self.metrics.record_batch();
-        // Group by plan key so each distinct problem plans once.
-        let keys: Vec<PlanKey> = reqs.iter().map(|r| r.plan_key()).collect();
-        let mut groups: HashMap<&PlanKey, usize> = HashMap::new();
-        let mut distinct: Vec<usize> = Vec::new(); // representative request per key
-        for (i, k) in keys.iter().enumerate() {
-            groups.entry(k).or_insert_with(|| {
-                distinct.push(i);
-                distinct.len() - 1
+        let submitted_ns = clock_ns();
+        let keys: Vec<PlanKey> = reqs.iter().map(TransposeRequest::plan_key).collect();
+        let flight_keys = reqs.iter().zip(&keys).map(|(r, k)| flight_key(r, k));
+        let roles = self.flights.register(flight_keys, submitted_ns);
+        let leaders: Vec<(usize, FlightKey)> = roles
+            .iter()
+            .enumerate()
+            .filter_map(|(i, role)| match role {
+                Role::Lead(flight) => Some((i, *flight)),
+                Role::Follow(_) => None,
+            })
+            .collect();
+        let led: Vec<OnceLock<ServeResult<E>>> = reqs.iter().map(|_| OnceLock::new()).collect();
+        parallel::parallel_for_threads(leaders.len(), 1, self.workers, |x| {
+            let (i, flight) = leaders[x];
+            let out = parallel::with_thread_cap(self.exec_threads, || {
+                self.lead(&reqs[i], &keys[i], flight, submitted_ns)
             });
-        }
-        // Group by execution identity (plan-key fingerprint + input
-        // `Arc`) so duplicate identical problems execute once — the
-        // within-batch form of the async path's single-flight table.
-        let exec_key = |i: usize| {
-            (
-                keys[i].problem_fingerprint(),
-                Arc::as_ptr(&reqs[i].input) as usize,
-            )
-        };
-        let mut exec_groups: HashMap<(u64, usize), usize> = HashMap::new();
-        let mut exec_reps: Vec<usize> = Vec::new(); // representative request per execution
-        for i in 0..reqs.len() {
-            exec_groups.entry(exec_key(i)).or_insert_with(|| {
-                exec_reps.push(i);
-                exec_reps.len() - 1
-            });
-        }
-
-        // Phase 1: plan every distinct problem across the pool. Each
-        // slot keeps the cache-hit flag and fetch time so phase 2 can
-        // attribute them to every request sharing the plan.
-        #[allow(clippy::type_complexity)]
-        let plans: Vec<
-            OnceLock<(Result<(Arc<Plan<E>>, bool, FetchTiming), ServeError>, u64)>,
-        > = (0..distinct.len()).map(|_| OnceLock::new()).collect();
-        parallel::parallel_for_threads(distinct.len(), 1, self.workers, |g| {
-            let i = distinct[g];
-            let built = self.fetch_plan(&reqs[i], &keys[i]);
-            plans[g].set(built).ok().expect("plan slot set twice");
+            let _ = led[i].set(out.result);
         });
-
-        // Phase 2: execute one representative per unique problem across
-        // the pool, bounded by the in-flight semaphore.
-        #[allow(clippy::type_complexity)]
-        let executed: Vec<OnceLock<(ServeResult<E>, Option<RequestTrace>)>> =
-            (0..exec_reps.len()).map(|_| OnceLock::new()).collect();
-        parallel::parallel_for_threads(exec_reps.len(), 1, self.workers, |x| {
-            let i = exec_reps[x];
-            let g = groups[&keys[i]];
-            let (fetched, fetch_ns) = plans[g].get().expect("plan phase completed");
-            let outcome = match fetched {
-                // Cap the executor's inner parallelism so the batch's
-                // concurrent requests share cores instead of each
-                // spawning a full-machine pool. Only the plan group's
-                // representative actually touched the cache; every other
-                // execution was served from the shared plan — a hit.
-                Ok((plan, hit, _)) => {
-                    self.note_request(&keys[i]);
-                    parallel::with_thread_cap(self.exec_threads, || {
-                        let hit = *hit || i != distinct[g];
-                        let (res, trace) = self.execute_traced(&reqs[i], plan, hit, *fetch_ns);
-                        (res, Some(trace))
-                    })
-                }
-                Err(e) => {
-                    let _ = self.record_plan_failure(&reqs[i], *fetch_ns, e);
-                    (Err(e.clone()), None)
-                }
-            };
-            executed[x]
-                .set(outcome)
-                .ok()
-                .expect("result slot set twice");
-        });
-
-        // Phase 3: fan the shared executions out to every request, in
-        // order. Duplicates copy the representative's output, are fully
-        // accounted (request counters, SLO, hotness), and leave their
-        // own ring trace marked `coalesced`; plan failures are
-        // re-recorded per request, as before.
-        let mut out: Vec<Option<ServeResult<E>>> = Vec::with_capacity(reqs.len());
-        out.resize_with(reqs.len(), || None);
-        for (i, slot) in out.iter_mut().enumerate() {
-            let x = exec_groups[&exec_key(i)];
-            if i == exec_reps[x] {
-                continue; // takes the original result below
-            }
-            let (result, leader_trace) = executed[x].get().expect("exec phase completed");
-            let g = groups[&keys[i]];
-            *slot = Some(match (result, leader_trace) {
-                (Ok(resp), Some(trace)) => {
-                    let decision = plans[g]
-                        .get()
-                        .and_then(|(f, _)| f.as_ref().ok())
-                        .and_then(|(plan, _, _)| plan.decision_trace().cloned());
-                    let _ = self.coalesced_accounting(
-                        &reqs[i],
-                        trace,
-                        Some(resp.report.schema),
-                        decision,
-                    );
-                    Ok(TransposeResponse {
-                        output: resp.output.clone(),
-                        report: resp.report.clone(),
-                    })
-                }
-                // The shared execution failed: the duplicate shares the
-                // failure (and its coalesced trace carries the error).
-                (Err(e), Some(trace)) => {
-                    let _ = self.coalesced_accounting(&reqs[i], trace, None, None);
-                    Err(e.clone())
-                }
-                // Planning failed: every request that shared the key
-                // records its own plan-failure trace.
-                (Err(e), None) => {
-                    let fetch_ns = plans[g].get().map(|(_, ns)| *ns).unwrap_or(0);
-                    let _ = self.record_plan_failure(&reqs[i], fetch_ns, e);
-                    Err(e.clone())
-                }
-                (Ok(_), None) => unreachable!("successful executions always carry a trace"),
-            });
-        }
-        for (x, slot) in executed.into_iter().enumerate() {
-            let (result, _) = slot.into_inner().expect("exec phase completed");
-            out[exec_reps[x]] = Some(result);
-        }
-        out.into_iter()
-            .map(|r| r.expect("every request produced a result"))
+        // Every leader of this batch has finished, so waiting on the
+        // followers cannot close a cycle with another batch.
+        roles
+            .into_iter()
+            .zip(led)
+            .map(|(role, led)| match role {
+                Role::Lead(_) => led.into_inner().expect("every leader ran"),
+                Role::Follow(ticket) => ticket.wait().result.clone(),
+            })
             .collect()
     }
 
+    /// Counters of the single-flight table, across all three entry points.
+    pub fn pipeline_stats(&self) -> PipelineStats {
+        self.flights.stats()
+    }
+
+    /// Run one leader inside the panic boundary, then complete the
+    /// followers that joined it meanwhile. A leader never waits on a
+    /// ticket, so no wait cycle can form.
+    pub(crate) fn lead(
+        &self,
+        req: &TransposeRequest<E>,
+        key: &PlanKey,
+        flight: FlightKey,
+        submitted_ns: u64,
+    ) -> Outcome<E> {
+        self.flights.note_run();
+        let led = self.guarded(|| self.run(req, key, submitted_ns));
+        for ticket in self.flights.land(flight) {
+            let followed = match &led {
+                Ok(leader) => self.guarded(|| self.follow(req, key, leader, ticket.submitted_ns)),
+                Err(e) => Err(e.clone()),
+            };
+            ticket.complete(
+                followed.unwrap_or_else(|e| Outcome::error(e.message, ticket.submitted_ns, true)),
+            );
+        }
+        led.unwrap_or_else(|e| Outcome::error(e.message, submitted_ns, false))
+    }
+
+    /// The panic boundary: a panic inside `stage` is counted in
+    /// `ttlg_panics_total` and becomes the request's error. A stage that
+    /// panics records nothing else.
+    fn guarded(&self, stage: impl FnOnce() -> Outcome<E>) -> Result<Outcome<E>, ServeError> {
+        panic::catch_unwind(AssertUnwindSafe(stage)).map_err(|payload| {
+            self.metrics.record_panic();
+            let what = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            ServeError {
+                message: format!("request panicked: {what}"),
+            }
+        })
+    }
+
+    /// One leader's stages: wait for an execution permit, fetch (or
+    /// build, single-flight) the plan, execute, record.
+    fn run(&self, req: &TransposeRequest<E>, key: &PlanKey, submitted_ns: u64) -> Outcome<E> {
+        let permit = self.in_flight.acquire();
+        let mut trace = RequestTrace {
+            id: self.next_id.fetch_add(1, Ordering::Relaxed),
+            start_ns: submitted_ns,
+            queue_wait_ns: clock_ns().saturating_sub(submitted_ns),
+            shape_class: shape_class(req.input.shape().extents()),
+            ..Default::default()
+        };
+        let t0 = Instant::now();
+        let fetched = self.cache.get_or_plan_keyed_timed(
+            &self.transposer,
+            key,
+            req.input.shape(),
+            &req.perm,
+            &req.opts,
+        );
+        trace.plan_fetch_ns = t0.elapsed().as_nanos() as u64;
+        let (plan, hit, fetch) = match fetched {
+            Ok(fetched) => fetched,
+            Err(e) => {
+                drop(permit);
+                self.metrics
+                    .record_failure(RequestPhase::Plan, trace.plan_fetch_ns);
+                self.subscriber.on_event(&Event {
+                    name: "plan-failure",
+                    at_ns: clock_ns(),
+                    attrs: vec![("error", AttrValue::Str(e.to_string()))],
+                });
+                // The cache never answered, so `cache_hit` stays `None`.
+                trace.error = Some(e.to_string());
+                self.finish_trace(&trace, None);
+                return Outcome {
+                    result: Err(e.into()),
+                    trace,
+                    coalesced: false,
+                    plan: None,
+                    fetch: FetchTiming::default(),
+                };
+            }
+        };
+        self.metrics.plan_latency.record_ns(trace.plan_fetch_ns);
+        self.note_request(key);
+        trace.cache_hit = Some(hit);
+        trace.warmed = plan.is_measured();
+        let t1 = Instant::now();
+        let executed = self.transposer.execute(&plan, &req.input);
+        trace.execute_ns = t1.elapsed().as_nanos() as u64;
+        drop(permit);
+        let result = match executed {
+            Ok((output, report)) => {
+                self.metrics.exec_latency.record_ns(trace.execute_ns);
+                self.metrics
+                    .record_backend(plan.backend(), trace.execute_ns);
+                let bytes = 2 * req.input.volume() as u64 * E::BYTES as u64;
+                self.metrics.record_request(report.schema, bytes);
+                self.metrics.record_prediction(
+                    report.schema,
+                    report.predicted_ns,
+                    report.kernel_time_ns,
+                );
+                // Fold the foreground residual stream into refinement:
+                // every served request is also a (candidate, measured)
+                // training point, so cold keys refine the online model
+                // without waiting for the autotuner to re-measure them.
+                if let Some(sink) = &self.sink {
+                    sink.observe_candidate(plan.candidate(), report.kernel_time_ns);
+                    self.metrics.record_residual_point();
+                }
+                trace.ok = true;
+                trace.schema = report.schema.to_string();
+                trace.predicted_ns = report.predicted_ns;
+                trace.measured_ns = report.kernel_time_ns;
+                trace.dram_efficiency = report.stats.dram_efficiency(E::BYTES);
+                trace.smem_replay_rate = report.stats.smem_replay_rate();
+                Ok(Arc::new(TransposeResponse { output, report }))
+            }
+            Err(e) => {
+                self.metrics
+                    .record_failure(RequestPhase::Execute, trace.execute_ns);
+                trace.schema = plan.schema().to_string();
+                trace.error = Some(e.to_string());
+                Err(ServeError::from(e))
+            }
+        };
+        self.finish_trace(&trace, plan.decision_trace());
+        Outcome {
+            result,
+            trace,
+            coalesced: false,
+            plan: Some(plan),
+            fetch,
+        }
+    }
+
+    /// Account one follower of a finished leader. It is a served request
+    /// (request counters, SLO, hotness) and leaves its own trace, marked
+    /// `coalesced`, with the leader's measured numbers; nothing executed,
+    /// so no execution-side series move. The trace covers the follower's
+    /// whole wait: its share of the leader's execute time, and queue wait
+    /// before that.
+    fn follow(
+        &self,
+        req: &TransposeRequest<E>,
+        key: &PlanKey,
+        leader: &Outcome<E>,
+        submitted_ns: u64,
+    ) -> Outcome<E> {
+        let waited = clock_ns().saturating_sub(submitted_ns);
+        let execute_ns = leader.trace.execute_ns.min(waited);
+        let trace = RequestTrace {
+            id: self.next_id.fetch_add(1, Ordering::Relaxed),
+            start_ns: submitted_ns,
+            cache_hit: leader.trace.cache_hit.map(|_| true),
+            queue_wait_ns: waited - execute_ns,
+            plan_fetch_ns: 0,
+            execute_ns,
+            coalesced: true,
+            ..leader.trace.clone()
+        };
+        if let Ok(resp) = &leader.result {
+            let bytes = 2 * req.input.volume() as u64 * E::BYTES as u64;
+            self.metrics.record_request(resp.report.schema, bytes);
+        }
+        if leader.plan.is_some() {
+            self.note_request(key);
+        }
+        self.metrics.record_coalesced();
+        self.finish_trace(&trace, leader.decision());
+        Outcome {
+            result: leader.result.clone(),
+            trace,
+            coalesced: true,
+            plan: leader.plan.clone(),
+            fetch: FetchTiming::default(),
+        }
+    }
     // ---- measure-mode autotuning -------------------------------------
 
     /// Count a successfully planned request toward its key's hotness
@@ -1399,8 +1257,8 @@ mod tests {
     }
 
     #[test]
-    fn submit_spanned_builds_the_service_span_forest() {
-        let svc: TransposeService<f64> = TransposeService::new_k40c();
+    fn outcome_builds_the_service_span_forest() {
+        let svc: Arc<TransposeService<f64>> = Arc::new(TransposeService::new_k40c());
         let shape = Shape::new(&[16, 8, 4]).unwrap();
         let perm = Permutation::new(&[2, 0, 1]).unwrap();
         let input = Arc::new(DenseTensor::<f64>::iota(shape));
@@ -1408,27 +1266,36 @@ mod tests {
 
         // Cold: plan is built, so the forest carries plan-build with the
         // Alg. 3 sweep child, and the decision trace is retained.
-        let cold = svc.submit_spanned(&req);
+        let cold = svc.submit_async(req.clone()).wait();
         assert!(cold.result.is_ok());
-        assert!(cold.decision.is_some(), "cold plan retains decision trace");
-        let names: Vec<&str> = cold.spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["plan", "queue-wait", "execute"]);
-        let plan = &cold.spans[0];
+        assert!(
+            cold.decision().is_some(),
+            "cold plan retains decision trace"
+        );
+        let spans = cold.spans();
+        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["queue-wait", "plan", "execute"]);
+        let plan = &spans[1];
         assert!(plan.find("cache-lookup").is_some());
         assert!(plan.find("plan-build").is_some());
         let sweep = plan.find("alg3-sweep").expect("cold plan swept candidates");
         assert!(sweep.duration_ns > 0);
-        let exec = &cold.spans[2];
+        let exec = &spans[2];
         assert!(exec.find("kernel-launch").is_some());
         let kernel = exec
             .find("kernel")
             .expect("successful execute has kernel span");
         assert!(kernel.duration_ns > 0);
+        // The stages are laid out back to back from submission.
+        assert_eq!(spans[0].start_ns, cold.trace.start_ns);
+        assert_eq!(plan.start_ns, spans[0].start_ns + spans[0].duration_ns);
+        assert_eq!(exec.start_ns, plan.start_ns + plan.duration_ns);
 
         // Warm: the plan replays from cache — no build, no sweep.
-        let warm = svc.submit_spanned(&req);
+        let warm = svc.submit_async(req).wait();
         assert!(warm.result.is_ok());
-        let plan = &warm.spans[0];
+        let spans = warm.spans();
+        let plan = &spans[1];
         assert!(plan.find("cache-lookup").is_some());
         assert!(plan.find("plan-build").is_none(), "cache hit never builds");
         assert_eq!(
@@ -1997,12 +1864,8 @@ mod tests {
     #[test]
     fn submit_async_round_trips_and_never_blocks_the_caller() {
         let cfg = RuntimeConfig {
-            async_exec: crate::async_exec::AsyncConfig {
-                workers: 1,
-                submit_capacity: 4,
-                completion_capacity: 4,
-                coalesce: false,
-            },
+            workers: 1,
+            async_exec: crate::async_exec::AsyncConfig { submit_capacity: 4 },
             ..RuntimeConfig::default()
         };
         let svc: Arc<TransposeService<u64>> =
@@ -2018,16 +1881,18 @@ mod tests {
         assert_eq!(resp.output.data(), expect.data());
         assert!(!out.coalesced);
         assert!(out.trace.ok);
-        assert!(!out.spans.is_empty(), "submit_spanned parity");
+        assert!(!out.spans().is_empty(), "every outcome carries its spans");
 
         // Bounded-time guarantee: flooding far past the submission
         // queue's capacity must never block the caller — each call
         // either enqueues or completes the ticket inline with an
         // overload error, and poll() answers immediately either way.
+        // Each request gets its own copy of the input, so none coalesce.
         let tickets: Vec<_> = (0..64)
             .map(|_| {
+                let own = Arc::new((*input).clone());
                 let t0 = Instant::now();
-                let t = svc.submit_async(TransposeRequest::new(Arc::clone(&input), perm.clone()));
+                let t = svc.submit_async(TransposeRequest::new(own, perm.clone()));
                 let _ = t.poll();
                 assert!(
                     t0.elapsed() < Duration::from_millis(250),
@@ -2054,12 +1919,12 @@ mod tests {
                 }
             }
         }
-        let stats = svc.async_stats().expect("executor started");
+        let stats = svc.pipeline_stats();
         assert_eq!(stats.submitted, 65);
         assert_eq!(ok + overloaded + 1, stats.submitted);
         assert_eq!(stats.rejected, overloaded);
         assert_eq!(stats.executed, ok + 1);
-        assert_eq!(stats.coalesced, 0, "coalescing disabled");
+        assert_eq!(stats.coalesced, 0, "distinct inputs never coalesce");
     }
 
     /// Satellite: 16-thread coalescing hammer. A single async worker is
@@ -2072,10 +1937,7 @@ mod tests {
         let cfg = RuntimeConfig {
             workers: 1,
             async_exec: crate::async_exec::AsyncConfig {
-                workers: 1,
                 submit_capacity: 4096,
-                completion_capacity: 4096,
-                coalesce: true,
             },
             ..RuntimeConfig::default()
         };
@@ -2151,7 +2013,7 @@ mod tests {
         }
 
         let total = (THREADS * ROUNDS * perms.len() + BLOCKERS) as u64;
-        let stats = svc.async_stats().expect("executor started");
+        let stats = svc.pipeline_stats();
         assert_eq!(stats.submitted, total);
         assert_eq!(stats.rejected, 0);
         // Exactly one execution per unique in-flight key: the blockers
@@ -2171,7 +2033,106 @@ mod tests {
         );
         let prom = svc.export_prometheus();
         assert!(prom.contains("# TYPE ttlg_coalesced_requests_total counter"));
-        assert!(prom.contains("# TYPE ttlg_completion_queue_depth gauge"));
+        assert!(prom.contains("ttlg_panics_total 0"), "{prom}");
+    }
+
+    /// Measurement sink that holds the first call until released, then
+    /// panics; later calls pass.
+    #[derive(Default)]
+    struct PanicOnce {
+        calls: AtomicU64,
+        entered: AtomicBool,
+        release: AtomicBool,
+    }
+
+    impl MeasurementSink for PanicOnce {
+        fn observe_candidate(&self, _c: &ttlg::Candidate, _measured_ns: f64) {
+            if self.calls.fetch_add(1, Ordering::SeqCst) > 0 {
+                return;
+            }
+            self.entered.store(true, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !self.release.load(Ordering::SeqCst) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            panic!("injected sink panic");
+        }
+    }
+
+    /// The panic boundary: a panic in the served path fails the leader
+    /// and every follower with an error, keeps the worker alive, leaves
+    /// no stale single-flight entry behind, and is counted.
+    #[test]
+    fn a_panic_fails_leader_and_followers_and_the_service_recovers() {
+        let sink = Arc::new(PanicOnce::default());
+        let svc: Arc<TransposeService<f64>> = Arc::new(
+            TransposeService::new_k40c()
+                .with_measurement_sink(Arc::clone(&sink) as Arc<dyn MeasurementSink>),
+        );
+        let input = Arc::new(DenseTensor::<f64>::iota(Shape::new(&[16, 8, 4]).unwrap()));
+        let req = TransposeRequest::new(input, Permutation::new(&[2, 0, 1]).unwrap());
+
+        let leader = svc.submit_async(req.clone());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !sink.entered.load(Ordering::SeqCst) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(
+            sink.entered.load(Ordering::SeqCst),
+            "leader reached the sink"
+        );
+        let follower = svc.submit_async(req.clone());
+        sink.release.store(true, Ordering::SeqCst);
+
+        for (ticket, coalesced) in [(&leader, false), (&follower, true)] {
+            let out = ticket
+                .wait_timeout(Duration::from_secs(10))
+                .expect("a panicked run still completes its tickets");
+            let err = out.result.as_ref().err().expect("the panic is an error");
+            assert!(
+                err.message.contains("injected sink panic"),
+                "{}",
+                err.message
+            );
+            assert_eq!(out.coalesced, coalesced);
+        }
+        // The worker survived and the table entry is gone: the next
+        // identical request runs afresh and succeeds.
+        let next = svc
+            .submit_async(req.clone())
+            .wait_timeout(Duration::from_secs(10))
+            .expect("next request completes");
+        assert!(next.result.is_ok());
+        assert!(!next.coalesced);
+        assert_eq!(svc.pipeline_stats().executed, 2);
+        assert!(svc.submit(&req).is_ok());
+        let prom = svc.export_prometheus();
+        assert!(prom.contains("ttlg_panics_total 1"), "{prom}");
+    }
+
+    /// `submit` and `submit_batch` return a panic as an error instead of
+    /// unwinding into the caller.
+    #[test]
+    fn sync_entry_points_return_a_panic_as_an_error() {
+        struct AlwaysPanics;
+        impl MeasurementSink for AlwaysPanics {
+            fn observe_candidate(&self, _c: &ttlg::Candidate, _measured_ns: f64) {
+                panic!("sink always panics");
+            }
+        }
+        let svc: TransposeService<u32> =
+            TransposeService::new_k40c().with_measurement_sink(Arc::new(AlwaysPanics));
+        let input = Arc::new(DenseTensor::<u32>::iota(Shape::new(&[8, 8, 8]).unwrap()));
+        let req = TransposeRequest::new(input, Permutation::new(&[2, 1, 0]).unwrap());
+        let err = svc.submit(&req).err().expect("the panic is an error");
+        assert!(
+            err.message.contains("sink always panics"),
+            "{}",
+            err.message
+        );
+        let results = svc.submit_batch(&[req.clone(), req]);
+        assert!(results.iter().all(|r| r.is_err()));
+        assert_eq!(svc.metrics().panics(), 2, "one leader run per call");
     }
 
     /// Prometheus golden test for the new SLO/profile/tail families.

@@ -9,19 +9,22 @@
 //!   ---------------------------          -----------------
 //!   parse HTTP -> route                  weighted dequeue
 //!     POST /v1/transpose                   -> input tensor (cached)
-//!       validate problem                   -> service.submit_async_hooked
-//!       quota gate      -> 429                (non-blocking; identical
-//!       queue gate      -> 429                 in-flight problems coalesce)
-//!       wait completion -> 200/500/503      completion hook
-//!                                            -> span tree -> trace store
-//!                                            -> complete slot
+//!       validate problem                   -> service.submit_async
+//!       quota gate      -> 429             -> wait on the ticket (an
+//!       queue gate      -> 429                executor worker runs it;
+//!       wait completion -> 200/500/503        identical in-flight
+//!                                             problems coalesce)
+//!                                          -> span tree -> trace store
+//!                                          -> complete slot
 //!     GET /v1/explain   -> planner decision trace
 //!     GET /v1/query_range -> range queries over the metrics history
 //!     GET /metrics      -> Prometheus text (service + gateway)
 //!     GET /healthz      -> liveness
 //! ```
 //!
-//! Every admitted request carries a four-phase decomposition in its
+//! A scheduler worker stays busy until its request completes, so the
+//! bounded per-tenant queues fill under overload and the queue gate
+//! sheds. Every admitted request carries a four-phase decomposition in its
 //! response body — `network` (bytes-on-wire to parsed request), `queue`
 //! (admission to dequeue), `plan` (cache fetch/build) and `execute`
 //! (kernel) — the same attribution the trace ring records, extended to
@@ -37,9 +40,7 @@ use ttlg_obs::{
     clock_ns, eval_range, next_id, AlertEngine, AlertStatus, MetricKind, Sample, SampleReason,
     SpanNode, StoredTrace, TraceContext, TraceStore, TraceStoreConfig,
 };
-use ttlg_runtime::{
-    AsyncOutcome, LatencyHistogram, TransposeRequest, TransposeService, HIST_BUCKETS,
-};
+use ttlg_runtime::{LatencyHistogram, Outcome, TransposeRequest, TransposeService, HIST_BUCKETS};
 use ttlg_tensor::{DenseTensor, Permutation, Shape};
 
 use crate::admission::{AdmissionController, Priority, QuotaConfig, Shed, ShedReason};
@@ -744,33 +745,29 @@ impl Gateway {
         }
     }
 
-    /// Scheduler-worker side: materialize the input and hand the
-    /// request to the service's completion-queue executor. Returns
-    /// without blocking — the worker is immediately free to drain the
-    /// next job, so a slow execution never stalls the dequeue loop.
-    /// Identical in-flight problems coalesce inside the executor onto
-    /// one plan and one execution.
-    fn execute_job(self: &Arc<Self>, job: Job) {
+    /// Scheduler-worker side: materialize the input, hand the request
+    /// to the service's executor, and wait for its outcome. The worker
+    /// stays busy meanwhile, so the scheduler decides execution order and
+    /// its bounded queues shed under overload. Identical in-flight
+    /// problems coalesce onto one plan and one execution.
+    fn execute_job(&self, job: Job) {
         let queue_ns = job.enqueued.elapsed().as_nanos() as u64;
         self.metrics.queue_hist.record_ns(queue_ns);
         let input = self.input_for(&job.extents);
         let perm = Permutation::new(&job.perm).expect("perm validated at admission");
-        let request = TransposeRequest::new(input, perm);
-        let gw = Arc::clone(self);
-        self.service.submit_async_hooked(
-            request,
-            Box::new(move |out| gw.finish_job(job, queue_ns, out)),
-        );
+        let out = self
+            .service
+            .submit_async(TransposeRequest::new(input, perm))
+            .wait();
+        self.finish_job(job, queue_ns, &out);
     }
 
-    /// Completion-hook side of [`execute_job`], run on the executor's
-    /// dispatcher thread once the request's (possibly shared) execution
-    /// finishes: build the HTTP response, offer the finished span tree
-    /// to the trace store, and complete the connection thread's slot.
-    fn finish_job(&self, job: Job, queue_ns: u64, out: &Arc<AsyncOutcome<f64>>) {
+    /// Build the HTTP response for a finished (possibly shared) run,
+    /// offer the span tree to the trace store, and complete the
+    /// connection thread's slot.
+    fn finish_job(&self, job: Job, queue_ns: u64, out: &Outcome<f64>) {
         let trace = &out.trace;
         let result = &out.result;
-        let spans = &out.spans;
 
         let total_ns = job.network_ns + queue_ns + trace.total_ns();
         let slo_target_ns = (self.service.slo_config().target_us * 1e3) as u64;
@@ -790,11 +787,9 @@ impl Gateway {
         };
         let sampled = reason.is_some();
         if let Some(reason) = reason {
-            // Root starts when the first byte hit the wire: the service
-            // spans anchor it (spans[0] is the plan span, which started
-            // right after dequeue).
-            let service_start = spans.first().map(|s| s.start_ns).unwrap_or_else(clock_ns);
-            let root_start = service_start.saturating_sub(job.network_ns + queue_ns);
+            // Root starts when the first byte hit the wire; the service's
+            // trace starts when the request was submitted after dequeue.
+            let root_start = trace.start_ns.saturating_sub(job.network_ns + queue_ns);
             let mut root = SpanNode::new("request", root_start, total_ns)
                 .with_attr("tenant", job.tenant.clone())
                 .with_attr("priority", job.class.as_str())
@@ -804,8 +799,8 @@ impl Gateway {
                     root_start + job.network_ns,
                     queue_ns,
                 ));
-            for span in spans {
-                root = root.with_child(span.clone());
+            for span in out.spans() {
+                root = root.with_child(span);
             }
             self.traces.insert(StoredTrace {
                 trace_id: job.ctx.trace_id_hex(),
@@ -816,7 +811,7 @@ impl Gateway {
                 start_ns: root_start,
                 total_ns,
                 root,
-                decision: out.decision.as_ref().map(|d| d.render()),
+                decision: out.decision().map(|d| d.render()),
             });
         }
 
@@ -1361,7 +1356,7 @@ mod tests {
         let svc = gw.service();
         let total = (CLIENTS * PER_CLIENT) as u64;
         assert_eq!(svc.metrics().total_requests(), total);
-        let stats = svc.async_stats().expect("async executor started");
+        let stats = svc.pipeline_stats();
         assert_eq!(stats.submitted, total);
         assert_eq!(stats.executed + stats.coalesced, total);
         assert_eq!(svc.metrics().coalesced_requests(), stats.coalesced);
@@ -1375,6 +1370,65 @@ mod tests {
         );
         let prom = gw.export_prometheus();
         assert!(prom.contains("# TYPE ttlg_coalesced_requests_total counter"));
+        gw.stop();
+    }
+
+    /// The scheduler bounds admitted work: with one worker and a queue
+    /// of one, while a request runs and one waits, every further request
+    /// of the tenant is shed with 429 and `Retry-After`, never admitted
+    /// and never a 500.
+    #[test]
+    fn queue_bound_sheds_while_the_worker_runs() {
+        let gw = gateway(GatewayConfig {
+            workers: 1,
+            queue_capacity: 1,
+            max_elements: 1 << 19,
+            quota: QuotaConfig {
+                rate_per_sec: 1e9,
+                burst: 1e9,
+                max_tenants: 8,
+            },
+            ..GatewayConfig::default()
+        });
+        // Distinct problems at the volume limit (2^19 elements): none
+        // coalesce, and each runs for tens of milliseconds.
+        let send = |p: &str| {
+            let body = format!(r#"{{"extents":[128,64,64],"perm":[{p}]}}"#);
+            gw.handle(&post_transpose(&body, &[("x-ttlg-tenant", "solo")]), 0)
+        };
+        // Build the gateway's input tensor for these extents first, so
+        // the requests below spend their time in the service.
+        assert_eq!(send("0,1,2").status, 200);
+        let base = gw.service().pipeline_stats().submitted;
+        let perms = ["2,1,0", "1,2,0", "2,0,1", "0,2,1", "1,0,2"];
+        let wait_until = |done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        };
+        std::thread::scope(|s| {
+            let running = s.spawn(|| send(perms[0]));
+            wait_until(&|| gw.service().pipeline_stats().submitted == base + 1);
+            let queued = s.spawn(|| send(perms[1]));
+            wait_until(&|| gw.scheduler.depth() == 1);
+            for p in &perms[2..] {
+                let resp = send(p);
+                assert_eq!(resp.status, 429, "{}", String::from_utf8_lossy(&resp.body));
+                let retry = header(&resp, "retry-after").and_then(|v| v.parse::<u64>().ok());
+                assert!(retry.is_some_and(|v| v >= 1), "429 carries Retry-After");
+            }
+            assert_eq!(
+                gw.service().pipeline_stats().submitted,
+                base + 1,
+                "the first request was still running while the rest were shed"
+            );
+            for h in [running, queued] {
+                let resp = h.join().unwrap();
+                assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+            }
+        });
+        assert_eq!(gw.metrics().sheds(), perms.len() as u64 - 2);
         gw.stop();
     }
 
