@@ -221,6 +221,27 @@ impl<E: Element> Shard<E> {
     }
 }
 
+/// A key's single-flight build in progress. Dropping it, when planning
+/// returned an error or unwound, removes the key's `Entry::Building` and
+/// wakes the waiters, so one of them takes over as the builder; without
+/// it a panicking planner would leave every later fetch of the key
+/// waiting on the shard condvar forever.
+struct BuildSlot<'a, E: Element> {
+    shard: &'a Shard<E>,
+    key: &'a PlanKey,
+}
+
+impl<E: Element> Drop for BuildSlot<'_, E> {
+    fn drop(&mut self) {
+        // A poisoned shard fails every later fetch on its own; only the
+        // wake-up matters then. `Drop` must not panic.
+        if let Ok(mut state) = self.shard.state.lock() {
+            state.map.remove(self.key);
+        }
+        self.shard.built.notify_all();
+    }
+}
+
 /// A sharded, bounded, single-flight cache of transposition plans for one
 /// element type.
 ///
@@ -267,10 +288,10 @@ impl<E: Element> ShardedPlanCache<E> {
     ///
     /// This is the single-flight core: the first caller to miss becomes
     /// the builder; concurrent callers for the same key block until the
-    /// build completes and then share the result. If the build fails, the
-    /// slot is released, the error is returned to the builder, and one
-    /// waiter takes over as the next builder (so a transient failure does
-    /// not wedge the key).
+    /// build completes and then share the result. If the build fails or
+    /// panics, the slot is released, the error (or panic) goes to the
+    /// builder, and one waiter takes over as the next builder (so a
+    /// transient failure does not wedge the key).
     pub fn get_or_plan_keyed(
         &self,
         t: &Transposer,
@@ -353,43 +374,37 @@ impl<E: Element> ShardedPlanCache<E> {
                 Slot::Vacant => break,
             }
         }
-        // We are the builder for this key.
+        // We are the builder for this key. If planning fails or unwinds,
+        // `slot` releases the key and wakes its waiters.
         state.map.insert(key.clone(), Entry::Building);
         drop(state);
+        let slot = BuildSlot { shard, key };
         let build_started = std::time::Instant::now();
-        let built = t.plan::<E>(shape, perm, opts);
+        let plan = Arc::new(t.plan::<E>(shape, perm, opts)?);
         let build_ns = build_started.elapsed().as_nanos() as u64;
         let mut state = shard.state.lock().expect("cache shard poisoned");
-        match built {
-            Ok(plan) => {
-                let plan = Arc::new(plan);
-                state.tick += 1;
-                let stamp = state.tick;
-                let pinned = plan.is_measured();
-                state.map.insert(
-                    key.clone(),
-                    Entry::Ready {
-                        plan: Arc::clone(&plan),
-                        last_used: stamp,
-                        pinned,
-                    },
-                );
-                self.evict_locked(&mut state);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                shard.built.notify_all();
-                let total = fetch_started.elapsed().as_nanos() as u64;
-                let timing = FetchTiming {
-                    lookup_ns: total.saturating_sub(build_ns),
-                    build_ns,
-                };
-                Ok((plan, false, timing))
-            }
-            Err(e) => {
-                state.map.remove(key);
-                shard.built.notify_all();
-                Err(e)
-            }
-        }
+        state.tick += 1;
+        let stamp = state.tick;
+        let pinned = plan.is_measured();
+        state.map.insert(
+            key.clone(),
+            Entry::Ready {
+                plan: Arc::clone(&plan),
+                last_used: stamp,
+                pinned,
+            },
+        );
+        // The key holds its plan now; the slot must not remove it.
+        std::mem::forget(slot);
+        self.evict_locked(&mut state);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        shard.built.notify_all();
+        let total = fetch_started.elapsed().as_nanos() as u64;
+        let timing = FetchTiming {
+            lookup_ns: total.saturating_sub(build_ns),
+            build_ns,
+        };
+        Ok((plan, false, timing))
     }
 
     /// Fetch the plan for `(shape, perm, opts)`, building it on first use.
@@ -796,6 +811,54 @@ mod tests {
         assert!(hit, "second fetch is served from cache");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
+    }
+
+    #[test]
+    fn a_planner_panic_does_not_wedge_its_key() {
+        /// Panics on its first prediction, then answers like the
+        /// analytic model.
+        struct PanicsOnce {
+            fired: std::sync::atomic::AtomicBool,
+            inner: crate::model::AnalyticPredictor,
+        }
+        impl crate::model::TimePredictor for PanicsOnce {
+            fn predict_ns(&self, c: &crate::features::Candidate) -> f64 {
+                if !self.fired.swap(true, Ordering::SeqCst) {
+                    panic!("predictor fault");
+                }
+                self.inner.predict_ns(c)
+            }
+        }
+        let device = ttlg_gpu_sim::DeviceConfig::k40c();
+        let predictor = PanicsOnce {
+            fired: false.into(),
+            inner: crate::model::AnalyticPredictor::new(device.clone()),
+        };
+        let t = Arc::new(Transposer::with_predictor(device, Arc::new(predictor)));
+        let cache: Arc<ShardedPlanCache<f64>> = Arc::new(ShardedPlanCache::new());
+        let shape = Shape::new(&[16, 8]).unwrap();
+        let perm = Permutation::new(&[1, 0]).unwrap();
+        let opts = TransposeOptions::default();
+        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_plan(&t, &shape, &perm, &opts)
+        }));
+        assert!(first.is_err(), "the planner's panic reaches the builder");
+        // A later fetch of the same key, from another thread, must build
+        // the plan instead of waiting for the failed build forever.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let fetcher = std::thread::spawn({
+            let (t, cache) = (Arc::clone(&t), Arc::clone(&cache));
+            move || {
+                let fetched = cache.get_or_plan(&t, &shape, &perm, &opts).map(|_| ());
+                tx.send(fetched).expect("test thread is waiting");
+            }
+        });
+        let second = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("a fetch after a planner panic must not hang");
+        assert!(second.is_ok(), "{second:?}");
+        fetcher.join().expect("fetcher thread");
+        assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]

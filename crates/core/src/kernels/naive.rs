@@ -85,13 +85,11 @@ impl<E: Element> BlockKernel<E> for NaiveKernel<E> {
     }
 
     fn block_class(&self, block: usize) -> u32 {
-        // Gather patterns vary by position; classify by block id modulo a
-        // small period so sampling still sees representative variety, and
-        // distinguish the partial tail block. Exactness of extrapolation
-        // only matters for the kernels TTLG can actually select; the naive
-        // baseline is benchmarked in Execute mode.
-        let tail = u32::from((block + 1) * THREADS > self.volume);
-        (block as u32 % 64) | (tail << 8)
+        // The gather pattern, and with it the load count, varies with the
+        // block's position, so no two blocks are known to match: one class
+        // per block makes the analysis exhaustive and exact, a cost this
+        // ablation kernel can bear.
+        u32::try_from(block).expect("naive grid has fewer than 2^32 blocks")
     }
 }
 

@@ -18,10 +18,10 @@ use crate::problem::Problem;
 use crate::schema::{applicable_schemas, Schema};
 use crate::slice;
 use crate::trace::{choice_params, CandidateTrace, DecisionTrace};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use ttlg_gpu_sim::{
-    executor::LaunchError, Accounting, BlockIo, BlockKernel, DeviceConfig, ExecMode, Executor,
-    GridExecutor, KernelTiming, Launch, TimingModel, TransactionStats,
+    executor::LaunchError, Accounting, BlockIo, BlockKernel, DeviceConfig, Executor, KernelTiming,
+    Launch, TimingModel, TransactionStats,
 };
 use ttlg_tensor::{DenseTensor, Element, Permutation, Shape};
 
@@ -214,6 +214,12 @@ pub struct Plan<E: Element> {
     /// [`Transposer::set_trace_retention`] is on (shared so cached plans
     /// hand it to every request cheaply).
     decision: Option<Arc<DecisionTrace>>,
+    /// A GPU plan's transaction statistics: one `Executor::analyze` run,
+    /// made by the plan's first [`Transposer::execute_into`] and reported
+    /// by every execution, which then only moves data. The
+    /// `BlockKernel::block_class` contract makes them equal to a full
+    /// run's. Stays empty for CPU plans.
+    gpu_stats: OnceLock<TransactionStats>,
 }
 
 impl<E: Element> Plan<E> {
@@ -296,11 +302,12 @@ impl<E: Element> Plan<E> {
 pub struct TransposeReport {
     /// Schema used.
     pub schema: Schema,
-    /// Kernel time, ns (modeled from measured transactions).
+    /// Kernel time, ns (modeled from the transaction statistics).
     pub kernel_time_ns: f64,
     /// The paper's bandwidth metric `2*volume*elem_bytes/time`, GB/s.
     pub bandwidth_gbps: f64,
-    /// Measured transaction statistics.
+    /// Transaction statistics: for GPU plans the sampled analysis, equal
+    /// to a count over every block.
     pub stats: TransactionStats,
     /// Model-predicted kernel time, ns (for model-precision studies).
     pub predicted_ns: f64,
@@ -567,6 +574,7 @@ impl Transposer {
             measured: false,
             sweep_wall_ns: 0,
             decision: None,
+            gpu_stats: OnceLock::new(),
         }
     }
 
@@ -730,7 +738,9 @@ impl Transposer {
         Ok((out, report))
     }
 
-    /// Execute a plan into a pre-allocated output tensor.
+    /// Execute a plan into a pre-allocated output tensor. A GPU plan
+    /// moves the data with a data-only block run and reports the
+    /// statistics its first execution analyzed and cached on the plan.
     pub fn execute_into<E: Element>(
         &self,
         plan: &Plan<E>,
@@ -745,16 +755,18 @@ impl Transposer {
         assert_eq!(out.volume(), input.volume(), "output volume mismatch");
         match &plan.kernel {
             PlanExec::Gpu(k) => {
-                let outcome = GridExecutor::<E>::run_grid(
-                    &self.executor,
-                    k,
-                    input.data(),
-                    out.data_mut(),
-                    ExecMode::Execute {
-                        check_disjoint_writes: plan.check_disjoint_writes,
-                    },
-                )?;
-                Ok(self.report(plan, &outcome.stats))
+                let stats = match plan.gpu_stats.get() {
+                    Some(stats) => *stats,
+                    None => {
+                        let analyzed = self.executor.analyze(k)?.stats;
+                        // Racing first executions each analyze; their
+                        // results are identical and the first one stays.
+                        *plan.gpu_stats.get_or_init(|| analyzed)
+                    }
+                };
+                self.executor
+                    .copy(k, input.data(), out.data_mut(), plan.check_disjoint_writes)?;
+                Ok(self.report(plan, &stats))
             }
             PlanExec::Cpu(cp) => {
                 let started = std::time::Instant::now();
@@ -784,7 +796,7 @@ impl Transposer {
     pub fn time_plan<E: Element>(&self, plan: &Plan<E>) -> Result<TransposeReport, PlanError> {
         match &plan.kernel {
             PlanExec::Gpu(k) => {
-                let outcome = GridExecutor::<E>::analyze_grid(&self.executor, k)?;
+                let outcome = self.executor.analyze(k)?;
                 Ok(self.report(plan, &outcome.stats))
             }
             PlanExec::Cpu(cp) => {
@@ -887,6 +899,7 @@ impl Transposer {
             measured: true,
             sweep_wall_ns: sweep_started.elapsed().as_nanos() as u64,
             decision: None,
+            gpu_stats: OnceLock::new(),
         })
     }
 
@@ -1107,7 +1120,9 @@ fn cpu_report<E: Element>(plan: &Plan<E>, wall_ns: f64) -> TransposeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ttlg_gpu_sim::ExecMode;
     use ttlg_tensor::reference;
+    use ttlg_tensor::rng::StdRng;
 
     fn opts_checked() -> TransposeOptions {
         TransposeOptions {
@@ -1344,6 +1359,93 @@ mod tests {
         let time_report = t.time_plan(&plan).unwrap();
         assert_eq!(exec_report.stats, time_report.stats);
         assert!((exec_report.kernel_time_ns - time_report.kernel_time_ns).abs() < 1e-9);
+    }
+
+    /// Seeded random problems of rank 2-6 with 64-32 768 elements.
+    fn random_cases(seed: u64, n: usize) -> Vec<(Vec<usize>, Vec<usize>)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cases = Vec::with_capacity(n);
+        while cases.len() < n {
+            let rank = rng.gen_range(2..7usize);
+            let hi = (32_768f64.powf(1.0 / rank as f64) * 2.0) as usize;
+            let extents: Vec<usize> = (0..rank).map(|_| rng.gen_range(1..hi + 1)).collect();
+            if !(64..=32_768).contains(&extents.iter().product::<usize>()) {
+                continue;
+            }
+            let mut perm: Vec<usize> = (0..rank).collect();
+            rng.shuffle(&mut perm);
+            cases.push((extents, perm));
+        }
+        cases
+    }
+
+    /// Every GPU plan of the problem (the default schema, each applicable
+    /// schema forced, and Naive) must analyze to an exhaustive count over
+    /// all its blocks, and `Transposer::execute` must move the reference
+    /// bytes and report that count, both when it fills the plan's cache
+    /// and when it reads it.
+    fn check_against_exhaustive<E: Element>(t: &Transposer, extents: &[usize], perm: &[usize]) {
+        let shape = Shape::new(extents).unwrap();
+        let perm = Permutation::new(perm).unwrap();
+        let problem = Problem::new(&shape, &perm).unwrap();
+        let forced = applicable_schemas(&problem)
+            .into_iter()
+            .chain([Schema::Naive])
+            .map(Some);
+        let input: DenseTensor<E> = DenseTensor::iota(shape.clone());
+        let expect = reference::transpose_reference(&input, &perm).unwrap();
+        for forced_schema in std::iter::once(None).chain(forced) {
+            let opts = TransposeOptions {
+                forced_schema,
+                ..opts_checked()
+            };
+            let plan = match t.plan::<E>(&shape, &perm, &opts) {
+                Ok(plan) => plan,
+                // A forced schema may admit no candidate for this problem.
+                Err(PlanError::NoCandidate) if forced_schema.is_some() => continue,
+                Err(e) => panic!("{extents:?} {perm}: {e}"),
+            };
+            let PlanExec::Gpu(k) = &plan.kernel else {
+                panic!("default options plan for the GPU simulator");
+            };
+            let case = format!("{extents:?} {perm} {} {}B", plan.schema(), E::BYTES);
+            let analyzed = t.executor.analyze(k).unwrap().stats;
+            let mut out = vec![E::zero(); shape.volume()];
+            let mode = ExecMode::Execute {
+                check_disjoint_writes: true,
+            };
+            let full = t.executor.run(k, input.data(), &mut out, mode).unwrap();
+            assert_eq!(analyzed, full.stats, "analysis is not exact: {case}");
+            assert_eq!(out, expect.data(), "{case}");
+            let want = t.report(&plan, &full.stats);
+            for _ in 0..2 {
+                let (served, report) = t.execute(&plan, &input).unwrap();
+                assert_eq!(served.data(), expect.data(), "{case}");
+                assert_eq!(report.stats, full.stats, "{case}");
+                assert_eq!(report.kernel_time_ns, want.kernel_time_ns, "{case}");
+                assert_eq!(report.bandwidth_gbps, want.bandwidth_gbps, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn analyze_equals_execute_for_every_schema() {
+        // One case per kernel family, with awkward (non-multiple) extents.
+        let families: [(&[usize], &[usize]); 5] = [
+            (&[40, 40], &[0, 1]),
+            (&[50, 7, 9], &[0, 2, 1]),
+            (&[9, 10, 11, 5], &[0, 3, 2, 1]),
+            (&[33, 5, 37], &[2, 1, 0]),
+            (&[6, 3, 7, 9], &[2, 1, 3, 0]),
+        ];
+        let t = Transposer::new_k40c();
+        for (extents, perm) in families {
+            check_against_exhaustive::<u64>(&t, extents, perm);
+        }
+        for (extents, perm) in random_cases(0x7715, 60) {
+            check_against_exhaustive::<f32>(&t, &extents, &perm);
+            check_against_exhaustive::<f64>(&t, &extents, &perm);
+        }
     }
 
     #[test]

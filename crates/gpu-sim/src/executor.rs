@@ -1,31 +1,40 @@
 //! The block executor: runs a [`BlockKernel`] over its grid.
 //!
-//! Two modes:
+//! Three uses of one kernel body:
 //!
-//! * **Execute** — every block runs, real elements move from the input
-//!   buffer to the output buffer, and transaction statistics are summed
-//!   over all blocks. Blocks are distributed over host worker threads
-//!   (`std::thread::scope`), mirroring the GPU's block-level
-//!   parallelism. Optionally
-//!   verifies that blocks write disjoint output elements.
-//! * **Analyze** — blocks are grouped into the kernel-declared equivalence
-//!   classes; one representative per class runs (with data movement
-//!   short-circuited) and its statistics are scaled by the class size.
-//!   This is what makes the paper's 720-permutation sweeps tractable.
+//! * **Data-only run** ([`Executor::copy`]) — the serving path. Every
+//!   block runs and real elements move from the input buffer to the
+//!   output buffer, with the block's [`Accounting`] switched off, so no
+//!   coalescing or bank-conflict work is done. A served plan reports the
+//!   statistics of one `Analyze` run, cached on the plan.
+//! * **Analyze** ([`ExecMode::Analyze`]) — blocks are grouped into the
+//!   kernel-declared equivalence classes; one representative per class
+//!   runs (with data movement short-circuited) and its statistics are
+//!   scaled by the class size. This times plans (the paper's
+//!   720-permutation sweeps, model training) and fills the per-plan
+//!   statistics that serving reports.
+//! * **Execute** ([`ExecMode::Execute`]) — every block runs, moves real
+//!   data and records its transactions, summed over all blocks: the
+//!   exhaustive reference that tests hold `Analyze` to, and the path the
+//!   cuTT, TTC and naive baselines execute with.
+//!
+//! The two full runs distribute blocks over host worker threads
+//! (`std::thread::scope`), mirroring the GPU's block-level parallelism,
+//! and can verify that every output element is written exactly once.
 
 use crate::device::DeviceConfig;
 use crate::kernel::{Accounting, BlockIo, BlockKernel, IoMode, Launch, SharedOutput};
 use crate::stats::TransactionStats;
-use std::sync::atomic::AtomicU8;
+use std::sync::atomic::{AtomicU8, Ordering};
 use ttlg_tensor::{parallel, Element};
 
 /// Execution mode for [`Executor::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Run every block, moving real data.
+    /// Run every block, moving real data and recording every access.
     Execute {
-        /// Verify that no output element is written twice (slower; for
-        /// tests and debugging).
+        /// Verify that every output element is written exactly once
+        /// (slower; for tests and debugging).
         check_disjoint_writes: bool,
     },
     /// Sampled analysis: representative block per class, no data movement.
@@ -87,46 +96,6 @@ impl std::fmt::Display for LaunchError {
 
 impl std::error::Error for LaunchError {}
 
-/// The grid-execution interface the planner programs against, extracted
-/// from [`Executor`] so higher layers can drive a block kernel without
-/// naming the concrete simulator type. Object-safe: the kernel comes in
-/// as `&dyn BlockKernel<E>`, so one `GridExecutor` value can serve every
-/// kernel of an element type.
-///
-/// Real (non-simulated) backends such as `ttlg-cpu` do **not** implement
-/// this trait — they have no block grid to replay — which is exactly the
-/// point of the extraction: the planner's GPU path is typed against this
-/// trait, and everything outside it is backend-dispatched.
-pub trait GridExecutor<E: Element> {
-    /// Run a kernel over its grid (see [`Executor::run`]).
-    fn run_grid(
-        &self,
-        kernel: &dyn BlockKernel<E>,
-        input: &[E],
-        output: &mut [E],
-        mode: ExecMode,
-    ) -> Result<RunOutcome, LaunchError>;
-
-    /// Sampled analysis without data movement (see [`Executor::analyze`]).
-    fn analyze_grid(&self, kernel: &dyn BlockKernel<E>) -> Result<RunOutcome, LaunchError>;
-}
-
-impl<E: Element> GridExecutor<E> for Executor {
-    fn run_grid(
-        &self,
-        kernel: &dyn BlockKernel<E>,
-        input: &[E],
-        output: &mut [E],
-        mode: ExecMode,
-    ) -> Result<RunOutcome, LaunchError> {
-        self.run(kernel, input, output, mode)
-    }
-
-    fn analyze_grid(&self, kernel: &dyn BlockKernel<E>) -> Result<RunOutcome, LaunchError> {
-        self.analyze(kernel)
-    }
-}
-
 /// Executes kernels against a device configuration.
 #[derive(Debug, Clone)]
 pub struct Executor {
@@ -162,7 +131,8 @@ impl Executor {
         Ok(())
     }
 
-    /// Run a kernel in `Execute` mode: moves `input` into `output`.
+    /// Run a kernel in the given mode. `Execute` moves `input` into
+    /// `output`; `Analyze` ignores both buffers.
     pub fn run<E: Element, K: BlockKernel<E> + ?Sized>(
         &self,
         kernel: &K,
@@ -170,44 +140,84 @@ impl Executor {
         output: &mut [E],
         mode: ExecMode,
     ) -> Result<RunOutcome, LaunchError> {
-        let launch = kernel.launch();
-        self.validate(&launch)?;
         match mode {
             ExecMode::Execute {
                 check_disjoint_writes,
             } => {
-                let tracker: Option<Vec<AtomicU8>> = if check_disjoint_writes {
-                    Some((0..output.len()).map(|_| AtomicU8::new(0)).collect())
-                } else {
-                    None
-                };
-                let shared = SharedOutput::new(output, tracker.as_deref());
-                let blocks = launch.grid_blocks;
-                let stats = parallel::parallel_map_reduce(
-                    blocks,
-                    1.max(blocks / (parallel::default_threads() * 8)),
-                    TransactionStats::default,
-                    |mut acc, b| {
-                        let io = BlockIo::new(input, &shared, IoMode::Execute);
-                        let mut acct = Accounting::new();
-                        kernel.run_block(b, &io, &mut acct);
-                        acc.merge(&acct.stats);
-                        acc
-                    },
-                    |mut a, b| {
-                        a.merge(&b);
-                        a
-                    },
-                );
+                let (launch, stats) =
+                    self.run_blocks(kernel, input, output, check_disjoint_writes, true)?;
                 Ok(RunOutcome {
                     stats,
                     launch,
-                    blocks_executed: blocks,
+                    blocks_executed: launch.grid_blocks,
                     classes: None,
                 })
             }
             ExecMode::Analyze => self.analyze(kernel),
         }
+    }
+
+    /// Data-only run: every block moves its elements from `input` to
+    /// `output` exactly as in `Execute` mode, but with recording switched
+    /// off, so no transaction statistics are produced. Callers that need
+    /// the statistics take them from [`Executor::analyze`], which the
+    /// [`BlockKernel::block_class`] contract makes equal to a full run's.
+    /// `check_disjoint_writes` verifies that every output element is
+    /// written exactly once.
+    pub fn copy<E: Element, K: BlockKernel<E> + ?Sized>(
+        &self,
+        kernel: &K,
+        input: &[E],
+        output: &mut [E],
+        check_disjoint_writes: bool,
+    ) -> Result<(), LaunchError> {
+        self.run_blocks(kernel, input, output, check_disjoint_writes, false)
+            .map(|_| ())
+    }
+
+    /// Validate the launch, then run every block of `kernel` over real
+    /// buffers and return the summed statistics (all zero unless
+    /// `record`). With `check_disjoint_writes`, panics unless every output
+    /// element is written exactly once: a second write panics where it
+    /// happens, a missed element after the run.
+    fn run_blocks<E: Element, K: BlockKernel<E> + ?Sized>(
+        &self,
+        kernel: &K,
+        input: &[E],
+        output: &mut [E],
+        check_disjoint_writes: bool,
+        record: bool,
+    ) -> Result<(Launch, TransactionStats), LaunchError> {
+        let launch = kernel.launch();
+        self.validate(&launch)?;
+        let tracker: Option<Vec<AtomicU8>> =
+            check_disjoint_writes.then(|| (0..output.len()).map(|_| AtomicU8::new(0)).collect());
+        let shared = SharedOutput::new(output, tracker.as_deref());
+        let blocks = launch.grid_blocks;
+        let stats = parallel::parallel_map_reduce(
+            blocks,
+            1.max(blocks / (parallel::default_threads() * 8)),
+            TransactionStats::default,
+            |mut acc, b| {
+                let io = BlockIo::new(input, &shared, IoMode::Execute);
+                let mut acct = Accounting::recording(record);
+                kernel.run_block(b, &io, &mut acct);
+                acc.merge(&acct.stats);
+                acc
+            },
+            |mut a, b| {
+                a.merge(&b);
+                a
+            },
+        );
+        if let Some(slots) = &tracker {
+            // The workers are joined, so every write is visible here.
+            for (off, slot) in slots.iter().enumerate() {
+                let writes = slot.load(Ordering::Relaxed);
+                assert!(writes == 1, "output element {off} written {writes} times");
+            }
+        }
+        Ok((launch, stats))
     }
 
     /// Run a kernel in `Analyze` mode (no data buffers needed).
@@ -319,6 +329,10 @@ mod tests {
         // partial access still 1 tx.
         assert_eq!(out.stats.dram_load_tx, out.stats.dram_store_tx);
         assert_eq!(out.stats.dram_load_tx, 32);
+        // The data-only run moves the same elements.
+        let mut copied = vec![0u32; n];
+        ex.copy(&k, &input, &mut copied, true).unwrap();
+        assert_eq!(copied, input);
     }
 
     #[test]
@@ -367,27 +381,51 @@ mod tests {
     }
 
     #[test]
-    fn grid_executor_trait_matches_inherent_methods() {
+    fn write_check_catches_a_missed_element() {
+        /// [`CopyKernel`] that never stores element `skip`.
+        struct SkipOne {
+            n: usize,
+            skip: usize,
+        }
+        impl BlockKernel<u32> for SkipOne {
+            fn name(&self) -> &str {
+                "skip-one"
+            }
+            fn launch(&self) -> Launch {
+                CopyKernel { n: self.n }.launch()
+            }
+            fn run_block(&self, block: usize, io: &BlockIo<'_, u32>, _: &mut Accounting) {
+                for off in block * 64..((block + 1) * 64).min(self.n) {
+                    if off != self.skip {
+                        io.store(off, io.load(off));
+                    }
+                }
+            }
+        }
         let n = 1000;
+        let k = SkipOne { n, skip: 777 };
         let input: Vec<u32> = (0..n as u32).collect();
-        let mut output = vec![0u32; n];
         let ex = Executor::new(DeviceConfig::test_tiny());
-        let k = CopyKernel { n };
-        // Drive the simulator purely through the extracted interface.
-        let dyn_ex: &dyn GridExecutor<u32> = &ex;
-        let ran = dyn_ex
-            .run_grid(
-                &k,
-                &input,
-                &mut output,
-                ExecMode::Execute {
-                    check_disjoint_writes: true,
-                },
-            )
-            .unwrap();
-        assert_eq!(output, input);
-        let ana = dyn_ex.analyze_grid(&k).unwrap();
-        assert_eq!(ran.stats, ana.stats);
+        let execute = std::panic::catch_unwind(|| {
+            let mut output = vec![0u32; n];
+            let mode = ExecMode::Execute {
+                check_disjoint_writes: true,
+            };
+            ex.run(&k, &input, &mut output, mode).map(|_| ())
+        });
+        let copy = std::panic::catch_unwind(|| {
+            let mut output = vec![0u32; n];
+            ex.copy(&k, &input, &mut output, true)
+        });
+        for res in [execute, copy] {
+            let payload = res.expect_err("a missed output element must panic");
+            let msg = payload.downcast_ref::<String>().expect("formatted message");
+            assert!(msg.contains("output element 777 written 0 times"), "{msg}");
+        }
+        // Unchecked, the same kernel runs silently.
+        let mut output = vec![0u32; n];
+        ex.copy(&k, &input, &mut output, false).unwrap();
+        assert_eq!(output[777], 0);
     }
 
     #[test]

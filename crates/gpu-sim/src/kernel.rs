@@ -11,7 +11,10 @@
 //!
 //! In `Analyze` mode the executor runs only representative blocks and
 //! `BlockIo` short-circuits data movement, so the same kernel code doubles
-//! as a fast analytical model of itself.
+//! as a fast analytical model of itself. In the data-only run
+//! ([`crate::Executor::copy`]) the executor hands every block an
+//! `Accounting` with recording switched off, so the same code moves data
+//! without paying for the coalescing and bank models.
 
 use crate::coalesce;
 use crate::smem;
@@ -44,7 +47,8 @@ impl Launch {
 /// Execution mode chosen by the executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoMode {
-    /// Move real data and count transactions.
+    /// Move real data (whether transactions are counted is up to the
+    /// block's [`Accounting`]).
     Execute,
     /// Count transactions only; loads return zero, stores are discarded.
     Analyze,
@@ -56,13 +60,23 @@ pub enum IoMode {
 pub struct Accounting {
     /// Accumulated counters for this block.
     pub stats: TransactionStats,
+    /// Whether accesses are recorded. Only the executor's data-only run
+    /// turns it off; every accounting a kernel can build records.
+    record: bool,
 }
 
 impl Accounting {
     /// Fresh accounting for one block.
     pub fn new() -> Self {
+        Self::recording(true)
+    }
+
+    /// Fresh accounting that records accesses only when `record` is set;
+    /// with it off every method returns at once and `stats` stays zero.
+    pub(crate) fn recording(record: bool) -> Self {
         Accounting {
             stats: TransactionStats::default(),
+            record,
         }
     }
 
@@ -70,6 +84,9 @@ impl Accounting {
     /// starting at element offset `start_elem`.
     #[inline]
     pub fn global_load_contiguous(&mut self, start_elem: usize, lanes: usize, elem_bytes: usize) {
+        if !self.record {
+            return;
+        }
         self.stats.dram_load_tx +=
             coalesce::transactions_for_contiguous(start_elem * elem_bytes, lanes, elem_bytes);
     }
@@ -77,6 +94,9 @@ impl Accounting {
     /// A warp stores `lanes` consecutive elements to global memory.
     #[inline]
     pub fn global_store_contiguous(&mut self, start_elem: usize, lanes: usize, elem_bytes: usize) {
+        if !self.record {
+            return;
+        }
         self.stats.dram_store_tx +=
             coalesce::transactions_for_contiguous(start_elem * elem_bytes, lanes, elem_bytes);
     }
@@ -90,6 +110,9 @@ impl Accounting {
         stride_elems: usize,
         elem_bytes: usize,
     ) {
+        if !self.record {
+            return;
+        }
         self.stats.dram_load_tx += coalesce::transactions_for_strided(
             start_elem * elem_bytes,
             lanes,
@@ -107,6 +130,9 @@ impl Accounting {
         stride_elems: usize,
         elem_bytes: usize,
     ) {
+        if !self.record {
+            return;
+        }
         self.stats.dram_store_tx += coalesce::transactions_for_strided(
             start_elem * elem_bytes,
             lanes,
@@ -118,6 +144,9 @@ impl Accounting {
     /// A warp access with arbitrary per-lane element offsets (used by the
     /// indirection-array kernels); `load` selects load vs store.
     pub fn global_access_lanes(&mut self, elem_offsets: &[usize], elem_bytes: usize, load: bool) {
+        if !self.record {
+            return;
+        }
         let mut bytes = [0usize; 64];
         let n = elem_offsets.len().min(32);
         for (slot, &e) in bytes[..n].iter_mut().zip(elem_offsets.iter()) {
@@ -148,7 +177,7 @@ impl Accounting {
         elem_bytes: usize,
         load: bool,
     ) {
-        if lanes == 0 {
+        if !self.record || lanes == 0 {
             return;
         }
         let degree = smem::conflict_degree_strided(start_elem, lanes, stride_elems, elem_bytes);
@@ -163,7 +192,7 @@ impl Accounting {
     /// A warp-wide shared-memory access with arbitrary per-lane element
     /// offsets.
     pub fn smem_access_lanes(&mut self, elem_offsets: &[usize], elem_bytes: usize, load: bool) {
-        if elem_offsets.is_empty() {
+        if !self.record || elem_offsets.is_empty() {
             return;
         }
         let mut addrs = [0usize; 32];
@@ -185,30 +214,45 @@ impl Accounting {
     /// bound to texture memory.
     #[inline]
     pub fn tex_load_contiguous(&mut self, start_idx: usize, lanes: usize) {
+        if !self.record {
+            return;
+        }
         self.stats.tex_load_tx += coalesce::transactions_for_contiguous(start_idx * 4, lanes, 4);
     }
 
     /// `n` special (mod/div) instructions executed (thread-level count).
     #[inline]
     pub fn special_instr(&mut self, n: u64) {
+        if !self.record {
+            return;
+        }
         self.stats.special_instr += n;
     }
 
     /// `n` ordinary index/address instructions (thread-level count).
     #[inline]
     pub fn index_instr(&mut self, n: u64) {
+        if !self.record {
+            return;
+        }
         self.stats.index_instr += n;
     }
 
     /// One `__syncthreads()` barrier.
     #[inline]
     pub fn barrier(&mut self) {
+        if !self.record {
+            return;
+        }
         self.stats.barriers += 1;
     }
 
     /// `n` elements moved input->output (bookkeeping/sanity).
     #[inline]
     pub fn elements(&mut self, n: u64) {
+        if !self.record {
+            return;
+        }
         self.stats.elements_moved += n;
     }
 }
@@ -344,8 +388,12 @@ pub trait BlockKernel<E: Element>: Sync {
     fn run_block(&self, block: usize, io: &BlockIo<'_, E>, acct: &mut Accounting);
 
     /// Equivalence class of a block for sampled analysis: blocks in the
-    /// same class must have identical transaction statistics. The default
-    /// (one class) is only correct for kernels with fully uniform blocks.
+    /// same class must have identical transaction statistics. This
+    /// contract decides every statistic a plan reports, because serving
+    /// reports the plan's cached analysis rather than counting the
+    /// data-only run; a kernel that cannot class its blocks exactly must
+    /// give each block its own class. The default (one class) is only
+    /// correct for kernels with fully uniform blocks.
     fn block_class(&self, _block: usize) -> u32 {
         0
     }
@@ -394,6 +442,19 @@ mod tests {
         assert_eq!(a.stats.dram_load_tx, 1);
         a.global_access_lanes(&[0, 100, 200], 8, false);
         assert!(a.stats.dram_store_tx >= 2);
+    }
+
+    #[test]
+    fn accounting_with_recording_off_stays_zero() {
+        let mut a = Accounting::recording(false);
+        a.global_load_contiguous(0, 32, 4);
+        a.global_access_lanes(&[0, 100, 200], 8, false);
+        a.smem_access_strided(0, 32, 32, 4, true);
+        a.tex_load_contiguous(0, 32);
+        a.special_instr(5);
+        a.barrier();
+        a.elements(32);
+        assert_eq!(a.stats, TransactionStats::default());
     }
 
     #[test]

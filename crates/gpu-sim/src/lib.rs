@@ -16,10 +16,13 @@
 //! * **Texture memory**: read-only offset arrays with a >99% hit-rate cache
 //!   model.
 //! * **Execution**: a kernel is a block-structured program
-//!   ([`kernel::BlockKernel`]) executed by [`executor::Executor`] either in
-//!   `Execute` mode (move real host bytes and count transactions; used for
-//!   correctness) or `Analyze` mode (representative-block sampling for fast
-//!   timing of the large evaluation sweeps).
+//!   ([`kernel::BlockKernel`]) that [`executor::Executor`] runs three ways:
+//!   a data-only run ([`Executor::copy`]: move real host bytes with
+//!   accounting off; what serving does), `Analyze` mode
+//!   (representative-block sampling: times plans for the large evaluation
+//!   sweeps, and once per plan supplies the statistics serving reports),
+//!   and `Execute` mode (move bytes and count every transaction of every
+//!   block; the exhaustive reference for tests and the baselines).
 //! * **Timing**: [`timing::TimingModel`] converts transaction counts plus
 //!   grid geometry into nanoseconds via a calibrated bandwidth / occupancy
 //!   model of the K40c, and into the paper's "bandwidth usage" metric
@@ -35,7 +38,7 @@ pub mod stats;
 pub mod timing;
 
 pub use device::DeviceConfig;
-pub use executor::{ExecMode, Executor, GridExecutor, RunOutcome};
+pub use executor::{ExecMode, Executor, RunOutcome};
 pub use kernel::{Accounting, BlockIo, BlockKernel, Launch};
 pub use profile::{ProfileReport, Profiler};
 pub use smem::SmemSim;

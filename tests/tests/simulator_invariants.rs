@@ -1,7 +1,8 @@
-//! Simulator-level invariants exercised through the full stack: sampled
-//! analysis must agree exactly with full execution, disjoint-write
-//! verification must hold for every schema, and timing must be
-//! deterministic and monotone in obvious ways.
+//! Simulator-level invariants exercised through the full stack:
+//! disjoint-write verification must hold for every schema, and timing
+//! must be deterministic and monotone in obvious ways. (That sampled
+//! analysis equals an exhaustive count is checked in `ttlg`'s plan tests,
+//! where the plan's kernel is reachable.)
 
 use ttlg::{Schema, TransposeOptions, Transposer};
 use ttlg_gpu_sim::DeviceConfig;
@@ -17,28 +18,6 @@ fn cases() -> Vec<(Vec<usize>, Vec<usize>)> {
         (vec![33, 5, 37], vec![2, 1, 0]),       // Orthogonal-Distinct
         (vec![6, 3, 7, 9], vec![2, 1, 3, 0]),   // Orthogonal-Arbitrary
     ]
-}
-
-#[test]
-fn analyze_equals_execute_for_every_schema() {
-    let t = Transposer::new_k40c();
-    for (extents, perm) in cases() {
-        let shape = Shape::new(&extents).unwrap();
-        let perm = Permutation::new(&perm).unwrap();
-        let plan = t
-            .plan::<u64>(&shape, &perm, &TransposeOptions::default())
-            .unwrap();
-        let input: DenseTensor<u64> = DenseTensor::iota(shape);
-        let exec = t.execute(&plan, &input).unwrap().1;
-        let ana = t.time_plan(&plan).unwrap();
-        assert_eq!(
-            exec.stats,
-            ana.stats,
-            "sampled analysis diverged from execution: {extents:?} {}",
-            plan.schema()
-        );
-        assert_eq!(exec.kernel_time_ns, ana.kernel_time_ns);
-    }
 }
 
 #[test]
