@@ -752,7 +752,17 @@ impl Transposer {
             &plan.problem.orig_shape,
             "input shape does not match the planned shape"
         );
-        assert_eq!(out.volume(), input.volume(), "output volume mismatch");
+        // Compare with `plan.out_shape()` extent by extent, without
+        // building a `Shape` on every call.
+        let (planned, perm) = (
+            plan.problem.orig_shape.extents(),
+            plan.problem.orig_perm.as_slice(),
+        );
+        let out_ext = out.shape().extents();
+        assert!(
+            out_ext.len() == perm.len() && perm.iter().zip(out_ext).all(|(&d, &e)| planned[d] == e),
+            "output shape {out_ext:?} does not match the planned output shape"
+        );
         match &plan.kernel {
             PlanExec::Gpu(k) => {
                 let stats = match plan.gpu_stats.get() {
@@ -1169,6 +1179,20 @@ mod tests {
             assert!(report.bandwidth_gbps > 0.0);
             assert!(report.stats.dram_load_tx > 0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match the planned output shape")]
+    fn execute_into_rejects_a_same_volume_output_of_the_wrong_shape() {
+        let t = Transposer::new_k40c();
+        let shape = Shape::new(&[4, 6]).unwrap();
+        let perm = Permutation::new(&[1, 0]).unwrap();
+        let plan = t
+            .plan::<f64>(&shape, &perm, &TransposeOptions::for_backend(Backend::Cpu))
+            .unwrap();
+        let input: DenseTensor<f64> = DenseTensor::iota(shape.clone());
+        let mut out = DenseTensor::<f64>::zeros(shape);
+        let _ = t.execute_into(&plan, &input, &mut out);
     }
 
     #[test]

@@ -1,27 +1,53 @@
 //! The executor: real data movement driven by a [`CpuPlan`].
+//!
+//! A tiled plan runs in one of two regimes, chosen per call:
+//!
+//! - **Cached** (calls that move at most [`STREAM_MIN_BYTES`], input
+//!   plus output, and every layout the streaming regime cannot take):
+//!   tile blocks are visited `b`-fastest so consecutive blocks fill
+//!   neighbouring output lines, and every store is an ordinary one.
+//!   Scalar planes use the generic 8x8 register-staged micro-tile, runs
+//!   of at most 16 elements the staged 8x8 run block, longer runs one
+//!   `memcpy` each.
+//! - **Streaming** (larger calls, on x86-64): the output will not be
+//!   reread while it is still cached, so stores skip the cache with
+//!   non-temporal writes of whole lines, which needs no
+//!   read-for-ownership. Writes then need no locality, so blocks are
+//!   visited in input-memory order (`a` first, then the other
+//!   dimensions by input stride) to suit the reads. Scalar planes of
+//!   8-byte elements shift the `b` tile grid by the output buffer's
+//!   cache-line phase so every full 8x8 micro-tile row is one aligned
+//!   line, transpose it in AVX-512F registers and stream it out; edge
+//!   rows use ordinary stores. Run planes copy each run with 16-byte
+//!   streamed stores, writing each tile's output rows front to back.
+//!   Every block ends with a store fence on its own thread.
+//!
+//! The streaming regime needs rows it can line-align: a scalar plane of
+//! 8-byte elements whose output rows all share one cache-line phase, on
+//! a host with AVX-512F; or a run plane whose runs are a multiple of 16
+//! bytes into a 16-byte aligned output. Anything else (4-byte scalar
+//! planes, other layouts, scalar planes on hosts without AVX-512F, other
+//! targets) runs the cached regime whatever its size. AVX-512F is
+//! detected at run time ([`crate::simd`]) and the size threshold is a
+//! constant; no option selects the regime.
 
 use crate::plan::{CpuPlan, PlanKind};
+use crate::raw::Raw;
+use crate::simd::{self, LINE};
+use std::mem::size_of;
 use ttlg_tensor::{parallel, Element};
 
 /// Below this volume the thread-spawn cost outweighs any split: run
 /// sequentially regardless of the plan's thread count.
 const PARALLEL_MIN_VOLUME: usize = 1 << 15;
 
-/// Raw output pointer shared across workers. Safety: the tile blocks
-/// partition the output index space (each output element belongs to
-/// exactly one `(outer, a, b)` triple), so concurrent workers write
-/// disjoint offsets.
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    // Method (not field) access so closures capture the Sync wrapper,
-    // not the raw pointer inside it.
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
+/// A tiled call that moves more bytes than this (input plus output)
+/// asks for the streaming regime. Set where the cached regime falls off
+/// on a 2-vCPU AVX-512 host: 10-18 GB/s up to 31 MiB moved, 4-10 GB/s
+/// at 48-54 MiB, while streamed calls of those sizes run at 11-27 GB/s.
+/// Smaller calls keep ordinary stores, so their output stays cached for
+/// whoever reads it next.
+const STREAM_MIN_BYTES: usize = 32 << 20;
 
 /// Execute the plan with its own thread setting.
 pub fn execute<E: Element>(plan: &CpuPlan, src: &[E], dst: &mut [E]) {
@@ -40,7 +66,14 @@ pub fn execute_threads<E: Element>(plan: &CpuPlan, src: &[E], dst: &mut [E], thr
     };
     match plan.kind {
         PlanKind::Copy => copy_blocks(src, dst, threads),
-        PlanKind::Tiled => tiled(plan, src, dst, threads),
+        PlanKind::Tiled => {
+            let regime = if plan.bytes_moved(E::BYTES) > STREAM_MIN_BYTES {
+                Regime::streaming(plan, dst, true)
+            } else {
+                Regime::Cached
+            };
+            tiled(plan, src, dst, threads, regime)
+        }
     }
 }
 
@@ -54,6 +87,53 @@ fn copy_blocks<E: Element>(src: &[E], dst: &mut [E], threads: usize) {
     parallel::parallel_fill(dst, threads, |_, off, chunk| {
         chunk.copy_from_slice(&src[off..off + chunk.len()]);
     });
+}
+
+/// How the tiled core walks its blocks and stores its output (see the
+/// module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Regime {
+    /// `b`-fastest walk, ordinary stores.
+    Cached,
+    /// Input-order walk over a scalar plane of 8-byte elements whose `b`
+    /// grid starts `shift` elements in, so full micro-tile rows are
+    /// whole lines; AVX-512F 8x8 register transposes, streamed.
+    StreamScalar { shift: usize },
+    /// Input-order walk over a run plane; runs copied with streamed
+    /// stores.
+    StreamRuns,
+}
+
+impl Regime {
+    /// The streaming regime `dst`'s layout allows, or
+    /// [`Regime::Cached`] when its rows cannot be line-aligned. Scalar
+    /// planes stream only if `avx512` allows it and the host has
+    /// AVX-512F.
+    fn streaming<E>(plan: &CpuPlan, dst: &[E], avx512: bool) -> Regime {
+        let addr = dst.as_ptr() as usize;
+        if !cfg!(target_arch = "x86_64") {
+            Regime::Cached
+        } else if plan.run == 1 {
+            // Every output row (fixed `a` and outer indices) starts at
+            // the same line phase iff `a`'s and the outer dimensions'
+            // output strides are whole lines.
+            let lines = |stride: usize| stride.is_multiple_of(MICRO);
+            let aligned = size_of::<E>() * MICRO == LINE
+                && lines(plan.sa_out)
+                && plan.outer_out.iter().all(|&s| lines(s));
+            if aligned && avx512 && simd::avx512() {
+                let phase = addr / size_of::<E>() % MICRO;
+                let shift = (MICRO - phase) % MICRO;
+                Regime::StreamScalar { shift }
+            } else {
+                Regime::Cached
+            }
+        } else if (plan.run * size_of::<E>()).is_multiple_of(16) && addr.is_multiple_of(16) {
+            Regime::StreamRuns
+        } else {
+            Regime::Cached
+        }
+    }
 }
 
 /// Edge of the register-blocked micro-tile used for scalar (`run == 1`)
@@ -73,8 +153,8 @@ const MICRO: usize = 8;
 /// owned exclusively by this block.
 #[inline]
 unsafe fn micro8x8<E: Element>(
-    sp: *const E,
-    dp: *mut E,
+    sp: Raw<E>,
+    dp: Raw<E>,
     s_base: usize,
     d_base: usize,
     sb_in: usize,
@@ -84,13 +164,15 @@ unsafe fn micro8x8<E: Element>(
     for bb in 0..MICRO {
         let s = s_base + bb * sb_in;
         for aa in 0..MICRO {
-            buf[aa * MICRO + bb] = unsafe { *sp.add(s + aa) };
+            // SAFETY: in bounds per the caller.
+            buf[aa * MICRO + bb] = unsafe { sp.read(s + aa) };
         }
     }
     for aa in 0..MICRO {
         let d = d_base + aa * sa_out;
         for bb in 0..MICRO {
-            unsafe { *dp.add(d + bb) = buf[aa * MICRO + bb] };
+            // SAFETY: in bounds and this block's alone per the caller.
+            unsafe { dp.write(d + bb, buf[aa * MICRO + bb]) };
         }
     }
 }
@@ -114,8 +196,8 @@ const STAGE_MAX_RUN: usize = 16;
 /// eight output rows (`d_base + aa*sa`) are this block's alone.
 #[inline]
 unsafe fn micro8x8_runs<E: Element>(
-    sp: *const E,
-    dp: *mut E,
+    sp: Raw<E>,
+    dp: Raw<E>,
     s_base: usize,
     d_base: usize,
     sb: usize,
@@ -124,11 +206,14 @@ unsafe fn micro8x8_runs<E: Element>(
 ) {
     debug_assert!(run <= STAGE_MAX_RUN);
     let mut buf = [E::zero(); STAGE_CAP];
+    let stage = Raw::of_mut(&mut buf);
     for bb in 0..MICRO {
+        // SAFETY: the input row is in bounds per the caller; the staging
+        // row fits because `run <= STAGE_MAX_RUN`.
         unsafe {
             std::ptr::copy_nonoverlapping(
-                sp.add(s_base + bb * sb),
-                buf.as_mut_ptr().add(bb * MICRO * run),
+                sp.span(s_base + bb * sb, MICRO * run),
+                stage.span(bb * MICRO * run, MICRO * run),
                 MICRO * run,
             );
         }
@@ -138,131 +223,198 @@ unsafe fn micro8x8_runs<E: Element>(
         for bb in 0..MICRO {
             let s = (bb * MICRO + aa) * run;
             for r in 0..run {
-                unsafe { *dp.add(d + bb * run + r) = buf[s + r] };
+                // SAFETY: in bounds and this block's alone per the caller.
+                unsafe { dp.write(d + bb * run + r, buf[s + r]) };
             }
         }
     }
 }
 
+/// One tile block: its `a` and `b` ranges and the offsets (R units) of
+/// its outer combination.
+struct Tile {
+    a0: usize,
+    a1: usize,
+    b0: usize,
+    b1: usize,
+    in_base: usize,
+    out_base: usize,
+}
+
+/// A digit of the mixed-radix block index.
+#[derive(Clone, Copy)]
+enum Axis {
+    A,
+    B,
+    Outer(usize),
+}
+
+/// Walk a tile in 8x8 micro-tiles of `run`-element super-elements,
+/// `b` rows outside: `full(s_base, d_base)` moves each full micro-tile,
+/// ordinary element copies move the edges. Offsets are in elements.
+/// Forced inline: out of line, the call per block and the runtime `run`
+/// cost small in-cache scalar planes a few percent.
+#[inline(always)]
+fn micro_tiles<E: Element>(
+    plan: &CpuPlan,
+    t: &Tile,
+    run: usize,
+    sp: Raw<E>,
+    dp: Raw<E>,
+    full: impl Fn(usize, usize),
+) {
+    // Offsets in R units: input = in_base + b*sb_in + a (a has input
+    // stride 1), output = out_base + b + a*sa_out.
+    let (sb, sa) = (plan.sb_in * run, plan.sa_out * run);
+    let mut b = t.b0;
+    while b < t.b1 {
+        let hb = (t.b1 - b).min(MICRO);
+        let mut a = t.a0;
+        while a < t.a1 {
+            let wa = (t.a1 - a).min(MICRO);
+            let s_base = (t.in_base + b * plan.sb_in + a) * run;
+            let d_base = (t.out_base + b + a * plan.sa_out) * run;
+            if hb == MICRO && wa == MICRO {
+                full(s_base, d_base);
+            } else {
+                for bb in 0..hb {
+                    let s = s_base + bb * sb;
+                    let d = d_base + bb * run;
+                    for aa in 0..wa {
+                        for r in 0..run {
+                            // SAFETY: the tile lies inside the plane, and
+                            // its output offsets are this block's alone.
+                            unsafe { dp.write(d + aa * sa + r, sp.read(s + aa * run + r)) };
+                        }
+                    }
+                }
+            }
+            a += wa;
+        }
+        b += hb;
+    }
+}
+
+/// Walk a run plane's tile one output row (fixed `a`) at a time, front
+/// to back: `copy(s, d)` moves the run at input offset `s` to output
+/// offset `d` (elements).
+fn run_rows(plan: &CpuPlan, t: &Tile, copy: impl Fn(usize, usize)) {
+    let run = plan.run;
+    let sb = plan.sb_in * run;
+    for a in t.a0..t.a1 {
+        let mut s = (t.in_base + t.b0 * plan.sb_in + a) * run;
+        let mut d = (t.out_base + t.b0 + a * plan.sa_out) * run;
+        for _ in t.b0..t.b1 {
+            copy(s, d);
+            s += sb;
+            d += run;
+        }
+    }
+}
+
 /// The tiled 2D core. Blocks are `(outer combination, a-tile, b-tile)`
-/// triples. Scalar planes (`run == 1`) walk each tile in 8x8
-/// register-staged micro-tiles; short-run planes (`run <= 16`) use the
-/// staged run-block variant so both streams stay `8 * run` elements
-/// wide; long runs keep the write stream contiguous (`b` innermost)
-/// with one `memcpy` per run. Either way the tile working set stays
-/// L1-resident.
-fn tiled<E: Element>(plan: &CpuPlan, src: &[E], dst: &mut [E], threads: usize) {
+/// triples, visited in the order `regime` asks for. Scalar planes
+/// (`run == 1`) walk each tile in 8x8 micro-tiles; short-run planes
+/// (`run <= 16`) in the cached regime use the staged run-block variant
+/// so both streams stay `8 * run` elements wide; other run planes keep
+/// the write stream contiguous (`b` innermost) with one copy per run.
+/// Either way the tile working set stays L1-resident. `regime` must
+/// come from [`Regime::streaming`] on this `dst`, or be
+/// [`Regime::Cached`].
+fn tiled<E: Element>(plan: &CpuPlan, src: &[E], dst: &mut [E], threads: usize, regime: Regime) {
     let run = plan.run;
     let (na, nb) = (plan.na, plan.nb);
-    let (ta, tb) = (plan.tile_a, plan.tile_b);
+    let ta = plan.tile_a;
+    // The `b` grid: tile k covers [k*tb + lead - tb, k*tb + lead), so
+    // `lead == tb` is the plain grid and a smaller `lead` shifts it.
+    let (tb, lead) = match regime {
+        Regime::StreamScalar { shift } => {
+            let tb = plan.tile_b.next_multiple_of(MICRO);
+            (tb, if shift == 0 { tb } else { shift })
+        }
+        _ => (plan.tile_b, plan.tile_b),
+    };
     let nta = na.div_ceil(ta);
-    let ntb = nb.div_ceil(tb);
-    let outer_vol: usize = plan.outer_ext.iter().product::<usize>().max(1);
-    let blocks = nta * ntb * outer_vol;
-    let dst_ptr = SendPtr(dst.as_mut_ptr());
-    let src_ptr = src.as_ptr() as usize;
-    let len = src.len();
+    let ntb = (nb + tb - lead).div_ceil(tb);
+    let outer = (0..plan.outer_ext.len()).map(|d| (plan.outer_ext[d], Axis::Outer(d)));
+    let mut walk: Vec<(usize, Axis)> = [(ntb, Axis::B), (nta, Axis::A)]
+        .into_iter()
+        .chain(outer)
+        .collect();
+    if regime != Regime::Cached {
+        // Input-memory order: `a` (stride 1), then `b` and the outer
+        // dimensions by input stride.
+        walk.sort_by_key(|&(_, axis)| match axis {
+            Axis::A => 1,
+            Axis::B => plan.sb_in,
+            Axis::Outer(d) => plan.outer_in[d],
+        });
+    }
+    let blocks: usize = walk.iter().map(|&(n, _)| n).product();
+    let (sp, dp) = (Raw::of(src), Raw::of_mut(dst));
 
     let body = |block: usize| {
-        let tb_i = block % ntb;
-        let rest = block / ntb;
-        let ta_i = rest % nta;
-        let mut outer = rest / nta;
-
-        // Odometer-free decode of the outer combination (it runs once
-        // per block, not per element).
-        let mut in_base = 0usize;
-        let mut out_base = 0usize;
-        for (d, &e) in plan.outer_ext.iter().enumerate() {
-            let i = outer % e;
-            outer /= e;
-            in_base += i * plan.outer_in[d];
-            out_base += i * plan.outer_out[d];
+        // Odometer-free decode of the block index (it runs once per
+        // block, not per element).
+        let mut rest = block;
+        let (mut ta_i, mut tb_i, mut in_base, mut out_base) = (0, 0, 0, 0);
+        for &(n, axis) in &walk {
+            let i = rest % n;
+            rest /= n;
+            match axis {
+                Axis::A => ta_i = i,
+                Axis::B => tb_i = i,
+                Axis::Outer(d) => {
+                    in_base += i * plan.outer_in[d];
+                    out_base += i * plan.outer_out[d];
+                }
+            }
         }
-
         let a0 = ta_i * ta;
-        let a1 = (a0 + ta).min(na);
-        let b0 = tb_i * tb;
-        let b1 = (b0 + tb).min(nb);
-        let sp = src_ptr as *const E;
-        let dp = dst_ptr.get();
-        // Offsets in R units: input = in_base + b*sb_in + a (a has
-        // input stride 1), output = out_base + b + a*sa_out.
-        if run == 1 {
-            let mut b = b0;
-            while b < b1 {
-                let hb = (b1 - b).min(MICRO);
-                let mut a = a0;
-                while a < a1 {
-                    let wa = (a1 - a).min(MICRO);
-                    let s_base = in_base + b * plan.sb_in + a;
-                    let d_base = out_base + b + a * plan.sa_out;
-                    debug_assert!(s_base + (hb - 1) * plan.sb_in + wa <= len);
-                    if hb == MICRO && wa == MICRO {
-                        // SAFETY: full block in bounds (checked above in
-                        // debug builds); output offsets are this block's
-                        // alone (see SendPtr).
-                        unsafe { micro8x8(sp, dp, s_base, d_base, plan.sb_in, plan.sa_out) };
-                    } else {
-                        for bb in 0..hb {
-                            let s = s_base + bb * plan.sb_in;
-                            let d = d_base + bb;
-                            for aa in 0..wa {
-                                // SAFETY: as above, edge remainder.
-                                unsafe { *dp.add(d + aa * plan.sa_out) = *sp.add(s + aa) };
-                            }
-                        }
-                    }
-                    a += wa;
-                }
-                b += hb;
+        let b_end = tb_i * tb + lead;
+        let t = Tile {
+            a0,
+            a1: (a0 + ta).min(na),
+            b0: b_end.saturating_sub(tb),
+            b1: b_end.min(nb),
+            in_base,
+            out_base,
+        };
+        // Every kernel call below relies on two facts. The tile lies
+        // inside the plane, so every offset it forms is inside its slice
+        // (the shim asserts this in debug builds). Its output offsets are
+        // this block's alone (see `Raw`).
+        let (sb, sa) = (plan.sb_in * run, plan.sa_out * run);
+        match regime {
+            Regime::Cached if run == 1 => micro_tiles(plan, &t, 1, sp, dp, |s, d| {
+                // SAFETY: see above.
+                unsafe { micro8x8(sp, dp, s, d, sb, sa) }
+            }),
+            Regime::Cached if run <= STAGE_MAX_RUN => micro_tiles(plan, &t, run, sp, dp, |s, d| {
+                // SAFETY: see above.
+                unsafe { micro8x8_runs(sp, dp, s, d, sb, sa, run) }
+            }),
+            Regime::Cached => run_rows(plan, &t, |s, d| {
+                // SAFETY: see above.
+                unsafe { std::ptr::copy_nonoverlapping(sp.span(s, run), dp.span(d, run), run) }
+            }),
+            Regime::StreamScalar { .. } => {
+                let (s8, d8) = (sp.cast::<f64>(), dp.cast::<f64>());
+                micro_tiles(plan, &t, 1, sp, dp, |s, d| {
+                    // SAFETY: see above; `streaming` checked that the
+                    // host has AVX-512F, and the shifted `b` grid starts
+                    // every full micro-tile's output rows on a line.
+                    unsafe { simd::stream8x8(s8, s, sb, d8, d, sa) }
+                });
+                simd::sfence();
             }
-        } else if run <= STAGE_MAX_RUN {
-            let sb = plan.sb_in * run;
-            let sa = plan.sa_out * run;
-            let mut b = b0;
-            while b < b1 {
-                let hb = (b1 - b).min(MICRO);
-                let mut a = a0;
-                while a < a1 {
-                    let wa = (a1 - a).min(MICRO);
-                    let s_base = (in_base + b * plan.sb_in + a) * run;
-                    let d_base = (out_base + b + a * plan.sa_out) * run;
-                    debug_assert!(s_base + (hb - 1) * sb + wa * run <= len);
-                    if hb == MICRO && wa == MICRO {
-                        // SAFETY: full block in bounds (checked above in
-                        // debug builds); output runs are this block's
-                        // alone (see SendPtr).
-                        unsafe { micro8x8_runs(sp, dp, s_base, d_base, sb, sa, run) };
-                    } else {
-                        for bb in 0..hb {
-                            let s = s_base + bb * sb;
-                            let d = d_base + bb * run;
-                            for aa in 0..wa {
-                                for r in 0..run {
-                                    // SAFETY: as above, edge remainder.
-                                    unsafe { *dp.add(d + aa * sa + r) = *sp.add(s + aa * run + r) };
-                                }
-                            }
-                        }
-                    }
-                    a += wa;
-                }
-                b += hb;
-            }
-        } else {
-            let sb = plan.sb_in * run;
-            for a in a0..a1 {
-                let mut s = (in_base + b0 * plan.sb_in + a) * run;
-                let mut d = (out_base + b0 + a * plan.sa_out) * run;
-                for _ in b0..b1 {
-                    debug_assert!(s + run <= len);
-                    // SAFETY: disjoint output runs per block; bounds
-                    // checked above in debug builds.
-                    unsafe { std::ptr::copy_nonoverlapping(sp.add(s), dp.add(d), run) };
-                    s += sb;
-                    d += run;
-                }
+            Regime::StreamRuns => {
+                run_rows(plan, &t, |s, d| {
+                    // SAFETY: see above; `streaming` checked that runs are
+                    // whole 16-byte units into a 16-byte aligned output.
+                    unsafe { simd::stream_run(sp, s, dp, d, run) }
+                });
+                simd::sfence();
             }
         }
     };
@@ -347,6 +499,116 @@ mod tests {
             check::<u32>(&extents, &perm, tile, threads);
             check::<u64>(&extents, &perm, tile, threads);
         }
+    }
+
+    /// One forced-streaming case: a problem and its plan's settings.
+    struct Case {
+        extents: Vec<usize>,
+        perm: Vec<usize>,
+        tile: usize,
+        threads: usize,
+    }
+
+    /// Run `c` through the tiled core with streaming forced on (the
+    /// AVX-512F kernel allowed if `avx512`), into the output slice at
+    /// element phase `phase` (within an 8-element group) of a
+    /// sentinel-filled buffer. Asserts bit-equality with the reference
+    /// and untouched sentinels, and returns the regime the layout took.
+    fn check_streamed<E: Element>(c: &Case, avx512: bool, phase: usize) -> Regime {
+        let input: DenseTensor<E> = DenseTensor::iota(Shape::new(&c.extents).unwrap());
+        let perm = Permutation::new(&c.perm).unwrap();
+        let expect = transpose_reference(&input, &perm).unwrap();
+        let plan = CpuPlan::new(&c.extents, &c.perm, c.tile, c.threads);
+        let v = plan.volume;
+        let sentinel = E::from_index(usize::MAX);
+        let mut buf = vec![sentinel; v + 2 * MICRO];
+        let group = buf.as_ptr() as usize / size_of::<E>() % MICRO;
+        let start = (phase + MICRO - group) % MICRO;
+        let out = &mut buf[start..start + v];
+        let regime = Regime::streaming(&plan, out, avx512);
+        tiled(&plan, input.data(), out, c.threads, regime);
+        let case = format!(
+            "extents {:?} perm {perm} tile {} threads {} {regime:?} phase {phase} {}B",
+            c.extents,
+            c.tile,
+            c.threads,
+            size_of::<E>()
+        );
+        let (before, rest) = buf.split_at(start);
+        let (out, after) = rest.split_at(v);
+        assert!(out == expect.data(), "{case}: wrong output");
+        let untouched = before.iter().chain(after).all(|x| *x == sentinel);
+        assert!(untouched, "{case}: wrote outside its slice");
+        regime
+    }
+
+    #[test]
+    fn forced_streaming_matches_the_reference_at_every_phase_and_isa() {
+        // The AVX-512F kernel where the host has it, and the fallback
+        // a host without it takes.
+        let isas: &[bool] = if simd::avx512() {
+            &[true, false]
+        } else {
+            &[false]
+        };
+        let case = |extents: &[usize], perm: &[usize], tile, threads| Case {
+            extents: extents.to_vec(),
+            perm: perm.to_vec(),
+            tile,
+            threads,
+        };
+        // A few fixed cases that take each path, then seeded random ones.
+        let mut cases = vec![
+            case(&[24, 16], &[1, 0], 8, 1),
+            case(&[40, 48], &[1, 0], 12, 2),
+            case(&[16, 8, 8, 8], &[2, 0, 3, 1], 32, 2),
+            case(&[2, 2, 2, 2, 3, 8], &[5, 4, 3, 2, 1, 0], 32, 1),
+            case(&[4, 16, 24], &[0, 2, 1], 32, 2),
+            case(&[32, 8, 8], &[0, 2, 1], 32, 1),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5EED_57E4);
+        while cases.len() < 100 {
+            let rank = rng.gen_range(2..7usize);
+            let extents: Vec<usize> = (0..rank)
+                .map(|_| [1, 2, 3, 5, 8, 8, 16, 24][rng.gen_range(0..8usize)])
+                .collect();
+            if extents.iter().product::<usize>() > 6144 {
+                continue;
+            }
+            let mut perm: Vec<usize> = (0..rank).collect();
+            rng.shuffle(&mut perm);
+            let tile = [4, 8, 12, 16, 32][rng.gen_range(0..5usize)];
+            cases.push(case(&extents, &perm, tile, rng.gen_range(1..3usize)));
+        }
+        let mut seen = Vec::new();
+        for c in &cases {
+            if CpuPlan::new(&c.extents, &c.perm, c.tile, 1).kind != PlanKind::Tiled {
+                continue;
+            }
+            for &avx512 in isas {
+                for phase in 0..MICRO {
+                    seen.extend([
+                        check_streamed::<f64>(c, avx512, phase),
+                        check_streamed::<u64>(c, avx512, phase),
+                        check_streamed::<f32>(c, avx512, phase),
+                        check_streamed::<u32>(c, avx512, phase),
+                    ]);
+                }
+            }
+        }
+        // Every regime this host can take ran: the scalar kernel at
+        // every grid shift (AVX-512F hosts), the run copy (x86-64), and
+        // the cached fallback.
+        if simd::avx512() {
+            for shift in 0..MICRO {
+                let regime = Regime::StreamScalar { shift };
+                assert!(seen.contains(&regime), "no case ran {regime:?}");
+            }
+        }
+        if cfg!(target_arch = "x86_64") {
+            assert!(seen.contains(&Regime::StreamRuns), "no streamed run plane");
+        }
+        assert!(seen.contains(&Regime::Cached), "no cached fallback");
     }
 
     #[test]
