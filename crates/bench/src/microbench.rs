@@ -2,7 +2,7 @@
 //!
 //! The workspace builds fully offline, so the `[[bench]]` targets use
 //! this hand-rolled harness (`harness = false`) instead of an external
-//! framework. Each target is a plain `fn main()` that calls [`bench`]
+//! framework. Each target is a plain `fn main()` that calls [`bench()`]
 //! per case and prints one line per result; they are smoke-level
 //! benchmarks meant to keep the hot paths honest, not a statistics
 //! suite — the scientific outputs come from the `reproduce` binary.

@@ -2,7 +2,7 @@
 //! grid-strided, fully coalesced device copy.
 
 use std::marker::PhantomData;
-use ttlg_gpu_sim::{Accounting, BlockIo, BlockKernel, Launch};
+use ttlg_gpu_sim::{Accounting, BlockIo, BlockKernel, IoMode, Launch};
 use ttlg_tensor::Element;
 
 /// Elements handled per thread (grid-stride loop unroll quantum).
@@ -51,13 +51,16 @@ impl<E: Element> BlockKernel<E> for CopyKernel<E> {
     fn run_block(&self, block: usize, io: &BlockIo<'_, E>, acct: &mut Accounting) {
         let start = block * self.elems_per_block();
         let end = (start + self.elems_per_block()).min(self.volume);
+        let moves_data = io.mode() == IoMode::Execute;
         let mut off = start;
         while off < end {
             let lanes = (end - off).min(32);
             acct.global_load_contiguous(off, lanes, E::BYTES);
             acct.global_store_contiguous(off, lanes, E::BYTES);
-            for k in off..off + lanes {
-                io.store(k, io.load(k));
+            if moves_data {
+                for k in off..off + lanes {
+                    io.store(k, io.load(k));
+                }
             }
             acct.elements(lanes as u64);
             off += lanes;

@@ -10,7 +10,7 @@
 use crate::kernels::common::{pick_coarsening_dim, round_up, GridDim, OuterGrid};
 use crate::problem::Problem;
 use std::marker::PhantomData;
-use ttlg_gpu_sim::{Accounting, BlockIo, BlockKernel, Launch};
+use ttlg_gpu_sim::{Accounting, BlockIo, BlockKernel, IoMode, Launch};
 use ttlg_tensor::Element;
 
 /// Direct-copy kernel for matching large FVI.
@@ -97,14 +97,17 @@ impl<E: Element> FviMatchLargeKernel<E> {
         io: &BlockIo<'_, E>,
         acct: &mut Accounting,
     ) {
+        let moves_data = io.mode() == IoMode::Execute;
         let mut off = 0usize;
         while off < self.n0 {
             let lanes = (self.n0 - off).min(32);
             acct.global_load_contiguous(in_base + off, lanes, E::BYTES);
             acct.global_store_contiguous(out_base + off, lanes, E::BYTES);
-            for k in 0..lanes {
-                let v = io.load(in_base + off + k);
-                io.store(out_base + off + k, v);
+            if moves_data {
+                for k in 0..lanes {
+                    let v = io.load(in_base + off + k);
+                    io.store(out_base + off + k, v);
+                }
             }
             acct.elements(lanes as u64);
             off += lanes;

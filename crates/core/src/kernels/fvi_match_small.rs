@@ -12,7 +12,7 @@
 use crate::kernels::common::{pick_coarsening_dim, GridDim, OuterGrid};
 use crate::problem::Problem;
 use std::marker::PhantomData;
-use ttlg_gpu_sim::{Accounting, BlockIo, BlockKernel, Launch, SmemSim};
+use ttlg_gpu_sim::{Accounting, BlockIo, BlockKernel, IoMode, Launch, SmemSim};
 use ttlg_tensor::{Element, WARP_SIZE};
 
 /// Shared-memory staging kernel for matching small FVI.
@@ -179,7 +179,7 @@ impl<E: Element> BlockKernel<E> for FviMatchSmallKernel<E> {
         acct.special_instr(2 * d.decode_divmods as u64 * self.threads as u64);
         let b1 = d.chunk_extents[self.i1_grid_pos];
         let bk = d.chunk_extents[self.ik_grid_pos];
-        let mut sm: SmemSim<E> = SmemSim::new(self.b * self.row_len);
+        let mut sm: SmemSim<E> = SmemSim::for_block(io.mode(), self.b * self.row_len);
         match self.coarsen_pos {
             None => self.run_slice(d.in_base, d.out_base, b1, bk, io, acct, &mut sm),
             Some(ci) => {
@@ -222,6 +222,7 @@ impl<E: Element> FviMatchSmallKernel<E> {
         sm: &mut SmemSim<E>,
     ) {
         let n0 = self.n0;
+        let moves_data = io.mode() == IoMode::Execute;
         // Copy-in: warp w handles ik offset w; b1 rows along i1 are one
         // contiguous chunk of b1*N0 input elements.
         for w in 0..bk {
@@ -232,8 +233,10 @@ impl<E: Element> FviMatchSmallKernel<E> {
                 let lanes = (run - off).min(32);
                 acct.global_load_contiguous(base_in + off, lanes, E::BYTES);
                 acct.smem_access_strided(w * self.row_len + off, lanes, 1, E::BYTES, false);
-                for l in 0..lanes {
-                    sm.write(w * self.row_len + off + l, io.load(base_in + off + l));
+                if moves_data {
+                    for l in 0..lanes {
+                        sm.write(w * self.row_len + off + l, io.load(base_in + off + l));
+                    }
                 }
                 acct.elements(lanes as u64);
                 off += lanes;
@@ -260,8 +263,10 @@ impl<E: Element> FviMatchSmallKernel<E> {
                 // pos/n0, pos%n0 per lane: the mod/div pair.
                 acct.special_instr(2 * lanes as u64);
                 acct.smem_access_lanes(&gather[..lanes], E::BYTES, true);
-                for (l, &g) in gather.iter().enumerate().take(lanes) {
-                    io.store(base_out + off + l, sm.read(g));
+                if moves_data {
+                    for (l, &g) in gather.iter().enumerate().take(lanes) {
+                        io.store(base_out + off + l, sm.read(g));
+                    }
                 }
                 off += lanes;
             }

@@ -5,7 +5,7 @@
 
 use crate::problem::Problem;
 use std::marker::PhantomData;
-use ttlg_gpu_sim::{Accounting, BlockIo, BlockKernel, Launch};
+use ttlg_gpu_sim::{Accounting, BlockIo, BlockKernel, IoMode, Launch};
 use ttlg_tensor::Element;
 
 /// Threads per block.
@@ -59,6 +59,7 @@ impl<E: Element> BlockKernel<E> for NaiveKernel<E> {
         let start = block * THREADS;
         let end = (start + THREADS).min(self.volume);
         let mut in_addrs = [0usize; 32];
+        let moves_data = io.mode() == IoMode::Execute;
         let mut off = start;
         while off < end {
             let lanes = (end - off).min(32);
@@ -76,8 +77,10 @@ impl<E: Element> BlockKernel<E> for NaiveKernel<E> {
             acct.special_instr(2 * self.rank as u64 * lanes as u64);
             acct.global_access_lanes(&in_addrs[..lanes], E::BYTES, true);
             acct.global_store_contiguous(off, lanes, E::BYTES);
-            for (l, &a) in in_addrs.iter().enumerate().take(lanes) {
-                io.store(off + l, io.load(a));
+            if moves_data {
+                for (l, &a) in in_addrs.iter().enumerate().take(lanes) {
+                    io.store(off + l, io.load(a));
+                }
             }
             acct.elements(lanes as u64);
             off += lanes;

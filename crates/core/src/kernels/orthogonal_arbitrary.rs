@@ -18,7 +18,7 @@
 use crate::kernels::common::{pick_coarsening_dim, pick_threads, GridDim, OuterGrid};
 use crate::problem::Problem;
 use std::marker::PhantomData;
-use ttlg_gpu_sim::{Accounting, BlockIo, BlockKernel, Launch, SmemSim};
+use ttlg_gpu_sim::{Accounting, BlockIo, BlockKernel, IoMode, Launch, SmemSim};
 use ttlg_tensor::{Element, WARP_SIZE};
 
 /// Slice choice for the Orthogonal-Arbitrary kernel.
@@ -518,6 +518,7 @@ impl<E: Element> OrthogonalArbitraryKernel<E> {
         sm: &mut SmemSim<E>,
     ) {
         let ilimit_cur = self.a_prefix * cur_a;
+        let moves_data = io.mode() == IoMode::Execute;
         let partial = cur_a * self.a_prefix != self.ilimit
             || self
                 .b_grid_pos
@@ -544,8 +545,10 @@ impl<E: Element> OrthogonalArbitraryKernel<E> {
                 let lanes = (ilimit_cur - off).min(32);
                 acct.global_load_contiguous(base + off, lanes, E::BYTES);
                 acct.smem_access_strided(row + off, lanes, 1, E::BYTES, false);
-                for l in 0..lanes {
-                    sm.write(row + off + l, io.load(base + off + l));
+                if moves_data {
+                    for l in 0..lanes {
+                        sm.write(row + off + l, io.load(base + off + l));
+                    }
                 }
                 acct.elements(lanes as u64);
                 off += lanes;
@@ -602,8 +605,10 @@ impl<E: Element> OrthogonalArbitraryKernel<E> {
                 }
                 acct.global_access_lanes(&out_lanes[..n], E::BYTES, false);
                 acct.smem_access_lanes(&sm_lanes[..n], E::BYTES, true);
-                for l in 0..n {
-                    io.store(out_lanes[l], sm.read(sm_lanes[l]));
+                if moves_data {
+                    for l in 0..n {
+                        io.store(out_lanes[l], sm.read(sm_lanes[l]));
+                    }
                 }
             }
             chunk += span;
@@ -644,7 +649,7 @@ impl<E: Element> BlockKernel<E> for OrthogonalArbitraryKernel<E> {
             Some(i) => d.chunk_extents[i],
             None => self.choice.block_b,
         };
-        let mut sm: SmemSim<E> = SmemSim::new(self.ilimit * self.olimit);
+        let mut sm: SmemSim<E> = SmemSim::for_block(io.mode(), self.ilimit * self.olimit);
         match self.coarsen_pos {
             None => self.run_slice(d.in_base, d.out_base, cur_a, cur_b, io, acct, &mut sm),
             Some(ci) => {

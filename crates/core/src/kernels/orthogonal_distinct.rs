@@ -13,7 +13,7 @@
 use crate::kernels::common::{GridDim, OuterGrid};
 use crate::problem::Problem;
 use std::marker::PhantomData;
-use ttlg_gpu_sim::{Accounting, BlockIo, BlockKernel, Launch, SmemSim};
+use ttlg_gpu_sim::{Accounting, BlockIo, BlockKernel, IoMode, Launch, SmemSim};
 use ttlg_tensor::{Element, WARP_SIZE};
 
 /// Slice-shape choice for the Orthogonal-Distinct kernel (the output of
@@ -313,7 +313,8 @@ impl<E: Element> BlockKernel<E> for OrthogonalDistinctKernel<E> {
             Some(i) => self.b_prefix * d.chunk_extents[i],
             None => self.b_vol,
         };
-        let mut sm: SmemSim<E> = SmemSim::new(WARP_SIZE * self.tile_row);
+        let mut sm: SmemSim<E> = SmemSim::for_block(io.mode(), WARP_SIZE * self.tile_row);
+        let moves_data = io.mode() == IoMode::Execute;
 
         let ws = WARP_SIZE;
         for bt in 0..b_cur.div_ceil(ws) {
@@ -327,8 +328,10 @@ impl<E: Element> BlockKernel<E> for OrthogonalDistinctKernel<E> {
                     let addr = d.in_base + self.in_offset[r] + at * ws;
                     acct.global_load_contiguous(addr, cols, E::BYTES);
                     acct.smem_access_strided(r_loc * self.tile_row, cols, 1, E::BYTES, false);
-                    for c in 0..cols {
-                        sm.write(r_loc * self.tile_row + c, io.load(addr + c));
+                    if moves_data {
+                        for c in 0..cols {
+                            sm.write(r_loc * self.tile_row + c, io.load(addr + c));
+                        }
                     }
                     acct.elements(cols as u64);
                 }
@@ -341,8 +344,10 @@ impl<E: Element> BlockKernel<E> for OrthogonalDistinctKernel<E> {
                     let addr = d.out_base + self.out_offset[a] + bt * ws;
                     acct.global_store_contiguous(addr, rows, E::BYTES);
                     acct.smem_access_strided(a_loc, rows, self.tile_row, E::BYTES, true);
-                    for r_loc in 0..rows {
-                        io.store(addr + r_loc, sm.read(r_loc * self.tile_row + a_loc));
+                    if moves_data {
+                        for r_loc in 0..rows {
+                            io.store(addr + r_loc, sm.read(r_loc * self.tile_row + a_loc));
+                        }
                     }
                 }
                 acct.barrier();

@@ -1130,6 +1130,7 @@ fn cpu_report<E: Element>(plan: &Plan<E>, wall_ns: f64) -> TransposeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ttlg_gpu_sim::executor::PARALLEL_ANALYZE_MIN_CLASSES;
     use ttlg_gpu_sim::ExecMode;
     use ttlg_tensor::reference;
     use ttlg_tensor::rng::StdRng;
@@ -1469,6 +1470,58 @@ mod tests {
         for (extents, perm) in random_cases(0x7715, 60) {
             check_against_exhaustive::<f32>(&t, &extents, &perm);
             check_against_exhaustive::<f64>(&t, &extents, &perm);
+        }
+    }
+
+    /// Representatives run across workers; one worker must give the same
+    /// outcome bit for bit. Returns the schemas whose analysis was wide
+    /// enough to spread over workers.
+    fn check_parallel_analysis<E: Element>(
+        t: &Transposer,
+        extents: &[usize],
+        perm: &[usize],
+    ) -> Vec<Schema> {
+        let shape = Shape::new(extents).unwrap();
+        let perm = Permutation::new(perm).unwrap();
+        let mut wide = Vec::new();
+        for schema in [Schema::OrthogonalDistinct, Schema::OrthogonalArbitrary] {
+            let opts = TransposeOptions {
+                forced_schema: Some(schema),
+                ..TransposeOptions::default()
+            };
+            let plan = match t.plan::<E>(&shape, &perm, &opts) {
+                Ok(plan) => plan,
+                Err(PlanError::NoCandidate) => continue,
+                Err(e) => panic!("{extents:?} {perm}: {e}"),
+            };
+            let PlanExec::Gpu(k) = &plan.kernel else {
+                panic!("default options plan for the GPU simulator");
+            };
+            let case = format!("{extents:?} {perm} {schema} {}B", E::BYTES);
+            let uncapped = t.executor.analyze(k).unwrap();
+            let one = ttlg_tensor::parallel::with_thread_cap(1, || t.executor.analyze(k).unwrap());
+            assert_eq!(uncapped.stats, one.stats, "{case}");
+            assert_eq!(uncapped.classes, one.classes, "{case}");
+            assert_eq!(uncapped.blocks_executed, one.blocks_executed, "{case}");
+            if uncapped.classes.unwrap() >= PARALLEL_ANALYZE_MIN_CLASSES {
+                wide.push(schema);
+            }
+        }
+        wide
+    }
+
+    #[test]
+    fn parallel_analysis_matches_one_worker() {
+        let t = Transposer::new_k40c();
+        let mut wide = Vec::new();
+        for perm in [[3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1], [3, 0, 2, 1]] {
+            wide.extend(check_parallel_analysis::<f32>(&t, &[15, 17, 15, 17], &perm));
+            wide.extend(check_parallel_analysis::<f64>(&t, &[15, 17, 15, 17], &perm));
+            wide.extend(check_parallel_analysis::<f64>(&t, &[17, 15, 17, 15], &perm));
+        }
+        for schema in [Schema::OrthogonalDistinct, Schema::OrthogonalArbitrary] {
+            let n = wide.iter().filter(|&&s| s == schema).count();
+            assert!(n >= 8, "{schema}: only {n} analyses spread over workers");
         }
     }
 

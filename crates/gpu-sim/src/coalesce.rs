@@ -7,24 +7,31 @@
 
 use crate::TRANSACTION_BYTES;
 
-/// Transactions needed for an arbitrary warp access given the byte address
-/// touched by each active lane.
+/// Transactions needed for an arbitrary warp access given the byte
+/// addresses it touches: the number of distinct 128-byte segments among
+/// them. Callers pass one address per lane, or two (an element's first and
+/// last byte) when elements may straddle a segment, so at most 64. The
+/// segments are sorted on the stack and the distinct ones counted.
+///
+/// # Panics
+///
+/// If more than 64 addresses are given (two for each of 32 lanes).
 pub fn transactions_for_lanes(byte_addrs: &[usize]) -> u64 {
+    assert!(
+        byte_addrs.len() <= 64,
+        "a warp access touches at most 64 byte addresses (two per lane), got {}",
+        byte_addrs.len()
+    );
     if byte_addrs.is_empty() {
         return 0;
     }
-    // A warp has at most 32 lanes; a tiny sorted-dedup on the stack beats a
-    // hash set here.
     let mut segs = [0usize; 64];
-    let mut n = 0;
-    for &a in byte_addrs {
-        let s = a / TRANSACTION_BYTES;
-        if !segs[..n].contains(&s) {
-            segs[n] = s;
-            n += 1;
-        }
+    let segs = &mut segs[..byte_addrs.len()];
+    for (s, &a) in segs.iter_mut().zip(byte_addrs) {
+        *s = a / TRANSACTION_BYTES;
     }
-    n as u64
+    segs.sort_unstable();
+    1 + segs.windows(2).filter(|w| w[0] != w[1]).count() as u64
 }
 
 /// Transactions for a warp access where `lanes` consecutive lanes read
@@ -149,6 +156,46 @@ mod tests {
         assert_eq!(transactions_for_lanes(&[0, 4, 8, 12]), 1);
         assert_eq!(transactions_for_lanes(&[0, 128, 256]), 3);
         assert_eq!(transactions_for_lanes(&[0, 0, 0]), 1);
+    }
+
+    #[test]
+    fn sorted_count_matches_reference() {
+        let mut rng = ttlg_tensor::rng::StdRng::seed_from_u64(0xC0A1_E5CE);
+        for case in 0..20_000 {
+            let elem_bytes = if case % 2 == 0 { 4 } else { 8 };
+            let lanes = if case % 5 == 0 {
+                32
+            } else {
+                rng.gen_range(0usize..=32)
+            };
+            // Element offsets from a small pool repeat (several lanes in
+            // one element); from a wide one they scatter. Odd offsets put
+            // some 8-byte elements across a segment boundary.
+            let pool = if case % 3 == 0 { 40 } else { 100_000 };
+            let mut addrs = Vec::with_capacity(2 * lanes);
+            for _ in 0..lanes {
+                let first = rng.gen_range(0usize..pool) * 4;
+                addrs.push(first);
+                addrs.push(first + elem_bytes - 1);
+            }
+            let reference: std::collections::BTreeSet<usize> =
+                addrs.iter().map(|a| a / TRANSACTION_BYTES).collect();
+            assert_eq!(
+                transactions_for_lanes(&addrs),
+                reference.len() as u64,
+                "addrs {addrs:?}"
+            );
+        }
+        // An 8-byte element starting 4 bytes before a boundary spans two
+        // segments; a full warp of repeats is one.
+        assert_eq!(transactions_for_lanes(&[124, 131]), 2);
+        assert_eq!(transactions_for_lanes(&[64; 64]), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 byte addresses")]
+    fn more_than_two_addresses_per_lane_panics() {
+        transactions_for_lanes(&[0; 65]);
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!   statistics of one `Analyze` run, cached on the plan.
 //! * **Analyze** ([`ExecMode::Analyze`]) — blocks are grouped into the
 //!   kernel-declared equivalence classes; one representative per class
-//!   runs (with data movement short-circuited) and its statistics are
-//!   scaled by the class size. This times plans (the paper's
-//!   720-permutation sweeps, model training) and fills the per-plan
-//!   statistics that serving reports.
+//!   runs (moving no data) and its statistics are scaled by the class
+//!   size. Wide analyses run their representatives across worker
+//!   threads. This times plans (the paper's 720-permutation sweeps, model
+//!   training) and fills the per-plan statistics that serving reports.
 //! * **Execute** ([`ExecMode::Execute`]) — every block runs, moves real
 //!   data and records its transactions, summed over all blocks: the
 //!   exhaustive reference that tests hold `Analyze` to, and the path the
@@ -21,12 +21,22 @@
 //! The two full runs distribute blocks over host worker threads
 //! (`std::thread::scope`), mirroring the GPU's block-level parallelism,
 //! and can verify that every output element is written exactly once.
+//! Every run sums `u64` counters, so its statistics do not depend on how
+//! the blocks were spread over workers.
 
 use crate::device::DeviceConfig;
 use crate::kernel::{Accounting, BlockIo, BlockKernel, IoMode, Launch, SharedOutput};
 use crate::stats::TransactionStats;
 use std::sync::atomic::{AtomicU8, Ordering};
 use ttlg_tensor::{parallel, Element};
+
+/// Class count from which [`Executor::analyze`] runs its representatives
+/// across workers. Sizing the pool (`available_parallelism`) and starting
+/// a worker cost 15-25 µs each, about what one representative of the
+/// sweep's kernels costs. Over the sweep's 216 plans on 2 vCPUs, workers
+/// made analyses of 2 to 25 classes 2-16x slower on average, and those
+/// of 31 classes and more 1.1-1.3x faster.
+pub const PARALLEL_ANALYZE_MIN_CLASSES: usize = 32;
 
 /// Execution mode for [`Executor::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,7 +230,10 @@ impl Executor {
         Ok((launch, stats))
     }
 
-    /// Run a kernel in `Analyze` mode (no data buffers needed).
+    /// Run a kernel in `Analyze` mode (no data buffers needed). From
+    /// [`PARALLEL_ANALYZE_MIN_CLASSES`] classes up the representatives run
+    /// across [`parallel::default_threads`] workers, so a
+    /// [`parallel::with_thread_cap`] scope bounds them.
     pub fn analyze<E: Element, K: BlockKernel<E> + ?Sized>(
         &self,
         kernel: &K,
@@ -244,13 +257,32 @@ impl Executor {
         }
         let mut empty_out: [E; 0] = [];
         let shared = SharedOutput::new(&mut empty_out, None);
-        let mut stats = TransactionStats::default();
-        for &(_, count, rep) in &classes {
+        let run_class = |mut acc: TransactionStats, i: usize| {
+            let (_, count, rep) = classes[i];
             let io = BlockIo::new(&[], &shared, IoMode::Analyze);
             let mut acct = Accounting::new();
             kernel.run_block(rep, &io, &mut acct);
-            stats.merge(&acct.stats.scaled(count));
-        }
+            acc.merge(&acct.stats.scaled(count));
+            acc
+        };
+        // Wide analyses run their representatives across workers, one
+        // class per claim. The counters are u64 sums, so the total does
+        // not depend on which worker ran which class or in what order the
+        // partials merge.
+        let stats = if classes.len() < PARALLEL_ANALYZE_MIN_CLASSES {
+            (0..classes.len()).fold(TransactionStats::default(), run_class)
+        } else {
+            parallel::parallel_map_reduce(
+                classes.len(),
+                1,
+                TransactionStats::default,
+                run_class,
+                |mut a, b| {
+                    a.merge(&b);
+                    a
+                },
+            )
+        };
         Ok(RunOutcome {
             stats,
             launch,

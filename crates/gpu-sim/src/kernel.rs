@@ -9,12 +9,13 @@
 //! 2. reports each warp-wide memory access to [`Accounting`], which feeds
 //!    the coalescing/bank models and ultimately the timing model.
 //!
-//! In `Analyze` mode the executor runs only representative blocks and
-//! `BlockIo` short-circuits data movement, so the same kernel code doubles
-//! as a fast analytical model of itself. In the data-only run
-//! ([`crate::Executor::copy`]) the executor hands every block an
-//! `Accounting` with recording switched off, so the same code moves data
-//! without paying for the coalescing and bank models.
+//! In `Analyze` mode the executor runs only representative blocks, and
+//! kernels skip their per-element load/store loops when
+//! [`BlockIo::mode`] is [`IoMode::Analyze`] (the accounting calls stay),
+//! so the same kernel code doubles as a fast analytical model of itself.
+//! In the data-only run ([`crate::Executor::copy`]) the executor hands
+//! every block an `Accounting` with recording switched off, so the same
+//! code moves data without paying for the coalescing and bank models.
 
 use crate::coalesce;
 use crate::smem;
@@ -50,7 +51,8 @@ pub enum IoMode {
     /// Move real data (whether transactions are counted is up to the
     /// block's [`Accounting`]).
     Execute,
-    /// Count transactions only; loads return zero, stores are discarded.
+    /// Count transactions only. Kernels skip their element loops; a load
+    /// that still happens returns zero and a store is discarded.
     Analyze,
 }
 
@@ -143,22 +145,24 @@ impl Accounting {
 
     /// A warp access with arbitrary per-lane element offsets (used by the
     /// indirection-array kernels); `load` selects load vs store.
+    ///
+    /// # Panics
+    ///
+    /// If more than 32 lanes are given.
     pub fn global_access_lanes(&mut self, elem_offsets: &[usize], elem_bytes: usize, load: bool) {
         if !self.record {
             return;
         }
+        let n = elem_offsets.len();
+        assert!(n <= 32, "a warp access has at most 32 lanes, got {n}");
+        // Each lane's first and last byte, so wide elements straddling a
+        // segment count both segments.
         let mut bytes = [0usize; 64];
-        let n = elem_offsets.len().min(32);
-        for (slot, &e) in bytes[..n].iter_mut().zip(elem_offsets.iter()) {
-            *slot = e * elem_bytes;
+        for (pair, &e) in bytes.chunks_exact_mut(2).zip(elem_offsets) {
+            pair[0] = e * elem_bytes;
+            pair[1] = pair[0] + elem_bytes - 1;
         }
-        // include element end bytes for wide elements straddling segments
-        let mut expanded = [0usize; 64];
-        for i in 0..n {
-            expanded[i * 2] = bytes[i];
-            expanded[i * 2 + 1] = bytes[i] + elem_bytes - 1;
-        }
-        let tx = coalesce::transactions_for_lanes(&expanded[..n * 2]);
+        let tx = coalesce::transactions_for_lanes(&bytes[..n * 2]);
         if load {
             self.stats.dram_load_tx += tx;
         } else {
@@ -191,13 +195,18 @@ impl Accounting {
 
     /// A warp-wide shared-memory access with arbitrary per-lane element
     /// offsets.
+    ///
+    /// # Panics
+    ///
+    /// If more than 32 lanes are given.
     pub fn smem_access_lanes(&mut self, elem_offsets: &[usize], elem_bytes: usize, load: bool) {
         if !self.record || elem_offsets.is_empty() {
             return;
         }
+        let n = elem_offsets.len();
+        assert!(n <= 32, "a warp access has at most 32 lanes, got {n}");
         let mut addrs = [0usize; 32];
-        let n = elem_offsets.len().min(32);
-        for (slot, &e) in addrs[..n].iter_mut().zip(elem_offsets.iter()) {
+        for (slot, &e) in addrs.iter_mut().zip(elem_offsets) {
             *slot = e * elem_bytes;
         }
         let degree =
@@ -442,6 +451,20 @@ mod tests {
         assert_eq!(a.stats.dram_load_tx, 1);
         a.global_access_lanes(&[0, 100, 200], 8, false);
         assert!(a.stats.dram_store_tx >= 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 lanes, got 33")]
+    fn global_lane_access_wider_than_a_warp_panics() {
+        let offsets: Vec<usize> = (0..33).collect();
+        Accounting::new().global_access_lanes(&offsets, 4, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 lanes, got 33")]
+    fn smem_lane_access_wider_than_a_warp_panics() {
+        let offsets: Vec<usize> = (0..33).collect();
+        Accounting::new().smem_access_lanes(&offsets, 4, true);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod timing;
 
 pub use device::DeviceConfig;
 pub use executor::{ExecMode, Executor, RunOutcome};
-pub use kernel::{Accounting, BlockIo, BlockKernel, Launch};
+pub use kernel::{Accounting, BlockIo, BlockKernel, IoMode, Launch};
 pub use profile::{ProfileReport, Profiler};
 pub use smem::SmemSim;
 pub use stats::TransactionStats;

@@ -3,7 +3,7 @@
 //!
 //! The gateway admits a request only after two gates pass:
 //!
-//! 1. **quota** — the tenant's token bucket ([`TokenBucket`]) has a
+//! 1. **quota** — the tenant's token bucket (`TokenBucket`) has a
 //!    token. Buckets refill continuously at `rate_per_sec` up to a
 //!    `burst` cap, so a tenant can spike briefly but not sustain more
 //!    than its configured rate;

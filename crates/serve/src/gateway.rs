@@ -154,7 +154,8 @@ struct Job {
 /// sum to the unlabelled totals.
 const MAX_TENANT_LABELS: usize = 32;
 
-/// The aggregation label for tenants past [`MAX_TENANT_LABELS`].
+/// The aggregation label for tenants past the first `MAX_TENANT_LABELS`
+/// (32).
 pub const OVERFLOW_TENANT: &str = "_other";
 
 /// Counters and histograms for the `ttlg_gateway_*` families.

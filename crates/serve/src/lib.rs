@@ -16,7 +16,7 @@
 //! * [`server`] — bounded accept loop + per-connection keep-alive
 //!   threads over `TcpListener`;
 //! * [`admission`] — per-tenant token-bucket quotas and the explicit
-//!   [`Shed`](admission::Shed) decision (HTTP 429 + `Retry-After`);
+//!   [`Shed`] decision (HTTP 429 + `Retry-After`);
 //! * [`scheduler`] — bounded per-tenant queues with class-weighted,
 //!   tenant-fair dequeue feeding a fixed worker pool;
 //! * [`gateway`] — the router: endpoint dispatch, request validation,

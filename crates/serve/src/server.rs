@@ -2,12 +2,13 @@
 //! `std::net::TcpListener` — no async runtime, no external crates.
 //!
 //! One accept thread hands each connection to its own handler thread
-//! (bounded by [`GatewayConfig::max_connections`]; connections beyond
-//! the cap receive an immediate 503 and are closed). Handler threads
-//! run a keep-alive loop: read with a short timeout, feed the
-//! incremental parser, dispatch complete requests to the [`Gateway`],
-//! and write responses back — including pipelined requests that arrive
-//! back-to-back in one segment.
+//! (bounded by
+//! [`GatewayConfig::max_connections`](crate::GatewayConfig::max_connections);
+//! connections beyond the cap receive an immediate 503 and are closed).
+//! Handler threads run a keep-alive loop: read with a short timeout,
+//! feed the incremental parser, dispatch complete requests to the
+//! [`Gateway`], and write responses back — including pipelined requests
+//! that arrive back-to-back in one segment.
 //!
 //! Shutdown is cooperative: [`ServerHandle::stop`] flips a flag, nudges
 //! the accept loop awake with a loopback connect, stops the gateway's
