@@ -31,11 +31,12 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use ttlg_tensor::{parallel, Element};
 
 /// Class count from which [`Executor::analyze`] runs its representatives
-/// across workers. Sizing the pool (`available_parallelism`) and starting
-/// a worker cost 15-25 µs each, about what one representative of the
-/// sweep's kernels costs. Over the sweep's 216 plans on 2 vCPUs, workers
-/// made analyses of 2 to 25 classes 2-16x slower on average, and those
-/// of 31 classes and more 1.1-1.3x faster.
+/// across workers. Starting two workers takes 45-65 µs on a 2-vCPU VM,
+/// as long as ten or more representatives of the sweep's cheaper kernels
+/// (2.5-7 µs each for Orthogonal-Distinct at extent 17). Over the
+/// sweep's 216 plans on 2 vCPUs, workers made analyses of 2 to 25
+/// classes 2-16x slower on average, and those of 31 classes and more
+/// 1.1-1.3x faster.
 pub const PARALLEL_ANALYZE_MIN_CLASSES: usize = 32;
 
 /// Execution mode for [`Executor::run`].

@@ -8,6 +8,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 thread_local! {
     static THREAD_CAP: Cell<Option<usize>> = const { Cell::new(None) };
@@ -17,13 +18,50 @@ thread_local! {
 /// that small test machines do not oversubscribe, and further capped by
 /// any enclosing [`with_thread_cap`] scope.
 pub fn default_threads() -> usize {
-    let base = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(64);
+    let base = available_cpus().min(64);
     THREAD_CAP
         .with(|c| c.get())
         .map_or(base, |cap| base.min(cap))
+}
+
+/// `std::thread::available_parallelism` for the calling thread, without
+/// its cost on every call. On Linux it counts the thread's affinity mask
+/// and reads the cgroup CPU quota files each time, about 22 µs on a
+/// 2-vCPU VM: as much as a small parallel loop saves. Its first answer
+/// is kept with the mask it saw, and later calls read only the mask. A
+/// mask no wider than that one leaves the quota as the only other bound,
+/// so the answer is the smaller of the two; a wider mask asks again.
+fn available_cpus() -> usize {
+    static FIRST: OnceLock<(usize, usize)> = OnceLock::new();
+    let query = || std::thread::available_parallelism().map_or(1, |n| n.get());
+    let Some(mask) = affinity_cpus() else {
+        return query();
+    };
+    let &(first_mask, first) = FIRST.get_or_init(|| (mask, query()));
+    if mask <= first_mask {
+        mask.min(first)
+    } else {
+        query()
+    }
+}
+
+/// CPUs in the calling thread's affinity mask (up to 1 024 CPUs).
+#[cfg(target_os = "linux")]
+fn affinity_cpus() -> Option<usize> {
+    extern "C" {
+        fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
+    }
+    let mut mask = [0u64; 16];
+    // SAFETY: `mask` is a writable buffer of `size_of_val(&mask)` bytes,
+    // the size of a `cpu_set_t`; pid 0 is the calling thread.
+    let ok = unsafe { sched_getaffinity(0, std::mem::size_of_val(&mask), mask.as_mut_ptr()) } == 0;
+    let n = mask.iter().map(|w| w.count_ones() as usize).sum();
+    (ok && n > 0).then_some(n)
+}
+
+#[cfg(not(target_os = "linux"))]
+fn affinity_cpus() -> Option<usize> {
+    None
 }
 
 /// Run `f` with [`default_threads`] capped at `cap` on this thread.
@@ -307,6 +345,39 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
+    }
+
+    #[test]
+    fn default_threads_agrees_with_std() {
+        for _ in 0..3 {
+            let std_count = std::thread::available_parallelism().map_or(1, |n| n.get());
+            assert_eq!(default_threads(), std_count.min(64));
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn default_threads_follows_pinning() {
+        extern "C" {
+            fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+        }
+        // A thread of its own, so the harness's threads keep their mask.
+        std::thread::spawn(|| {
+            let before = default_threads();
+            let cpu = (0..64).find(|&c| {
+                let mut one = [0u64; 16];
+                one[0] = 1 << c;
+                // SAFETY: `one` is a readable buffer of `size_of_val(&one)`
+                // bytes; pid 0 is the calling thread.
+                unsafe { sched_setaffinity(0, std::mem::size_of_val(&one), one.as_ptr()) == 0 }
+            });
+            assert!(cpu.is_some(), "could not pin to any of the first 64 CPUs");
+            assert_eq!(default_threads(), 1, "pinned, was {before}");
+            let inner = std::thread::spawn(default_threads).join().unwrap();
+            assert_eq!(inner, 1, "a thread started after pinning");
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]
