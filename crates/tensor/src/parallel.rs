@@ -173,23 +173,23 @@ where
     iter.fold(first, &combine)
 }
 
-/// Spawn `threads` scoped workers running `f(worker_idx)` and collect their
-/// results in worker order.
+/// Run `f(worker_idx)` on `threads` workers and collect their results in
+/// worker order. Worker 0 is the calling thread, the rest are scoped
+/// threads: starting a thread takes tens of µs, so the caller works
+/// instead of waiting for one more.
 fn spawn_and_collect<T: Send, F: Fn(usize) -> T + Sync>(threads: usize, f: F) -> Vec<T> {
-    let mut out: Vec<Option<T>> = (0..threads).map(|_| None).collect();
     std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let f = &f;
-            handles.push(s.spawn(move || f(w)));
-        }
-        for (w, h) in handles.into_iter().enumerate() {
-            out[w] = Some(h.join().expect("worker panicked"));
-        }
-    });
-    out.into_iter()
-        .map(|o| o.expect("worker result missing"))
-        .collect()
+        let f = &f;
+        let handles: Vec<_> = (1..threads).map(|w| s.spawn(move || f(w))).collect();
+        let mut out = Vec::with_capacity(threads);
+        out.push(f(0));
+        out.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked")),
+        );
+        out
+    })
 }
 
 /// Split a mutable slice into exact `chunk_len`-sized sub-slices (last one
@@ -295,6 +295,24 @@ mod tests {
         let total =
             parallel_map_reduce(100_000, 128, || 0u64, |acc, i| acc + i as u64, |a, b| a + b);
         assert_eq!(total, 100_000u64 * 99_999 / 2);
+    }
+
+    #[test]
+    fn map_reduce_caller_is_a_worker() {
+        // Each worker's accumulator starts with the id of the thread it
+        // runs on, so the result names every worker.
+        let workers = parallel_map_reduce(
+            64,
+            1,
+            || vec![std::thread::current().id()],
+            |acc, _| acc,
+            |mut a, b| {
+                a.extend(b);
+                a
+            },
+        );
+        assert_eq!(workers.len(), default_threads().min(64));
+        assert_eq!(workers[0], std::thread::current().id());
     }
 
     #[test]
