@@ -9,7 +9,7 @@
 //! four-phase decomposition: every response body carries measured
 //! `network` / `queue` / `plan` / `execute` microseconds, so the phase
 //! shares reported here are the edge's real accounting, not a synthetic
-//! re-derivation from ring traces. Per-schema p50/p95/p99, which phase
+//! re-derivation from stored traces. Per-schema p50/p95/p99, which phase
 //! dominates at p99, the slowest retained exemplars with their planner
 //! decision traces, and the SLO hit-rate / burn-rate view complete the
 //! picture.
@@ -22,7 +22,9 @@ use crate::serve_study::json_f64;
 use std::sync::Arc;
 use ttlg::Transposer;
 use ttlg_runtime::autotune::AutotuneConfig;
-use ttlg_runtime::{RuntimeConfig, SloSnapshot, TransposeRequest, TransposeService};
+use ttlg_runtime::{
+    RuntimeConfig, SloSnapshot, TraceStoreConfig, TransposeRequest, TransposeService,
+};
 use ttlg_serve::{client::HttpClient, Gateway, GatewayConfig, QuotaConfig, ServerHandle};
 use ttlg_tensor::rng::StdRng;
 use ttlg_tensor::{DenseTensor, Permutation, Shape};
@@ -78,8 +80,8 @@ impl GatewaySample {
 }
 
 /// One retained slow-request exemplar, flattened for the report. These
-/// come from the service's exemplar store, so their phase split is the
-/// service-side three-phase view (no network component).
+/// come from the trace store's slowest records per bucket; their phase
+/// split is the service-side three-phase view (no network component).
 #[derive(Debug, Clone)]
 pub struct TailExemplar {
     /// Request id (joins against service logs / trace dumps).
@@ -140,9 +142,10 @@ pub struct TailStudy {
     /// request's execution (0 for this sequential replay; nonzero under
     /// concurrent duplicate load).
     pub coalesced_requests: u64,
-    /// Traces that fell off the ring (0 — the ring is sized to fit).
+    /// Records evicted from the trace store (0 — the window is sized to
+    /// fit).
     pub trace_dropped: u64,
-    /// Exemplars retained across all buckets.
+    /// Records retained across the slowest-per-bucket sets.
     pub exemplar_count: usize,
     /// Per-schema tails, slowest p99 first.
     pub schemas: Vec<SchemaTail>,
@@ -252,8 +255,11 @@ pub fn run(rounds: usize) -> TailStudy {
     let rounds = rounds.max(2);
     let specs = workload_specs(rounds);
     let cfg = RuntimeConfig {
-        // The ring must hold the whole run for exact quantiles.
-        trace_capacity: specs.len().next_power_of_two(),
+        // The trace window holds the whole run, so no record is evicted.
+        traces: TraceStoreConfig {
+            capacity: specs.len().next_power_of_two(),
+            ..TraceStoreConfig::default()
+        },
         autotune: AutotuneConfig {
             enabled: true,
             hot_threshold: 2,
@@ -331,6 +337,7 @@ pub fn run(rounds: usize) -> TailStudy {
         }
     }
     let exemplars = svc.exemplars();
+    let exemplar_count = exemplars.iter().map(|(_, recs)| recs.len()).sum();
     let mut schemas: Vec<SchemaTail> = by_schema
         .into_iter()
         .map(|(schema, ss)| {
@@ -372,8 +379,8 @@ pub fn run(rounds: usize) -> TailStudy {
     TailStudy {
         requests: samples.len(),
         coalesced_requests: svc.metrics().coalesced_requests(),
-        trace_dropped: svc.trace_dropped(),
-        exemplar_count: svc.exemplar_store().total_retained(),
+        trace_dropped: svc.trace_store().evicted(),
+        exemplar_count,
         warmed: warmth_tail(&samples, true),
         unwarmed: warmth_tail(&samples, false),
         slo: svc.slo_snapshot(),
@@ -536,7 +543,7 @@ mod tests {
     fn tail_study_attributes_every_schema() {
         let study = run(4);
         assert_eq!(study.requests, 28);
-        assert_eq!(study.trace_dropped, 0, "ring sized to fit");
+        assert_eq!(study.trace_dropped, 0, "window sized to fit");
         assert!(study.exemplar_count > 0);
         assert!(!study.schemas.is_empty());
         for sc in &study.schemas {

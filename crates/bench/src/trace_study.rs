@@ -9,10 +9,10 @@
 //! rule Inactive → Pending → Firing. A synchronous autotune pass then
 //! warms measured-best plans, and phase 2 replays the workload until
 //! the lifetime geo-mean error falls back under the rule threshold and
-//! the alert resolves. Throughout, a deliberately tiny trace ring with
-//! a fractional head-sampling rate exercises the sampling and drop
+//! the alert resolves. Throughout, a deliberately tiny trace window with
+//! a fractional head-sampling rate exercises the sampling and eviction
 //! accounting: the study ends by fetching the slowest sampled trace
-//! back over TCP and reading the drop counters the exporter merges.
+//! back over TCP and reading the service trace store's counters.
 
 use crate::autotune_study::skewed_models;
 use crate::serve_study::json_f64;
@@ -54,9 +54,9 @@ pub struct TraceStudy {
     pub sampled_traces: u64,
     /// Requests the head sampler declined.
     pub unsampled_traces: u64,
-    /// Sampled traces the ring evicted before they could be read.
+    /// Kept records that left both the window and their bucket.
     pub dropped_traces: u64,
-    /// Traces resident in the ring at the end.
+    /// Records resident in the store at the end.
     pub resident_traces: usize,
     /// Span count of the slowest resident trace.
     pub slowest_trace_spans: usize,
@@ -179,6 +179,12 @@ pub fn run(distinct: usize, rounds: usize) -> TraceStudy {
             poll_interval_ms: 1,
             ..AutotuneConfig::default()
         },
+        // A deliberately tiny window with fractional head sampling so
+        // the sampling and eviction accounting has something to count.
+        traces: TraceStoreConfig {
+            capacity: 8,
+            sample_rate: 0.5,
+        },
         ..RuntimeConfig::default()
     };
     let svc = Arc::new(
@@ -192,12 +198,6 @@ pub fn run(distinct: usize, rounds: usize) -> TraceStudy {
             rate_per_sec: 1e9,
             burst: 1e9,
             max_tenants: 16,
-        },
-        // A deliberately tiny ring with fractional head sampling so
-        // drop accounting has something to count.
-        trace: TraceStoreConfig {
-            capacity: 8,
-            sample_rate: 0.5,
         },
         ..GatewayConfig::default()
     };
@@ -286,11 +286,11 @@ pub fn run(distinct: usize, rounds: usize) -> TraceStudy {
     })()
     .is_some();
 
-    let store = gw.trace_store();
+    let store = svc.trace_store();
     let slowest = store.slowest(1);
     let (slowest_spans, slowest_us) = slowest
         .first()
-        .map(|t| (t.root.span_count(), t.total_ns as f64 / 1e3))
+        .map(|t| (t.root().span_count(), t.total_ns() as f64 / 1e3))
         .unwrap_or((0, 0.0));
     let study = TraceStudy {
         distinct_perms: distinct,

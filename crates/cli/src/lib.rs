@@ -19,7 +19,7 @@ use ttlg_baselines::naive::NaiveTranspose;
 use ttlg_baselines::ttc::TtcGenerator;
 use ttlg_contract::{ContractionEngine, ContractionSpec};
 use ttlg_gpu_sim::DeviceConfig;
-use ttlg_runtime::{RuntimeConfig, TransposeRequest, TransposeService};
+use ttlg_runtime::{RuntimeConfig, TraceStoreConfig, TransposeRequest, TransposeService};
 use ttlg_tensor::{reference, DenseTensor, Permutation, Shape};
 
 /// CLI errors (also carry usage problems).
@@ -393,7 +393,7 @@ fn cmd_profile(rest: &[&String]) -> Result<String, CliError> {
 }
 
 /// `profile --tail`: replay the tail-study workload through a service
-/// whose trace ring holds the whole run, then render the ring as a
+/// whose trace window holds the whole run, then render the window as a
 /// flame-style phase profile plus the slowest retained exemplars.
 fn cmd_profile_tail(rest: &[&String]) -> Result<String, CliError> {
     let mut rounds = 4usize;
@@ -417,7 +417,10 @@ fn cmd_profile_tail(rest: &[&String]) -> Result<String, CliError> {
     let service = TransposeService::<f64>::with_config(
         Transposer::new_k40c(),
         RuntimeConfig {
-            trace_capacity: reqs.len().next_power_of_two(),
+            traces: TraceStoreConfig {
+                capacity: reqs.len().next_power_of_two(),
+                ..TraceStoreConfig::default()
+            },
             ..RuntimeConfig::default()
         },
     );

@@ -512,11 +512,11 @@ fn window_level(history: &TimeSeriesStore, name: &str, agg: Agg, window_ms: u64)
 }
 
 /// The rules the gateway evaluates on every scrape: model drift, SLO
-/// burn, queue saturation, shed spikes, and trace-ring drops. The two
-/// burst-shaped `DeltaRatio` rules declare 30 s windows so a spike split
-/// across scrapes is still seen when history is available; the level
-/// rules stay instantaneous (their inputs — geo-mean error, burn rate —
-/// are already windowed by their producers).
+/// burn, queue saturation, and shed spikes. The burst-shaped
+/// `DeltaRatio` rule declares a 30 s window so a spike split across
+/// scrapes is still seen when history is available; the level rules
+/// stay instantaneous (their inputs — geo-mean error, burn rate — are
+/// already windowed by their producers).
 pub fn default_rules() -> Vec<AlertRule> {
     vec![
         AlertRule {
@@ -574,21 +574,6 @@ pub fn default_rules() -> Vec<AlertRule> {
             },
             op: Op::Gt,
             threshold: 0.2,
-            for_evals: 2,
-            resolve_evals: 2,
-            critical: false,
-            window_ms: 30_000,
-        },
-        AlertRule {
-            name: "trace-drop",
-            help: "More than half of request traces dropped by the ring since \
-                   the last evaluation: raise trace_capacity.",
-            signal: Signal::DeltaRatio {
-                num: "ttlg_trace_dropped_total",
-                den: "ttlg_requests_total",
-            },
-            op: Op::Gt,
-            threshold: 0.5,
             for_evals: 2,
             resolve_evals: 2,
             critical: false,

@@ -13,8 +13,6 @@
 //! * [`span`] — a minimal tracing vocabulary: [`SpanRecord`]s and
 //!   [`Event`]s delivered to a [`Subscriber`], plus a monotonic
 //!   process-relative [`clock_ns`].
-//! * [`ring`] — [`TraceRing`], a bounded ring buffer of recent
-//!   [`RequestTrace`]s; writers claim slots with one atomic fetch-add.
 //! * [`quantile`] — p50/p95/p99 estimation over the runtime's log2
 //!   latency histograms ([`log2_bucket_quantile_us`]).
 //! * [`prediction`] — [`PredictionTracker`]: signed residuals between
@@ -22,18 +20,18 @@
 //!   the training-point feed for a measure-mode autotuner.
 //! * [`snapshot`] / [`prom`] / [`json`] — a renderer-neutral
 //!   [`MetricsSnapshot`] plus Prometheus-text and JSON exporters.
-//! * [`profile`] — tail-latency attribution: ring snapshots folded into
-//!   hierarchical phase profiles keyed by `(schema, shape-class)`
-//!   ([`PhaseProfile`]), including "which phase dominates at p99".
-//! * [`exemplar`] — [`ExemplarStore`]: the slowest N full traces per
-//!   `(schema, shape-class)` bucket, captured with a lock-free
-//!   admission floor so the hot path never blocks.
+//! * [`profile`] — tail-latency attribution: the trace store's recent
+//!   records folded into hierarchical phase profiles keyed by
+//!   `(schema, shape-class)` ([`PhaseProfile`]), including "which phase
+//!   dominates at p99".
 //! * [`slo`] — [`SloTracker`]: latency-objective hit rate plus
 //!   short/long-window error-budget burn rates.
 //! * [`tracecontext`] — W3C `traceparent` parse/render plus the
 //!   process-global id stream ([`TraceContext`]).
-//! * [`tracestore`] — request-scoped span trees ([`SpanNode`]) and the
-//!   bounded, sampling-aware [`TraceStore`] that retains them.
+//! * [`tracestore`] — [`TraceStore`], the one bounded, sampling store of
+//!   per-request [`TraceRecord`]s (a recent window plus the slowest
+//!   records per `(schema, shape-class)` bucket), and the request span
+//!   trees ([`SpanNode`]) built from a record on read.
 //! * [`alerts`] — [`AlertEngine`]: declarative rules over a
 //!   [`MetricsSnapshot`] with firing/resolved hysteresis, evaluated
 //!   either instantaneously or over a declared history window.
@@ -49,14 +47,12 @@
 //! feed it without creating dependency cycles.
 
 pub mod alerts;
-pub mod exemplar;
 pub mod json;
 pub mod prediction;
 pub mod profile;
 pub mod prom;
 pub mod quantile;
 pub mod query;
-pub mod ring;
 pub mod slo;
 pub mod snapshot;
 pub mod span;
@@ -65,24 +61,22 @@ pub mod tracestore;
 pub mod tsdb;
 
 pub use alerts::{Agg, AlertEngine, AlertRule, AlertState, AlertStatus, Op, Signal};
-pub use exemplar::{Exemplar, ExemplarBuckets, ExemplarConfig, ExemplarStore};
 pub use prediction::{PredictionStats, PredictionTracker, RATIO_BUCKETS};
 pub use profile::{shape_class, PhaseProfile, PhaseShares, ProfileOptions};
 pub use quantile::log2_bucket_quantile_us;
 pub use query::{eval_range, QueryError, QueryResult, QuerySeries};
-pub use ring::TraceRing;
 pub use slo::{SloConfig, SloSnapshot, SloTracker};
 pub use snapshot::{Histogram, Metric, MetricKind, MetricsSnapshot, Sample};
-pub use span::{
-    clock_ns, AttrValue, CollectingSubscriber, Event, NullSubscriber, SpanRecord, Subscriber,
-};
+pub use span::{clock_ns, AttrValue, CollectingSubscriber, Event, SpanRecord, Subscriber};
 pub use tracecontext::{next_id, parse_trace_id, TraceContext};
-pub use tracestore::{SampleReason, SpanNode, StoredTrace, TraceStore, TraceStoreConfig};
+pub use tracestore::{
+    Envelope, SampleReason, SlowestBuckets, SpanNode, TraceRecord, TraceStore, TraceStoreConfig,
+};
 pub use tsdb::{HistPoints, ScalarPoints, TimeSeriesStore, TsdbConfig};
 
-/// One fully attributed request through the runtime service — the unit
-/// stored in the [`TraceRing`] and the post-hoc answer to "what happened
-/// to that request?".
+/// One fully attributed request through the runtime service — the
+/// service's part of a [`TraceRecord`] and the post-hoc answer to "what
+/// happened to that request?".
 ///
 /// All fields are plain data so the trace survives the request: schema
 /// and error are strings, the executor's counters are pre-digested into
@@ -112,8 +106,21 @@ pub struct RequestTrace {
     pub queue_wait_ns: u64,
     /// Time spent fetching (or building) the plan, ns.
     pub plan_fetch_ns: u64,
+    /// Lookup part of `plan_fetch_ns`: shard lock, LRU touch, and any
+    /// wait for another caller's build, ns.
+    pub lookup_ns: u64,
+    /// Build part of `plan_fetch_ns` when this request built the plan
+    /// (0 on a hit), ns.
+    pub build_ns: u64,
+    /// Wall time of the plan's Alg. 3 candidate sweep, ns (0 when the
+    /// plan bypassed the sweep).
+    pub sweep_ns: u64,
+    /// Candidates the plan's sweep evaluated.
+    pub candidates: usize,
     /// Wall-clock execute-phase time, ns.
     pub execute_ns: u64,
+    /// Device launch overhead of the executed kernel, ns.
+    pub launch_ns: u64,
     /// Model-predicted kernel time, ns.
     pub predicted_ns: f64,
     /// Simulator-measured kernel time, ns.

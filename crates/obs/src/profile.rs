@@ -1,9 +1,9 @@
-//! Hierarchical phase profiles over the trace ring.
+//! Hierarchical phase profiles over the trace store's recent records.
 //!
 //! The service decomposes every request into queue-wait / plan-fetch /
 //! execute and records the result as a [`RequestTrace`] in the
-//! [`crate::TraceRing`]. This module folds a ring snapshot into
-//! **phase profiles** keyed by `(schema, shape-class)`:
+//! [`crate::TraceStore`]. This module folds the store's recent window
+//! into **phase profiles** keyed by `(schema, shape-class)`:
 //!
 //! * a *shape class* ([`shape_class`]) collapses concrete extents into
 //!   `r<rank>v<log2 volume>` so the label set stays bounded while still
@@ -18,8 +18,7 @@
 //!   actually asks.
 //!
 //! Aggregation is offline (over a snapshot), so the request hot path
-//! never touches any of this; the only hot-path cost remains the ring's
-//! single `fetch_add`.
+//! never touches any of this.
 
 use crate::quantile::log2_bucket_quantile_us;
 use crate::snapshot::{MetricKind, MetricsSnapshot, Sample};
@@ -208,11 +207,14 @@ impl Default for ProfileOptions {
     }
 }
 
-/// Fold a ring snapshot into per-`(schema, shape-class)` profiles,
+/// Fold traces into per-`(schema, shape-class)` profiles,
 /// sorted by total attributed time (descending) so the renderers can
 /// print the hottest keys first. Traces that failed before planning
 /// (empty schema) are labelled `"unplanned"`.
-pub fn aggregate(traces: &[RequestTrace], opts: &ProfileOptions) -> Vec<PhaseProfile> {
+pub fn aggregate<'a>(
+    traces: impl IntoIterator<Item = &'a RequestTrace>,
+    opts: &ProfileOptions,
+) -> Vec<PhaseProfile> {
     let mut map: HashMap<(String, String), PhaseProfile> = HashMap::new();
     for t in traces {
         let schema = if t.schema.is_empty() {

@@ -2,9 +2,9 @@
 //!
 //! A [`SpanRecord`] is a completed, timed region of work with string
 //! attributes; an [`Event`] is a point-in-time observation. Both are
-//! delivered to a [`Subscriber`] — the runtime holds one `Arc<dyn
-//! Subscriber>` and calls into it from the request hot path, so
-//! implementations must be cheap and `Send + Sync`.
+//! delivered to a [`Subscriber`] — the runtime holds an optional `Arc<dyn
+//! Subscriber>` and, when one is attached, calls into it from the request
+//! hot path, so implementations must be cheap and `Send + Sync`.
 //!
 //! There is deliberately no thread-local "current span" machinery: TTLG's
 //! request lifecycle is short and fully owned by one worker, so the
@@ -78,15 +78,6 @@ pub trait Subscriber: Send + Sync {
     fn on_span(&self, span: &SpanRecord);
     /// An event occurred.
     fn on_event(&self, event: &Event);
-}
-
-/// Discards everything (the default when tracing is off).
-#[derive(Debug, Default)]
-pub struct NullSubscriber;
-
-impl Subscriber for NullSubscriber {
-    fn on_span(&self, _span: &SpanRecord) {}
-    fn on_event(&self, _event: &Event) {}
 }
 
 /// Collects everything under a mutex — for tests and ad-hoc debugging,
@@ -170,22 +161,6 @@ mod tests {
         );
         assert!(spans[0].attr("missing").is_none());
         assert_eq!(c.events().len(), 1);
-    }
-
-    #[test]
-    fn null_subscriber_is_a_no_op() {
-        let n = NullSubscriber;
-        n.on_span(&SpanRecord {
-            name: "x",
-            start_ns: 0,
-            duration_ns: 0,
-            attrs: Vec::new(),
-        });
-        n.on_event(&Event {
-            name: "y",
-            at_ns: 0,
-            attrs: Vec::new(),
-        });
     }
 
     #[test]

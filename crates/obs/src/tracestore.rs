@@ -1,38 +1,65 @@
-//! Request-scoped span trees and the bounded, sampling-aware store
-//! that retains them.
+//! The one store of per-request records, and the span trees read from
+//! them.
 //!
-//! A [`SpanNode`] is one timed region with children — the gateway
-//! assembles one tree per request (`request` → network/queue/plan/
-//! execute → cache-lookup/Alg. 3 sweep/kernel-launch) and offers it to
-//! the [`TraceStore`] as a [`StoredTrace`].
+//! Every request the service finishes becomes one [`TraceRecord`]: the
+//! service's [`RequestTrace`], the gateway's [`Envelope`] when the
+//! request came in over HTTP, and the planner's decision payload. The
+//! record is written once, when the request finishes. Span trees
+//! ([`TraceRecord::root`], [`RequestTrace::spans`]) and decision text are
+//! built only when someone reads a record.
 //!
-//! Sampling follows the [`crate::ExemplarStore`] philosophy: the hot
-//! path must never block for a request that is not retained.
+//! Each write makes one sampling decision:
 //!
-//! * **Head sampling** is a pure function of the trace id — a
-//!   deterministic hash compared against the configured rate — so the
-//!   common unsampled case costs two counter increments and zero locks.
-//! * **Tail forcing**: SLO misses, sheds, and errors are always
-//!   retained regardless of the head rate (the requests an operator
-//!   actually goes looking for), with the reason recorded.
-//! * Retained traces enter a bounded ring + id index under one small
-//!   mutex; evictions are counted so sampling loss is never invisible
-//!   (`ttlg_trace_store_evicted_total`).
+//! * **Tail forcing**: sheds, errors and SLO misses are always kept, with
+//!   the reason recorded. The SLO total includes the gateway's network
+//!   and queue time.
+//! * **Head sampling** keeps a configured fraction of the rest. It hashes
+//!   the trace id (the service request id when no gateway is involved),
+//!   so one trace samples consistently. An inbound `traceparent` whose
+//!   sampled flag is clear suppresses head sampling, never tail forcing.
+//!
+//! Kept records are retained by two policies in one structure under one
+//! mutex:
+//!
+//! * the **recent window**: the last `capacity` kept records, the source
+//!   of recent-trace listings and phase profiles;
+//! * the **slowest [`SLOWEST_PER_BUCKET`] records per `(schema,
+//!   shape-class)` bucket**, the exemplars that answer "why was p99
+//!   slow". At most [`MAX_BUCKETS`] buckets exist; further keys fold into
+//!   [`OVERFLOW_BUCKET`]. Sheds never reached the service, so they join
+//!   the window only.
+//!
+//! A record stays fetchable by trace id while either policy holds it.
+//! One that leaves both is evicted and counted
+//! (`ttlg_trace_store_evicted_total`). The decision payload is generic
+//! (`D`) so this crate stays dependency-free; the runtime stores
+//! `Arc<DecisionTrace>`.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::snapshot::{MetricKind, MetricsSnapshot, Sample};
+use crate::{RequestTrace, TraceContext};
 
-/// Retention and sampling knobs. `Copy` so it can ride inside larger
-/// `Copy` configs.
+/// Slowest records kept per `(schema, shape-class)` bucket.
+pub const SLOWEST_PER_BUCKET: usize = 4;
+
+/// Distinct buckets before further keys fold into [`OVERFLOW_BUCKET`].
+pub const MAX_BUCKETS: usize = 64;
+
+/// Schema and shape-class label of the overflow bucket.
+pub const OVERFLOW_BUCKET: &str = "_other";
+
+/// Window capacity and head-sampling rate. `Copy` so it can ride inside
+/// the runtime's `Copy` config.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceStoreConfig {
-    /// Traces retained; the oldest is evicted beyond this.
+    /// Records in the recent window; the oldest leaves beyond this.
     pub capacity: usize,
     /// Head-sampling rate in `[0, 1]`: fraction of ordinary requests
-    /// retained. SLO-miss/shed/error traces bypass the rate.
+    /// kept. Shed, error and SLO-miss records bypass the rate.
     pub sample_rate: f64,
 }
 
@@ -45,10 +72,10 @@ impl Default for TraceStoreConfig {
     }
 }
 
-/// Why a trace was retained.
+/// Why a record was kept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleReason {
-    /// Head sampling: the trace id hashed under the configured rate.
+    /// Head sampling: the id hashed under the configured rate.
     Head,
     /// Forced: the request missed its latency objective.
     SloMiss,
@@ -59,6 +86,13 @@ pub enum SampleReason {
 }
 
 impl SampleReason {
+    const ALL: [SampleReason; 4] = [
+        SampleReason::Head,
+        SampleReason::SloMiss,
+        SampleReason::Shed,
+        SampleReason::Error,
+    ];
+
     /// Label value for metrics and JSON.
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -180,55 +214,298 @@ impl SpanNode {
     }
 }
 
-/// A fully assembled, retained request trace.
+impl RequestTrace {
+    /// The service-side span forest, laid out from the trace's stage
+    /// times, which are sequential: `queue-wait`, then `plan` (children
+    /// `cache-lookup` and, on a miss, `plan-build` with `alg3-sweep`),
+    /// then `execute` (children `kernel-launch` and `kernel`). A request
+    /// whose plan never arrived ends at `plan`, carrying the error.
+    pub fn spans(&self) -> Vec<SpanNode> {
+        let queue = SpanNode::new("queue-wait", self.start_ns, self.queue_wait_ns);
+        let plan_start = self.start_ns + self.queue_wait_ns;
+        let mut plan = SpanNode::new("plan", plan_start, self.plan_fetch_ns);
+        let Some(hit) = self.cache_hit else {
+            if let Some(err) = &self.error {
+                plan = plan.with_attr("error", err.clone());
+            }
+            return vec![queue, plan];
+        };
+        plan = plan
+            .with_attr("cache", if hit { "hit" } else { "miss" })
+            .with_child(SpanNode::new("cache-lookup", plan_start, self.lookup_ns));
+        if !hit && self.build_ns > 0 {
+            let build_start = plan_start + self.lookup_ns;
+            let mut build = SpanNode::new("plan-build", build_start, self.build_ns);
+            if self.sweep_ns > 0 {
+                build = build.with_child(
+                    SpanNode::new("alg3-sweep", build_start, self.sweep_ns)
+                        .with_attr("candidates", self.candidates.to_string()),
+                );
+            }
+            plan = plan.with_child(build);
+        }
+        let exec_start = plan_start + self.plan_fetch_ns;
+        let mut exec = SpanNode::new("execute", exec_start, self.execute_ns)
+            .with_attr("schema", self.schema.clone());
+        if self.ok {
+            exec = exec
+                .with_child(SpanNode::new("kernel-launch", exec_start, self.launch_ns))
+                .with_child(
+                    SpanNode::new(
+                        "kernel",
+                        exec_start + self.launch_ns,
+                        self.measured_ns as u64,
+                    )
+                    .with_attr("predicted_ns", format!("{:.0}", self.predicted_ns))
+                    .with_attr("dram_efficiency", format!("{:.3}", self.dram_efficiency))
+                    .with_attr("smem_replay", format!("{:.3}", self.smem_replay_rate)),
+                );
+        } else {
+            exec = exec.with_attr("error", self.error.clone().unwrap_or_default());
+        }
+        vec![queue, plan, exec]
+    }
+}
+
+/// What the network edge knows about a request. It travels to the
+/// service with the request and lands in the request's record.
 #[derive(Debug, Clone)]
-pub struct StoredTrace {
-    /// 32-hex trace id (the `GET /v1/trace/:id` key).
-    pub trace_id: String,
+pub struct Envelope {
+    /// The W3C context the request ran under: its trace id (the
+    /// `GET /v1/trace/:id` key) and whether the caller sampled it.
+    pub ctx: TraceContext,
     /// The request id echoed to the client.
     pub request_id: String,
     /// Sanitized tenant label.
     pub tenant: String,
-    /// HTTP status the request was answered with.
-    pub status: u16,
-    /// Why the trace was retained.
+    /// Priority class label.
+    pub priority: &'static str,
+    /// First byte to parsed request, ns.
+    pub network_ns: u64,
+    /// Admission to worker dequeue, ns.
+    pub queue_ns: u64,
+    /// Why the edge shed the request, if it did. A shed never reached
+    /// the service, so its record holds no service stages.
+    pub shed: Option<&'static str>,
+}
+
+/// One retained request.
+#[derive(Debug, Clone)]
+pub struct TraceRecord<D> {
+    /// The service's trace: stage times, cache attribution, Table I
+    /// rates, and the numbers the span tree is laid out from.
+    pub trace: RequestTrace,
+    /// The gateway's envelope, when the request came in over HTTP.
+    pub envelope: Option<Envelope>,
+    /// The planner's decision payload, when the plan retained one.
+    pub decision: Option<D>,
+    /// Why the record was kept.
     pub reason: SampleReason,
-    /// Process-relative start, ns.
-    pub start_ns: u64,
-    /// End-to-end duration, ns (the root span's duration).
-    pub total_ns: u64,
-    /// The span tree, rooted at `request`.
-    pub root: SpanNode,
-    /// Rendered planner decision trace, when the planner retained one.
-    pub decision: Option<String>,
 }
 
-struct Inner {
-    /// Insertion order, oldest first.
-    order: VecDeque<Arc<StoredTrace>>,
-    /// Lookup by 32-hex trace id.
-    index: HashMap<String, Arc<StoredTrace>>,
+impl<D> TraceRecord<D> {
+    /// End-to-end duration, ns: the service's stages plus the edge's
+    /// network and queue time.
+    pub fn total_ns(&self) -> u64 {
+        self.trace.total_ns() + self.envelope.as_ref().map_or(0, Envelope::edge_ns)
+    }
+
+    /// Start of the request, ns: the first byte on the wire when a
+    /// gateway is involved, else the service submission.
+    fn start_ns(&self) -> u64 {
+        let edge = self.envelope.as_ref().map_or(0, Envelope::edge_ns);
+        self.trace.start_ns.saturating_sub(edge)
+    }
+
+    /// Whether the gateway shed this request.
+    pub fn is_shed(&self) -> bool {
+        self.envelope.as_ref().is_some_and(|e| e.shed.is_some())
+    }
+
+    /// The request's span tree, built on read and rooted at `request`.
+    /// A gateway request adds its `network` and `gateway-queue` spans
+    /// and the tenant/priority attributes; a shed is the root plus its
+    /// `network` span.
+    pub fn root(&self) -> SpanNode {
+        let start = self.start_ns();
+        let mut root = SpanNode::new("request", start, self.total_ns());
+        let Some(e) = &self.envelope else {
+            root.children = self.trace.spans();
+            return root;
+        };
+        root = root.with_attr("tenant", e.tenant.clone());
+        let network = SpanNode::new("network", start, e.network_ns);
+        if let Some(shed) = e.shed {
+            return root.with_attr("shed", shed).with_child(network);
+        }
+        root = root
+            .with_attr("priority", e.priority)
+            .with_child(network)
+            .with_child(SpanNode::new(
+                "gateway-queue",
+                start + e.network_ns,
+                e.queue_ns,
+            ));
+        root.children.extend(self.trace.spans());
+        root
+    }
+
+    fn trace_id(&self) -> Option<u128> {
+        self.envelope.as_ref().map(|e| e.ctx.trace_id)
+    }
+
+    /// The `(schema, shape-class)` bucket this record competes in; `None`
+    /// for sheds.
+    fn bucket_key(&self) -> Option<(&str, &str)> {
+        if self.is_shed() {
+            return None;
+        }
+        let schema = match self.trace.schema.as_str() {
+            "" => "unplanned",
+            s => s,
+        };
+        Some((schema, &self.trace.shape_class))
+    }
 }
 
-/// Bounded, sampling-aware trace retention. See the module docs for the
-/// locking discipline.
-pub struct TraceStore {
-    cfg: TraceStoreConfig,
+impl Envelope {
+    fn edge_ns(&self) -> u64 {
+        self.network_ns + self.queue_ns
+    }
+}
+
+/// A retained record with its write sequence number.
+type Slot<D> = (u64, Arc<TraceRecord<D>>);
+
+/// `(schema, shape-class)` buckets with their slowest records, slowest
+/// first within each bucket.
+pub type SlowestBuckets<D> = Vec<((String, String), Vec<Arc<TraceRecord<D>>>)>;
+
+struct Bucket<D> {
+    schema: String,
+    class: String,
+    /// At most [`SLOWEST_PER_BUCKET`] records.
+    slowest: Vec<Slot<D>>,
+}
+
+struct Inner<D> {
+    next_seq: u64,
+    /// Recent window, oldest first (sequence numbers ascend); the flag
+    /// marks a record its bucket holds too.
+    window: VecDeque<(Slot<D>, bool)>,
+    /// Buckets under a hash of their labels, so a write hashes the
+    /// labels once; a collision shares the vector.
+    buckets: HashMap<u64, Vec<Bucket<D>>>,
+    bucket_count: usize,
+    /// Trace id -> record, for gateway records the window or a bucket
+    /// holds.
+    index: HashMap<u128, Arc<TraceRecord<D>>>,
+    /// Distinct records the window or a bucket holds.
+    resident: usize,
+    evicted: u64,
+}
+
+impl<D> Inner<D> {
+    fn window_pos(&self, seq: u64) -> Option<usize> {
+        self.window.binary_search_by_key(&seq, |(s, _)| s.0).ok()
+    }
+
+    /// The bucket `rec` competes in, created on first use while under the
+    /// cap; the overflow bucket after that. `None` for sheds.
+    fn bucket_for(&mut self, rec: &TraceRecord<D>) -> Option<&mut Vec<Slot<D>>> {
+        let (mut schema, mut class) = rec.bucket_key()?;
+        let mut key = label_hash(schema, class);
+        let known =
+            |b: &Bucket<D>, schema: &str, class: &str| b.schema == schema && b.class == class;
+        if self.bucket_count >= MAX_BUCKETS
+            && !self
+                .buckets
+                .get(&key)
+                .is_some_and(|c| c.iter().any(|b| known(b, schema, class)))
+        {
+            (schema, class) = (OVERFLOW_BUCKET, OVERFLOW_BUCKET);
+            key = label_hash(schema, class);
+        }
+        let chain = self.buckets.entry(key).or_default();
+        let at = match chain.iter().position(|b| known(b, schema, class)) {
+            Some(at) => at,
+            None => {
+                chain.push(Bucket {
+                    schema: schema.to_string(),
+                    class: class.to_string(),
+                    slowest: Vec::new(),
+                });
+                self.bucket_count += 1;
+                chain.len() - 1
+            }
+        };
+        Some(&mut chain[at].slowest)
+    }
+
+    /// A record left the store: neither the window nor its bucket holds
+    /// it any more.
+    fn gone(&mut self, rec: &Arc<TraceRecord<D>>) {
+        self.resident -= 1;
+        self.evicted += 1;
+        if let Some(id) = rec.trace_id() {
+            if self.index.get(&id).is_some_and(|cur| Arc::ptr_eq(cur, rec)) {
+                self.index.remove(&id);
+            }
+        }
+    }
+
+    /// Drop a record a newer one with the same trace id replaced, from
+    /// both policies, so no ghost entry remains.
+    fn forget(&mut self, rec: &Arc<TraceRecord<D>>) {
+        self.window.retain(|(s, _)| !Arc::ptr_eq(&s.1, rec));
+        for bucket in self.buckets.values_mut().flatten() {
+            bucket.slowest.retain(|s| !Arc::ptr_eq(&s.1, rec));
+        }
+        self.resident -= 1;
+    }
+
+    /// Window and bucket records, each once.
+    fn resident_records(&self) -> impl Iterator<Item = &Arc<TraceRecord<D>>> {
+        let bucket_only = self
+            .buckets
+            .values()
+            .flatten()
+            .flat_map(|b| &b.slowest)
+            .filter(|s| self.window_pos(s.0).is_none());
+        self.window
+            .iter()
+            .map(|(s, _)| s)
+            .chain(bucket_only)
+            .map(|s| &s.1)
+    }
+}
+
+fn label_hash(schema: &str, class: &str) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    (schema, class).hash(&mut h);
+    h.finish()
+}
+
+/// The bounded, sampling store of per-request records. See the module
+/// docs for the policies.
+pub struct TraceStore<D> {
+    capacity: usize,
     /// `sample_rate` mapped onto the id-hash space; ids hashing below
     /// this are head-sampled.
     threshold: u64,
-    inner: Mutex<Inner>,
+    /// Latency objective, ns: slower records are always kept.
+    slo_target_ns: u64,
+    inner: Mutex<Inner<D>>,
     offered: AtomicU64,
-    sampled_head: AtomicU64,
-    sampled_slo: AtomicU64,
-    sampled_shed: AtomicU64,
-    sampled_error: AtomicU64,
+    /// Kept records, by [`SampleReason`] in declaration order.
+    sampled: [AtomicU64; 4],
     unsampled: AtomicU64,
-    evicted: AtomicU64,
 }
 
-impl TraceStore {
-    pub fn new(cfg: TraceStoreConfig) -> TraceStore {
+impl<D> TraceStore<D> {
+    /// A store with `cfg`'s window and rate that force-keeps records
+    /// slower than `slo_target_ns`.
+    pub fn new(cfg: TraceStoreConfig, slo_target_ns: u64) -> TraceStore<D> {
         let rate = cfg.sample_rate.clamp(0.0, 1.0);
         let threshold = if rate >= 1.0 {
             u64::MAX
@@ -236,153 +513,203 @@ impl TraceStore {
             (rate * u64::MAX as f64) as u64
         };
         TraceStore {
-            cfg: TraceStoreConfig {
-                capacity: cfg.capacity.max(1),
-                sample_rate: rate,
-            },
+            capacity: cfg.capacity.max(1),
             threshold,
+            slo_target_ns,
             inner: Mutex::new(Inner {
-                order: VecDeque::new(),
+                next_seq: 0,
+                window: VecDeque::new(),
+                buckets: HashMap::new(),
+                bucket_count: 0,
                 index: HashMap::new(),
+                resident: 0,
+                evicted: 0,
             }),
             offered: AtomicU64::new(0),
-            sampled_head: AtomicU64::new(0),
-            sampled_slo: AtomicU64::new(0),
-            sampled_shed: AtomicU64::new(0),
-            sampled_error: AtomicU64::new(0),
+            sampled: Default::default(),
             unsampled: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
         }
     }
 
-    /// The store's configuration.
-    pub fn config(&self) -> TraceStoreConfig {
-        self.cfg
-    }
-
-    /// Decide whether to retain the trace for `trace_id`. Lock-free:
-    /// pure arithmetic plus counter increments, so the unsampled common
-    /// case never touches the mutex. Pass `forced` for SLO-miss/shed/
-    /// error requests, which bypass the head rate.
-    pub fn sample_decision(
+    /// Record one finished request, making its one sampling decision.
+    /// Returns why the record was kept, or `None` when head sampling
+    /// declined it; a declined record costs no lock.
+    pub fn write(
         &self,
-        trace_id: u128,
-        forced: Option<SampleReason>,
-    ) -> Option<SampleReason> {
+        trace: &RequestTrace,
+        envelope: Option<Envelope>,
+        decision: Option<&D>,
+    ) -> Option<SampleReason>
+    where
+        D: Clone,
+    {
         self.offered.fetch_add(1, Ordering::Relaxed);
-        if let Some(reason) = forced {
-            return Some(reason);
-        }
-        // Hash rather than use the raw id: client-supplied trace ids
-        // may be structured (sequential low bits), and the decision must
-        // be uniform in the rate regardless.
-        let h = mix128(trace_id);
-        if self.threshold == u64::MAX || h < self.threshold {
-            Some(SampleReason::Head)
+        let edge_ns = envelope.as_ref().map_or(0, Envelope::edge_ns);
+        let reason = if envelope.as_ref().is_some_and(|e| e.shed.is_some()) {
+            SampleReason::Shed
+        } else if !trace.ok {
+            SampleReason::Error
+        } else if trace.total_ns() + edge_ns > self.slo_target_ns {
+            SampleReason::SloMiss
+        } else if self.head_sampled(trace, envelope.as_ref()) {
+            SampleReason::Head
         } else {
             self.unsampled.fetch_add(1, Ordering::Relaxed);
-            None
-        }
+            return None;
+        };
+        self.sampled[reason as usize].fetch_add(1, Ordering::Relaxed);
+        self.insert(Arc::new(TraceRecord {
+            trace: trace.clone(),
+            envelope,
+            decision: decision.cloned(),
+            reason,
+        }));
+        Some(reason)
     }
 
-    /// Insert a retained trace (the caller got `Some` from
-    /// [`sample_decision`](Self::sample_decision)). Evicts the oldest
-    /// beyond capacity.
-    pub fn insert(&self, trace: StoredTrace) {
-        match trace.reason {
-            SampleReason::Head => &self.sampled_head,
-            SampleReason::SloMiss => &self.sampled_slo,
-            SampleReason::Shed => &self.sampled_shed,
-            SampleReason::Error => &self.sampled_error,
+    fn head_sampled(&self, trace: &RequestTrace, envelope: Option<&Envelope>) -> bool {
+        let id = match envelope {
+            Some(e) if !e.ctx.sampled() => return false,
+            Some(e) => e.ctx.trace_id,
+            None => trace.id as u128,
+        };
+        // Hash rather than compare the raw id: client-supplied trace ids
+        // may be structured (sequential low bits), and the decision must
+        // be uniform in the rate regardless.
+        self.threshold == u64::MAX || mix128(id) < self.threshold
+    }
+
+    fn insert(&self, rec: Arc<TraceRecord<D>>) {
+        let mut guard = self.inner.lock().expect("trace store poisoned");
+        let inner = &mut *guard;
+        if let Some(id) = rec.trace_id() {
+            if let Some(old) = inner.index.insert(id, Arc::clone(&rec)) {
+                inner.forget(&old);
+            }
         }
-        .fetch_add(1, Ordering::Relaxed);
-        let trace = Arc::new(trace);
-        let mut inner = self.inner.lock().expect("trace store poisoned");
-        if let Some(old) = inner
-            .index
-            .insert(trace.trace_id.clone(), Arc::clone(&trace))
-        {
-            // Same trace id offered twice (client reuse): drop the stale
-            // ring entry so `get` and the ring agree.
-            inner.order.retain(|t| !Arc::ptr_eq(t, &old));
-        }
-        inner.order.push_back(trace);
-        while inner.order.len() > self.cfg.capacity {
-            if let Some(old) = inner.order.pop_front() {
-                if let Some(cur) = inner.index.get(&old.trace_id) {
-                    if Arc::ptr_eq(cur, &old) {
-                        inner.index.remove(&old.trace_id);
-                    }
+        let seq = inner.next_seq;
+        inner.next_seq += 1;
+        inner.resident += 1;
+        let total_ns = rec.total_ns();
+        let mut displaced = None;
+        let bucketed = match inner.bucket_for(&rec) {
+            None => false,
+            Some(bucket) if bucket.len() < SLOWEST_PER_BUCKET => {
+                bucket.push((seq, Arc::clone(&rec)));
+                true
+            }
+            Some(bucket) => {
+                let (fastest, fastest_ns) = bucket
+                    .iter()
+                    .map(|s| s.1.total_ns())
+                    .enumerate()
+                    .min_by_key(|&(_, ns)| ns)
+                    .expect("bucket is full");
+                if total_ns > fastest_ns {
+                    displaced = Some(std::mem::replace(
+                        &mut bucket[fastest],
+                        (seq, Arc::clone(&rec)),
+                    ));
                 }
-                self.evicted.fetch_add(1, Ordering::Relaxed);
+                displaced.is_some()
+            }
+        };
+        if let Some((old_seq, old)) = displaced {
+            match inner.window_pos(old_seq) {
+                Some(at) => inner.window[at].1 = false,
+                None => inner.gone(&old),
+            }
+        }
+        inner.window.push_back(((seq, rec), bucketed));
+        while inner.window.len() > self.capacity {
+            let ((_, old), bucketed) = inner.window.pop_front().expect("window over capacity");
+            if !bucketed {
+                inner.gone(&old);
             }
         }
     }
 
-    /// Look up a retained trace by 32-hex id.
-    pub fn get(&self, trace_id: &str) -> Option<Arc<StoredTrace>> {
+    /// The retained record for a trace id.
+    pub fn get(&self, trace_id: u128) -> Option<Arc<TraceRecord<D>>> {
         self.inner
             .lock()
             .expect("trace store poisoned")
             .index
-            .get(trace_id)
+            .get(&trace_id)
             .cloned()
     }
 
-    /// The `n` most recent traces, newest first.
-    pub fn recent(&self, n: usize) -> Vec<Arc<StoredTrace>> {
+    /// The `n` most recent records of the window, newest first.
+    pub fn recent(&self, n: usize) -> Vec<Arc<TraceRecord<D>>> {
         self.inner
             .lock()
             .expect("trace store poisoned")
-            .order
+            .window
             .iter()
             .rev()
             .take(n)
-            .cloned()
+            .map(|((_, rec), _)| Arc::clone(rec))
             .collect()
     }
 
-    /// The `n` slowest retained traces, slowest first.
-    pub fn slowest(&self, n: usize) -> Vec<Arc<StoredTrace>> {
-        let mut all: Vec<Arc<StoredTrace>> = self
+    /// The `n` slowest retained records, window and buckets, slowest
+    /// first.
+    pub fn slowest(&self, n: usize) -> Vec<Arc<TraceRecord<D>>> {
+        let mut all: Vec<Arc<TraceRecord<D>>> = self
             .inner
             .lock()
             .expect("trace store poisoned")
-            .order
-            .iter()
+            .resident_records()
             .cloned()
             .collect();
-        all.sort_by_key(|t| std::cmp::Reverse(t.total_ns));
+        all.sort_by_key(|r| std::cmp::Reverse(r.total_ns()));
         all.truncate(n);
         all
     }
 
-    /// Traces currently retained.
-    pub fn resident(&self) -> usize {
-        self.inner.lock().expect("trace store poisoned").order.len()
+    /// Every non-empty bucket with its records, slowest first within a
+    /// bucket, buckets ordered by their slowest record.
+    pub fn buckets(&self) -> SlowestBuckets<D> {
+        let inner = self.inner.lock().expect("trace store poisoned");
+        let mut out: SlowestBuckets<D> = inner
+            .buckets
+            .values()
+            .flatten()
+            .filter(|b| !b.slowest.is_empty())
+            .map(|b| {
+                let mut recs: Vec<Arc<TraceRecord<D>>> =
+                    b.slowest.iter().map(|s| Arc::clone(&s.1)).collect();
+                recs.sort_by_key(|r| std::cmp::Reverse(r.total_ns()));
+                ((b.schema.clone(), b.class.clone()), recs)
+            })
+            .collect();
+        out.sort_by_key(|(_, recs)| std::cmp::Reverse(recs[0].total_ns()));
+        out
     }
 
-    /// Requests offered to the store so far.
+    /// Records currently retained by the window or a bucket.
+    pub fn resident(&self) -> usize {
+        self.inner.lock().expect("trace store poisoned").resident
+    }
+
+    /// Records that left both the window and their bucket.
+    pub fn evicted(&self) -> u64 {
+        self.inner.lock().expect("trace store poisoned").evicted
+    }
+
+    /// Requests written so far.
     pub fn offered(&self) -> u64 {
         self.offered.load(Ordering::Relaxed)
     }
 
-    /// Traces retained so far (all reasons).
+    /// Records kept so far (all reasons).
     pub fn sampled(&self) -> u64 {
-        self.sampled_head.load(Ordering::Relaxed)
-            + self.sampled_slo.load(Ordering::Relaxed)
-            + self.sampled_shed.load(Ordering::Relaxed)
-            + self.sampled_error.load(Ordering::Relaxed)
+        self.sampled.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
-    /// Offers dropped by head sampling.
+    /// Writes declined by head sampling.
     pub fn unsampled(&self) -> u64 {
         self.unsampled.load(Ordering::Relaxed)
-    }
-
-    /// Retained traces later evicted by the capacity bound.
-    pub fn evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
     }
 
     /// Append the `ttlg_trace_store_*` families to a snapshot.
@@ -395,46 +722,31 @@ impl TraceStore {
         );
         snap.push_metric(
             "ttlg_trace_store_sampled_total",
-            "Traces retained, by sampling reason.",
+            "Records kept, by sampling reason.",
             MetricKind::Counter,
-            vec![
-                Sample::labelled(
-                    "reason",
-                    SampleReason::Head.as_str(),
-                    self.sampled_head.load(Ordering::Relaxed) as f64,
-                ),
-                Sample::labelled(
-                    "reason",
-                    SampleReason::SloMiss.as_str(),
-                    self.sampled_slo.load(Ordering::Relaxed) as f64,
-                ),
-                Sample::labelled(
-                    "reason",
-                    SampleReason::Shed.as_str(),
-                    self.sampled_shed.load(Ordering::Relaxed) as f64,
-                ),
-                Sample::labelled(
-                    "reason",
-                    SampleReason::Error.as_str(),
-                    self.sampled_error.load(Ordering::Relaxed) as f64,
-                ),
-            ],
+            SampleReason::ALL
+                .iter()
+                .map(|&r| {
+                    let n = self.sampled[r as usize].load(Ordering::Relaxed);
+                    Sample::labelled("reason", r.as_str(), n as f64)
+                })
+                .collect(),
         );
         snap.push_metric(
             "ttlg_trace_store_unsampled_total",
-            "Offers dropped by head sampling.",
+            "Offers declined by head sampling.",
             MetricKind::Counter,
             vec![Sample::plain(self.unsampled() as f64)],
         );
         snap.push_metric(
             "ttlg_trace_store_evicted_total",
-            "Retained traces evicted by the capacity bound.",
+            "Records that left both the recent window and their slowest-per-bucket set.",
             MetricKind::Counter,
             vec![Sample::plain(self.evicted() as f64)],
         );
         snap.push_metric(
             "ttlg_trace_store_resident",
-            "Traces currently retained.",
+            "Records currently retained.",
             MetricKind::Gauge,
             vec![Sample::plain(self.resident() as f64)],
         );
@@ -454,6 +766,64 @@ fn mix128(id: u128) -> u64 {
 mod tests {
     use super::*;
 
+    const SLO_NS: u64 = 1_000_000_000;
+
+    fn store(capacity: usize, sample_rate: f64) -> TraceStore<u64> {
+        TraceStore::new(
+            TraceStoreConfig {
+                capacity,
+                sample_rate,
+            },
+            SLO_NS,
+        )
+    }
+
+    /// A successful service trace of `total_ns` in one bucket.
+    fn trace(id: u64, schema: &str, class: &str, total_ns: u64) -> RequestTrace {
+        RequestTrace {
+            id,
+            schema: schema.to_string(),
+            shape_class: class.to_string(),
+            ok: true,
+            cache_hit: Some(true),
+            execute_ns: total_ns,
+            ..Default::default()
+        }
+    }
+
+    fn envelope(trace_id: u128) -> Envelope {
+        Envelope {
+            ctx: TraceContext {
+                trace_id,
+                parent_span_id: 1,
+                flags: crate::tracecontext::FLAG_SAMPLED,
+            },
+            request_id: format!("req-{trace_id}"),
+            tenant: "acme".into(),
+            priority: "interactive",
+            network_ns: 0,
+            queue_ns: 0,
+            shed: None,
+        }
+    }
+
+    /// Write a gateway record with trace id `id` and total `total_ns`.
+    fn put(s: &TraceStore<u64>, id: u64, total_ns: u64) -> Option<SampleReason> {
+        s.write(
+            &trace(id, "Naive", "r3v12", total_ns),
+            Some(envelope(id as u128)),
+            Some(&total_ns),
+        )
+    }
+
+    fn ids(recs: &[Arc<TraceRecord<u64>>]) -> Vec<u64> {
+        recs.iter().map(|r| r.trace.id).collect()
+    }
+
+    fn totals(recs: &[Arc<TraceRecord<u64>>]) -> Vec<u64> {
+        recs.iter().map(|r| r.total_ns()).collect()
+    }
+
     fn tree(total_ns: u64) -> SpanNode {
         SpanNode::new("request", 0, total_ns)
             .with_child(SpanNode::new("network", 0, total_ns / 10))
@@ -464,20 +834,6 @@ mod tests {
                     .with_child(SpanNode::new("alg3-sweep", total_ns / 5, total_ns / 4)),
             )
             .with_child(SpanNode::new("execute", total_ns / 2, total_ns / 2))
-    }
-
-    fn stored(id: u128, total_ns: u64, reason: SampleReason) -> StoredTrace {
-        StoredTrace {
-            trace_id: format!("{id:032x}"),
-            request_id: format!("{id:032x}"),
-            tenant: "acme".into(),
-            status: 200,
-            reason,
-            start_ns: 0,
-            total_ns,
-            root: tree(total_ns),
-            decision: None,
-        }
     }
 
     #[test]
@@ -496,107 +852,447 @@ mod tests {
         assert!(text.contains("|  |- cache-lookup"), "{text}");
     }
 
-    #[test]
-    fn rate_one_samples_everything() {
-        let store = TraceStore::new(TraceStoreConfig::default());
-        for id in 1..=100u128 {
-            assert_eq!(store.sample_decision(id, None), Some(SampleReason::Head));
+    /// One span as a `(depth, name, start, duration, attrs)` row.
+    type Row = (usize, String, u64, u64, Vec<(String, String)>);
+
+    /// Depth-first rows of a span tree.
+    fn flatten(s: &SpanNode) -> Vec<Row> {
+        fn walk(s: &SpanNode, depth: usize, out: &mut Vec<Row>) {
+            out.push((
+                depth,
+                s.name.clone(),
+                s.start_ns,
+                s.duration_ns,
+                s.attrs.clone(),
+            ));
+            for c in &s.children {
+                walk(c, depth + 1, out);
+            }
         }
-        assert_eq!(store.offered(), 100);
-        assert_eq!(store.unsampled(), 0);
+        let mut out = Vec::new();
+        walk(s, 0, &mut out);
+        out
+    }
+
+    fn row(depth: usize, name: &str, start: u64, dur: u64, attrs: &[(&str, &str)]) -> Row {
+        let attrs = attrs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        (depth, name.to_string(), start, dur, attrs)
+    }
+
+    /// The on-read span builder lays out DESIGN §11's taxonomy exactly,
+    /// from fixed numbers: a miss with an Alg. 3 sweep, a cache hit, a
+    /// coalesced follower, a failed plan, and a shed.
+    #[test]
+    fn span_builder_lays_out_the_design_taxonomy() {
+        let served = RequestTrace {
+            id: 3,
+            start_ns: 10_000,
+            schema: "Orthogonal-Distinct".into(),
+            shape_class: "r3v9".into(),
+            ok: true,
+            cache_hit: Some(false),
+            queue_wait_ns: 100,
+            plan_fetch_ns: 5_000,
+            execute_ns: 2_000,
+            predicted_ns: 1_234.4,
+            measured_ns: 1_500.0,
+            dram_efficiency: 0.5,
+            smem_replay_rate: 0.25,
+            lookup_ns: 300,
+            build_ns: 4_600,
+            sweep_ns: 4_000,
+            candidates: 17,
+            launch_ns: 400,
+            ..Default::default()
+        };
+        let record = |trace: RequestTrace, shed: Option<&'static str>| TraceRecord::<u64> {
+            trace,
+            envelope: Some(Envelope {
+                network_ns: 700,
+                queue_ns: if shed.is_some() { 0 } else { 200 },
+                shed,
+                ..envelope(9)
+            }),
+            decision: None,
+            reason: SampleReason::Head,
+        };
+        let kernel = [
+            ("predicted_ns", "1234"),
+            ("dram_efficiency", "0.500"),
+            ("smem_replay", "0.250"),
+        ];
+        let gateway = [("tenant", "acme"), ("priority", "interactive")];
+
+        // Miss: plan-build with its sweep; the root starts at the first
+        // byte on the wire, 900 ns before the service submission.
+        let miss = record(served.clone(), None);
+        assert_eq!(
+            flatten(&miss.root()),
+            vec![
+                row(0, "request", 9_100, 8_000, &gateway),
+                row(1, "network", 9_100, 700, &[]),
+                row(1, "gateway-queue", 9_800, 200, &[]),
+                row(1, "queue-wait", 10_000, 100, &[]),
+                row(1, "plan", 10_100, 5_000, &[("cache", "miss")]),
+                row(2, "cache-lookup", 10_100, 300, &[]),
+                row(2, "plan-build", 10_400, 4_600, &[]),
+                row(3, "alg3-sweep", 10_400, 4_000, &[("candidates", "17")]),
+                row(
+                    1,
+                    "execute",
+                    15_100,
+                    2_000,
+                    &[("schema", "Orthogonal-Distinct")]
+                ),
+                row(2, "kernel-launch", 15_100, 400, &[]),
+                row(2, "kernel", 15_500, 1_500, &kernel),
+            ]
+        );
+
+        // Hit: no build, so no sweep, whatever the plan once cost.
+        let hit = record(
+            RequestTrace {
+                cache_hit: Some(true),
+                plan_fetch_ns: 300,
+                build_ns: 0,
+                ..served.clone()
+            },
+            None,
+        );
+        let rows = flatten(&hit.root());
+        assert_eq!(rows[4], row(1, "plan", 10_100, 300, &[("cache", "hit")]));
+        assert_eq!(rows[5], row(2, "cache-lookup", 10_100, 300, &[]));
+        assert_eq!(rows[6].1, "execute");
+        assert_eq!(rows.len(), 9);
+
+        // Coalesced follower: the leader's numbers, no lookup or build of
+        // its own, and its whole wait before the shared execute.
+        let follower = RequestTrace {
+            coalesced: true,
+            cache_hit: Some(true),
+            queue_wait_ns: 3_000,
+            plan_fetch_ns: 0,
+            lookup_ns: 0,
+            build_ns: 0,
+            ..served.clone()
+        };
+        assert_eq!(
+            flatten(&SpanNode {
+                children: follower.spans(),
+                ..SpanNode::default()
+            })[1..],
+            [
+                row(1, "queue-wait", 10_000, 3_000, &[]),
+                row(1, "plan", 13_000, 0, &[("cache", "hit")]),
+                row(2, "cache-lookup", 13_000, 0, &[]),
+                row(
+                    1,
+                    "execute",
+                    13_000,
+                    2_000,
+                    &[("schema", "Orthogonal-Distinct")]
+                ),
+                row(2, "kernel-launch", 13_000, 400, &[]),
+                row(2, "kernel", 13_400, 1_500, &kernel),
+            ]
+        );
+
+        // Failed plan: the cache never answered, so the tree ends at plan.
+        let failed = RequestTrace {
+            id: 4,
+            start_ns: 10_000,
+            queue_wait_ns: 100,
+            plan_fetch_ns: 900,
+            error: Some("no admissible schema".into()),
+            ..Default::default()
+        };
+        assert_eq!(
+            flatten(&record(failed, None).root()),
+            vec![
+                row(0, "request", 9_100, 1_900, &gateway),
+                row(1, "network", 9_100, 700, &[]),
+                row(1, "gateway-queue", 9_800, 200, &[]),
+                row(1, "queue-wait", 10_000, 100, &[]),
+                row(1, "plan", 10_100, 900, &[("error", "no admissible schema")]),
+            ]
+        );
+
+        // Shed: the root and its network span.
+        let shed = record(
+            RequestTrace {
+                start_ns: 10_000,
+                ..Default::default()
+            },
+            Some("quota"),
+        );
+        assert_eq!(
+            flatten(&shed.root()),
+            vec![
+                row(
+                    0,
+                    "request",
+                    9_300,
+                    700,
+                    &[("tenant", "acme"), ("shed", "quota")]
+                ),
+                row(1, "network", 9_300, 700, &[]),
+            ]
+        );
     }
 
     #[test]
-    fn rate_zero_samples_nothing_but_forced() {
-        let store = TraceStore::new(TraceStoreConfig {
-            capacity: 8,
-            sample_rate: 0.0,
-        });
-        for id in 1..=50u128 {
-            assert_eq!(store.sample_decision(id, None), None);
+    fn rate_one_samples_everything() {
+        let s = store(256, 1.0);
+        for id in 1..=100 {
+            assert_eq!(put(&s, id, 10), Some(SampleReason::Head));
         }
-        assert_eq!(store.unsampled(), 50);
+        assert_eq!(s.offered(), 100);
+        assert_eq!(s.sampled(), 100);
+        assert_eq!(s.unsampled(), 0);
+    }
+
+    /// Tail forcing: errors, sheds and SLO misses are kept at rate 0,
+    /// and with the caller's sampled flag clear. The SLO total includes
+    /// the edge's network and queue time.
+    #[test]
+    fn rate_zero_samples_nothing_but_forced() {
+        let s = store(8, 0.0);
+        for id in 1..=50 {
+            assert_eq!(put(&s, id, 10), None);
+        }
+        assert_eq!(s.unsampled(), 50);
+        assert_eq!(s.resident(), 0);
+        let failed = RequestTrace {
+            error: Some("boom".into()),
+            ..Default::default()
+        };
+        assert_eq!(s.write(&failed, None, None), Some(SampleReason::Error));
+        let unsampled_flag = Envelope {
+            ctx: TraceContext {
+                flags: 0,
+                ..envelope(51).ctx
+            },
+            network_ns: SLO_NS / 2,
+            queue_ns: SLO_NS / 2,
+            ..envelope(51)
+        };
         assert_eq!(
-            store.sample_decision(51, Some(SampleReason::Error)),
-            Some(SampleReason::Error)
+            s.write(&trace(51, "Naive", "r3v12", 1), Some(unsampled_flag), None),
+            Some(SampleReason::SloMiss)
         );
+        let shed = Envelope {
+            shed: Some("quota"),
+            ..envelope(52)
+        };
         assert_eq!(
-            store.sample_decision(52, Some(SampleReason::Shed)),
+            s.write(&RequestTrace::default(), Some(shed), None),
             Some(SampleReason::Shed)
         );
+        assert_eq!(s.offered(), 53);
+        assert_eq!(s.sampled(), 3);
+    }
+
+    #[test]
+    fn unsampled_inbound_flag_suppresses_head_sampling() {
+        let s = store(8, 1.0);
+        let unsampled_flag = Envelope {
+            ctx: TraceContext {
+                flags: 0,
+                ..envelope(7).ctx
+            },
+            ..envelope(7)
+        };
+        let t = trace(7, "Naive", "r3v12", 10);
+        assert_eq!(s.write(&t, Some(unsampled_flag), None), None);
+        assert!(s.get(7).is_none());
+        assert_eq!(s.unsampled(), 1);
     }
 
     #[test]
     fn fractional_rate_is_roughly_proportional_and_deterministic() {
-        let store = TraceStore::new(TraceStoreConfig {
-            capacity: 8,
-            sample_rate: 0.25,
-        });
-        let hits: usize = (1..=4000u128)
-            .filter(|&id| store.sample_decision(id, None).is_some())
-            .count();
+        let count = |s: &TraceStore<u64>| (1..=4000).filter(|&id| put(s, id, 10).is_some()).count();
+        let hits = count(&store(8, 0.25));
         // Deterministic hash, so the count is exact across runs; just
         // bound it loosely around 25%.
         assert!((600..=1400).contains(&hits), "hits {hits}");
-        // Same id, same answer.
-        let again: usize = (1..=4000u128)
-            .filter(|&id| store.sample_decision(id, None).is_some())
+        // Same ids, same answers.
+        assert_eq!(hits, count(&store(8, 0.25)));
+        // Without a gateway the service request id is the hashed key.
+        let s = store(8, 0.25);
+        let service_only = (1..=4000u64)
+            .filter(|&id| {
+                s.write(&trace(id, "Naive", "r3v12", 10), None, None)
+                    .is_some()
+            })
             .count();
-        assert_eq!(hits, again);
+        assert_eq!(service_only, hits);
     }
 
     #[test]
     fn insert_get_recent_slowest() {
-        let store = TraceStore::new(TraceStoreConfig::default());
-        store.insert(stored(1, 500, SampleReason::Head));
-        store.insert(stored(2, 9_000, SampleReason::SloMiss));
-        store.insert(stored(3, 2_000, SampleReason::Head));
-        assert_eq!(store.resident(), 3);
-        let got = store.get(&format!("{:032x}", 2u128)).expect("retained");
-        assert_eq!(got.total_ns, 9_000);
-        assert_eq!(got.reason, SampleReason::SloMiss);
-        let recent: Vec<u64> = store.recent(2).iter().map(|t| t.total_ns).collect();
-        assert_eq!(recent, vec![2_000, 9_000]);
-        let slowest: Vec<u64> = store.slowest(2).iter().map(|t| t.total_ns).collect();
-        assert_eq!(slowest, vec![9_000, 2_000]);
+        let s = store(256, 1.0);
+        put(&s, 1, 500);
+        put(&s, 2, 9_000);
+        put(&s, 3, 2_000);
+        assert_eq!(s.resident(), 3);
+        let got = s.get(2).expect("retained");
+        assert_eq!(got.total_ns(), 9_000);
+        assert_eq!(got.decision, Some(9_000));
+        assert_eq!(got.envelope.as_ref().unwrap().request_id, "req-2");
+        assert_eq!(totals(&s.recent(2)), vec![2_000, 9_000]);
+        assert_eq!(totals(&s.slowest(2)), vec![9_000, 2_000]);
+    }
+
+    /// The window bound and newest-first order.
+    #[test]
+    fn keeps_most_recent_entries() {
+        let s = store(4, 1.0);
+        // Each record in its own bucket, so only the window bound acts.
+        for id in 0..10 {
+            s.write(&trace(id, "Naive", &format!("r{id}"), 10), None, None);
+        }
+        assert_eq!(ids(&s.recent(2)), vec![9, 8]);
+        assert_eq!(ids(&s.recent(100)), vec![9, 8, 7, 6]);
     }
 
     #[test]
+    fn recent_on_partially_filled_window() {
+        let s = store(8, 1.0);
+        put(&s, 1, 10);
+        put(&s, 2, 10);
+        assert_eq!(ids(&s.recent(10)), vec![2, 1]);
+        assert!(store(8, 1.0).recent(3).is_empty());
+    }
+
+    #[test]
+    fn capacity_is_at_least_one() {
+        let s = store(0, 1.0);
+        let shed = |id: u128| Envelope {
+            shed: Some("queue"),
+            ..envelope(id)
+        };
+        s.write(&RequestTrace::default(), Some(shed(1)), None);
+        s.write(&RequestTrace::default(), Some(shed(2)), None);
+        assert_eq!(s.recent(10).len(), 1);
+        assert!(s.get(2).is_some() && s.get(1).is_none());
+    }
+
+    /// A record leaves the store, and counts as evicted, only once both
+    /// the window and its bucket have let it go.
+    #[test]
     fn capacity_evicts_oldest_and_counts() {
-        let store = TraceStore::new(TraceStoreConfig {
-            capacity: 2,
-            sample_rate: 1.0,
-        });
-        for id in 1..=5u128 {
-            store.insert(stored(id, id as u64 * 100, SampleReason::Head));
+        // Rising totals: the bucket keeps the newest four, the window the
+        // newest two, so the first four leave.
+        let s = store(2, 1.0);
+        for id in 1..=8 {
+            put(&s, id, id * 100);
         }
-        assert_eq!(store.resident(), 2);
-        assert_eq!(store.evicted(), 3);
-        assert!(store.get(&format!("{:032x}", 1u128)).is_none(), "evicted");
-        assert!(store.get(&format!("{:032x}", 5u128)).is_some());
+        assert_eq!(s.resident(), 4);
+        assert_eq!(s.evicted(), 4);
+        assert!(s.get(4).is_none(), "evicted");
+        assert!(s.get(5).is_some());
+        // Falling totals: the bucket keeps the first four, the window the
+        // last two.
+        let s = store(2, 1.0);
+        for id in 1..=8 {
+            put(&s, id, 10_000 - id * 100);
+        }
+        assert_eq!(s.resident(), 6);
+        assert_eq!(s.evicted(), 2);
+        assert!(s.get(1).is_some(), "slowest stays in its bucket");
+        assert!(s.get(6).is_none() && s.get(5).is_none());
+        assert_eq!(ids(&s.recent(10)), vec![8, 7]);
+        assert_eq!(ids(&s.slowest(1)), vec![1]);
     }
 
     #[test]
     fn duplicate_trace_id_replaces_without_ghost_entry() {
-        let store = TraceStore::new(TraceStoreConfig::default());
-        store.insert(stored(7, 100, SampleReason::Head));
-        store.insert(stored(7, 999, SampleReason::Head));
-        assert_eq!(store.resident(), 1);
-        assert_eq!(store.get(&format!("{:032x}", 7u128)).unwrap().total_ns, 999);
+        let s = store(256, 1.0);
+        put(&s, 7, 100);
+        put(&s, 7, 999);
+        assert_eq!(s.resident(), 1);
+        assert_eq!(s.recent(10).len(), 1);
+        assert_eq!(s.slowest(10).len(), 1);
+        assert_eq!(s.buckets()[0].1.len(), 1);
+        assert_eq!(s.get(7).unwrap().total_ns(), 999);
+        assert_eq!(s.evicted(), 0);
+    }
+
+    #[test]
+    fn retains_slowest_per_bucket() {
+        let s = store(1, 1.0);
+        for (id, ns) in [10, 500, 20, 400, 30, 300, 200, 40].into_iter().enumerate() {
+            put(&s, id as u64 + 1, ns);
+        }
+        let buckets = s.buckets();
+        assert_eq!(buckets.len(), 1);
+        assert_eq!(totals(&buckets[0].1), vec![500, 400, 300, 200]);
+        // Decision payload rides along untouched.
+        assert_eq!(buckets[0].1[0].decision, Some(500));
+        // The window's one record (40 ns) is resident as well.
+        assert_eq!(s.resident(), 5);
+    }
+
+    #[test]
+    fn buckets_are_independent() {
+        let s = store(1, 1.0);
+        s.write(&trace(1, "Naive", "r3v12", 100), None, None);
+        s.write(&trace(2, "Copy", "r2v4", 5), None, None);
+        let buckets = s.buckets();
+        let keys: Vec<(&str, &str)> = buckets
+            .iter()
+            .map(|((a, b), _)| (a.as_str(), b.as_str()))
+            .collect();
+        assert_eq!(keys, vec![("Naive", "r3v12"), ("Copy", "r2v4")]);
+        assert!(buckets.iter().all(|(_, recs)| recs.len() == 1));
+    }
+
+    #[test]
+    fn bucket_cap_folds_into_overflow() {
+        let s = store(1, 1.0);
+        for id in 0..MAX_BUCKETS as u64 + 2 {
+            s.write(&trace(id, &format!("S{id}"), "r1v1", 10), None, None);
+        }
+        let buckets = s.buckets();
+        // The cap's worth of real buckets plus the overflow bucket.
+        assert_eq!(buckets.len(), MAX_BUCKETS + 1);
+        let other = buckets
+            .iter()
+            .find(|((schema, class), _)| schema == OVERFLOW_BUCKET && class == OVERFLOW_BUCKET)
+            .expect("overflow bucket");
+        assert_eq!(other.1.len(), 2);
+    }
+
+    #[test]
+    fn empty_schema_is_labelled_unplanned_and_sheds_join_no_bucket() {
+        let s = store(8, 1.0);
+        let failed = RequestTrace {
+            shape_class: "r3v12".into(),
+            error: Some("no admissible schema".into()),
+            ..Default::default()
+        };
+        s.write(&failed, None, None);
+        let shed = Envelope {
+            shed: Some("quota"),
+            ..envelope(3)
+        };
+        s.write(&RequestTrace::default(), Some(shed), None);
+        let buckets = s.buckets();
+        assert_eq!(buckets.len(), 1);
+        assert_eq!(buckets[0].0, ("unplanned".to_string(), "r3v12".to_string()));
+        assert_eq!(s.resident(), 2);
     }
 
     #[test]
     fn exports_all_counter_families() {
-        let store = TraceStore::new(TraceStoreConfig {
-            capacity: 1,
-            sample_rate: 0.0,
-        });
-        store.sample_decision(1, None);
-        store.sample_decision(2, Some(SampleReason::Error));
-        store.insert(stored(2, 100, SampleReason::Error));
-        store.insert(stored(3, 200, SampleReason::Shed));
+        let s = store(1, 0.0);
+        put(&s, 1, 10);
+        s.write(&RequestTrace::default(), None, None);
         let mut snap = MetricsSnapshot::new();
-        store.export_into(&mut snap);
+        s.export_into(&mut snap);
         let names: Vec<&str> = snap.metrics.iter().map(|m| m.name.as_str()).collect();
         for expected in [
             "ttlg_trace_store_offered_total",
@@ -616,30 +1312,92 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_offers_and_inserts_are_consistent() {
-        let store = Arc::new(TraceStore::new(TraceStoreConfig {
-            capacity: 64,
-            sample_rate: 1.0,
-        }));
-        let handles: Vec<_> = (0..8u128)
-            .map(|t| {
-                let store = Arc::clone(&store);
-                std::thread::spawn(move || {
-                    for i in 0..200u128 {
-                        let id = t * 1_000 + i + 1;
-                        if let Some(reason) = store.sample_decision(id, None) {
-                            store.insert(stored(id, id as u64, reason));
-                        }
+    fn concurrent_writes_lose_nothing_overall() {
+        let s = store(1024, 1.0);
+        std::thread::scope(|scope| {
+            for t in 0..8u64 {
+                let s = &s;
+                scope.spawn(move || {
+                    for i in 0..100 {
+                        put(s, t * 1_000 + i + 1, 10);
                     }
-                })
+                });
+            }
+        });
+        let recent = s.recent(usize::MAX);
+        assert_eq!(recent.len(), 800);
+        let distinct: std::collections::HashSet<u64> = ids(&recent).into_iter().collect();
+        assert_eq!(distinct.len(), 800);
+        assert_eq!(s.evicted(), 0);
+    }
+
+    #[test]
+    fn concurrent_offers_and_inserts_are_consistent() {
+        let s = store(64, 1.0);
+        std::thread::scope(|scope| {
+            for t in 0..8u64 {
+                let s = &s;
+                scope.spawn(move || {
+                    for i in 0..200 {
+                        let id = t * 1_000 + i + 1;
+                        put(s, id, id);
+                    }
+                });
+            }
+        });
+        assert_eq!(s.offered(), 1_600);
+        assert_eq!(s.sampled(), 1_600);
+        assert_eq!(s.recent(usize::MAX).len(), 64);
+        assert!((64..=64 + SLOWEST_PER_BUCKET).contains(&s.resident()));
+        assert_eq!(s.resident() as u64 + s.evicted(), 1_600);
+    }
+
+    /// Hammer test: many threads race slow and fast requests into the
+    /// same bucket through a tiny window. The slowest request is always
+    /// retained, and no retained record is torn (id, time and decision
+    /// travel together).
+    #[test]
+    fn concurrent_offers_never_lose_the_slowest_or_tear_traces() {
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 500;
+        let s = store(2, 1.0);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let s = &s;
+                scope.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        let id = t * PER_THREAD + i;
+                        // Mostly fast traffic with interleaved slow
+                        // outliers; ids encode the latency so tearing is
+                        // detectable.
+                        let exec = if i % 97 == 0 {
+                            1_000_000 + id
+                        } else {
+                            10 + id % 7
+                        };
+                        s.write(&trace(id, "Naive", "r3v12", exec), None, Some(&exec));
+                    }
+                });
+            }
+        });
+        assert_eq!(s.offered(), THREADS * PER_THREAD);
+        let buckets = s.buckets();
+        assert_eq!(buckets.len(), 1);
+        let retained = &buckets[0].1;
+        assert_eq!(retained.len(), SLOWEST_PER_BUCKET);
+        let expected_max = (0..THREADS)
+            .flat_map(|t| {
+                (0..PER_THREAD)
+                    .filter(|i| i % 97 == 0)
+                    .map(move |i| 1_000_000 + t * PER_THREAD + i)
             })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+            .max()
+            .unwrap();
+        assert_eq!(retained[0].total_ns(), expected_max, "slowest was lost");
+        assert_eq!(s.slowest(1)[0].total_ns(), expected_max);
+        for r in retained {
+            assert_eq!(r.trace.execute_ns, 1_000_000 + r.trace.id, "torn trace");
+            assert_eq!(r.decision, Some(r.trace.execute_ns), "torn decision");
         }
-        assert_eq!(store.offered(), 1_600);
-        assert_eq!(store.sampled(), 1_600);
-        assert_eq!(store.resident(), 64);
-        assert_eq!(store.evicted(), 1_600 - 64);
     }
 }

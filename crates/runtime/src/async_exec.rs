@@ -25,7 +25,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 use ttlg::PlanKey;
-use ttlg_obs::clock_ns;
+use ttlg_obs::{clock_ns, Envelope};
 use ttlg_tensor::Element;
 
 /// Geometry of the executor behind `submit_async`, embedded in
@@ -57,14 +57,18 @@ pub(crate) struct Ticket<E: Element> {
     /// Clock reading ([`clock_ns`]) at submission: the request's trace
     /// starts here.
     pub(crate) submitted_ns: u64,
+    /// A follower's gateway envelope, for its trace record (a leader's
+    /// rides on its request).
+    pub(crate) envelope: Option<Envelope>,
     slot: Mutex<Option<Arc<Outcome<E>>>>,
     ready: Condvar,
 }
 
 impl<E: Element> Ticket<E> {
-    fn new(submitted_ns: u64) -> Arc<Self> {
+    fn new(submitted_ns: u64, envelope: Option<Envelope>) -> Arc<Self> {
         Arc::new(Ticket {
             submitted_ns,
+            envelope,
             slot: Mutex::new(None),
             ready: Condvar::new(),
         })
@@ -133,7 +137,7 @@ pub struct PipelineStats {
 /// other tensor can reuse the address meanwhile.
 pub(crate) type FlightKey = (u64, usize);
 
-pub(crate) fn flight_key<E: Element>(req: &TransposeRequest<E>, key: &PlanKey) -> FlightKey {
+fn flight_key<E: Element>(req: &TransposeRequest<E>, key: &PlanKey) -> FlightKey {
     (key.problem_fingerprint(), Arc::as_ptr(&req.input) as usize)
 }
 
@@ -171,19 +175,20 @@ impl<E: Element> Flights<E> {
     /// Register requests in order under one lock. Each follows an
     /// identical in-flight leader (an earlier request of the same call
     /// included) or leads.
-    pub(crate) fn register(
+    pub(crate) fn register<'a>(
         &self,
-        keys: impl IntoIterator<Item = FlightKey>,
+        reqs: impl IntoIterator<Item = (&'a TransposeRequest<E>, &'a PlanKey)>,
         submitted_ns: u64,
     ) -> Vec<Role<E>> {
         let mut table = lock(&self.table);
-        keys.into_iter()
-            .map(|key| {
+        reqs.into_iter()
+            .map(|(req, key)| {
+                let key = flight_key(req, key);
                 self.submitted.fetch_add(1, Ordering::Relaxed);
                 match table.get_mut(&key) {
                     Some(followers) => {
                         self.coalesced.fetch_add(1, Ordering::Relaxed);
-                        let ticket = Ticket::new(submitted_ns);
+                        let ticket = Ticket::new(submitted_ns, req.envelope.clone());
                         followers.push(Arc::clone(&ticket));
                         Role::Follow(TicketHandle { ticket })
                     }
@@ -317,19 +322,21 @@ impl<E: Element> Executor<E> {
         key: PlanKey,
     ) -> TicketHandle<E> {
         let flight = flight_key(&req, &key);
-        let ticket = Ticket::new(clock_ns());
-        let handle = TicketHandle {
-            ticket: Arc::clone(&ticket),
-        };
+        let submitted_ns = clock_ns();
         // Queue under the table lock, so the entry exists before a
         // worker can finish the job and land it.
         let mut table = lock(&flights.table);
         flights.submitted.fetch_add(1, Ordering::Relaxed);
         if let Some(followers) = table.get_mut(&flight) {
             flights.coalesced.fetch_add(1, Ordering::Relaxed);
-            followers.push(ticket);
-            return handle;
+            let ticket = Ticket::new(submitted_ns, req.envelope);
+            followers.push(Arc::clone(&ticket));
+            return TicketHandle { ticket };
         }
+        let ticket = Ticket::new(submitted_ns, None);
+        let handle = TicketHandle {
+            ticket: Arc::clone(&ticket),
+        };
         let mut state = lock(&self.queue.state);
         if state.0.len() >= self.queue.capacity {
             let depth = state.0.len();

@@ -31,18 +31,19 @@
 //! * **Tracing** — every request becomes a [`RequestTrace`] decomposed
 //!   into queue-wait / plan-fetch / execute with cache hit-miss
 //!   attribution and the executor's DRAM-efficiency and shared-memory
-//!   replay rates; the most recent traces are queryable
-//!   ([`TransposeService::recent_traces`]) and each is emitted as a span
-//!   to an optional [`Subscriber`].
+//!   replay rates, written once as a record to the service's one
+//!   [`TraceStore`] ([`TransposeService::trace_store`]; the most recent
+//!   via [`TransposeService::recent_traces`]) and emitted as a span to
+//!   an optional [`Subscriber`].
 //! * **Measure-mode autotuning** — an optional background worker
 //!   ([`TransposeService::start_autotuner`]) re-measures the top-ranked
 //!   candidates for hot plan keys under a thread cap, installs the
 //!   measured-best plan into the cache, and streams every measurement to
 //!   an online model refiner ([`MeasurementSink`]); see [`autotune`].
-//! * **Tail attribution** — ring snapshots fold into hierarchical phase
-//!   profiles keyed by `(schema, shape-class)`
-//!   ([`TransposeService::phase_profiles`]), the slowest requests per
-//!   bucket are retained in full with their planner decision traces
+//! * **Tail attribution** — the trace store's recent window folds into
+//!   hierarchical phase profiles keyed by `(schema, shape-class)`
+//!   ([`TransposeService::phase_profiles`]), the store keeps the slowest
+//!   requests per bucket in full with their planner decision traces
 //!   ([`TransposeService::exemplars`]), and a latency SLO is tracked
 //!   with short/long-window burn rates
 //!   ([`TransposeService::slo_snapshot`]).
@@ -92,10 +93,9 @@ pub use service::{
 pub use ttlg::{CacheConfig, CacheStats, PlanKey, ShardedPlanCache};
 pub use ttlg_obs::{
     eval_range, shape_class, AlertEngine, AlertRule, AlertState, AlertStatus, CollectingSubscriber,
-    Exemplar, ExemplarBuckets, ExemplarConfig, ExemplarStore, MetricsSnapshot, NullSubscriber,
-    PhaseProfile, PhaseShares, PredictionStats, PredictionTracker, ProfileOptions, QueryError,
-    QueryResult, QuerySeries, RequestTrace, SampleReason, SloConfig, SloSnapshot, SloTracker,
-    SpanNode, StoredTrace, Subscriber, TimeSeriesStore, TraceContext, TraceRing, TraceStore,
-    TraceStoreConfig, TsdbConfig,
+    Envelope, MetricsSnapshot, PhaseProfile, PhaseShares, PredictionStats, PredictionTracker,
+    ProfileOptions, QueryError, QueryResult, QuerySeries, RequestTrace, SampleReason, SloConfig,
+    SloSnapshot, SloTracker, SlowestBuckets, SpanNode, Subscriber, TimeSeriesStore, TraceContext,
+    TraceRecord, TraceStore, TraceStoreConfig, TsdbConfig,
 };
 pub use ttlg_perfmodel::MeasurementSink;

@@ -21,11 +21,12 @@
 //! 4. tracing: every request becomes a [`RequestTrace`] decomposed into
 //!    queue-wait / plan-fetch / execute with cache hit-miss attribution
 //!    and the executor's DRAM-efficiency and shared-memory replay rates,
-//!    kept in a bounded ring ([`TransposeService::recent_traces`]) and
-//!    emitted as a span to an optional [`Subscriber`].
+//!    written once to the bounded [`TraceStore`]
+//!    ([`TransposeService::trace_store`]) and emitted as a span to an
+//!    optional [`Subscriber`].
 
 use crate::async_exec::{
-    flight_key, AsyncConfig, Executor, FlightKey, Flights, PipelineStats, Role, TicketHandle,
+    AsyncConfig, Executor, FlightKey, Flights, PipelineStats, Role, Ticket, TicketHandle,
 };
 use crate::autotune::{
     run_worker, AutotuneConfig, AutotuneSnapshot, AutotuneStats, AutotunerHandle,
@@ -38,14 +39,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use ttlg::{
-    Backend, CacheConfig, CacheStats, DecisionTrace, FetchTiming, Plan, PlanError, PlanKey,
-    ShardedPlanCache, TransposeOptions, TransposeReport, Transposer,
+    Backend, CacheConfig, CacheStats, DecisionTrace, Plan, PlanError, PlanKey, ShardedPlanCache,
+    TransposeOptions, TransposeReport, Transposer,
 };
 use ttlg_obs::{
-    clock_ns, profile, shape_class, AttrValue, Event, ExemplarBuckets, ExemplarConfig,
-    ExemplarStore, MetricKind, MetricsSnapshot, NullSubscriber, PhaseProfile, ProfileOptions,
-    RequestTrace, Sample, SloConfig, SloSnapshot, SloTracker, SpanNode, SpanRecord, Subscriber,
-    TimeSeriesStore, TraceRing, TsdbConfig,
+    clock_ns, profile, shape_class, AttrValue, Envelope, Event, MetricKind, MetricsSnapshot,
+    PhaseProfile, ProfileOptions, RequestTrace, Sample, SampleReason, SloConfig, SloSnapshot,
+    SloTracker, SlowestBuckets, SpanNode, SpanRecord, Subscriber, TimeSeriesStore, TraceRecord,
+    TraceStore, TraceStoreConfig, TsdbConfig,
 };
 use ttlg_perfmodel::MeasurementSink;
 use ttlg_tensor::{parallel, DenseTensor, Element, Permutation};
@@ -60,18 +61,14 @@ pub struct RuntimeConfig {
     pub max_in_flight: usize,
     /// Plan-cache geometry (shards x per-shard LRU capacity).
     pub cache: CacheConfig,
-    /// Capacity of the recent-request trace ring.
-    pub trace_capacity: usize,
+    /// Recent-window capacity and head-sampling rate of the
+    /// [`TraceStore`].
+    pub traces: TraceStoreConfig,
     /// Measure-mode autotuning (disabled by default).
     pub autotune: AutotuneConfig,
-    /// Latency objective tracked by the built-in [`SloTracker`].
+    /// Latency objective tracked by the built-in [`SloTracker`]; the
+    /// trace store always keeps requests that miss it.
     pub slo: SloConfig,
-    /// Retention policy of the slowest-request [`ExemplarStore`].
-    pub exemplars: ExemplarConfig,
-    /// Retain the planner's full [`DecisionTrace`] on every built plan
-    /// so slow-request exemplars carry the planning decision. Costs one
-    /// allocation per *planning* (not per request); on by default.
-    pub retain_decision_traces: bool,
     /// Queue bound of the lazily started executor behind
     /// [`TransposeService::submit_async`].
     pub async_exec: AsyncConfig,
@@ -110,11 +107,9 @@ impl Default for RuntimeConfig {
             workers,
             max_in_flight: 0,
             cache: CacheConfig::default(),
-            trace_capacity: 256,
+            traces: TraceStoreConfig::default(),
             autotune: AutotuneConfig::default(),
             slo: SloConfig::default(),
-            exemplars: ExemplarConfig::default(),
-            retain_decision_traces: true,
             async_exec: AsyncConfig::default(),
             history: HistoryConfig::default(),
         }
@@ -130,6 +125,9 @@ pub struct TransposeRequest<E: Element> {
     pub perm: Permutation,
     /// Planning options (part of the plan key).
     pub opts: TransposeOptions,
+    /// The network edge's view of the request, when a gateway received
+    /// it; it lands in the request's trace record.
+    pub envelope: Option<Envelope>,
 }
 
 impl<E: Element> TransposeRequest<E> {
@@ -139,6 +137,7 @@ impl<E: Element> TransposeRequest<E> {
             input,
             perm,
             opts: TransposeOptions::default(),
+            envelope: None,
         }
     }
 
@@ -193,10 +192,11 @@ pub struct Outcome<E: Element> {
     pub trace: RequestTrace,
     /// Whether this request rode an identical in-flight request's run.
     pub coalesced: bool,
-    /// The plan the run used and how its fetch split into lookup and
-    /// build; [`Self::spans`] and [`Self::decision`] derive from them.
+    /// Why the trace store kept this request's record; `None` when head
+    /// sampling declined it or no record was written.
+    pub sampled: Option<SampleReason>,
+    /// The plan the run used; [`Self::decision`] derives from it.
     plan: Option<Arc<Plan<E>>>,
-    fetch: FetchTiming,
 }
 
 impl<E: Element> Outcome<E> {
@@ -214,8 +214,8 @@ impl<E: Element> Outcome<E> {
                 ..Default::default()
             },
             coalesced,
+            sampled: None,
             plan: None,
-            fetch: FetchTiming::default(),
         }
     }
 
@@ -224,58 +224,43 @@ impl<E: Element> Outcome<E> {
         self.plan.as_ref()?.decision_trace()
     }
 
-    /// The service-side span forest, laid out from the trace's stage
-    /// times, which are sequential: `queue-wait`, then `plan` (children
-    /// `cache-lookup` and, on a miss, `plan-build` with `alg3-sweep`),
-    /// then `execute` (children `kernel-launch` and `kernel`).
+    /// The service-side span forest (see [`RequestTrace::spans`]).
     pub fn spans(&self) -> Vec<SpanNode> {
-        let t = &self.trace;
-        let queue = SpanNode::new("queue-wait", t.start_ns, t.queue_wait_ns);
-        let plan_start = t.start_ns + t.queue_wait_ns;
-        let mut plan_span = SpanNode::new("plan", plan_start, t.plan_fetch_ns);
-        let Some(plan) = &self.plan else {
-            if let Some(err) = &t.error {
-                plan_span = plan_span.with_attr("error", err.clone());
-            }
-            return vec![queue, plan_span];
-        };
-        let hit = t.cache_hit == Some(true);
-        plan_span = plan_span
-            .with_attr("cache", if hit { "hit" } else { "miss" })
-            .with_child(SpanNode::new(
-                "cache-lookup",
-                plan_start,
-                self.fetch.lookup_ns,
-            ));
-        if !hit && self.fetch.build_ns > 0 {
-            let build_start = plan_start + self.fetch.lookup_ns;
-            let mut build = SpanNode::new("plan-build", build_start, self.fetch.build_ns);
-            if plan.sweep_wall_ns() > 0 {
-                build = build.with_child(
-                    SpanNode::new("alg3-sweep", build_start, plan.sweep_wall_ns())
-                        .with_attr("candidates", plan.candidates_evaluated().to_string()),
-                );
-            }
-            plan_span = plan_span.with_child(build);
-        }
-        let exec_start = plan_start + t.plan_fetch_ns;
-        let mut exec = SpanNode::new("execute", exec_start, t.execute_ns)
-            .with_attr("schema", t.schema.clone());
-        match &self.result {
-            Ok(r) => {
-                let launch_ns = r.report.timing.launch_ns as u64;
-                exec = exec
-                    .with_child(SpanNode::new("kernel-launch", exec_start, launch_ns))
-                    .with_child(
-                        SpanNode::new("kernel", exec_start + launch_ns, t.measured_ns as u64)
-                            .with_attr("predicted_ns", format!("{:.0}", t.predicted_ns))
-                            .with_attr("dram_efficiency", format!("{:.3}", t.dram_efficiency))
-                            .with_attr("smem_replay", format!("{:.3}", t.smem_replay_rate)),
-                    );
-            }
-            Err(e) => exec = exec.with_attr("error", e.message.clone()),
-        }
-        vec![queue, plan_span, exec]
+        self.trace.spans()
+    }
+}
+
+/// The `request` span a [`Subscriber`] receives for a finished request.
+fn request_span(trace: &RequestTrace) -> SpanRecord {
+    SpanRecord {
+        name: "request",
+        start_ns: trace.start_ns,
+        duration_ns: trace.total_ns(),
+        attrs: vec![
+            ("id", AttrValue::U64(trace.id)),
+            ("schema", AttrValue::Str(trace.schema.clone())),
+            ("ok", AttrValue::Bool(trace.ok)),
+            (
+                "cache",
+                AttrValue::Str(
+                    match trace.cache_hit {
+                        Some(true) => "hit",
+                        Some(false) => "miss",
+                        None => "none",
+                    }
+                    .to_string(),
+                ),
+            ),
+            ("queue_wait_ns", AttrValue::U64(trace.queue_wait_ns)),
+            ("plan_fetch_ns", AttrValue::U64(trace.plan_fetch_ns)),
+            ("execute_ns", AttrValue::U64(trace.execute_ns)),
+            ("predicted_ns", AttrValue::F64(trace.predicted_ns)),
+            ("measured_ns", AttrValue::F64(trace.measured_ns)),
+            ("dram_efficiency", AttrValue::F64(trace.dram_efficiency)),
+            ("smem_replay_rate", AttrValue::F64(trace.smem_replay_rate)),
+            ("shape_class", AttrValue::Str(trace.shape_class.clone())),
+            ("warmed", AttrValue::Bool(trace.warmed)),
+        ],
     }
 }
 
@@ -345,15 +330,15 @@ pub struct TransposeService<E: Element> {
     /// the machine's parallelism divided among the in-flight bound, so
     /// concurrent executes share cores instead of oversubscribing.
     exec_threads: usize,
-    traces: TraceRing<RequestTrace>,
-    subscriber: Arc<dyn Subscriber>,
+    /// The one store of per-request records.
+    traces: TraceStore<Arc<DecisionTrace>>,
+    subscriber: Option<Arc<dyn Subscriber>>,
     next_id: AtomicU64,
     autotune: AutotuneConfig,
     hot: Mutex<HashMap<PlanKey, HotKeyState>>,
     tuner_stats: AutotuneStats,
     sink: Option<Arc<dyn MeasurementSink>>,
     slo: SloTracker,
-    exemplars: ExemplarStore<Arc<DecisionTrace>>,
     /// The single-flight table every entry point registers in.
     flights: Flights<E>,
     /// The worker pool behind `submit_async`, started on first use.
@@ -396,7 +381,10 @@ impl<E: Element> TransposeService<E> {
             cfg.max_in_flight
         };
         let bound = bound.max(1);
-        transposer.set_trace_retention(cfg.retain_decision_traces);
+        // Plans keep their decision trace, so a slow request's record
+        // carries the planning decision: one allocation per planning,
+        // not per request.
+        transposer.set_trace_retention(true);
         TransposeService {
             transposer,
             cache: ShardedPlanCache::with_config(cfg.cache),
@@ -404,15 +392,14 @@ impl<E: Element> TransposeService<E> {
             in_flight: Semaphore::new(bound),
             workers,
             exec_threads: (parallel::default_threads() / bound).max(1),
-            traces: TraceRing::new(cfg.trace_capacity),
-            subscriber: Arc::new(NullSubscriber),
+            traces: TraceStore::new(cfg.traces, (cfg.slo.target_us * 1e3) as u64),
+            subscriber: None,
             next_id: AtomicU64::new(0),
             autotune: cfg.autotune,
             hot: Mutex::new(HashMap::new()),
             tuner_stats: AutotuneStats::default(),
             sink: None,
             slo: SloTracker::new(cfg.slo),
-            exemplars: ExemplarStore::new(cfg.exemplars),
             flights: Flights::new(),
             executor: OnceLock::new(),
             async_cfg: cfg.async_exec,
@@ -433,7 +420,7 @@ impl<E: Element> TransposeService<E> {
     /// Attach a tracing subscriber; every request span and plan-failure
     /// event is delivered to it.
     pub fn with_subscriber(mut self, subscriber: Arc<dyn Subscriber>) -> Self {
-        self.subscriber = subscriber;
+        self.subscriber = Some(subscriber);
         self
     }
 
@@ -472,26 +459,11 @@ impl<E: Element> TransposeService<E> {
     }
 
     /// Capture metrics as a renderer-neutral snapshot, including the
-    /// tail-attribution families: trace-ring drops, SLO state, exemplar
-    /// retention, and the per-`(schema, shape-class)` phase profiles.
+    /// tail-attribution families: trace-store sampling and retention,
+    /// SLO state, and the per-`(schema, shape-class)` phase profiles.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot(&self.cache.stats());
-        snap.push_metric(
-            "ttlg_trace_dropped_total",
-            "Request traces silently dropped before they could be read.",
-            MetricKind::Counter,
-            vec![Sample::labelled(
-                "source",
-                "trace-ring",
-                self.trace_dropped() as f64,
-            )],
-        );
-        snap.push_metric(
-            "ttlg_exemplars_retained",
-            "Slow-request exemplars currently retained.",
-            MetricKind::Gauge,
-            vec![Sample::plain(self.exemplars.total_retained() as f64)],
-        );
+        self.traces.export_into(&mut snap);
         snap.push_metric(
             "ttlg_cache_pinned_plans",
             "Measured-best plans pinned in the cache (exempt from LRU eviction).",
@@ -525,18 +497,12 @@ impl<E: Element> TransposeService<E> {
         snap
     }
 
-    /// Traces lost to ring wraparound (`pushed - capacity`, saturating).
-    pub fn trace_dropped(&self) -> u64 {
-        self.traces
-            .pushed()
-            .saturating_sub(self.traces.capacity() as u64)
-    }
-
-    /// Fold the current trace ring into per-`(schema, shape-class)`
-    /// phase profiles (hottest first). Offline aggregation: costs
-    /// nothing on the request path.
+    /// Fold the trace store's recent window into per-`(schema,
+    /// shape-class)` phase profiles (hottest first). Offline
+    /// aggregation: costs nothing on the request path.
     pub fn phase_profiles(&self) -> Vec<PhaseProfile> {
-        profile::aggregate(&self.traces.snapshot(), &ProfileOptions::default())
+        let recent = self.served_records(usize::MAX);
+        profile::aggregate(recent.iter().map(|r| &r.trace), &ProfileOptions::default())
     }
 
     /// Render the phase profiles as a flame-style text tree.
@@ -544,14 +510,16 @@ impl<E: Element> TransposeService<E> {
         profile::render_flame(&self.phase_profiles())
     }
 
-    /// The slow-request exemplar store.
-    pub fn exemplar_store(&self) -> &ExemplarStore<Arc<DecisionTrace>> {
-        &self.exemplars
+    /// The one store of per-request records: the recent window, the
+    /// slowest records per bucket, lookup by trace id.
+    pub fn trace_store(&self) -> &TraceStore<Arc<DecisionTrace>> {
+        &self.traces
     }
 
-    /// All retained exemplars, slowest-first within each bucket.
-    pub fn exemplars(&self) -> ExemplarBuckets<Arc<DecisionTrace>> {
-        self.exemplars.snapshot()
+    /// The slowest records per `(schema, shape-class)` bucket with their
+    /// planner decisions, slowest first within each bucket.
+    pub fn exemplars(&self) -> SlowestBuckets<Arc<DecisionTrace>> {
+        self.traces.buckets()
     }
 
     /// Point-in-time SLO state (hit ratio + burn rates).
@@ -571,51 +539,35 @@ impl<E: Element> TransposeService<E> {
 
     /// The `n` most recent request traces, newest first.
     pub fn recent_traces(&self, n: usize) -> Vec<RequestTrace> {
-        self.traces.recent(n)
+        self.served_records(n)
+            .into_iter()
+            .map(|r| r.trace.clone())
+            .collect()
     }
 
-    /// Push a finished trace to the ring, emit its span, and feed the
-    /// tail-attribution layer (SLO tracker + exemplar store).
-    fn finish_trace(&self, trace: &RequestTrace, decision: Option<&Arc<DecisionTrace>>) {
-        self.subscriber.on_span(&SpanRecord {
-            name: "request",
-            start_ns: trace.start_ns,
-            duration_ns: trace.total_ns(),
-            attrs: vec![
-                ("id", AttrValue::U64(trace.id)),
-                ("schema", AttrValue::Str(trace.schema.clone())),
-                ("ok", AttrValue::Bool(trace.ok)),
-                (
-                    "cache",
-                    AttrValue::Str(
-                        match trace.cache_hit {
-                            Some(true) => "hit",
-                            Some(false) => "miss",
-                            None => "none",
-                        }
-                        .to_string(),
-                    ),
-                ),
-                ("queue_wait_ns", AttrValue::U64(trace.queue_wait_ns)),
-                ("plan_fetch_ns", AttrValue::U64(trace.plan_fetch_ns)),
-                ("execute_ns", AttrValue::U64(trace.execute_ns)),
-                ("predicted_ns", AttrValue::F64(trace.predicted_ns)),
-                ("measured_ns", AttrValue::F64(trace.measured_ns)),
-                ("dram_efficiency", AttrValue::F64(trace.dram_efficiency)),
-                ("smem_replay_rate", AttrValue::F64(trace.smem_replay_rate)),
-                ("shape_class", AttrValue::Str(trace.shape_class.clone())),
-                ("warmed", AttrValue::Bool(trace.warmed)),
-            ],
-        });
+    /// The `n` newest records of requests the service ran (the window
+    /// also holds the gateway's sheds).
+    fn served_records(&self, n: usize) -> Vec<Arc<TraceRecord<Arc<DecisionTrace>>>> {
+        let mut recent = self.traces.recent(usize::MAX);
+        recent.retain(|r| !r.is_shed());
+        recent.truncate(n);
+        recent
+    }
+
+    /// Emit a finished request's span to the subscriber, if one is
+    /// attached, feed the SLO tracker, and write the request's one
+    /// record to the trace store. Returns the store's sampling decision.
+    fn finish_trace(
+        &self,
+        trace: &RequestTrace,
+        envelope: Option<Envelope>,
+        decision: Option<&Arc<DecisionTrace>>,
+    ) -> Option<SampleReason> {
+        if let Some(subscriber) = &self.subscriber {
+            subscriber.on_span(&request_span(trace));
+        }
         self.slo.record(trace.total_ns(), clock_ns());
-        self.exemplars.offer(trace, decision);
-        self.traces.push(trace.clone());
-    }
-
-    /// The latency objective the built-in [`SloTracker`] enforces, so
-    /// callers can force-sample requests that missed it.
-    pub fn slo_config(&self) -> SloConfig {
-        self.slo.config()
+        self.traces.write(trace, envelope, decision)
     }
 
     // ---- the submission pipeline --------------------------------------
@@ -626,7 +578,7 @@ impl<E: Element> TransposeService<E> {
     pub fn submit(&self, req: &TransposeRequest<E>) -> ServeResult<E> {
         let submitted_ns = clock_ns();
         let key = req.plan_key();
-        let mut roles = self.flights.register([flight_key(req, &key)], submitted_ns);
+        let mut roles = self.flights.register([(req, &key)], submitted_ns);
         match roles.pop().expect("one registration") {
             Role::Lead(flight) => self.lead(req, &key, flight, submitted_ns).result,
             Role::Follow(ticket) => ticket.wait().result.clone(),
@@ -657,8 +609,7 @@ impl<E: Element> TransposeService<E> {
         self.metrics.record_batch();
         let submitted_ns = clock_ns();
         let keys: Vec<PlanKey> = reqs.iter().map(TransposeRequest::plan_key).collect();
-        let flight_keys = reqs.iter().zip(&keys).map(|(r, k)| flight_key(r, k));
-        let roles = self.flights.register(flight_keys, submitted_ns);
+        let roles = self.flights.register(reqs.iter().zip(&keys), submitted_ns);
         let leaders: Vec<(usize, FlightKey)> = roles
             .iter()
             .enumerate()
@@ -706,19 +657,34 @@ impl<E: Element> TransposeService<E> {
         let led = self.guarded(|| self.run(req, key, submitted_ns));
         for ticket in self.flights.land(flight) {
             let followed = match &led {
-                Ok(leader) => self.guarded(|| self.follow(req, key, leader, ticket.submitted_ns)),
+                Ok(leader) => self.guarded(|| self.follow(req, key, leader, &ticket)),
                 Err(e) => Err(e.clone()),
             };
-            ticket.complete(
-                followed.unwrap_or_else(|e| Outcome::error(e.message, ticket.submitted_ns, true)),
-            );
+            ticket.complete(followed.unwrap_or_else(|e| {
+                self.panicked(e, ticket.submitted_ns, true, ticket.envelope.clone())
+            }));
         }
-        led.unwrap_or_else(|e| Outcome::error(e.message, submitted_ns, false))
+        led.unwrap_or_else(|e| self.panicked(e, submitted_ns, false, req.envelope.clone()))
+    }
+
+    /// The outcome of a request whose run panicked. The trace store keeps
+    /// its record, as it keeps every error's; nothing else records it.
+    fn panicked(
+        &self,
+        e: ServeError,
+        submitted_ns: u64,
+        coalesced: bool,
+        envelope: Option<Envelope>,
+    ) -> Outcome<E> {
+        let mut out = Outcome::error(e.message, submitted_ns, coalesced);
+        out.sampled = self.traces.write(&out.trace, envelope, None);
+        out
     }
 
     /// The panic boundary: a panic inside `stage` is counted in
     /// `ttlg_panics_total` and becomes the request's error. A stage that
-    /// panics records nothing else.
+    /// panics records nothing else; [`Self::panicked`] records the
+    /// request.
     fn guarded(&self, stage: impl FnOnce() -> Outcome<E>) -> Result<Outcome<E>, ServeError> {
         panic::catch_unwind(AssertUnwindSafe(stage)).map_err(|payload| {
             self.metrics.record_panic();
@@ -759,26 +725,32 @@ impl<E: Element> TransposeService<E> {
                 drop(permit);
                 self.metrics
                     .record_failure(RequestPhase::Plan, trace.plan_fetch_ns);
-                self.subscriber.on_event(&Event {
-                    name: "plan-failure",
-                    at_ns: clock_ns(),
-                    attrs: vec![("error", AttrValue::Str(e.to_string()))],
-                });
+                if let Some(subscriber) = &self.subscriber {
+                    subscriber.on_event(&Event {
+                        name: "plan-failure",
+                        at_ns: clock_ns(),
+                        attrs: vec![("error", AttrValue::Str(e.to_string()))],
+                    });
+                }
                 // The cache never answered, so `cache_hit` stays `None`.
                 trace.error = Some(e.to_string());
-                self.finish_trace(&trace, None);
+                let sampled = self.finish_trace(&trace, req.envelope.clone(), None);
                 return Outcome {
                     result: Err(e.into()),
                     trace,
                     coalesced: false,
+                    sampled,
                     plan: None,
-                    fetch: FetchTiming::default(),
                 };
             }
         };
         self.metrics.plan_latency.record_ns(trace.plan_fetch_ns);
         self.note_request(key);
         trace.cache_hit = Some(hit);
+        trace.lookup_ns = fetch.lookup_ns;
+        trace.build_ns = fetch.build_ns;
+        trace.sweep_ns = plan.sweep_wall_ns();
+        trace.candidates = plan.candidates_evaluated();
         trace.warmed = plan.is_measured();
         let t1 = Instant::now();
         let executed = self.transposer.execute(&plan, &req.input);
@@ -810,6 +782,7 @@ impl<E: Element> TransposeService<E> {
                 trace.measured_ns = report.kernel_time_ns;
                 trace.dram_efficiency = report.stats.dram_efficiency(E::BYTES);
                 trace.smem_replay_rate = report.stats.smem_replay_rate();
+                trace.launch_ns = report.timing.launch_ns as u64;
                 Ok(Arc::new(TransposeResponse { output, report }))
             }
             Err(e) => {
@@ -820,13 +793,13 @@ impl<E: Element> TransposeService<E> {
                 Err(ServeError::from(e))
             }
         };
-        self.finish_trace(&trace, plan.decision_trace());
+        let sampled = self.finish_trace(&trace, req.envelope.clone(), plan.decision_trace());
         Outcome {
             result,
             trace,
             coalesced: false,
+            sampled,
             plan: Some(plan),
-            fetch,
         }
     }
 
@@ -835,14 +808,15 @@ impl<E: Element> TransposeService<E> {
     /// `coalesced`, with the leader's measured numbers; nothing executed,
     /// so no execution-side series move. The trace covers the follower's
     /// whole wait: its share of the leader's execute time, and queue wait
-    /// before that.
+    /// before that. Its record carries the envelope its ticket brought.
     fn follow(
         &self,
         req: &TransposeRequest<E>,
         key: &PlanKey,
         leader: &Outcome<E>,
-        submitted_ns: u64,
+        ticket: &Ticket<E>,
     ) -> Outcome<E> {
+        let submitted_ns = ticket.submitted_ns;
         let waited = clock_ns().saturating_sub(submitted_ns);
         let execute_ns = leader.trace.execute_ns.min(waited);
         let trace = RequestTrace {
@@ -851,6 +825,8 @@ impl<E: Element> TransposeService<E> {
             cache_hit: leader.trace.cache_hit.map(|_| true),
             queue_wait_ns: waited - execute_ns,
             plan_fetch_ns: 0,
+            lookup_ns: 0,
+            build_ns: 0,
             execute_ns,
             coalesced: true,
             ..leader.trace.clone()
@@ -863,13 +839,13 @@ impl<E: Element> TransposeService<E> {
             self.note_request(key);
         }
         self.metrics.record_coalesced();
-        self.finish_trace(&trace, leader.decision());
+        let sampled = self.finish_trace(&trace, ticket.envelope.clone(), leader.decision());
         Outcome {
             result: leader.result.clone(),
             trace,
             coalesced: true,
+            sampled,
             plan: leader.plan.clone(),
-            fetch: FetchTiming::default(),
         }
     }
     // ---- measure-mode autotuning -------------------------------------
@@ -924,11 +900,13 @@ impl<E: Element> TransposeService<E> {
                 }
                 Err(e) => {
                     self.tuner_stats.failures.fetch_add(1, Ordering::Relaxed);
-                    self.subscriber.on_event(&Event {
-                        name: "autotune-failure",
-                        at_ns: clock_ns(),
-                        attrs: vec![("error", AttrValue::Str(e.to_string()))],
-                    });
+                    if let Some(subscriber) = &self.subscriber {
+                        subscriber.on_event(&Event {
+                            name: "autotune-failure",
+                            at_ns: clock_ns(),
+                            attrs: vec![("error", AttrValue::Str(e.to_string()))],
+                        });
+                    }
                 }
             }
         }
@@ -1717,26 +1695,35 @@ mod tests {
     #[test]
     fn trace_ring_keeps_only_recent_requests() {
         let cfg = RuntimeConfig {
-            trace_capacity: 4,
+            traces: TraceStoreConfig {
+                capacity: 4,
+                ..TraceStoreConfig::default()
+            },
             ..RuntimeConfig::default()
         };
         let svc: TransposeService<u32> = TransposeService::with_config(Transposer::new_k40c(), cfg);
         let input = Arc::new(DenseTensor::<u32>::iota(Shape::new(&[8, 8]).unwrap()));
         let req = TransposeRequest::new(input, Permutation::new(&[1, 0]).unwrap());
-        assert_eq!(svc.trace_dropped(), 0);
+        assert_eq!(svc.trace_store().evicted(), 0);
         for _ in 0..10 {
             svc.submit(&req).unwrap();
         }
         let traces = svc.recent_traces(100);
-        assert_eq!(traces.len(), 4, "bounded by trace_capacity");
+        assert_eq!(traces.len(), 4, "bounded by the window capacity");
         // Newest first and contiguous.
         assert_eq!(traces[0].id, 9);
         assert_eq!(traces[3].id, 6);
-        // Satellite: ring wraparound is no longer silent.
-        assert_eq!(svc.trace_dropped(), 6);
+        // Records the window let go stay while their bucket keeps them;
+        // the rest are evicted, and the count is exported.
+        let store = svc.trace_store();
+        assert_eq!(store.resident() as u64 + store.evicted(), 10);
+        assert!(store.evicted() >= 2, "at most 4 + 4 resident");
         let prom = svc.export_prometheus();
         assert!(
-            prom.contains("ttlg_trace_dropped_total{source=\"trace-ring\"} 6"),
+            prom.contains(&format!(
+                "ttlg_trace_store_evicted_total {}",
+                store.evicted()
+            )),
             "{prom}"
         );
     }
@@ -1784,21 +1771,6 @@ mod tests {
         let slo = svc.slo_snapshot();
         assert_eq!(slo.total, 6);
         assert!(slo.hit_ratio > 0.0);
-    }
-
-    #[test]
-    fn disabling_decision_retention_drops_exemplar_payloads() {
-        let cfg = RuntimeConfig {
-            retain_decision_traces: false,
-            ..RuntimeConfig::default()
-        };
-        let svc: TransposeService<u32> = TransposeService::with_config(Transposer::new_k40c(), cfg);
-        let input = Arc::new(DenseTensor::<u32>::iota(Shape::new(&[8, 8, 8]).unwrap()));
-        let req = TransposeRequest::new(input, Permutation::new(&[2, 1, 0]).unwrap());
-        svc.submit(&req).unwrap();
-        let exemplars = svc.exemplars();
-        assert_eq!(exemplars.len(), 1);
-        assert!(exemplars[0].1[0].decision.is_none());
     }
 
     #[test]
@@ -1859,6 +1831,82 @@ mod tests {
         let prom = svc.export_prometheus();
         assert!(prom.contains("ttlg_coalesced_requests_total 9"), "{prom}");
         assert!(prom.contains("ttlg_coalesced_ratio 0.75"), "{prom}");
+    }
+
+    /// Holds the first sink call until released, so a test can attach a
+    /// follower to a running leader.
+    #[derive(Default)]
+    struct Gate {
+        entered: AtomicBool,
+        release: AtomicBool,
+    }
+
+    impl MeasurementSink for Gate {
+        fn observe_candidate(&self, _c: &ttlg::Candidate, _measured_ns: f64) {
+            if self.entered.swap(true, Ordering::SeqCst) {
+                return;
+            }
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !self.release.load(Ordering::SeqCst) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    fn enveloped(req: &TransposeRequest<f64>, trace_id: u128) -> TransposeRequest<f64> {
+        TransposeRequest {
+            envelope: Some(Envelope {
+                ctx: ttlg_obs::TraceContext {
+                    trace_id,
+                    parent_span_id: 1,
+                    flags: 1,
+                },
+                request_id: format!("req-{trace_id}"),
+                tenant: "acme".into(),
+                priority: "batch",
+                network_ns: 5,
+                queue_ns: 7,
+                shed: None,
+            }),
+            ..req.clone()
+        }
+    }
+
+    /// Each request's one record carries its own envelope: a leader's
+    /// rides on its request, a coalesced follower's on its ticket, in
+    /// batches and through the async executor alike.
+    #[test]
+    fn every_record_carries_its_own_envelope() {
+        let gate = Arc::new(Gate::default());
+        let svc: Arc<TransposeService<f64>> = Arc::new(
+            TransposeService::new_k40c()
+                .with_measurement_sink(Arc::clone(&gate) as Arc<dyn MeasurementSink>),
+        );
+        let input = Arc::new(DenseTensor::<f64>::iota(Shape::new(&[8, 8, 8]).unwrap()));
+        let req = TransposeRequest::new(input, Permutation::new(&[2, 1, 0]).unwrap());
+
+        let leader = svc.submit_async(enveloped(&req, 1));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !gate.entered.load(Ordering::SeqCst) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let follower = svc.submit_async(enveloped(&req, 2));
+        gate.release.store(true, Ordering::SeqCst);
+        assert!(!leader.wait().coalesced);
+        assert!(
+            follower.wait().sampled.is_some(),
+            "rate 1 keeps every record"
+        );
+        svc.submit_batch(&[enveloped(&req, 3), enveloped(&req, 4)]);
+
+        let store = svc.trace_store();
+        for id in 1..=4u128 {
+            let rec = store.get(id).expect("recorded");
+            let e = rec.envelope.as_ref().unwrap();
+            assert_eq!(e.request_id, format!("req-{id}"));
+            assert_eq!(rec.total_ns(), rec.trace.total_ns() + 12);
+            assert_eq!(rec.trace.coalesced, id % 2 == 0, "request {id}");
+        }
     }
 
     #[test]
@@ -2145,8 +2193,8 @@ mod tests {
 
         let prom = svc.export_prometheus();
         for family in [
-            "# TYPE ttlg_trace_dropped_total counter",
-            "# TYPE ttlg_exemplars_retained gauge",
+            "# TYPE ttlg_trace_store_evicted_total counter",
+            "# TYPE ttlg_trace_store_resident gauge",
             "# TYPE ttlg_slo_target_us gauge",
             "# TYPE ttlg_slo_goal gauge",
             "# TYPE ttlg_slo_requests_total counter",
@@ -2161,7 +2209,7 @@ mod tests {
             assert!(prom.contains(family), "missing {family}\n{prom}");
         }
         assert!(prom.contains("ttlg_slo_requests_total 1"), "{prom}");
-        assert!(prom.contains("ttlg_exemplars_retained 1"), "{prom}");
+        assert!(prom.contains("ttlg_trace_store_resident 1"), "{prom}");
         assert!(
             prom.contains("ttlg_slo_burn_rate{window=\"short\"}"),
             "{prom}"
@@ -2182,7 +2230,7 @@ mod tests {
         let json = svc.export_json();
         assert!(json.contains("\"ttlg_slo_hit_ratio\""));
         assert!(json.contains("\"ttlg_profile_requests\""));
-        assert!(json.contains("\"ttlg_trace_dropped_total\""));
+        assert!(json.contains("\"ttlg_trace_store_evicted_total\""));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!       queue gate      -> 429                executor worker runs it;
 //!       wait completion -> 200/500/503        identical in-flight
 //!                                             problems coalesce)
-//!                                          -> span tree -> trace store
-//!                                          -> complete slot
+//!                                          -> complete slot (the service
+//!                                             wrote the request's record)
 //!     GET /v1/explain   -> planner decision trace
 //!     GET /v1/query_range -> range queries over the metrics history
 //!     GET /metrics      -> Prometheus text (service + gateway)
@@ -27,18 +27,24 @@
 //! sheds. Every admitted request carries a four-phase decomposition in its
 //! response body — `network` (bytes-on-wire to parsed request), `queue`
 //! (admission to dequeue), `plan` (cache fetch/build) and `execute`
-//! (kernel) — the same attribution the trace ring records, extended to
-//! the network edge.
+//! (kernel) — the same attribution the service's trace store records,
+//! extended to the network edge. The edge's part of a request (trace id,
+//! request id, tenant, network and queue time) travels to the service as
+//! an [`Envelope`] on the request, so the request's one record is written
+//! once, by the service; sheds never reach the service, so the gateway
+//! writes their records itself. The trace endpoints build span trees and
+//! decision text from those records when they are read.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+use ttlg::DecisionTrace;
 use ttlg::TransposeOptions;
 use ttlg_obs::{
-    clock_ns, eval_range, next_id, AlertEngine, AlertStatus, MetricKind, Sample, SampleReason,
-    SpanNode, StoredTrace, TraceContext, TraceStore, TraceStoreConfig,
+    clock_ns, eval_range, next_id, parse_trace_id, AlertEngine, AlertStatus, Envelope, MetricKind,
+    RequestTrace, Sample, SpanNode, TraceContext, TraceRecord,
 };
 use ttlg_runtime::{LatencyHistogram, Outcome, TransposeRequest, TransposeService, HIST_BUCKETS};
 use ttlg_tensor::{DenseTensor, Permutation, Shape};
@@ -71,8 +77,6 @@ pub struct GatewayConfig {
     pub request_timeout_ms: u64,
     /// Keep-alive idle timeout before the server closes a connection.
     pub idle_timeout_ms: u64,
-    /// Trace-store geometry and head-sampling rate.
-    pub trace: TraceStoreConfig,
 }
 
 impl Default for GatewayConfig {
@@ -87,7 +91,6 @@ impl Default for GatewayConfig {
             limits: HttpLimits::default(),
             request_timeout_ms: 30_000,
             idle_timeout_ms: 5_000,
-            trace: TraceStoreConfig::default(),
         }
     }
 }
@@ -135,18 +138,16 @@ impl CompletionSlot {
 
 /// One admitted transpose request queued for a scheduler worker.
 struct Job {
-    tenant: String,
     class: Priority,
     extents: Vec<usize>,
     perm: Vec<usize>,
-    network_ns: u64,
     enqueued: Instant,
     slot: Arc<CompletionSlot>,
-    /// The W3C trace context this request runs under (inbound
-    /// `traceparent`, or a fresh root).
-    ctx: TraceContext,
-    /// The request id echoed on the response.
-    request_id: String,
+    /// The edge's view of the request: the W3C trace context it runs
+    /// under (inbound `traceparent`, or a fresh root), the request id
+    /// echoed on the response, tenant and network time. The queue time
+    /// is filled in at dequeue.
+    envelope: Envelope,
 }
 
 /// Tenant label cardinality cap for per-tenant metric families; tenants
@@ -418,8 +419,6 @@ pub struct Gateway {
     scheduler: Arc<Scheduler<Job>>,
     workers: Mutex<Option<SchedulerWorkers>>,
     metrics: GatewayMetrics,
-    /// Sampled request span trees, bounded and queryable.
-    traces: TraceStore,
     /// Declarative alert rules evaluated over the merged snapshot.
     alerts: AlertEngine,
     /// Input tensors cached by extents so repeated problems don't
@@ -443,7 +442,6 @@ impl Gateway {
             scheduler: Arc::clone(&scheduler),
             workers: Mutex::new(None),
             metrics: GatewayMetrics::default(),
-            traces: TraceStore::new(cfg.trace),
             alerts: AlertEngine::with_default_rules(),
             inputs: Mutex::new(HashMap::new()),
             service,
@@ -453,8 +451,8 @@ impl Gateway {
         let workers = scheduler.start_workers(move |job| worker_gw.execute_job(job));
         *gw.workers.lock().expect("workers poisoned") = Some(workers);
         if gw.service.history_config().enabled {
-            // Scrape the *merged* snapshot (service + gateway + trace
-            // store) so the history covers the `ttlg_gateway_*`
+            // Scrape the *merged* snapshot (service + gateway) so the
+            // history covers the `ttlg_gateway_*`
             // families too, and seed the alert baselines from whatever
             // history survived a restart so the engine's first
             // evaluation doesn't treat all-time totals as fresh deltas.
@@ -483,19 +481,13 @@ impl Gateway {
         &self.service
     }
 
-    /// The sampled-trace store.
-    pub fn trace_store(&self) -> &TraceStore {
-        &self.traces
-    }
-
     /// The alert engine.
     pub fn alerts(&self) -> &AlertEngine {
         &self.alerts
     }
 
     /// Advance the alert engine one evaluation over the current merged
-    /// snapshot (service + gateway + trace store) and return the
-    /// per-rule statuses.
+    /// snapshot (service + gateway) and return the per-rule statuses.
     pub fn evaluate_alerts(&self) -> Vec<AlertStatus> {
         let snap = self.merged_snapshot();
         self.alerts
@@ -506,28 +498,6 @@ impl Gateway {
         let mut snap = self.service.metrics_snapshot();
         self.metrics
             .export_into(&mut snap, self.scheduler.depth(), self.cfg.queue_capacity);
-        self.traces.export_into(&mut snap);
-        // Sampling loss must never be invisible: the trace-drop alert
-        // rule sums over `ttlg_trace_dropped_total`, which the service
-        // snapshot already carries for its trace-ring. Store evictions
-        // join the same family as a second series rather than a
-        // duplicate family (two `# TYPE` blocks would be invalid
-        // exposition, and the rule only reads the first).
-        let store = Sample::labelled("source", "trace-store", self.traces.evicted() as f64);
-        if let Some(m) = snap
-            .metrics
-            .iter_mut()
-            .find(|m| m.name == "ttlg_trace_dropped_total")
-        {
-            m.samples.push(store);
-        } else {
-            snap.push_metric(
-                "ttlg_trace_dropped_total",
-                "Sampled traces dropped before they could be read.",
-                MetricKind::Counter,
-                vec![store],
-            );
-        }
         snap
     }
 
@@ -614,8 +584,8 @@ impl Gateway {
         }
     }
 
-    /// Prometheus text: the service's full snapshot plus the
-    /// `ttlg_gateway_*`, trace-store, and alert families. Each scrape
+    /// Prometheus text: the service's full snapshot (trace-store families
+    /// included) plus the `ttlg_gateway_*` and alert families. Each scrape
     /// also advances the alert engine one evaluation, so the exported
     /// `ttlg_alerts_firing` gauges are fresh at scrape cadence.
     pub fn export_prometheus(&self) -> String {
@@ -707,32 +677,33 @@ impl Gateway {
         };
 
         // -- admit ------------------------------------------------------
+        let envelope = Envelope {
+            ctx,
+            request_id: request_id.to_string(),
+            tenant: tenant.clone(),
+            priority: class.as_str(),
+            network_ns,
+            queue_ns: 0,
+            shed: None,
+        };
         if let Err(shed) = self.admission.check_quota(&tenant) {
-            return self.shed_response(&tenant, shed, ctx, request_id, network_ns);
+            return self.shed_response(shed, envelope);
         }
         let slot = CompletionSlot::new();
         let job = Job {
-            tenant: tenant.clone(),
             class,
             extents,
             perm,
-            network_ns,
             enqueued: Instant::now(),
             slot: Arc::clone(&slot),
-            ctx,
-            request_id: request_id.to_string(),
+            envelope,
         };
-        if self.scheduler.try_enqueue(&tenant, class, job).is_err() {
-            return self.shed_response(
-                &tenant,
-                Shed {
-                    reason: ShedReason::QueueFull,
-                    retry_after_secs: 1,
-                },
-                ctx,
-                request_id,
-                network_ns,
-            );
+        if let Err(job) = self.scheduler.try_enqueue(&tenant, class, job) {
+            let shed = Shed {
+                reason: ShedReason::QueueFull,
+                retry_after_secs: 1,
+            };
+            return self.shed_response(shed, job.envelope);
         }
         self.metrics.record_tenant(&tenant, true);
 
@@ -747,80 +718,35 @@ impl Gateway {
     }
 
     /// Scheduler-worker side: materialize the input, hand the request
-    /// to the service's executor, and wait for its outcome. The worker
-    /// stays busy meanwhile, so the scheduler decides execution order and
-    /// its bounded queues shed under overload. Identical in-flight
-    /// problems coalesce onto one plan and one execution.
-    fn execute_job(&self, job: Job) {
+    /// and its envelope to the service's executor, and wait for its
+    /// outcome. The worker stays busy meanwhile, so the scheduler decides
+    /// execution order and its bounded queues shed under overload.
+    /// Identical in-flight problems coalesce onto one plan and one
+    /// execution.
+    fn execute_job(&self, mut job: Job) {
         let queue_ns = job.enqueued.elapsed().as_nanos() as u64;
         self.metrics.queue_hist.record_ns(queue_ns);
+        job.envelope.queue_ns = queue_ns;
         let input = self.input_for(&job.extents);
         let perm = Permutation::new(&job.perm).expect("perm validated at admission");
-        let out = self
-            .service
-            .submit_async(TransposeRequest::new(input, perm))
-            .wait();
-        self.finish_job(job, queue_ns, &out);
+        let req = TransposeRequest {
+            envelope: Some(job.envelope.clone()),
+            ..TransposeRequest::new(input, perm)
+        };
+        let out = self.service.submit_async(req).wait();
+        self.finish_job(job, &out);
     }
 
-    /// Build the HTTP response for a finished (possibly shared) run,
-    /// offer the span tree to the trace store, and complete the
-    /// connection thread's slot.
-    fn finish_job(&self, job: Job, queue_ns: u64, out: &Outcome<f64>) {
+    /// Build the HTTP response for a finished (possibly shared) run and
+    /// complete the connection thread's slot.
+    fn finish_job(&self, job: Job, out: &Outcome<f64>) {
         let trace = &out.trace;
-        let result = &out.result;
-
-        let total_ns = job.network_ns + queue_ns + trace.total_ns();
-        let slo_target_ns = (self.service.slo_config().target_us * 1e3) as u64;
-        let forced = if result.is_err() {
-            Some(SampleReason::Error)
-        } else if total_ns > slo_target_ns {
-            Some(SampleReason::SloMiss)
-        } else {
-            None
-        };
-        // An unsampled inbound flag suppresses head sampling but never
-        // tail forcing: errors and SLO misses are always kept.
-        let reason = if job.ctx.sampled() || forced.is_some() {
-            self.traces.sample_decision(job.ctx.trace_id, forced)
-        } else {
-            None
-        };
-        let sampled = reason.is_some();
-        if let Some(reason) = reason {
-            // Root starts when the first byte hit the wire; the service's
-            // trace starts when the request was submitted after dequeue.
-            let root_start = trace.start_ns.saturating_sub(job.network_ns + queue_ns);
-            let mut root = SpanNode::new("request", root_start, total_ns)
-                .with_attr("tenant", job.tenant.clone())
-                .with_attr("priority", job.class.as_str())
-                .with_child(SpanNode::new("network", root_start, job.network_ns))
-                .with_child(SpanNode::new(
-                    "gateway-queue",
-                    root_start + job.network_ns,
-                    queue_ns,
-                ));
-            for span in out.spans() {
-                root = root.with_child(span);
-            }
-            self.traces.insert(StoredTrace {
-                trace_id: job.ctx.trace_id_hex(),
-                request_id: job.request_id.clone(),
-                tenant: job.tenant.clone(),
-                status: if result.is_ok() { 200 } else { 500 },
-                reason,
-                start_ns: root_start,
-                total_ns,
-                root,
-                decision: out.decision().map(|d| d.render()),
-            });
-        }
-
-        let resp = match result {
+        let e = &job.envelope;
+        let resp = match &out.result {
             Ok(r) => {
                 let phases = obj(vec![
-                    ("network_us", Json::Num(job.network_ns as f64 / 1e3)),
-                    ("queue_us", Json::Num(queue_ns as f64 / 1e3)),
+                    ("network_us", Json::Num(e.network_ns as f64 / 1e3)),
+                    ("queue_us", Json::Num(e.queue_ns as f64 / 1e3)),
                     ("plan_us", Json::Num(trace.plan_fetch_ns as f64 / 1e3)),
                     (
                         "execute_us",
@@ -830,7 +756,7 @@ impl Gateway {
                 HttpResponse::json(
                     obj(vec![
                         ("ok", Json::Bool(true)),
-                        ("tenant", Json::Str(job.tenant.clone())),
+                        ("tenant", Json::Str(e.tenant.clone())),
                         ("priority", Json::Str(job.class.as_str().to_string())),
                         ("schema", Json::Str(r.report.schema.to_string())),
                         ("elements", Json::Num(r.output.volume() as f64)),
@@ -840,9 +766,9 @@ impl Gateway {
                         ("kernel_us", Json::Num(r.report.kernel_time_ns / 1e3)),
                         ("predicted_us", Json::Num(r.report.predicted_ns / 1e3)),
                         ("bandwidth_gbps", Json::Num(r.report.bandwidth_gbps)),
-                        ("trace_id", Json::Str(job.ctx.trace_id_hex())),
-                        ("request_id", Json::Str(job.request_id.clone())),
-                        ("sampled", Json::Bool(sampled)),
+                        ("trace_id", Json::Str(e.ctx.trace_id_hex())),
+                        ("request_id", Json::Str(e.request_id.clone())),
+                        ("sampled", Json::Bool(out.sampled.is_some())),
                         ("phases", phases),
                     ])
                     .render(),
@@ -853,14 +779,7 @@ impl Gateway {
         job.slot.complete(resp);
     }
 
-    fn shed_response(
-        &self,
-        tenant: &str,
-        shed: Shed,
-        ctx: TraceContext,
-        request_id: &str,
-        network_ns: u64,
-    ) -> HttpResponse {
+    fn shed_response(&self, shed: Shed, envelope: Envelope) -> HttpResponse {
         match shed.reason {
             ShedReason::QuotaExceeded => self
                 .metrics
@@ -871,37 +790,29 @@ impl Gateway {
                 .shed_queue_total
                 .fetch_add(1, Ordering::Relaxed),
         };
-        self.metrics.record_tenant(tenant, false);
-        // Sheds are always trace-worthy: force-sample a minimal tree so
-        // overload leaves evidence even at low head-sampling rates.
-        if let Some(reason) = self
-            .traces
-            .sample_decision(ctx.trace_id, Some(SampleReason::Shed))
-        {
-            let now = clock_ns();
-            let start = now.saturating_sub(network_ns);
-            self.traces.insert(StoredTrace {
-                trace_id: ctx.trace_id_hex(),
-                request_id: request_id.to_string(),
-                tenant: tenant.to_string(),
-                status: 429,
-                reason,
-                start_ns: start,
-                total_ns: network_ns,
-                root: SpanNode::new("request", start, network_ns)
-                    .with_attr("tenant", tenant)
-                    .with_attr("shed", shed.reason.as_str())
-                    .with_child(SpanNode::new("network", start, network_ns)),
-                decision: None,
-            });
-        }
+        self.metrics.record_tenant(&envelope.tenant, false);
+        let trace_id = envelope.ctx.trace_id_hex();
+        // A shed never reaches the service, so its record is written
+        // here; the store always keeps it, so overload leaves evidence
+        // even at low head-sampling rates.
+        let at_shed = RequestTrace {
+            start_ns: clock_ns(),
+            ..RequestTrace::default()
+        };
+        let envelope = Envelope {
+            shed: Some(shed.reason.as_str()),
+            ..envelope
+        };
+        self.service
+            .trace_store()
+            .write(&at_shed, Some(envelope), None);
         HttpResponse::json(
             obj(vec![
                 ("ok", Json::Bool(false)),
                 ("error", Json::Str("shed".to_string())),
                 ("reason", Json::Str(shed.reason.as_str().to_string())),
                 ("retry_after_secs", Json::Num(shed.retry_after_secs as f64)),
-                ("trace_id", Json::Str(ctx.trace_id_hex())),
+                ("trace_id", Json::Str(trace_id)),
             ])
             .render(),
         )
@@ -909,61 +820,69 @@ impl Gateway {
         .with_header("retry-after", shed.retry_after_secs.to_string())
     }
 
-    /// `GET /v1/trace/:id` — one stored trace as a JSON span tree, or
-    /// as the flame-style text rendering with `?format=flame`.
+    /// `GET /v1/trace/:id` — one retained request as a JSON span tree, or
+    /// as the flame-style text rendering with `?format=flame`, both built
+    /// from its record on read.
     fn handle_trace_get(&self, id: &str, req: &HttpRequest) -> HttpResponse {
-        let Some(stored) = self.traces.get(id) else {
+        let Some(rec) = parse_trace_id(id).and_then(|id| self.service.trace_store().get(id)) else {
             return HttpResponse::error(404, format!("no sampled trace {id}"));
         };
+        let e = rec
+            .envelope
+            .as_ref()
+            .expect("records found by trace id have an envelope");
         if req.query_param("format") == Some("flame") {
             let mut text = format!(
                 "trace {} request {} tenant {} status {} reason {} total {:.1} us\n\n",
-                stored.trace_id,
-                stored.request_id,
-                stored.tenant,
-                stored.status,
-                stored.reason.as_str(),
-                stored.total_ns as f64 / 1e3,
+                e.ctx.trace_id_hex(),
+                e.request_id,
+                e.tenant,
+                status(&rec),
+                rec.reason.as_str(),
+                rec.total_ns() as f64 / 1e3,
             );
-            text.push_str(&stored.root.render());
-            if let Some(decision) = &stored.decision {
+            text.push_str(&rec.root().render());
+            if let Some(decision) = &rec.decision {
                 text.push('\n');
-                text.push_str(decision);
+                text.push_str(&decision.render());
             }
             return HttpResponse::text(text);
         }
-        HttpResponse::json(trace_json(&stored).render())
+        HttpResponse::json(trace_json(&rec, e).render())
     }
 
-    /// `GET /v1/traces?slowest=N` (or `?recent=N`) — stored-trace
-    /// summaries, slowest-first or newest-first.
+    /// `GET /v1/traces?slowest=N` (or `?recent=N`) — summaries of the
+    /// retained gateway requests, slowest-first or newest-first.
     fn handle_traces_list(&self, req: &HttpRequest) -> HttpResponse {
+        let store = self.service.trace_store();
         let parse_n = |v: Option<&str>| v.and_then(|s| s.parse::<usize>().ok());
-        let (traces, order) = if let Some(n) = parse_n(req.query_param("slowest")) {
-            (self.traces.slowest(n), "slowest")
+        let (records, n, order) = if let Some(n) = parse_n(req.query_param("slowest")) {
+            (store.slowest(usize::MAX), n, "slowest")
         } else {
             let n = parse_n(req.query_param("recent")).unwrap_or(10);
-            (self.traces.recent(n), "recent")
+            (store.recent(usize::MAX), n, "recent")
         };
-        let items: Vec<Json> = traces
+        let items: Vec<Json> = records
             .iter()
-            .map(|t| {
+            .filter_map(|rec| Some((rec, rec.envelope.as_ref()?)))
+            .take(n)
+            .map(|(rec, e)| {
                 obj(vec![
-                    ("trace_id", Json::Str(t.trace_id.clone())),
-                    ("request_id", Json::Str(t.request_id.clone())),
-                    ("tenant", Json::Str(t.tenant.clone())),
-                    ("status", Json::Num(t.status as f64)),
-                    ("reason", Json::Str(t.reason.as_str().to_string())),
-                    ("total_us", Json::Num(t.total_ns as f64 / 1e3)),
-                    ("spans", Json::Num(t.root.span_count() as f64)),
+                    ("trace_id", Json::Str(e.ctx.trace_id_hex())),
+                    ("request_id", Json::Str(e.request_id.clone())),
+                    ("tenant", Json::Str(e.tenant.clone())),
+                    ("status", Json::Num(status(rec) as f64)),
+                    ("reason", Json::Str(rec.reason.as_str().to_string())),
+                    ("total_us", Json::Num(rec.total_ns() as f64 / 1e3)),
+                    ("spans", Json::Num(rec.root().span_count() as f64)),
                 ])
             })
             .collect();
         HttpResponse::json(
             obj(vec![
                 ("order", Json::Str(order.to_string())),
-                ("resident", Json::Num(self.traces.resident() as f64)),
-                ("sampled_total", Json::Num(self.traces.sampled() as f64)),
+                ("resident", Json::Num(store.resident() as f64)),
+                ("sampled_total", Json::Num(store.sampled() as f64)),
                 ("traces", Json::Arr(items)),
             ])
             .render(),
@@ -1126,21 +1045,32 @@ impl Gateway {
     }
 }
 
-/// A stored trace as a JSON document (root span tree included).
-fn trace_json(t: &StoredTrace) -> Json {
+/// The HTTP status a retained request was answered with.
+fn status(rec: &TraceRecord<Arc<DecisionTrace>>) -> u16 {
+    if rec.is_shed() {
+        429
+    } else if rec.trace.ok {
+        200
+    } else {
+        500
+    }
+}
+
+/// A retained request as a JSON document (root span tree included).
+fn trace_json(rec: &TraceRecord<Arc<DecisionTrace>>, e: &Envelope) -> Json {
     obj(vec![
-        ("trace_id", Json::Str(t.trace_id.clone())),
-        ("request_id", Json::Str(t.request_id.clone())),
-        ("tenant", Json::Str(t.tenant.clone())),
-        ("status", Json::Num(t.status as f64)),
-        ("reason", Json::Str(t.reason.as_str().to_string())),
-        ("total_us", Json::Num(t.total_ns as f64 / 1e3)),
-        ("root", span_json(&t.root)),
+        ("trace_id", Json::Str(e.ctx.trace_id_hex())),
+        ("request_id", Json::Str(e.request_id.clone())),
+        ("tenant", Json::Str(e.tenant.clone())),
+        ("status", Json::Num(status(rec) as f64)),
+        ("reason", Json::Str(rec.reason.as_str().to_string())),
+        ("total_us", Json::Num(rec.total_ns() as f64 / 1e3)),
+        ("root", span_json(&rec.root())),
         (
             "decision",
-            t.decision
+            rec.decision
                 .as_ref()
-                .map(|d| Json::Str(d.clone()))
+                .map(|d| Json::Str(d.render()))
                 .unwrap_or(Json::Null),
         ),
     ])
@@ -1260,6 +1190,7 @@ mod tests {
     use super::*;
     use crate::http::parse_request;
     use ttlg::Transposer;
+    use ttlg_obs::{AlertState, SampleReason, TraceStoreConfig};
     use ttlg_runtime::{RuntimeConfig, SloConfig};
 
     fn gateway(cfg: GatewayConfig) -> Arc<Gateway> {
@@ -1558,7 +1489,6 @@ mod tests {
             "ttlg_trace_store_offered_total",
             "ttlg_trace_store_sampled_total",
             "ttlg_trace_store_evicted_total",
-            "ttlg_trace_dropped_total",
             "ttlg_alerts_firing",
         ] {
             assert!(prom.contains(family), "{family} missing from:\n{prom}");
@@ -1689,11 +1619,15 @@ mod tests {
             500,
         );
         assert_eq!(resp.status, 429);
-        let stored = gw.trace_store().get(trace_id).expect("shed is sampled");
-        assert_eq!(stored.status, 429);
+        let stored = gw
+            .service()
+            .trace_store()
+            .get(parse_trace_id(trace_id).unwrap())
+            .expect("shed is sampled");
+        assert_eq!(status(&stored), 429);
         assert_eq!(stored.reason, SampleReason::Shed);
-        assert_eq!(stored.tenant, "acme");
-        assert!(stored.root.find("network").is_some());
+        assert_eq!(stored.envelope.as_ref().unwrap().tenant, "acme");
+        assert!(stored.root().find("network").is_some());
         gw.stop();
     }
 
@@ -1916,6 +1850,86 @@ mod tests {
         let resp = gw.handle(&post_transpose(r#"{"extents":[8,8],"perm":[1,0]}"#, &[]), 0);
         // After stop the scheduler refuses work -> queue-full shed.
         assert_eq!(resp.status, 429);
+        gw.stop();
+    }
+
+    /// A default gateway with an open quota over a service whose SLO no
+    /// host can miss, so tail forcing and `slo-burn` stay out of the
+    /// picture.
+    fn open_gateway() -> Arc<Gateway> {
+        let svc = TransposeService::with_config(
+            Transposer::new_k40c(),
+            RuntimeConfig {
+                slo: SloConfig {
+                    target_us: 1e12,
+                    ..SloConfig::default()
+                },
+                ..RuntimeConfig::default()
+            },
+        );
+        let cfg = GatewayConfig {
+            quota: QuotaConfig {
+                rate_per_sec: 1e9,
+                burst: 1e9,
+                max_tenants: 8,
+            },
+            ..GatewayConfig::default()
+        };
+        Gateway::start(Arc::new(svc), cfg)
+    }
+
+    /// Steady traffic past the trace window's capacity trips no alert:
+    /// a bounded window letting old records go is retention, not loss.
+    #[test]
+    fn steady_traffic_past_the_trace_window_trips_no_alert() {
+        let gw = open_gateway();
+        for _ in 0..4 {
+            for _ in 0..300 {
+                let req = post_transpose(r#"{"extents":[8,8],"perm":[1,0]}"#, &[]);
+                assert_eq!(gw.handle(&req, 0).status, 200);
+            }
+            gw.service().scrape_history_once();
+            let busy: Vec<(&str, AlertState)> = gw
+                .evaluate_alerts()
+                .into_iter()
+                .filter(|s| s.state != AlertState::Inactive)
+                .map(|s| (s.name, s.state))
+                .collect();
+            assert!(busy.is_empty(), "rules pending or firing: {busy:?}");
+        }
+        gw.stop();
+    }
+
+    /// The slowest request of a bucket outlives the recent window: after
+    /// twice the window's capacity of faster requests it is still
+    /// fetchable by id and still leads `?slowest=1`.
+    #[test]
+    fn slow_request_outlives_the_window() {
+        let gw = open_gateway();
+        let body = r#"{"extents":[8,8],"perm":[1,0]}"#;
+        let trace_id = "5105105105105105105105105105105a";
+        let tp = format!("00-{trace_id}-00f067aa0ba902b7-01");
+        // An hour on the wire makes it the slowest by far.
+        let slow = gw.handle(
+            &post_transpose(body, &[("traceparent", tp.as_str())]),
+            3_600e9 as u64,
+        );
+        assert_eq!(slow.status, 200);
+        for _ in 0..2 * TraceStoreConfig::default().capacity {
+            assert_eq!(gw.handle(&post_transpose(body, &[]), 0).status, 200);
+        }
+        let resp = gw.handle(&get(&format!("/v1/trace/{trace_id}")), 0);
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        let resp = gw.handle(&get("/v1/traces?slowest=1"), 0);
+        let doc = json::parse(&resp.body).unwrap();
+        let first = match doc.get("traces") {
+            Some(Json::Arr(t)) if t.len() == 1 => &t[0],
+            other => panic!("one trace expected, got {other:?}"),
+        };
+        assert_eq!(
+            first.get("trace_id").and_then(|v| v.as_str()),
+            Some(trace_id)
+        );
         gw.stop();
     }
 }
