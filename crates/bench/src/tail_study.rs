@@ -11,8 +11,7 @@
 //! shares reported here are the edge's real accounting, not a synthetic
 //! re-derivation from stored traces. Per-schema p50/p95/p99, which phase
 //! dominates at p99, the slowest retained exemplars with their planner
-//! decision traces, and the SLO hit-rate / burn-rate view complete the
-//! picture.
+//! decision traces, and the SLO hit ratio complete the picture.
 //!
 //! Quantiles here are *exact* (nearest-rank over every response), unlike
 //! the service's log2-bucketed online estimates — so the study doubles
@@ -153,7 +152,7 @@ pub struct TailStudy {
     pub warmed: WarmthTail,
     /// Requests served by model-ranked (unwarmed) plans.
     pub unwarmed: WarmthTail,
-    /// SLO view of the run (hit rate, burn rates).
+    /// SLO view of the run (hit rate, violations).
     pub slo: SloSnapshot,
     /// Flame-style phase-profile tree from the service's ring.
     pub flame: String,
@@ -419,12 +418,12 @@ impl TailStudy {
             self.warmed.requests, self.warmed.p99_us, self.unwarmed.requests, self.unwarmed.p99_us
         ));
         s.push_str(&format!(
-            "slo: target {:.0} us goal {:.2} hit-ratio {:.4} burn short/long {:.2}/{:.2}\n",
+            "slo: target {:.0} us goal {:.2} hit-ratio {:.4} ({} of {} missed)\n",
             self.slo.target_us,
             self.slo.goal,
             self.slo.hit_ratio,
-            self.slo.burn_rate_short,
-            self.slo.burn_rate_long
+            self.slo.violations,
+            self.slo.total
         ));
         s.push('\n');
         s.push_str(&self.flame);
@@ -454,14 +453,12 @@ impl TailStudy {
         ));
         s.push_str(&format!(
             "  \"slo\": {{\"target_us\": {}, \"goal\": {}, \"total\": {}, \"violations\": {}, \
-             \"hit_ratio\": {}, \"burn_rate_short\": {}, \"burn_rate_long\": {}}},\n",
+             \"hit_ratio\": {}}},\n",
             json_f64(self.slo.target_us),
             json_f64(self.slo.goal),
             self.slo.total,
             self.slo.violations,
-            json_f64(self.slo.hit_ratio),
-            json_f64(self.slo.burn_rate_short),
-            json_f64(self.slo.burn_rate_long)
+            json_f64(self.slo.hit_ratio)
         ));
         s.push_str("  \"schemas\": [\n");
         for (i, sc) in self.schemas.iter().enumerate() {
@@ -584,6 +581,6 @@ mod tests {
         assert!(json.contains("\"dominant_phase_at_p99\""));
         assert!(json.contains("\"phase_at_p99\": {\"network\":"));
         assert!(json.contains("\"exemplars\": [{"));
-        assert!(json.contains("\"burn_rate_short\""));
+        assert!(json.contains("\"hit_ratio\""));
     }
 }

@@ -5,8 +5,8 @@
 //! Phase 1 serves a mixed-permutation workload through the full HTTP
 //! path with the skewed model of [`crate::autotune_study`]; every
 //! admitted request streams prediction residuals into the merged
-//! snapshot, so polling `GET /v1/alerts` walks the `prediction-drift`
-//! rule Inactive → Pending → Firing. A synchronous autotune pass then
+//! snapshot, so history scrapes walk the `prediction-drift` rule
+//! Inactive → Pending → Firing, as `GET /v1/alerts` reports. A synchronous autotune pass then
 //! warms measured-best plans, and phase 2 replays the workload until
 //! the lifetime geo-mean error falls back under the rule threshold and
 //! the alert resolves. Throughout, a deliberately tiny trace window with
@@ -136,7 +136,7 @@ fn drive_pass(client: &mut HttpClient, bodies: &[String]) -> u64 {
 }
 
 /// Current state of the `prediction-drift` rule as reported by
-/// `GET /v1/alerts` (each call advances the engine one evaluation).
+/// `GET /v1/alerts` (as of the last history scrape).
 fn drift_state(client: &mut HttpClient) -> String {
     let body = client.get("/v1/alerts").expect("alerts").body_text();
     let doc = ttlg_serve::json::parse(body.as_bytes()).expect("alerts json");
@@ -207,8 +207,8 @@ pub fn run(distinct: usize, rounds: usize) -> TraceStudy {
 
     let bodies = perm_bodies(distinct);
 
-    // Phase 1: serve with the skewed model, then poll the alert
-    // endpoint until the drift rule walks Pending -> Firing.
+    // Phase 1: serve with the skewed model, then scrape and poll the
+    // alert endpoint until the drift rule walks Pending -> Firing.
     let mut requests_phase1 = 0u64;
     for _ in 0..rounds {
         requests_phase1 += drive_pass(&mut client, &bodies);
@@ -243,12 +243,13 @@ pub fn run(distinct: usize, rounds: usize) -> TraceStudy {
         .unwrap_or(0.0);
     let mut drift_fired = false;
     for _ in 0..6 {
+        svc.scrape_history_once();
         if drift_state(&mut client) == "firing" {
             drift_fired = true;
             break;
         }
     }
-    let drift_fired_after_evals = gw.alerts().evaluations();
+    let drift_fired_after_evals = svc.alerts().evaluations();
 
     // One synchronous tuning pass: every key is already hot.
     while svc.autotune_once() > 0 {}
@@ -302,7 +303,7 @@ pub fn run(distinct: usize, rounds: usize) -> TraceStudy {
         drift_fired,
         drift_fired_after_evals,
         drift_resolved,
-        alert_evaluations: gw.alerts().evaluations(),
+        alert_evaluations: svc.alerts().evaluations(),
         offered_traces: store.offered(),
         sampled_traces: store.sampled(),
         unsampled_traces: store.unsampled(),

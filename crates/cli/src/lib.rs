@@ -81,7 +81,7 @@ USAGE:
                                                 tail-latency attribution study:
                                                 per-schema p50/p95/p99, the
                                                 dominant phase at p99, slowest
-                                                exemplars, SLO burn rates;
+                                                exemplars, SLO hit ratio;
                                                 writes BENCH_tail.json
   ttlg bench-serve --trace [--perms=N] [--rounds=N] [--json-out=PATH]
                                                 tracing/alerting study: serve a

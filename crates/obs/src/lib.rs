@@ -24,17 +24,18 @@
 //!   records folded into hierarchical phase profiles keyed by
 //!   `(schema, shape-class)` ([`PhaseProfile`]), including "which phase
 //!   dominates at p99".
-//! * [`slo`] — [`SloTracker`]: latency-objective hit rate plus
-//!   short/long-window error-budget burn rates.
+//! * [`slo`] — [`SloTracker`]: the one per-request latency-objective
+//!   miss decision and the lifetime counters behind the hit rate.
 //! * [`tracecontext`] — W3C `traceparent` parse/render plus the
 //!   process-global id stream ([`TraceContext`]).
 //! * [`tracestore`] — [`TraceStore`], the one bounded, sampling store of
 //!   per-request [`TraceRecord`]s (a recent window plus the slowest
 //!   records per `(schema, shape-class)` bucket), and the request span
 //!   trees ([`SpanNode`]) built from a record on read.
-//! * [`alerts`] — [`AlertEngine`]: declarative rules over a
-//!   [`MetricsSnapshot`] with firing/resolved hysteresis, evaluated
-//!   either instantaneously or over a declared history window.
+//! * [`alerts`] — [`AlertEngine`]: declarative rules with
+//!   firing/resolved hysteresis, evaluated once per history ingest over
+//!   the ingested [`MetricsSnapshot`] and, for windowed ratios, the
+//!   store's trailing window through [`eval_range`].
 //! * [`tsdb`] — [`TimeSeriesStore`]: a bounded delta-encoded metrics
 //!   history (fine + coarse retention rings with downsampling, counter
 //!   reset detection, text save/hydrate).
@@ -60,7 +61,7 @@ pub mod tracecontext;
 pub mod tracestore;
 pub mod tsdb;
 
-pub use alerts::{Agg, AlertEngine, AlertRule, AlertState, AlertStatus, Op, Signal};
+pub use alerts::{default_rules, Agg, AlertEngine, AlertRule, AlertState, AlertStatus, Op, Signal};
 pub use prediction::{PredictionStats, PredictionTracker, RATIO_BUCKETS};
 pub use profile::{shape_class, PhaseProfile, PhaseShares, ProfileOptions};
 pub use quantile::log2_bucket_quantile_us;

@@ -11,8 +11,10 @@
 //! Each write makes one sampling decision:
 //!
 //! * **Tail forcing**: sheds, errors and SLO misses are always kept, with
-//!   the reason recorded. The SLO total includes the gateway's network
-//!   and queue time.
+//!   the reason recorded. The writer passes the SLO tracker's miss
+//!   decision ([`crate::SloTracker::record`], whose total includes the
+//!   gateway's network and queue time), so the trace store and
+//!   `ttlg_slo_violations_total` count the same misses.
 //! * **Head sampling** keeps a configured fraction of the rest. It hashes
 //!   the trace id (the service request id when no gateway is involved),
 //!   so one trace samples consistently. An inbound `traceparent` whose
@@ -369,7 +371,9 @@ impl<D> TraceRecord<D> {
 }
 
 impl Envelope {
-    fn edge_ns(&self) -> u64 {
+    /// Time the network edge spent on the request: network plus
+    /// gateway queue.
+    pub fn edge_ns(&self) -> u64 {
         self.network_ns + self.queue_ns
     }
 }
@@ -493,8 +497,6 @@ pub struct TraceStore<D> {
     /// `sample_rate` mapped onto the id-hash space; ids hashing below
     /// this are head-sampled.
     threshold: u64,
-    /// Latency objective, ns: slower records are always kept.
-    slo_target_ns: u64,
     inner: Mutex<Inner<D>>,
     offered: AtomicU64,
     /// Kept records, by [`SampleReason`] in declaration order.
@@ -503,9 +505,8 @@ pub struct TraceStore<D> {
 }
 
 impl<D> TraceStore<D> {
-    /// A store with `cfg`'s window and rate that force-keeps records
-    /// slower than `slo_target_ns`.
-    pub fn new(cfg: TraceStoreConfig, slo_target_ns: u64) -> TraceStore<D> {
+    /// A store with `cfg`'s window and rate.
+    pub fn new(cfg: TraceStoreConfig) -> TraceStore<D> {
         let rate = cfg.sample_rate.clamp(0.0, 1.0);
         let threshold = if rate >= 1.0 {
             u64::MAX
@@ -515,7 +516,6 @@ impl<D> TraceStore<D> {
         TraceStore {
             capacity: cfg.capacity.max(1),
             threshold,
-            slo_target_ns,
             inner: Mutex::new(Inner {
                 next_seq: 0,
                 window: VecDeque::new(),
@@ -531,25 +531,27 @@ impl<D> TraceStore<D> {
         }
     }
 
-    /// Record one finished request, making its one sampling decision.
-    /// Returns why the record was kept, or `None` when head sampling
-    /// declined it; a declined record costs no lock.
+    /// Record one finished request, making its one sampling decision;
+    /// `slo_miss` is the SLO tracker's miss decision for it
+    /// ([`crate::SloTracker::record`]). Returns why the record was kept,
+    /// or `None` when head sampling declined it; a declined record costs
+    /// no lock.
     pub fn write(
         &self,
         trace: &RequestTrace,
         envelope: Option<Envelope>,
         decision: Option<&D>,
+        slo_miss: bool,
     ) -> Option<SampleReason>
     where
         D: Clone,
     {
         self.offered.fetch_add(1, Ordering::Relaxed);
-        let edge_ns = envelope.as_ref().map_or(0, Envelope::edge_ns);
         let reason = if envelope.as_ref().is_some_and(|e| e.shed.is_some()) {
             SampleReason::Shed
         } else if !trace.ok {
             SampleReason::Error
-        } else if trace.total_ns() + edge_ns > self.slo_target_ns {
+        } else if slo_miss {
             SampleReason::SloMiss
         } else if self.head_sampled(trace, envelope.as_ref()) {
             SampleReason::Head
@@ -766,16 +768,11 @@ fn mix128(id: u128) -> u64 {
 mod tests {
     use super::*;
 
-    const SLO_NS: u64 = 1_000_000_000;
-
     fn store(capacity: usize, sample_rate: f64) -> TraceStore<u64> {
-        TraceStore::new(
-            TraceStoreConfig {
-                capacity,
-                sample_rate,
-            },
-            SLO_NS,
-        )
+        TraceStore::new(TraceStoreConfig {
+            capacity,
+            sample_rate,
+        })
     }
 
     /// A successful service trace of `total_ns` in one bucket.
@@ -813,6 +810,7 @@ mod tests {
             &trace(id, "Naive", "r3v12", total_ns),
             Some(envelope(id as u128)),
             Some(&total_ns),
+            false,
         )
     }
 
@@ -1055,8 +1053,7 @@ mod tests {
     }
 
     /// Tail forcing: errors, sheds and SLO misses are kept at rate 0,
-    /// and with the caller's sampled flag clear. The SLO total includes
-    /// the edge's network and queue time.
+    /// and with the caller's sampled flag clear.
     #[test]
     fn rate_zero_samples_nothing_but_forced() {
         let s = store(8, 0.0);
@@ -1069,18 +1066,24 @@ mod tests {
             error: Some("boom".into()),
             ..Default::default()
         };
-        assert_eq!(s.write(&failed, None, None), Some(SampleReason::Error));
+        assert_eq!(
+            s.write(&failed, None, None, false),
+            Some(SampleReason::Error)
+        );
         let unsampled_flag = Envelope {
             ctx: TraceContext {
                 flags: 0,
                 ..envelope(51).ctx
             },
-            network_ns: SLO_NS / 2,
-            queue_ns: SLO_NS / 2,
             ..envelope(51)
         };
         assert_eq!(
-            s.write(&trace(51, "Naive", "r3v12", 1), Some(unsampled_flag), None),
+            s.write(
+                &trace(51, "Naive", "r3v12", 1),
+                Some(unsampled_flag),
+                None,
+                true
+            ),
             Some(SampleReason::SloMiss)
         );
         let shed = Envelope {
@@ -1088,7 +1091,7 @@ mod tests {
             ..envelope(52)
         };
         assert_eq!(
-            s.write(&RequestTrace::default(), Some(shed), None),
+            s.write(&RequestTrace::default(), Some(shed), None, false),
             Some(SampleReason::Shed)
         );
         assert_eq!(s.offered(), 53);
@@ -1106,7 +1109,7 @@ mod tests {
             ..envelope(7)
         };
         let t = trace(7, "Naive", "r3v12", 10);
-        assert_eq!(s.write(&t, Some(unsampled_flag), None), None);
+        assert_eq!(s.write(&t, Some(unsampled_flag), None, false), None);
         assert!(s.get(7).is_none());
         assert_eq!(s.unsampled(), 1);
     }
@@ -1124,7 +1127,7 @@ mod tests {
         let s = store(8, 0.25);
         let service_only = (1..=4000u64)
             .filter(|&id| {
-                s.write(&trace(id, "Naive", "r3v12", 10), None, None)
+                s.write(&trace(id, "Naive", "r3v12", 10), None, None, false)
                     .is_some()
             })
             .count();
@@ -1152,7 +1155,12 @@ mod tests {
         let s = store(4, 1.0);
         // Each record in its own bucket, so only the window bound acts.
         for id in 0..10 {
-            s.write(&trace(id, "Naive", &format!("r{id}"), 10), None, None);
+            s.write(
+                &trace(id, "Naive", &format!("r{id}"), 10),
+                None,
+                None,
+                false,
+            );
         }
         assert_eq!(ids(&s.recent(2)), vec![9, 8]);
         assert_eq!(ids(&s.recent(100)), vec![9, 8, 7, 6]);
@@ -1174,8 +1182,8 @@ mod tests {
             shed: Some("queue"),
             ..envelope(id)
         };
-        s.write(&RequestTrace::default(), Some(shed(1)), None);
-        s.write(&RequestTrace::default(), Some(shed(2)), None);
+        s.write(&RequestTrace::default(), Some(shed(1)), None, false);
+        s.write(&RequestTrace::default(), Some(shed(2)), None, false);
         assert_eq!(s.recent(10).len(), 1);
         assert!(s.get(2).is_some() && s.get(1).is_none());
     }
@@ -1239,8 +1247,8 @@ mod tests {
     #[test]
     fn buckets_are_independent() {
         let s = store(1, 1.0);
-        s.write(&trace(1, "Naive", "r3v12", 100), None, None);
-        s.write(&trace(2, "Copy", "r2v4", 5), None, None);
+        s.write(&trace(1, "Naive", "r3v12", 100), None, None, false);
+        s.write(&trace(2, "Copy", "r2v4", 5), None, None, false);
         let buckets = s.buckets();
         let keys: Vec<(&str, &str)> = buckets
             .iter()
@@ -1254,7 +1262,7 @@ mod tests {
     fn bucket_cap_folds_into_overflow() {
         let s = store(1, 1.0);
         for id in 0..MAX_BUCKETS as u64 + 2 {
-            s.write(&trace(id, &format!("S{id}"), "r1v1", 10), None, None);
+            s.write(&trace(id, &format!("S{id}"), "r1v1", 10), None, None, false);
         }
         let buckets = s.buckets();
         // The cap's worth of real buckets plus the overflow bucket.
@@ -1274,12 +1282,12 @@ mod tests {
             error: Some("no admissible schema".into()),
             ..Default::default()
         };
-        s.write(&failed, None, None);
+        s.write(&failed, None, None, false);
         let shed = Envelope {
             shed: Some("quota"),
             ..envelope(3)
         };
-        s.write(&RequestTrace::default(), Some(shed), None);
+        s.write(&RequestTrace::default(), Some(shed), None, false);
         let buckets = s.buckets();
         assert_eq!(buckets.len(), 1);
         assert_eq!(buckets[0].0, ("unplanned".to_string(), "r3v12".to_string()));
@@ -1290,7 +1298,7 @@ mod tests {
     fn exports_all_counter_families() {
         let s = store(1, 0.0);
         put(&s, 1, 10);
-        s.write(&RequestTrace::default(), None, None);
+        s.write(&RequestTrace::default(), None, None, false);
         let mut snap = MetricsSnapshot::new();
         s.export_into(&mut snap);
         let names: Vec<&str> = snap.metrics.iter().map(|m| m.name.as_str()).collect();
@@ -1375,7 +1383,7 @@ mod tests {
                         } else {
                             10 + id % 7
                         };
-                        s.write(&trace(id, "Naive", "r3v12", exec), None, Some(&exec));
+                        s.write(&trace(id, "Naive", "r3v12", exec), None, Some(&exec), false);
                     }
                 });
             }

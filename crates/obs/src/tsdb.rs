@@ -25,16 +25,13 @@
 //! `ttlg_tsdb_*` metrics via [`TimeSeriesStore::export_into`].
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::snapshot::{MetricKind, MetricsSnapshot, Sample};
 
 /// Retention / resolution knobs for a [`TimeSeriesStore`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TsdbConfig {
-    /// Nominal spacing between scrapes, in milliseconds. Informational
-    /// (points carry real timestamps); used by consumers to pick steps.
-    pub fine_step_ms: u64,
     /// Number of points kept in the fine ring per series.
     pub fine_capacity: usize,
     /// Fine ingests folded into one coarse point.
@@ -49,7 +46,6 @@ pub struct TsdbConfig {
 impl Default for TsdbConfig {
     fn default() -> Self {
         Self {
-            fine_step_ms: 1_000,
             fine_capacity: 600,
             coarse_factor: 30,
             coarse_capacity: 480,
@@ -138,15 +134,19 @@ impl TimeSeriesStore {
         }
     }
 
-    pub fn config(&self) -> TsdbConfig {
-        self.cfg
+    /// The store's state, whatever poisoned the lock. Every update
+    /// leaves it valid: a panic mid-ingest leaves some series one point
+    /// behind, and the next ingest diffs each series against its own
+    /// last raw value.
+    fn lock(&self) -> MutexGuard<'_, StoreInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Diff `snap` against the previous scrape and append one point per
     /// series. `now_ms` is the scrape timestamp (wall-clock millis); tests
     /// may use synthetic clocks.
     pub fn ingest(&self, snap: &MetricsSnapshot, now_ms: u64) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         inner.scrapes += 1;
         inner.last_ingest_ms = inner.last_ingest_ms.max(now_ms);
         let cfg = self.cfg;
@@ -251,23 +251,23 @@ impl TimeSeriesStore {
 
     /// Timestamp of the most recent ingest, or `None` before the first.
     pub fn last_ingest_ms(&self) -> Option<u64> {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         (inner.scrapes > 0).then_some(inner.last_ingest_ms)
     }
 
     pub fn scrapes(&self) -> u64 {
-        self.inner.lock().unwrap().scrapes
+        self.lock().scrapes
     }
 
     /// Number of distinct series currently tracked (scalar + histogram).
     pub fn series_count(&self) -> usize {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         inner.scalars.len() + inner.hists.len()
     }
 
     /// Total retained points across every ring.
     pub fn point_count(&self) -> usize {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         inner
             .scalars
             .values()
@@ -283,7 +283,7 @@ impl TimeSeriesStore {
     /// All scalar series of family `name`, each as merged coarse+fine
     /// points (coarse points older than the fine window, then fine).
     pub fn scalar_data(&self, name: &str) -> Vec<ScalarPoints> {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         inner
             .scalars
             .iter()
@@ -298,7 +298,7 @@ impl TimeSeriesStore {
 
     /// All histogram series of family `name`, merged like [`Self::scalar_data`].
     pub fn hist_data(&self, name: &str) -> Vec<HistPoints> {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         inner
             .hists
             .iter()
@@ -311,25 +311,9 @@ impl TimeSeriesStore {
             .collect()
     }
 
-    /// Last raw cumulative value summed across every series of a counter
-    /// family — used to seed `AlertEngine::prev_counters` after a restart
-    /// so a recreated engine doesn't treat history as one giant delta.
-    pub fn last_raw_sum(&self, name: &str) -> Option<f64> {
-        let inner = self.inner.lock().unwrap();
-        let mut sum = 0.0;
-        let mut any = false;
-        for (k, s) in &inner.scalars {
-            if k.name == name {
-                sum += s.last_raw;
-                any = true;
-            }
-        }
-        any.then_some(sum)
-    }
-
     /// Family names with at least one retained series, sorted.
     pub fn family_names(&self) -> Vec<String> {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         let mut names: Vec<String> = inner
             .scalars
             .keys()
@@ -343,7 +327,7 @@ impl TimeSeriesStore {
 
     /// Append the store's own health gauges/counters to a snapshot.
     pub fn export_into(&self, snap: &mut MetricsSnapshot) {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         let points = inner
             .scalars
             .values()
@@ -389,7 +373,7 @@ impl TimeSeriesStore {
 
     /// Serialise the full store state to the `ttlg-tsdb 1` text format.
     pub fn save(&self) -> String {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         let mut out = String::new();
         out.push_str("ttlg-tsdb 1\n");
         out.push_str(&format!(
@@ -543,7 +527,7 @@ impl TimeSeriesStore {
                 return Err(err("unrecognised record"));
             }
         }
-        *self.inner.lock().unwrap() = loaded;
+        *self.lock() = loaded;
         Ok(restored)
     }
 }
@@ -1006,6 +990,32 @@ mod tests {
         assert!(store.hydrate("").is_err());
         assert!(store.hydrate("not-a-history\n").is_err());
         assert!(store.hydrate("ttlg-tsdb 1\nS c|x|-|nope|0|0\n").is_err());
+    }
+
+    /// A thread that panicked holding the lock leaves the store usable.
+    #[test]
+    fn a_poisoned_store_still_ingests_queries_and_saves() {
+        let store = TimeSeriesStore::default();
+        store.ingest(&counter_snap("ttlg_x_total", 5.0), 1_000);
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _held = store.inner.lock().unwrap();
+                panic!("poison the history store");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(store.inner.is_poisoned());
+        store.ingest(&counter_snap("ttlg_x_total", 12.0), 2_000);
+        assert_eq!(
+            store.scalar_data("ttlg_x_total")[0].points,
+            vec![(1_000, 5.0), (2_000, 7.0)]
+        );
+        let r = crate::query::eval_range(&store, "increase(ttlg_x_total)", 2_000, 2_000, 2_000)
+            .expect("query");
+        assert_eq!(r.series[0].points, vec![(2_000, 12.0)]);
+        let restored = TimeSeriesStore::default();
+        assert_eq!(restored.hydrate(&store.save()), Ok(1));
+        assert_eq!(restored.scrapes(), 2);
     }
 
     #[test]

@@ -45,8 +45,13 @@
 //!   ([`TransposeService::phase_profiles`]), the store keeps the slowest
 //!   requests per bucket in full with their planner decision traces
 //!   ([`TransposeService::exemplars`]), and a latency SLO is tracked
-//!   with short/long-window burn rates
+//!   as lifetime hit and miss counts
 //!   ([`TransposeService::slo_snapshot`]).
+//! * **Metrics history and alerting** — a background scraper ingests a
+//!   snapshot into the [`TimeSeriesStore`]
+//!   ([`TransposeService::history`]) once a second and steps the alert
+//!   rules ([`TransposeService::alerts`]) over it; windowed rules such
+//!   as `slo-burn` read the store through [`eval_range`].
 //!
 //! ## Example
 //!

@@ -163,8 +163,8 @@ pub struct Metrics {
     /// own kernel. Counted in `requests_by_schema` too: a coalesced
     /// request is still a served request.
     coalesced_requests: AtomicU64,
-    /// Pipeline stages that panicked; the panic was caught and turned
-    /// into its requests' error.
+    /// Pipeline stages and history scrapes that panicked; the panic was
+    /// caught and turned into its requests' error, or skipped the scrape.
     panics: AtomicU64,
 }
 
@@ -372,7 +372,8 @@ impl Metrics {
         );
         snap.push_metric(
             "ttlg_panics_total",
-            "Pipeline stages that panicked; each panic was caught and failed its requests.",
+            "Pipeline stages and history scrapes that panicked; each panic was caught \
+             and failed its requests or skipped its scrape.",
             MetricKind::Counter,
             vec![Sample::plain(self.panics() as f64)],
         );

@@ -43,10 +43,10 @@ use ttlg::{
     TransposeOptions, TransposeReport, Transposer,
 };
 use ttlg_obs::{
-    clock_ns, profile, shape_class, AttrValue, Envelope, Event, MetricKind, MetricsSnapshot,
-    PhaseProfile, ProfileOptions, RequestTrace, Sample, SampleReason, SloConfig, SloSnapshot,
-    SloTracker, SlowestBuckets, SpanNode, SpanRecord, Subscriber, TimeSeriesStore, TraceRecord,
-    TraceStore, TraceStoreConfig, TsdbConfig,
+    clock_ns, default_rules, profile, shape_class, AlertEngine, AttrValue, Envelope, Event,
+    MetricKind, MetricsSnapshot, PhaseProfile, ProfileOptions, RequestTrace, Sample, SampleReason,
+    SloConfig, SloSnapshot, SloTracker, SlowestBuckets, SpanNode, SpanRecord, Subscriber,
+    TimeSeriesStore, TraceRecord, TraceStore, TraceStoreConfig, TsdbConfig,
 };
 use ttlg_perfmodel::MeasurementSink;
 use ttlg_tensor::{parallel, DenseTensor, Element, Permutation};
@@ -67,7 +67,8 @@ pub struct RuntimeConfig {
     /// Measure-mode autotuning (disabled by default).
     pub autotune: AutotuneConfig,
     /// Latency objective tracked by the built-in [`SloTracker`]; the
-    /// trace store always keeps requests that miss it.
+    /// trace store always keeps requests that miss it, and the goal sets
+    /// the `slo-burn` alert threshold.
     pub slo: SloConfig,
     /// Queue bound of the lazily started executor behind
     /// [`TransposeService::submit_async`].
@@ -80,11 +81,9 @@ pub struct RuntimeConfig {
 /// Configuration of the background metrics-history scraper.
 #[derive(Debug, Clone, Copy)]
 pub struct HistoryConfig {
-    /// Whether [`TransposeService::start_history_scraper`] starts a
-    /// scraper at all (manual [`TransposeService::scrape_history_once`]
-    /// always works). On by default.
-    pub enabled: bool,
-    /// Scrape cadence of the background scraper, in milliseconds.
+    /// Scrape cadence of the background scraper, in milliseconds. Each
+    /// scrape also steps the alert engine. `0` starts no scraper;
+    /// [`TransposeService::scrape_history_once`] then drives both.
     pub scrape_interval_ms: u64,
     /// Retention rings of the history store.
     pub tsdb: TsdbConfig,
@@ -93,7 +92,6 @@ pub struct HistoryConfig {
 impl Default for HistoryConfig {
     fn default() -> Self {
         HistoryConfig {
-            enabled: true,
             scrape_interval_ms: 1_000,
             tsdb: TsdbConfig::default(),
         }
@@ -345,9 +343,14 @@ pub struct TransposeService<E: Element> {
     executor: OnceLock<Executor<E>>,
     async_cfg: AsyncConfig,
     /// Metrics history: the delta-encoded time-series store fed by
-    /// [`Self::scrape_history_once`] / the background scraper.
+    /// [`Self::scrape_history_once`] / the background scraper. It is
+    /// the only windowed state: the alert rules read their windows from
+    /// it.
     history: TimeSeriesStore,
-    history_cfg: HistoryConfig,
+    /// Alert rules, stepped once per history ingest.
+    alerts: AlertEngine,
+    /// Background scraper cadence (`0`: no background scraper).
+    scrape_interval_ms: u64,
     /// Optional snapshot source for scrapes. The gateway installs one
     /// that returns its *merged* snapshot (service + gateway + alert
     /// families) so history covers everything an operator can scrape;
@@ -392,7 +395,7 @@ impl<E: Element> TransposeService<E> {
             in_flight: Semaphore::new(bound),
             workers,
             exec_threads: (parallel::default_threads() / bound).max(1),
-            traces: TraceStore::new(cfg.traces, (cfg.slo.target_us * 1e3) as u64),
+            traces: TraceStore::new(cfg.traces),
             subscriber: None,
             next_id: AtomicU64::new(0),
             autotune: cfg.autotune,
@@ -404,7 +407,8 @@ impl<E: Element> TransposeService<E> {
             executor: OnceLock::new(),
             async_cfg: cfg.async_exec,
             history: TimeSeriesStore::new(cfg.history.tsdb),
-            history_cfg: cfg.history,
+            alerts: AlertEngine::new(default_rules(cfg.slo)),
+            scrape_interval_ms: cfg.history.scrape_interval_ms,
             history_source: Mutex::new(None),
             scraper: Mutex::new(None),
             history_file: Mutex::new(None),
@@ -460,7 +464,8 @@ impl<E: Element> TransposeService<E> {
 
     /// Capture metrics as a renderer-neutral snapshot, including the
     /// tail-attribution families: trace-store sampling and retention,
-    /// SLO state, and the per-`(schema, shape-class)` phase profiles.
+    /// SLO state, the per-`(schema, shape-class)` phase profiles, and
+    /// the alert rules' state as of the last history ingest.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot(&self.cache.stats());
         self.traces.export_into(&mut snap);
@@ -470,7 +475,8 @@ impl<E: Element> TransposeService<E> {
             MetricKind::Gauge,
             vec![Sample::plain(self.cache.pinned_plans() as f64)],
         );
-        self.slo.export_into(&mut snap, clock_ns());
+        self.slo.export_into(&mut snap);
+        self.alerts.export_into(&mut snap);
         profile::export_into(&mut snap, &self.phase_profiles());
         snap.push_metric(
             "ttlg_uptime_seconds",
@@ -522,9 +528,9 @@ impl<E: Element> TransposeService<E> {
         self.traces.buckets()
     }
 
-    /// Point-in-time SLO state (hit ratio + burn rates).
+    /// Lifetime SLO state (hit ratio and violations).
     pub fn slo_snapshot(&self) -> SloSnapshot {
-        self.slo.snapshot(clock_ns())
+        self.slo.snapshot()
     }
 
     /// Export metrics in Prometheus text exposition format.
@@ -556,7 +562,8 @@ impl<E: Element> TransposeService<E> {
 
     /// Emit a finished request's span to the subscriber, if one is
     /// attached, feed the SLO tracker, and write the request's one
-    /// record to the trace store. Returns the store's sampling decision.
+    /// record to the trace store, which keeps it if the tracker counted
+    /// a miss. Returns the store's sampling decision.
     fn finish_trace(
         &self,
         trace: &RequestTrace,
@@ -566,8 +573,8 @@ impl<E: Element> TransposeService<E> {
         if let Some(subscriber) = &self.subscriber {
             subscriber.on_span(&request_span(trace));
         }
-        self.slo.record(trace.total_ns(), clock_ns());
-        self.traces.write(trace, envelope, decision)
+        let slo_miss = self.slo.record(trace, envelope.as_ref());
+        self.traces.write(trace, envelope, decision, slo_miss)
     }
 
     // ---- the submission pipeline --------------------------------------
@@ -677,7 +684,7 @@ impl<E: Element> TransposeService<E> {
         envelope: Option<Envelope>,
     ) -> Outcome<E> {
         let mut out = Outcome::error(e.message, submitted_ns, coalesced);
-        out.sampled = self.traces.write(&out.trace, envelope, None);
+        out.sampled = self.traces.write(&out.trace, envelope, None, false);
         out
     }
 
@@ -1033,9 +1040,10 @@ impl<E: Element> TransposeService<E> {
         &self.history
     }
 
-    /// The history configuration this service was built with.
-    pub fn history_config(&self) -> HistoryConfig {
-        self.history_cfg
+    /// The alert rules, stepped once per history ingest. Reading their
+    /// state ([`AlertEngine::status`]) never advances them.
+    pub fn alerts(&self) -> &AlertEngine {
+        &self.alerts
     }
 
     /// Install (or clear) the snapshot source history scrapes ingest.
@@ -1046,10 +1054,12 @@ impl<E: Element> TransposeService<E> {
         *self.history_source.lock().expect("history source poisoned") = source;
     }
 
-    /// Capture one snapshot and ingest it into the history store, then
-    /// persist the store if a history file is configured. Called by the
-    /// background scraper at the configured cadence; callers (tests,
-    /// studies) may also drive it manually for deterministic timelines.
+    /// Capture one snapshot, ingest it into the history store, step the
+    /// alert engine over it, then persist the store if a history file is
+    /// configured. Called by the background scraper at the configured
+    /// cadence; callers (tests, studies) may also drive it manually for
+    /// deterministic timelines. This is the only place alert rules
+    /// advance, so their hysteresis counts scrapes.
     pub fn scrape_history_once(&self) {
         let source = self
             .history_source
@@ -1068,6 +1078,7 @@ impl<E: Element> TransposeService<E> {
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
         self.history.ingest(&snap, now_ms);
+        self.alerts.evaluate(&snap, &self.history);
         self.persist_history();
     }
 
@@ -1107,11 +1118,13 @@ impl<E: Element> TransposeService<E> {
     }
 
     /// Start the background history scraper (idempotent; a no-op when
-    /// `history.enabled` is false or the interval is zero). The thread
-    /// holds only a [`Weak`] reference, so it never keeps the service
-    /// alive; it stops on [`Self::stop_history_scraper`] or drop.
+    /// the interval is zero). The thread holds only a [`Weak`]
+    /// reference, so it never keeps the service alive; it stops on
+    /// [`Self::stop_history_scraper`] or drop. A scrape that panics is
+    /// counted in `ttlg_panics_total` and skipped; the next one runs on
+    /// schedule.
     pub fn start_history_scraper(self: &Arc<Self>) {
-        if !self.history_cfg.enabled || self.history_cfg.scrape_interval_ms == 0 {
+        if self.scrape_interval_ms == 0 {
             return;
         }
         let mut slot = self.scraper.lock().expect("scraper poisoned");
@@ -1121,7 +1134,7 @@ impl<E: Element> TransposeService<E> {
         let stop: Arc<(Mutex<bool>, Condvar)> = Arc::new((Mutex::new(false), Condvar::new()));
         let flag = Arc::clone(&stop);
         let weak: Weak<Self> = Arc::downgrade(self);
-        let interval = Duration::from_millis(self.history_cfg.scrape_interval_ms);
+        let interval = Duration::from_millis(self.scrape_interval_ms);
         let join = std::thread::Builder::new()
             .name("ttlg-history".into())
             .spawn(move || loop {
@@ -1143,9 +1156,11 @@ impl<E: Element> TransposeService<E> {
                 if done {
                     return;
                 }
-                match weak.upgrade() {
-                    Some(svc) => svc.scrape_history_once(),
-                    None => return,
+                let Some(svc) = weak.upgrade() else {
+                    return;
+                };
+                if panic::catch_unwind(AssertUnwindSafe(|| svc.scrape_history_once())).is_err() {
+                    svc.metrics.record_panic();
                 }
             })
             .expect("spawn history scraper thread");
@@ -2200,7 +2215,6 @@ mod tests {
             "# TYPE ttlg_slo_requests_total counter",
             "# TYPE ttlg_slo_violations_total counter",
             "# TYPE ttlg_slo_hit_ratio gauge",
-            "# TYPE ttlg_slo_burn_rate gauge",
             "# TYPE ttlg_profile_requests gauge",
             "# TYPE ttlg_profile_phase_ns gauge",
             "# TYPE ttlg_profile_p99_us gauge",
@@ -2210,10 +2224,6 @@ mod tests {
         }
         assert!(prom.contains("ttlg_slo_requests_total 1"), "{prom}");
         assert!(prom.contains("ttlg_trace_store_resident 1"), "{prom}");
-        assert!(
-            prom.contains("ttlg_slo_burn_rate{window=\"short\"}"),
-            "{prom}"
-        );
         assert!(
             prom.contains("ttlg_profile_phase_ns{schema=\"Orthogonal-Distinct\""),
             "{prom}"
@@ -2303,6 +2313,37 @@ mod tests {
         assert_eq!(svc2.history().scrapes(), scrapes);
         assert!(!svc2.history().scalar_data("ttlg_requests_total").is_empty());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A scrape that panics is counted and skipped: the scraper thread
+    /// keeps ingesting, and each ingest steps the alert engine once.
+    #[test]
+    fn a_panicking_scrape_leaves_the_scraper_running() {
+        let mut cfg = RuntimeConfig::default();
+        cfg.history.scrape_interval_ms = 5;
+        let svc: Arc<TransposeService<u64>> =
+            Arc::new(TransposeService::with_config(Transposer::new_k40c(), cfg));
+        let panicked = Arc::new(AtomicBool::new(false));
+        let once = Arc::clone(&panicked);
+        svc.set_history_source(Some(Arc::new(move || {
+            if !once.swap(true, Ordering::SeqCst) {
+                panic!("injected scrape panic");
+            }
+            Some(MetricsSnapshot::new())
+        })));
+        svc.start_history_scraper();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while svc.history().scrapes() < 3 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        svc.stop_history_scraper();
+        assert!(panicked.load(Ordering::SeqCst));
+        assert!(
+            svc.history().scrapes() >= 3,
+            "the scraper stopped after a panic"
+        );
+        assert_eq!(svc.metrics().panics(), 1);
+        assert_eq!(svc.alerts().evaluations(), svc.history().scrapes());
     }
 
     #[test]
