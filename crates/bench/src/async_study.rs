@@ -1,8 +1,8 @@
 //! Async-submission coalescing study (`BENCH_async.json`).
 //!
 //! Drives the service's non-blocking [`submit_async`] path with a
-//! **duplicate-heavy closed-loop workload at an overload factor**:
-//! `ceil(workers * overload)` client threads hammer a small set of
+//! **duplicate-heavy closed-loop workload at an overload factor** of
+//! [`OVERLOAD`]: `ceil(workers * overload)` client threads hammer a small set of
 //! identical problems, far more concurrency than the executor's worker
 //! pool can drain. The study runs the same workload twice: once
 //! with every request on its own copy of the input, so no two requests
@@ -14,7 +14,7 @@
 //!
 //! [`submit_async`]: ttlg_runtime::TransposeService::submit_async
 
-use crate::serve_study::json_f64;
+use crate::study::{gate, p50_p95_p99, Gates, JsonObject, Study};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ttlg::Transposer;
@@ -61,8 +61,6 @@ pub struct PhaseOutcome {
 /// The full study result.
 #[derive(Debug, Clone)]
 pub struct AsyncStudy {
-    /// Offered concurrency as a multiple of the executor's workers.
-    pub overload: f64,
     /// Executor worker threads per phase.
     pub workers: usize,
     /// Closed-loop client threads per phase.
@@ -78,16 +76,6 @@ pub struct AsyncStudy {
     pub execution_cut: f64,
     /// `coalesced.p99 / baseline.p99` — <= 1 means the tail improved.
     pub p99_ratio: f64,
-}
-
-/// Nearest-rank quantile over an unsorted sample set, us.
-fn quantile_us(samples: &mut [f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return f64::NAN;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
-    samples[rank - 1]
 }
 
 /// Run one phase: a fresh service, `clients` closed-loop threads
@@ -152,6 +140,7 @@ fn run_phase(seconds: f64, clients: usize, coalesce: bool) -> PhaseOutcome {
     let stats = svc.pipeline_stats();
     let mut all: Vec<f64> = latencies.into_iter().flatten().collect();
     let requests = stats.submitted;
+    let (p50_us, p95_us, p99_us) = p50_p95_p99(&mut all);
     PhaseOutcome {
         coalesce,
         requests,
@@ -162,20 +151,22 @@ fn run_phase(seconds: f64, clients: usize, coalesce: bool) -> PhaseOutcome {
         throughput_rps: requests as f64 / wall_s.max(1e-9),
         executions_per_request: stats.executed as f64 / requests.max(1) as f64,
         coalesced_ratio: stats.coalesced as f64 / requests.max(1) as f64,
-        p50_us: quantile_us(&mut all, 0.50),
-        p95_us: quantile_us(&mut all, 0.95),
-        p99_us: quantile_us(&mut all, 0.99),
+        p50_us,
+        p95_us,
+        p99_us,
     }
 }
 
-/// Run the study: `seconds` of drive time per phase at `overload` times
-/// the executor's worker count.
-pub fn run(seconds: f64, overload: f64) -> AsyncStudy {
-    let clients = ((WORKERS as f64 * overload).ceil() as usize).max(WORKERS + 1);
+/// Offered concurrency as a multiple of the executor's workers.
+pub const OVERLOAD: f64 = 2.0;
+
+/// Run the study: `seconds` of drive time per phase at [`OVERLOAD`]
+/// times the executor's worker count.
+pub fn run(seconds: f64) -> AsyncStudy {
+    let clients = ((WORKERS as f64 * OVERLOAD).ceil() as usize).max(WORKERS + 1);
     let baseline = run_phase(seconds, clients, false);
     let coalesced = run_phase(seconds, clients, true);
     AsyncStudy {
-        overload,
         workers: WORKERS,
         clients,
         unique_problems: UNIQUE_PROBLEMS,
@@ -187,16 +178,15 @@ pub fn run(seconds: f64, overload: f64) -> AsyncStudy {
     }
 }
 
-impl AsyncStudy {
-    /// Human-readable report.
-    pub fn render(&self) -> String {
+impl Study for AsyncStudy {
+    fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
         writeln!(s, "== async submission coalescing study ==").unwrap();
         writeln!(
             s,
             "{} clients over {} workers ({}x overload), {} unique problems",
-            self.clients, self.workers, self.overload, self.unique_problems
+            self.clients, self.workers, OVERLOAD, self.unique_problems
         )
         .unwrap();
         for ph in [&self.baseline, &self.coalesced] {
@@ -228,46 +218,65 @@ impl AsyncStudy {
         s
     }
 
-    /// The `BENCH_async.json` artifact.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let phase = |ph: &PhaseOutcome| {
-            format!(
-                "{{\"coalesce\": {}, \"requests\": {}, \"executed\": {}, \"coalesced\": {}, \
-                 \"rejected\": {}, \"wall_s\": {}, \"throughput_rps\": {}, \
-                 \"executions_per_request\": {}, \"coalesced_ratio\": {}, \
-                 \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}}}",
-                ph.coalesce,
-                ph.requests,
-                ph.executed,
-                ph.coalesced,
-                ph.rejected,
-                json_f64(ph.wall_s),
-                json_f64(ph.throughput_rps),
-                json_f64(ph.executions_per_request),
-                json_f64(ph.coalesced_ratio),
-                json_f64(ph.p50_us),
-                json_f64(ph.p95_us),
-                json_f64(ph.p99_us)
-            )
+            JsonObject::default()
+                .val("coalesce", ph.coalesce)
+                .val("requests", ph.requests)
+                .val("executed", ph.executed)
+                .val("coalesced", ph.coalesced)
+                .val("rejected", ph.rejected)
+                .num("wall_s", ph.wall_s)
+                .num("throughput_rps", ph.throughput_rps)
+                .num("executions_per_request", ph.executions_per_request)
+                .num("coalesced_ratio", ph.coalesced_ratio)
+                .num("p50_us", ph.p50_us)
+                .num("p95_us", ph.p95_us)
+                .num("p99_us", ph.p99_us)
         };
-        let mut s = String::from("{\n");
-        s.push_str("  \"study\": \"async\",\n");
-        s.push_str(&format!("  \"overload\": {},\n", json_f64(self.overload)));
-        s.push_str(&format!("  \"workers\": {},\n", self.workers));
-        s.push_str(&format!("  \"clients\": {},\n", self.clients));
-        s.push_str(&format!(
-            "  \"unique_problems\": {},\n",
-            self.unique_problems
-        ));
-        s.push_str(&format!("  \"baseline\": {},\n", phase(&self.baseline)));
-        s.push_str(&format!("  \"coalesced\": {},\n", phase(&self.coalesced)));
-        s.push_str(&format!(
-            "  \"execution_cut\": {},\n",
-            json_f64(self.execution_cut)
-        ));
-        s.push_str(&format!("  \"p99_ratio\": {}\n", json_f64(self.p99_ratio)));
-        s.push_str("}\n");
-        s
+        JsonObject::study("async")
+            .num("overload", OVERLOAD)
+            .val("workers", self.workers)
+            .val("clients", self.clients)
+            .val("unique_problems", self.unique_problems)
+            .obj("baseline", phase(&self.baseline))
+            .obj("coalesced", phase(&self.coalesced))
+            .num("execution_cut", self.execution_cut)
+            .num("p99_ratio", self.p99_ratio)
+            .document()
+    }
+
+    /// Accounting gates on both phases, then the coalescing gate: the
+    /// duplicate-heavy phase coalesces more than 20% of requests and
+    /// cuts executions per request by at least 30% without raising the
+    /// interactive p99 more than 10%.
+    fn check(&self) -> Result<(), String> {
+        let (base, coal) = (&self.baseline, &self.coalesced);
+        let mut g = Gates::default();
+        for ph in [base, coal] {
+            let name = if ph.coalesce { "coalesced" } else { "baseline" };
+            gate!(g, ph.requests > 0, "{name}");
+            gate!(g, ph.rejected == 0, "{name}");
+            gate!(g, ph.executed + ph.coalesced == ph.requests, "{name}");
+            gate!(g, ph.executed <= ph.requests, "{name}");
+            gate!(
+                g,
+                ph.p50_us <= ph.p95_us && ph.p95_us <= ph.p99_us,
+                "{name}"
+            );
+            gate!(g, ph.throughput_rps > 0.0, "{name}");
+        }
+        gate!(g, base.coalesced == 0);
+        gate!(g, base.executions_per_request == 1.0);
+        gate!(g, coal.coalesced_ratio > 0.2, "{:.3}", coal.coalesced_ratio);
+        gate!(g, self.execution_cut >= 0.3, "{:.3}", self.execution_cut);
+        gate!(
+            g,
+            coal.p99_us <= base.p99_us * 1.10,
+            "{:.2}x",
+            self.p99_ratio
+        );
+        g.finish()
     }
 }
 
@@ -278,16 +287,20 @@ mod tests {
     #[test]
     fn quantiles_are_nearest_rank() {
         let mut v = vec![5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(quantile_us(&mut v, 0.5), 3.0);
-        assert_eq!(quantile_us(&mut v, 0.99), 5.0);
-        assert!(quantile_us(&mut [], 0.5).is_nan());
+        assert_eq!(p50_p95_p99(&mut v), (3.0, 5.0, 5.0));
+        assert_eq!(
+            v,
+            [1.0, 2.0, 3.0, 4.0, 5.0],
+            "the samples are sorted in place"
+        );
+        assert!(p50_p95_p99(&mut []).0.is_nan());
     }
 
     #[test]
     fn duplicate_heavy_overload_coalesces_and_accounts() {
         // A fraction of a second per phase is enough: thousands of
         // closed-loop round trips on the simulator.
-        let study = run(0.25, 2.0);
+        let study = run(0.25);
         for ph in [&study.baseline, &study.coalesced] {
             assert!(ph.requests > 0);
             assert_eq!(ph.rejected, 0, "closed-loop clients never overflow");
@@ -324,5 +337,11 @@ mod tests {
         assert!(json.contains("\"coalesced_ratio\""));
         assert!(json.contains("\"p99_ratio\""));
         assert!(study.render().contains("fewer kernels"));
+        let mut broken = study.clone();
+        broken.coalesced.coalesced_ratio = 0.1;
+        broken.coalesced.p99_us = broken.baseline.p99_us * 2.0;
+        let err = broken.check().unwrap_err();
+        assert!(err.contains("coal.coalesced_ratio > 0.2 (0.100)"), "{err}");
+        assert!(err.contains("coal.p99_us <= base.p99_us * 1.10"), "{err}");
     }
 }

@@ -13,7 +13,8 @@
 //! time *is* their measured time, so both the execute-time percentiles
 //! and the geometric-mean prediction error must improve.
 
-use crate::serve_study::{json_f64, workload};
+use crate::serve_study::workload;
+use crate::study::{gate, Gates, JsonObject, Study};
 use std::sync::Arc;
 use ttlg::{TimePredictor, Transposer};
 use ttlg_gpu_sim::DeviceConfig;
@@ -152,9 +153,9 @@ pub fn run(distinct: usize, rounds: usize) -> AutotuneStudy {
     }
 }
 
-impl AutotuneStudy {
+impl Study for AutotuneStudy {
     /// Render a small comparison table.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut s = String::new();
         s.push_str("== model-only vs autotuned serving ==\n");
         s.push_str(&format!(
@@ -187,58 +188,35 @@ impl AutotuneStudy {
         s
     }
 
-    /// Serialize as a machine-readable JSON document.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"study\": \"autotune\",\n");
-        s.push_str(&format!(
-            "  \"requests_per_phase\": {},\n",
-            self.requests_per_phase
-        ));
-        s.push_str(&format!("  \"distinct_perms\": {},\n", self.distinct_perms));
-        s.push_str(&format!("  \"rounds\": {},\n", self.rounds));
-        s.push_str(&format!(
-            "  \"geo_error_before\": {},\n",
-            json_f64(self.geo_error_before)
-        ));
-        s.push_str(&format!(
-            "  \"geo_error_after\": {},\n",
-            json_f64(self.geo_error_after)
-        ));
-        s.push_str(&format!(
-            "  \"p50_exec_us_before\": {},\n",
-            json_f64(self.p50_exec_us_before)
-        ));
-        s.push_str(&format!(
-            "  \"p99_exec_us_before\": {},\n",
-            json_f64(self.p99_exec_us_before)
-        ));
-        s.push_str(&format!(
-            "  \"p50_exec_us_after\": {},\n",
-            json_f64(self.p50_exec_us_after)
-        ));
-        s.push_str(&format!(
-            "  \"p99_exec_us_after\": {},\n",
-            json_f64(self.p99_exec_us_after)
-        ));
-        s.push_str(&format!("  \"keys_tuned\": {},\n", self.tuner.keys_tuned));
-        s.push_str(&format!(
-            "  \"candidates_measured\": {},\n",
-            self.tuner.candidates_measured
-        ));
-        s.push_str(&format!(
-            "  \"plans_warmed\": {},\n",
-            self.tuner.plans_warmed
-        ));
-        s.push_str(&format!(
-            "  \"plans_swapped\": {},\n",
-            self.tuner.plans_swapped
-        ));
-        s.push_str(&format!("  \"tuner_failures\": {},\n", self.tuner.failures));
-        s.push_str(&format!("  \"online_points\": {},\n", self.online_points));
-        s.push_str(&format!("  \"online_refits\": {}\n", self.online_refits));
-        s.push_str("}\n");
-        s
+    fn to_json(&self) -> String {
+        JsonObject::study("autotune")
+            .val("requests_per_phase", self.requests_per_phase)
+            .val("distinct_perms", self.distinct_perms)
+            .val("rounds", self.rounds)
+            .num("geo_error_before", self.geo_error_before)
+            .num("geo_error_after", self.geo_error_after)
+            .num("p50_exec_us_before", self.p50_exec_us_before)
+            .num("p99_exec_us_before", self.p99_exec_us_before)
+            .num("p50_exec_us_after", self.p50_exec_us_after)
+            .num("p99_exec_us_after", self.p99_exec_us_after)
+            .val("keys_tuned", self.tuner.keys_tuned)
+            .val("candidates_measured", self.tuner.candidates_measured)
+            .val("plans_warmed", self.tuner.plans_warmed)
+            .val("plans_swapped", self.tuner.plans_swapped)
+            .val("tuner_failures", self.tuner.failures)
+            .val("online_points", self.online_points)
+            .val("online_refits", self.online_refits)
+            .document()
+    }
+
+    fn check(&self) -> Result<(), String> {
+        let (before, after) = (self.geo_error_before, self.geo_error_after);
+        let mut g = Gates::default();
+        gate!(g, before.is_finite() && after.is_finite());
+        gate!(g, after <= before, "{before} -> {after}");
+        gate!(g, self.tuner.plans_warmed >= 1);
+        gate!(g, self.tuner.failures == 0, "{}", self.tuner.failures);
+        g.finish()
     }
 }
 
@@ -283,6 +261,13 @@ mod tests {
         let rendered = study.render();
         assert!(rendered.contains("model-only"));
         assert!(rendered.contains("autotuned"));
+        assert_eq!(study.check(), Ok(()));
+        let mut broken = study.clone();
+        broken.geo_error_after = broken.geo_error_before * 2.0;
+        broken.tuner.failures = 1;
+        let err = broken.check().unwrap_err();
+        assert!(err.contains("failed gate: after <= before"), "{err}");
+        assert!(err.contains("self.tuner.failures == 0 (1)"), "{err}");
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Gateway loopback study (`BENCH_gateway.json`).
 //!
 //! Stands up a real `ttlg-serve` gateway on an ephemeral loopback port
-//! and drives it at a configurable **overload factor**: every tenant
-//! paces its keep-alive client at `overload x` its own token-bucket
-//! rate, so at the default `2.0` the offered load is twice what
-//! admission control will sustain. The study then reports what a
+//! and drives it at an **overload factor** of [`OVERLOAD`]: every tenant
+//! paces its keep-alive client at twice its own token-bucket rate, so
+//! the offered load is twice what admission control will sustain. The study then reports what a
 //! capacity review needs:
 //!
 //! * per-tenant offered/admitted/shed counts and client-side
@@ -22,7 +21,7 @@
 //! the microsecond-scale service times of the simulator this skew is
 //! negligible.
 
-use crate::serve_study::json_f64;
+use crate::study::{gate, p50_p95_p99, Gates, JsonObject, Study};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ttlg_runtime::TransposeService;
@@ -74,8 +73,6 @@ pub struct ClassSummary {
 /// The full study result.
 #[derive(Debug, Clone)]
 pub struct GatewayStudy {
-    /// Offered-load multiple of the per-tenant quota rate.
-    pub overload: f64,
     /// Wall-clock of the drive phase, seconds.
     pub wall_s: f64,
     /// Admitted requests per second of wall clock.
@@ -94,16 +91,6 @@ pub struct GatewayStudy {
     pub scraped_shed_total: f64,
     /// Whether the scrape agreed with the client-observed shed count.
     pub metrics_consistent: bool,
-}
-
-/// Nearest-rank quantile over an unsorted sample set, us.
-fn quantile_us(samples: &mut [f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return f64::NAN;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
-    samples[rank - 1]
 }
 
 /// Per-tenant drive plan.
@@ -141,9 +128,12 @@ const PLANS: [TenantPlan; 4] = [
 /// request timeout even while batch floods are being shed.
 pub const SLO_TARGET_US: f64 = 100_000.0;
 
-/// Run the study: `seconds` of drive time at `overload` times the
+/// Offered load as a multiple of each tenant's quota rate.
+pub const OVERLOAD: f64 = 2.0;
+
+/// Run the study: `seconds` of drive time at [`OVERLOAD`] times the
 /// per-tenant quota rate.
-pub fn run(seconds: f64, overload: f64) -> GatewayStudy {
+pub fn run(seconds: f64) -> GatewayStudy {
     let quota_rate = 150.0;
     let cfg = GatewayConfig {
         workers: 4,
@@ -161,9 +151,9 @@ pub fn run(seconds: f64, overload: f64) -> GatewayStudy {
         ttlg_serve::server::spawn(gw, "127.0.0.1:0").expect("bind loopback");
     let addr = server.addr();
 
-    // Each tenant offers `overload * quota_rate` rps for `seconds`.
-    let per_tenant = ((overload * quota_rate * seconds).ceil() as u64).max(1);
-    let interval = Duration::from_secs_f64(1.0 / (overload * quota_rate));
+    // Each tenant offers `OVERLOAD * quota_rate` rps for `seconds`.
+    let per_tenant = ((OVERLOAD * quota_rate * seconds).ceil() as u64).max(1);
+    let interval = Duration::from_secs_f64(1.0 / (OVERLOAD * quota_rate));
 
     let t0 = Instant::now();
     let raw: Vec<(TenantOutcome, Vec<f64>)> = std::thread::scope(|s| {
@@ -228,9 +218,7 @@ pub fn run(seconds: f64, overload: f64) -> GatewayStudy {
     let mut tenants = Vec::new();
     let mut class_latencies: std::collections::BTreeMap<String, Vec<f64>> = Default::default();
     for (mut outcome, mut lat) in raw {
-        outcome.p50_us = quantile_us(&mut lat, 0.50);
-        outcome.p95_us = quantile_us(&mut lat, 0.95);
-        outcome.p99_us = quantile_us(&mut lat, 0.99);
+        (outcome.p50_us, outcome.p95_us, outcome.p99_us) = p50_p95_p99(&mut lat);
         class_latencies
             .entry(outcome.class.clone())
             .or_default()
@@ -246,6 +234,7 @@ pub fn run(seconds: f64, overload: f64) -> GatewayStudy {
         let min = members.iter().map(|t| t.admitted).min().unwrap_or(0);
         let max = members.iter().map(|t| t.admitted).max().unwrap_or(0);
         let mut lat = class_latencies.remove(class).unwrap_or_default();
+        let (p50_us, p95_us, p99_us) = p50_p95_p99(&mut lat);
         classes.push(ClassSummary {
             class: class.to_string(),
             admitted,
@@ -255,9 +244,9 @@ pub fn run(seconds: f64, overload: f64) -> GatewayStudy {
             } else {
                 min as f64 / max as f64
             },
-            p50_us: quantile_us(&mut lat, 0.50),
-            p95_us: quantile_us(&mut lat, 0.95),
-            p99_us: quantile_us(&mut lat, 0.99),
+            p50_us,
+            p95_us,
+            p99_us,
         });
     }
 
@@ -281,7 +270,6 @@ pub fn run(seconds: f64, overload: f64) -> GatewayStudy {
         .map(|c| c.p99_us)
         .unwrap_or(f64::NAN);
     GatewayStudy {
-        overload,
         wall_s,
         throughput_rps: admitted as f64 / wall_s.max(1e-9),
         shed_rate: client_shed as f64 / offered.max(1) as f64,
@@ -294,16 +282,15 @@ pub fn run(seconds: f64, overload: f64) -> GatewayStudy {
     }
 }
 
-impl GatewayStudy {
-    /// Human-readable report.
-    pub fn render(&self) -> String {
+impl Study for GatewayStudy {
+    fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
         writeln!(s, "== gateway loopback study ==").unwrap();
         writeln!(
             s,
             "overload {:.1}x  wall {:.2} s  throughput {:.0} req/s  shed rate {:.1}%",
-            self.overload,
+            OVERLOAD,
             self.wall_s,
             self.throughput_rps,
             self.shed_rate * 100.0
@@ -350,62 +337,86 @@ impl GatewayStudy {
         s
     }
 
-    /// The `BENCH_gateway.json` artifact.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"study\": \"gateway\",\n");
-        s.push_str(&format!("  \"overload\": {},\n", json_f64(self.overload)));
-        s.push_str(&format!("  \"wall_s\": {},\n", json_f64(self.wall_s)));
-        s.push_str(&format!(
-            "  \"throughput_rps\": {},\n",
-            json_f64(self.throughput_rps)
-        ));
-        s.push_str(&format!("  \"shed_rate\": {},\n", json_f64(self.shed_rate)));
-        s.push_str(&format!(
-            "  \"slo\": {{\"target_us\": {}, \"interactive_met\": {}}},\n",
-            json_f64(self.slo_target_us),
-            self.interactive_slo_met
-        ));
-        s.push_str(&format!(
-            "  \"metrics\": {{\"shed_total\": {}, \"consistent\": {}}},\n",
-            json_f64(self.scraped_shed_total),
-            self.metrics_consistent
-        ));
-        s.push_str("  \"classes\": [\n");
-        for (i, c) in self.classes.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"class\": \"{}\", \"admitted\": {}, \"shed\": {}, \"fairness\": {}, \
-                 \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}}}{}\n",
-                c.class,
-                c.admitted,
-                c.shed,
-                json_f64(c.fairness),
-                json_f64(c.p50_us),
-                json_f64(c.p95_us),
-                json_f64(c.p99_us),
-                if i + 1 == self.classes.len() { "" } else { "," }
-            ));
+    fn to_json(&self) -> String {
+        let quantiles = |o: JsonObject, p50: f64, p95: f64, p99: f64| {
+            o.num("p50_us", p50).num("p95_us", p95).num("p99_us", p99)
+        };
+        JsonObject::study("gateway")
+            .num("overload", OVERLOAD)
+            .num("wall_s", self.wall_s)
+            .num("throughput_rps", self.throughput_rps)
+            .num("shed_rate", self.shed_rate)
+            .obj(
+                "slo",
+                JsonObject::default()
+                    .num("target_us", self.slo_target_us)
+                    .val("interactive_met", self.interactive_slo_met),
+            )
+            .obj(
+                "metrics",
+                JsonObject::default()
+                    .num("shed_total", self.scraped_shed_total)
+                    .val("consistent", self.metrics_consistent),
+            )
+            .list(
+                "classes",
+                self.classes.iter().map(|c| {
+                    let o = JsonObject::default()
+                        .str("class", &c.class)
+                        .val("admitted", c.admitted)
+                        .val("shed", c.shed)
+                        .num("fairness", c.fairness);
+                    quantiles(o, c.p50_us, c.p95_us, c.p99_us)
+                }),
+            )
+            .list(
+                "tenants",
+                self.tenants.iter().map(|t| {
+                    let o = JsonObject::default()
+                        .str("tenant", &t.tenant)
+                        .str("class", &t.class)
+                        .val("offered", t.offered)
+                        .val("admitted", t.admitted)
+                        .val("shed", t.shed)
+                        .val("errors", t.errors);
+                    quantiles(o, t.p50_us, t.p95_us, t.p99_us)
+                }),
+            )
+            .document()
+    }
+
+    fn check(&self) -> Result<(), String> {
+        let mut g = Gates::default();
+        gate!(g, self.throughput_rps > 0.0);
+        gate!(
+            g,
+            0.0 < self.shed_rate && self.shed_rate < 1.0,
+            "{}",
+            self.shed_rate
+        );
+        gate!(g, self.interactive_slo_met);
+        gate!(
+            g,
+            self.metrics_consistent,
+            "scraped {}",
+            self.scraped_shed_total
+        );
+        let classes: Vec<&str> = self.classes.iter().map(|c| c.class.as_str()).collect();
+        gate!(g, classes == ["interactive", "batch"], "{classes:?}");
+        for c in &self.classes {
+            gate!(
+                g,
+                c.p50_us <= c.p95_us && c.p95_us <= c.p99_us,
+                "{}",
+                c.class
+            );
+            gate!(g, (0.0..=1.0).contains(&c.fairness), "{}", c.class);
         }
-        s.push_str("  ],\n");
-        s.push_str("  \"tenants\": [\n");
-        for (i, t) in self.tenants.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"tenant\": \"{}\", \"class\": \"{}\", \"offered\": {}, \"admitted\": {}, \
-                 \"shed\": {}, \"errors\": {}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}}}{}\n",
-                t.tenant,
-                t.class,
-                t.offered,
-                t.admitted,
-                t.shed,
-                t.errors,
-                json_f64(t.p50_us),
-                json_f64(t.p95_us),
-                json_f64(t.p99_us),
-                if i + 1 == self.tenants.len() { "" } else { "," }
-            ));
+        gate!(g, self.tenants.len() == 4);
+        for t in &self.tenants {
+            gate!(g, t.errors == 0, "{}", t.tenant);
         }
-        s.push_str("  ]\n}\n");
-        s
+        g.finish()
     }
 }
 
@@ -416,16 +427,17 @@ mod tests {
     #[test]
     fn quantiles_are_nearest_rank() {
         let mut v = vec![5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(quantile_us(&mut v, 0.5), 3.0);
-        assert_eq!(quantile_us(&mut v, 0.99), 5.0);
-        assert!(quantile_us(&mut [], 0.5).is_nan());
+        assert_eq!(p50_p95_p99(&mut v), (3.0, 5.0, 5.0));
+        // A class whose every request was shed has no latencies.
+        let (p50, p95, p99) = p50_p95_p99(&mut []);
+        assert!(p50.is_nan() && p95.is_nan() && p99.is_nan());
     }
 
     #[test]
     fn short_overloaded_run_sheds_and_stays_consistent() {
         // A fraction of a second at 2x overload is enough to exercise
         // every path: admission, shedding, fairness, and the scrape.
-        let study = run(0.3, 2.0);
+        let study = run(0.3);
         let offered: u64 = study.tenants.iter().map(|t| t.offered).sum();
         let errors: u64 = study.tenants.iter().map(|t| t.errors).sum();
         assert!(offered > 0);
@@ -438,5 +450,15 @@ mod tests {
         assert!(json.contains("\"study\": \"gateway\""));
         assert!(json.contains("\"fairness\""));
         assert!(!study.render().is_empty());
+        assert_eq!(study.check(), Ok(()));
+        let mut broken = study.clone();
+        broken.shed_rate = 1.0;
+        broken.tenants.pop();
+        let err = broken.check().unwrap_err();
+        assert!(err.contains("self.shed_rate < 1.0 (1)"), "{err}");
+        assert!(
+            err.contains("failed gate: self.tenants.len() == 4"),
+            "{err}"
+        );
     }
 }

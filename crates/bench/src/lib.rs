@@ -17,6 +17,10 @@
 //! * Fig. 12 — bandwidth vs number of repeated calls
 //! * Fig. 13 — bandwidth vs dimension sizes
 //! * Fig. 14 — the TTC benchmark suite
+//!
+//! The serving studies that back the service (`*_study`) run through one
+//! harness, [`study`]: `ttlg bench-serve <study>` runs a study from the
+//! table, writes its `BENCH_<study>.json` artifact and checks its gates.
 
 pub mod async_study;
 pub mod autotune_study;
@@ -27,6 +31,7 @@ pub mod microbench;
 pub mod report;
 pub mod runner;
 pub mod serve_study;
+pub mod study;
 pub mod tail_study;
 pub mod trace_study;
 

@@ -9,22 +9,13 @@
 //! repeated permutations the runtime amortizes away almost all
 //! planning, which dominates host-side cost.
 
+use crate::study::{gate, Gates, JsonObject, Study, MAX_PERMS};
 use std::sync::Arc;
 use std::time::Instant;
 use ttlg::{CacheStats, TransposeOptions, Transposer};
 use ttlg_runtime::{RuntimeConfig, TransposeRequest, TransposeService};
 use ttlg_tensor::rng::StdRng;
 use ttlg_tensor::{DenseTensor, Permutation, Shape};
-
-/// Format an `f64` as a JSON number (JSON has no NaN/Inf; non-finite
-/// values collapse to 0).
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
 
 /// Outcome of one study run.
 #[derive(Debug, Clone)]
@@ -48,6 +39,9 @@ pub struct ServeStudy {
     pub prediction_summary: String,
     /// Prediction samples recorded during the batched run.
     pub prediction_samples: u64,
+    /// The paper's Table II geometric-mean prediction error over the
+    /// batched run (1.0 = exact).
+    pub geo_mean_error: f64,
 }
 
 impl ServeStudy {
@@ -60,9 +54,11 @@ impl ServeStudy {
     pub fn batched_rps(&self) -> f64 {
         self.requests as f64 / (self.batched_ns * 1e-9)
     }
+}
 
-    /// Render a small comparison table.
-    pub fn render(&self) -> String {
+impl Study for ServeStudy {
+    /// The comparison table, then the runtime's metrics report.
+    fn render(&self) -> String {
         let mut s = String::new();
         s.push_str("== batched runtime vs plan-per-call ==\n");
         s.push_str(&format!(
@@ -95,44 +91,33 @@ impl ServeStudy {
                 self.prediction_samples, self.prediction_summary
             ));
         }
+        s.push('\n');
+        s.push_str(&self.metrics_report);
         s
     }
 
-    /// Serialize as a machine-readable JSON document.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"study\": \"serve\",\n");
-        s.push_str(&format!("  \"requests\": {},\n", self.requests));
-        s.push_str(&format!("  \"distinct_perms\": {},\n", self.distinct_perms));
-        s.push_str(&format!(
-            "  \"naive_ms\": {},\n",
-            json_f64(self.naive_ns * 1e-6)
-        ));
-        s.push_str(&format!(
-            "  \"batched_ms\": {},\n",
-            json_f64(self.batched_ns * 1e-6)
-        ));
-        s.push_str(&format!("  \"speedup\": {},\n", json_f64(self.speedup)));
-        s.push_str(&format!(
-            "  \"naive_rps\": {},\n",
-            json_f64(self.naive_rps())
-        ));
-        s.push_str(&format!(
-            "  \"batched_rps\": {},\n",
-            json_f64(self.batched_rps())
-        ));
-        s.push_str(&format!("  \"cache_hits\": {},\n", self.cache.hits));
-        s.push_str(&format!("  \"cache_misses\": {},\n", self.cache.misses));
-        s.push_str(&format!(
-            "  \"cache_evictions\": {},\n",
-            self.cache.evictions
-        ));
-        s.push_str(&format!(
-            "  \"prediction_samples\": {}\n",
-            self.prediction_samples
-        ));
-        s.push_str("}\n");
-        s
+    fn to_json(&self) -> String {
+        JsonObject::study("serve")
+            .val("requests", self.requests)
+            .val("distinct_perms", self.distinct_perms)
+            .num("naive_ms", self.naive_ns * 1e-6)
+            .num("batched_ms", self.batched_ns * 1e-6)
+            .num("speedup", self.speedup)
+            .num("naive_rps", self.naive_rps())
+            .num("batched_rps", self.batched_rps())
+            .val("cache_hits", self.cache.hits)
+            .val("cache_misses", self.cache.misses)
+            .val("cache_evictions", self.cache.evictions)
+            .val("prediction_samples", self.prediction_samples)
+            .num("geo_mean_error", self.geo_mean_error)
+            .document()
+    }
+
+    fn check(&self) -> Result<(), String> {
+        let mut g = Gates::default();
+        gate!(g, self.requests > 0);
+        gate!(g, self.geo_mean_error.is_finite());
+        g.finish()
     }
 }
 
@@ -140,31 +125,17 @@ impl ServeStudy {
 /// `distinct` permutations of a rank-4 tensor, shuffled so repeats of
 /// the same key are interleaved rather than adjacent.
 pub fn workload(distinct: usize, rounds: usize) -> Vec<TransposeRequest<f64>> {
-    assert!((1..=24).contains(&distinct), "rank-4 has 24 permutations");
+    assert!(
+        (1..=MAX_PERMS).contains(&distinct),
+        "rank-4 has 24 permutations"
+    );
     // Small enough that planning (what the runtime amortizes) is a
     // meaningful share of per-request cost; the simulator's execute
     // path scales with volume and would otherwise drown it out.
     let shape = Shape::new(&[6, 5, 4, 3]).unwrap();
     let input = Arc::new(DenseTensor::<f64>::iota(shape));
 
-    // All 24 rank-4 permutations in lexicographic order, then take the
-    // first `distinct`.
-    let mut perms = Vec::new();
-    for a in 0..4usize {
-        for b in 0..4usize {
-            for c in 0..4usize {
-                for d in 0..4usize {
-                    let p = [a, b, c, d];
-                    let mut seen = [false; 4];
-                    p.iter().for_each(|&i| seen[i] = true);
-                    if seen.iter().all(|&s| s) {
-                        perms.push(Permutation::new(&p).unwrap());
-                    }
-                }
-            }
-        }
-    }
-    perms.truncate(distinct);
+    let perms: Vec<Permutation> = Permutation::all(4).take(distinct).collect();
 
     let mut reqs: Vec<TransposeRequest<f64>> = (0..rounds)
         .flat_map(|_| {
@@ -215,6 +186,7 @@ pub fn run(distinct: usize, rounds: usize) -> ServeStudy {
         metrics_report: service.metrics_report(),
         prediction_summary: service.metrics().prediction().render(),
         prediction_samples: service.metrics().prediction().total_count(),
+        geo_mean_error: service.metrics().prediction().overall_geo_mean_error(),
     }
 }
 
@@ -254,6 +226,31 @@ mod tests {
         let json = study.to_json();
         assert!(json.contains("\"speedup\""));
         assert!(json.contains("\"prediction_samples\": 16"));
+        assert!(json.contains("\"geo_mean_error\""));
+        assert_eq!(study.check(), Ok(()));
+    }
+
+    #[test]
+    fn check_rejects_an_empty_run_and_a_missing_error() {
+        let mut study = run(2, 1);
+        assert_eq!(study.check(), Ok(()));
+        study.requests = 0;
+        study.geo_mean_error = f64::NAN;
+        let err = study.check().unwrap_err();
+        assert_eq!(
+            err,
+            "failed gate: self.requests > 0\nfailed gate: self.geo_mean_error.is_finite()"
+        );
+    }
+
+    #[test]
+    fn workload_takes_the_first_rank4_permutations_in_lexicographic_order() {
+        let perms: std::collections::BTreeSet<Vec<usize>> = workload(3, 2)
+            .iter()
+            .map(|r| r.perm.as_slice().to_vec())
+            .collect();
+        let expect = [[0, 1, 2, 3], [0, 1, 3, 2], [0, 2, 1, 3]].map(|p| p.to_vec());
+        assert!(perms.iter().eq(expect.iter()), "{perms:?}");
     }
 
     #[test]

@@ -10,14 +10,15 @@
 //! `network` / `queue` / `plan` / `execute` microseconds, so the phase
 //! shares reported here are the edge's real accounting, not a synthetic
 //! re-derivation from stored traces. Per-schema p50/p95/p99, which phase
-//! dominates at p99, the slowest retained exemplars with their planner
-//! decision traces, and the SLO hit ratio complete the picture.
+//! dominates at p99, the trace store's slowest records per bucket with
+//! their planner decision traces, and the SLO hit ratio complete the
+//! picture.
 //!
 //! Quantiles here are *exact* (nearest-rank over every response), unlike
 //! the service's log2-bucketed online estimates — so the study doubles
 //! as a sanity check on the bucketed exporter.
 
-use crate::serve_study::json_f64;
+use crate::study::{gate, nearest_rank, p50_p95_p99, Gates, JsonObject, Study};
 use std::sync::Arc;
 use ttlg::Transposer;
 use ttlg_runtime::autotune::AutotuneConfig;
@@ -78,11 +79,11 @@ impl GatewaySample {
     }
 }
 
-/// One retained slow-request exemplar, flattened for the report. These
-/// come from the trace store's slowest records per bucket; their phase
-/// split is the service-side three-phase view (no network component).
+/// One of the trace store's slowest records per bucket, flattened for
+/// the report. Its phase split is the service-side three-phase view (no
+/// network component).
 #[derive(Debug, Clone)]
-pub struct TailExemplar {
+pub struct SlowRecord {
     /// Request id (joins against service logs / trace dumps).
     pub id: u64,
     /// Shape class of the request (e.g. `"r4v12"`).
@@ -119,8 +120,8 @@ pub struct SchemaTail {
     pub p99_us: f64,
     /// Gateway phase shares over the requests at or beyond p99.
     pub phase_at_p99: GatewayPhaseShares,
-    /// Slowest retained exemplars for this schema (slowest first).
-    pub exemplars: Vec<TailExemplar>,
+    /// The schema's slowest retained records (slowest first).
+    pub slowest: Vec<SlowRecord>,
 }
 
 /// Before/after-warming tail comparison.
@@ -143,9 +144,9 @@ pub struct TailStudy {
     pub coalesced_requests: u64,
     /// Records evicted from the trace store (0 — the window is sized to
     /// fit).
-    pub trace_dropped: u64,
+    pub trace_evicted: u64,
     /// Records retained across the slowest-per-bucket sets.
-    pub exemplar_count: usize,
+    pub slowest_records: usize,
     /// Per-schema tails, slowest p99 first.
     pub schemas: Vec<SchemaTail>,
     /// Requests served by autotuner-warmed plans.
@@ -154,17 +155,8 @@ pub struct TailStudy {
     pub unwarmed: WarmthTail,
     /// SLO view of the run (hit rate, violations).
     pub slo: SloSnapshot,
-    /// Flame-style phase-profile tree from the service's ring.
+    /// Flame-style phase-profile tree of the trace store's recent window.
     pub flame: String,
-}
-
-/// Exact nearest-rank quantile over sorted totals (us).
-fn quantile(sorted_us: &[f64], q: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((q * sorted_us.len() as f64).ceil() as usize).clamp(1, sorted_us.len());
-    sorted_us[rank - 1]
 }
 
 /// Gateway phase shares over the samples with total latency >=
@@ -198,7 +190,7 @@ fn warmth_tail(samples: &[GatewaySample], warmed: bool) -> WarmthTail {
     totals.sort_by(|a, b| a.total_cmp(b));
     WarmthTail {
         requests: totals.len(),
-        p99_us: quantile(&totals, 0.99),
+        p99_us: nearest_rank(&totals, 0.99),
     }
 }
 
@@ -335,19 +327,18 @@ pub fn run(rounds: usize) -> TailStudy {
             None => by_schema.push((s.schema.clone(), vec![s])),
         }
     }
-    let exemplars = svc.exemplars();
-    let exemplar_count = exemplars.iter().map(|(_, recs)| recs.len()).sum();
+    let buckets = svc.trace_store().buckets();
+    let slowest_records = buckets.iter().map(|(_, recs)| recs.len()).sum();
     let mut schemas: Vec<SchemaTail> = by_schema
         .into_iter()
         .map(|(schema, ss)| {
             let mut totals: Vec<f64> = ss.iter().map(|s| s.total_us()).collect();
-            totals.sort_by(|a, b| a.total_cmp(b));
-            let p99_us = quantile(&totals, 0.99);
-            let exemplars: Vec<TailExemplar> = exemplars
+            let (p50_us, p95_us, p99_us) = p50_p95_p99(&mut totals);
+            let mut slowest: Vec<SlowRecord> = buckets
                 .iter()
                 .filter(|((s, _), _)| *s == schema)
                 .flat_map(|(_, entries)| entries.iter())
-                .map(|e| TailExemplar {
+                .map(|e| SlowRecord {
                     id: e.trace.id,
                     shape_class: e.trace.shape_class.clone(),
                     total_us: e.trace.total_ns() as f64 * 1e-3,
@@ -359,16 +350,15 @@ pub fn run(rounds: usize) -> TailStudy {
                     decision_candidates: e.decision.as_ref().map_or(0, |d| d.candidates.len()),
                 })
                 .collect();
-            let mut exemplars = exemplars;
-            exemplars.sort_by(|a, b| b.total_us.total_cmp(&a.total_us));
-            exemplars.truncate(3);
+            slowest.sort_by(|a, b| b.total_us.total_cmp(&a.total_us));
+            slowest.truncate(3);
             SchemaTail {
                 requests: ss.len(),
-                p50_us: quantile(&totals, 0.50),
-                p95_us: quantile(&totals, 0.95),
+                p50_us,
+                p95_us,
                 p99_us,
                 phase_at_p99: phase_at(&ss, p99_us),
-                exemplars,
+                slowest,
                 schema,
             }
         })
@@ -378,8 +368,8 @@ pub fn run(rounds: usize) -> TailStudy {
     TailStudy {
         requests: samples.len(),
         coalesced_requests: svc.metrics().coalesced_requests(),
-        trace_dropped: svc.trace_store().evicted(),
-        exemplar_count,
+        trace_evicted: svc.trace_store().evicted(),
+        slowest_records,
         warmed: warmth_tail(&samples, true),
         unwarmed: warmth_tail(&samples, false),
         slo: svc.slo_snapshot(),
@@ -388,15 +378,15 @@ pub fn run(rounds: usize) -> TailStudy {
     }
 }
 
-impl TailStudy {
+impl Study for TailStudy {
     /// Render the human-readable report: per-schema tail table, the
     /// warming comparison, the SLO line, and the flame tree.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut s = String::new();
         s.push_str("== tail-latency attribution (loopback gateway) ==\n");
         s.push_str(&format!(
-            "workload: {} requests, {} coalesced, {} exemplars retained, {} traces dropped\n",
-            self.requests, self.coalesced_requests, self.exemplar_count, self.trace_dropped
+            "workload: {} requests, {} coalesced; trace store: {} slowest records retained, {} evicted\n",
+            self.requests, self.coalesced_requests, self.slowest_records, self.trace_evicted
         ));
         s.push_str(&format!(
             "{:<24} {:>6} {:>10} {:>10} {:>10}  {}\n",
@@ -430,79 +420,88 @@ impl TailStudy {
         s
     }
 
-    /// Serialize as the `BENCH_tail.json` document.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"study\": \"tail\",\n");
-        s.push_str(&format!("  \"requests\": {},\n", self.requests));
-        s.push_str(&format!(
-            "  \"coalesced_requests\": {},\n",
-            self.coalesced_requests
-        ));
-        s.push_str(&format!("  \"trace_dropped\": {},\n", self.trace_dropped));
-        s.push_str(&format!("  \"exemplar_count\": {},\n", self.exemplar_count));
-        s.push_str(&format!(
-            "  \"warmed\": {{\"requests\": {}, \"p99_us\": {}}},\n",
-            self.warmed.requests,
-            json_f64(self.warmed.p99_us)
-        ));
-        s.push_str(&format!(
-            "  \"unwarmed\": {{\"requests\": {}, \"p99_us\": {}}},\n",
-            self.unwarmed.requests,
-            json_f64(self.unwarmed.p99_us)
-        ));
-        s.push_str(&format!(
-            "  \"slo\": {{\"target_us\": {}, \"goal\": {}, \"total\": {}, \"violations\": {}, \
-             \"hit_ratio\": {}}},\n",
-            json_f64(self.slo.target_us),
-            json_f64(self.slo.goal),
-            self.slo.total,
-            self.slo.violations,
-            json_f64(self.slo.hit_ratio)
-        ));
-        s.push_str("  \"schemas\": [\n");
-        for (i, sc) in self.schemas.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"schema\": \"{}\", \"requests\": {}, \"p50_us\": {}, \"p95_us\": {}, \
-                 \"p99_us\": {}, \"dominant_phase_at_p99\": \"{}\", \
-                 \"phase_at_p99\": {{\"network\": {}, \"queue\": {}, \"plan\": {}, \
-                 \"execute\": {}}}, \
-                 \"exemplars\": [",
-                sc.schema,
-                sc.requests,
-                json_f64(sc.p50_us),
-                json_f64(sc.p95_us),
-                json_f64(sc.p99_us),
-                sc.phase_at_p99.dominant(),
-                json_f64(sc.phase_at_p99.network),
-                json_f64(sc.phase_at_p99.queue),
-                json_f64(sc.phase_at_p99.plan),
-                json_f64(sc.phase_at_p99.execute),
-            ));
-            for (j, e) in sc.exemplars.iter().enumerate() {
-                s.push_str(&format!(
-                    "{}{{\"id\": {}, \"shape_class\": \"{}\", \"total_us\": {}, \
-                     \"queue_wait_us\": {}, \"plan_fetch_us\": {}, \"execute_us\": {}, \
-                     \"warmed\": {}, \"cache_hit\": {}, \"decision_candidates\": {}}}",
-                    if j == 0 { "" } else { ", " },
-                    e.id,
-                    e.shape_class,
-                    json_f64(e.total_us),
-                    json_f64(e.queue_wait_us),
-                    json_f64(e.plan_fetch_us),
-                    json_f64(e.execute_us),
-                    e.warmed,
-                    e.cache_hit,
-                    e.decision_candidates
-                ));
-            }
-            s.push_str(&format!(
-                "]}}{}\n",
-                if i + 1 == self.schemas.len() { "" } else { "," }
-            ));
+    fn to_json(&self) -> String {
+        let warmth = |w: &WarmthTail| {
+            JsonObject::default()
+                .val("requests", w.requests)
+                .num("p99_us", w.p99_us)
+        };
+        JsonObject::study("tail")
+            .val("requests", self.requests)
+            .val("coalesced_requests", self.coalesced_requests)
+            .val("trace_evicted", self.trace_evicted)
+            .val("slowest_records", self.slowest_records)
+            .obj("warmed", warmth(&self.warmed))
+            .obj("unwarmed", warmth(&self.unwarmed))
+            .obj(
+                "slo",
+                JsonObject::default()
+                    .num("target_us", self.slo.target_us)
+                    .num("goal", self.slo.goal)
+                    .val("total", self.slo.total)
+                    .val("violations", self.slo.violations)
+                    .num("hit_ratio", self.slo.hit_ratio),
+            )
+            .list(
+                "schemas",
+                self.schemas.iter().map(|sc| {
+                    let ph = sc.phase_at_p99;
+                    JsonObject::default()
+                        .str("schema", &sc.schema)
+                        .val("requests", sc.requests)
+                        .num("p50_us", sc.p50_us)
+                        .num("p95_us", sc.p95_us)
+                        .num("p99_us", sc.p99_us)
+                        .str("dominant_phase_at_p99", ph.dominant())
+                        .obj(
+                            "phase_at_p99",
+                            JsonObject::default()
+                                .num("network", ph.network)
+                                .num("queue", ph.queue)
+                                .num("plan", ph.plan)
+                                .num("execute", ph.execute),
+                        )
+                        .list(
+                            "slowest",
+                            sc.slowest.iter().map(|e| {
+                                JsonObject::default()
+                                    .val("id", e.id)
+                                    .str("shape_class", &e.shape_class)
+                                    .num("total_us", e.total_us)
+                                    .num("queue_wait_us", e.queue_wait_us)
+                                    .num("plan_fetch_us", e.plan_fetch_us)
+                                    .num("execute_us", e.execute_us)
+                                    .val("warmed", e.warmed)
+                                    .val("cache_hit", e.cache_hit)
+                                    .val("decision_candidates", e.decision_candidates)
+                            }),
+                        )
+                }),
+            )
+            .document()
+    }
+
+    fn check(&self) -> Result<(), String> {
+        let mut g = Gates::default();
+        gate!(g, self.requests > 0);
+        gate!(g, self.trace_evicted == 0, "{}", self.trace_evicted);
+        gate!(g, self.slowest_records > 0);
+        gate!(g, (0.0..=1.0).contains(&self.slo.hit_ratio));
+        gate!(g, !self.schemas.is_empty());
+        for sc in &self.schemas {
+            let (name, ph) = (&sc.schema, sc.phase_at_p99);
+            gate!(
+                g,
+                sc.p50_us <= sc.p95_us && sc.p95_us <= sc.p99_us,
+                "{name}"
+            );
+            let sum = ph.network + ph.queue + ph.plan + ph.execute;
+            gate!(g, (sum - 1.0).abs() < 1e-6, "{name}: {sum}");
+            let phases = ["network", "queue", "plan", "execute"];
+            gate!(g, phases.contains(&ph.dominant()), "{name}");
+            gate!(g, !sc.slowest.is_empty(), "{name}");
         }
-        s.push_str("  ]\n}\n");
-        s
+        g.finish()
     }
 }
 
@@ -513,9 +512,9 @@ mod tests {
     #[test]
     fn quantiles_are_exact_nearest_rank() {
         let sorted: Vec<f64> = (1..=100).map(|v| v as f64).collect();
-        assert_eq!(quantile(&sorted, 0.50), 50.0);
-        assert_eq!(quantile(&sorted, 0.99), 99.0);
-        assert!(quantile(&[], 0.5).is_nan());
+        assert_eq!(nearest_rank(&sorted, 0.50), 50.0);
+        assert_eq!(nearest_rank(&sorted, 0.99), 99.0);
+        assert!(nearest_rank(&[], 0.5).is_nan());
     }
 
     #[test]
@@ -540,17 +539,10 @@ mod tests {
     fn tail_study_attributes_every_schema() {
         let study = run(4);
         assert_eq!(study.requests, 28);
-        assert_eq!(study.trace_dropped, 0, "window sized to fit");
-        assert!(study.exemplar_count > 0);
+        assert_eq!(study.check(), Ok(()));
         assert!(!study.schemas.is_empty());
         for sc in &study.schemas {
             assert!(sc.requests > 0);
-            assert!(sc.p50_us <= sc.p95_us && sc.p95_us <= sc.p99_us);
-            assert!(
-                !sc.exemplars.is_empty(),
-                "schema {} reported without an exemplar",
-                sc.schema
-            );
             let ph = sc.phase_at_p99;
             let sum = ph.network + ph.queue + ph.plan + ph.execute;
             assert!((sum - 1.0).abs() < 1e-9, "{} shares sum {sum}", sc.schema);
@@ -580,7 +572,13 @@ mod tests {
         assert!(json.contains("\"coalesced_requests\""));
         assert!(json.contains("\"dominant_phase_at_p99\""));
         assert!(json.contains("\"phase_at_p99\": {\"network\":"));
-        assert!(json.contains("\"exemplars\": [{"));
+        assert!(json.contains("\"slowest\": [{"));
         assert!(json.contains("\"hit_ratio\""));
+        let mut broken = study.clone();
+        broken.trace_evicted = 3;
+        broken.schemas[0].slowest.clear();
+        let err = broken.check().unwrap_err();
+        assert!(err.contains("self.trace_evicted == 0 (3)"), "{err}");
+        assert!(err.contains("!sc.slowest.is_empty()"), "{err}");
     }
 }

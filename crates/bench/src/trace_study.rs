@@ -15,7 +15,7 @@
 //! back over TCP and reading the service trace store's counters.
 
 use crate::autotune_study::skewed_models;
-use crate::serve_study::json_f64;
+use crate::study::{gate, Gates, JsonObject, Study, MAX_PERMS};
 use std::sync::Arc;
 use ttlg::{TimePredictor, Transposer};
 use ttlg_gpu_sim::DeviceConfig;
@@ -24,6 +24,7 @@ use ttlg_perfmodel::{MeasurementSink, OnlinePredictor};
 use ttlg_runtime::{AutotuneConfig, RuntimeConfig, TraceStoreConfig, TransposeService};
 use ttlg_serve::json::Json;
 use ttlg_serve::{client::HttpClient, Gateway, GatewayConfig, QuotaConfig};
+use ttlg_tensor::Permutation;
 
 /// Outcome of one tracing/alerting study run.
 #[derive(Debug, Clone)]
@@ -55,7 +56,7 @@ pub struct TraceStudy {
     /// Requests the head sampler declined.
     pub unsampled_traces: u64,
     /// Kept records that left both the window and their bucket.
-    pub dropped_traces: u64,
+    pub evicted_traces: u64,
     /// Records resident in the store at the end.
     pub resident_traces: usize,
     /// Span count of the slowest resident trace.
@@ -88,29 +89,17 @@ const TENANTS: [&str; 3] = ["acme", "globex", "initech"];
 /// are cheap; the loop breaks as soon as the rule goes inactive.
 const MAX_REPLAY_PASSES: usize = 200;
 
-/// All rank-4 permutations in lexicographic order, first `distinct`.
+/// Request bodies for the first `distinct` rank-4 permutations in
+/// lexicographic order.
 fn perm_bodies(distinct: usize) -> Vec<String> {
-    assert!((1..=24).contains(&distinct), "rank-4 has 24 permutations");
-    let mut bodies = Vec::new();
-    for a in 0..4usize {
-        for b in 0..4usize {
-            for c in 0..4usize {
-                for d in 0..4usize {
-                    let p = [a, b, c, d];
-                    let mut seen = [false; 4];
-                    p.iter().for_each(|&i| seen[i] = true);
-                    if seen.iter().all(|&s| s) {
-                        bodies.push(format!(
-                            "{{\"extents\":[6,5,4,3],\"perm\":[{},{},{},{}]}}",
-                            p[0], p[1], p[2], p[3]
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    bodies.truncate(distinct);
-    bodies
+    assert!(
+        (1..=MAX_PERMS).contains(&distinct),
+        "rank-4 has 24 permutations"
+    );
+    Permutation::all(4)
+        .take(distinct)
+        .map(|p| format!("{{\"extents\":[6,5,4,3],\"perm\":{:?}}}", p.as_slice()))
+        .collect()
 }
 
 /// One pass over the workload; returns requests sent.
@@ -307,7 +296,7 @@ pub fn run(distinct: usize, rounds: usize) -> TraceStudy {
         offered_traces: store.offered(),
         sampled_traces: store.sampled(),
         unsampled_traces: store.unsampled(),
-        dropped_traces: store.evicted(),
+        evicted_traces: store.evicted(),
         resident_traces: store.resident(),
         slowest_trace_spans: slowest_spans,
         slowest_trace_total_us: slowest_us,
@@ -320,9 +309,8 @@ pub fn run(distinct: usize, rounds: usize) -> TraceStudy {
     study
 }
 
-impl TraceStudy {
-    /// Human-readable report.
-    pub fn render(&self) -> String {
+impl Study for TraceStudy {
+    fn render(&self) -> String {
         let mut s = String::new();
         s.push_str("== tracing & drift-alert study ==\n");
         s.push_str(&format!(
@@ -341,11 +329,11 @@ impl TraceStudy {
             self.alert_evaluations
         ));
         s.push_str(&format!(
-            "trace store: {} offered, {} sampled, {} unsampled, {} dropped, {} resident\n",
+            "trace store: {} offered, {} sampled, {} unsampled, {} evicted, {} resident\n",
             self.offered_traces,
             self.sampled_traces,
             self.unsampled_traces,
-            self.dropped_traces,
+            self.evicted_traces,
             self.resident_traces
         ));
         s.push_str(&format!(
@@ -359,69 +347,43 @@ impl TraceStudy {
         s
     }
 
-    /// Serialize as a machine-readable JSON document.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"study\": \"trace\",\n");
-        s.push_str(&format!("  \"distinct_perms\": {},\n", self.distinct_perms));
-        s.push_str(&format!("  \"rounds\": {},\n", self.rounds));
-        s.push_str(&format!(
-            "  \"requests_phase1\": {},\n",
-            self.requests_phase1
-        ));
-        s.push_str(&format!(
-            "  \"requests_phase2\": {},\n",
-            self.requests_phase2
-        ));
-        s.push_str(&format!(
-            "  \"geo_error_before\": {},\n",
-            json_f64(self.geo_error_before)
-        ));
-        s.push_str(&format!(
-            "  \"geo_error_after\": {},\n",
-            json_f64(self.geo_error_after)
-        ));
-        s.push_str(&format!("  \"drift_fired\": {},\n", self.drift_fired));
-        s.push_str(&format!(
-            "  \"drift_fired_after_evals\": {},\n",
-            self.drift_fired_after_evals
-        ));
-        s.push_str(&format!("  \"drift_resolved\": {},\n", self.drift_resolved));
-        s.push_str(&format!(
-            "  \"alert_evaluations\": {},\n",
-            self.alert_evaluations
-        ));
-        s.push_str(&format!("  \"offered_traces\": {},\n", self.offered_traces));
-        s.push_str(&format!("  \"sampled_traces\": {},\n", self.sampled_traces));
-        s.push_str(&format!(
-            "  \"unsampled_traces\": {},\n",
-            self.unsampled_traces
-        ));
-        s.push_str(&format!("  \"dropped_traces\": {},\n", self.dropped_traces));
-        s.push_str(&format!(
-            "  \"resident_traces\": {},\n",
-            self.resident_traces
-        ));
-        s.push_str(&format!(
-            "  \"slowest_trace_spans\": {},\n",
-            self.slowest_trace_spans
-        ));
-        s.push_str(&format!(
-            "  \"slowest_trace_total_us\": {},\n",
-            json_f64(self.slowest_trace_total_us)
-        ));
-        s.push_str(&format!("  \"trace_fetch_ok\": {},\n", self.trace_fetch_ok));
-        s.push_str(&format!(
-            "  \"history_scrapes\": {},\n",
-            self.history_scrapes
-        ));
-        s.push_str(&format!("  \"history_points\": {},\n", self.history_points));
-        s.push_str(&format!(
-            "  \"windowed_drift_value\": {}\n",
-            json_f64(self.windowed_drift_value)
-        ));
-        s.push_str("}\n");
-        s
+    fn to_json(&self) -> String {
+        JsonObject::study("trace")
+            .val("distinct_perms", self.distinct_perms)
+            .val("rounds", self.rounds)
+            .val("requests_phase1", self.requests_phase1)
+            .val("requests_phase2", self.requests_phase2)
+            .num("geo_error_before", self.geo_error_before)
+            .num("geo_error_after", self.geo_error_after)
+            .val("drift_fired", self.drift_fired)
+            .val("drift_fired_after_evals", self.drift_fired_after_evals)
+            .val("drift_resolved", self.drift_resolved)
+            .val("alert_evaluations", self.alert_evaluations)
+            .val("offered_traces", self.offered_traces)
+            .val("sampled_traces", self.sampled_traces)
+            .val("unsampled_traces", self.unsampled_traces)
+            .val("evicted_traces", self.evicted_traces)
+            .val("resident_traces", self.resident_traces)
+            .val("slowest_trace_spans", self.slowest_trace_spans)
+            .num("slowest_trace_total_us", self.slowest_trace_total_us)
+            .val("trace_fetch_ok", self.trace_fetch_ok)
+            .val("history_scrapes", self.history_scrapes)
+            .val("history_points", self.history_points)
+            .num("windowed_drift_value", self.windowed_drift_value)
+            .document()
+    }
+
+    fn check(&self) -> Result<(), String> {
+        let mut g = Gates::default();
+        gate!(g, self.drift_fired);
+        gate!(g, self.drift_resolved);
+        gate!(g, self.geo_error_before > self.geo_error_after);
+        gate!(g, self.sampled_traces > 0);
+        gate!(g, self.unsampled_traces > 0);
+        gate!(g, self.evicted_traces > 0);
+        gate!(g, self.trace_fetch_ok);
+        gate!(g, self.slowest_trace_spans >= 4);
+        g.finish()
     }
 }
 
@@ -445,7 +407,7 @@ mod tests {
         assert!(study.sampled_traces > 0, "{study:?}");
         assert!(study.unsampled_traces > 0, "{study:?}");
         assert!(
-            study.dropped_traces > 0,
+            study.evicted_traces > 0,
             "an 8-deep ring must evict under this load: {study:?}"
         );
         assert!(study.trace_fetch_ok, "{study:?}");
@@ -465,10 +427,15 @@ mod tests {
         let json = study.to_json();
         assert!(json.contains("\"drift_fired\": true"));
         assert!(json.contains("\"drift_resolved\": true"));
-        assert!(json.contains("\"dropped_traces\""));
+        assert!(json.contains("\"evicted_traces\""));
         let rendered = study.render();
         assert!(rendered.contains("prediction-drift rule"));
         assert!(rendered.contains("trace store"));
+        assert_eq!(study.check(), Ok(()));
+        let mut broken = study.clone();
+        broken.drift_resolved = false;
+        let err = broken.check().unwrap_err();
+        assert_eq!(err, "failed gate: self.drift_resolved");
     }
 
     #[test]

@@ -12,14 +12,13 @@
 
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Instant;
 use ttlg::{TransposeOptions, Transposer};
 use ttlg_baselines::cutt::{CuttLibrary, CuttMode};
 use ttlg_baselines::naive::NaiveTranspose;
 use ttlg_baselines::ttc::TtcGenerator;
 use ttlg_contract::{ContractionEngine, ContractionSpec};
 use ttlg_gpu_sim::DeviceConfig;
-use ttlg_runtime::{RuntimeConfig, TraceStoreConfig, TransposeRequest, TransposeService};
+use ttlg_runtime::{RuntimeConfig, TraceStoreConfig, TransposeService};
 use ttlg_tensor::{reference, DenseTensor, Permutation, Shape};
 
 /// CLI errors (also carry usage problems).
@@ -57,9 +56,10 @@ USAGE:
   ttlg compare  <extents> <perm>                TTLG vs cuTT vs TTC vs naive
   ttlg profile  <extents> <perm>                nvprof-style kernel counters
   ttlg profile  --tail [--rounds=N]             replay the skewed tail workload
-                                                and render the trace ring as a
-                                                flame-style phase profile with
-                                                the slowest retained exemplars
+                                                and render the trace store's
+                                                recent window as a flame-style
+                                                phase profile with the slowest
+                                                records per bucket
   ttlg contract <spec> <extentsA> <extentsB>    TTGT contraction (f64)
   ttlg trace    <extents> <perm>                serve one request through a
                                                 loopback gateway and render
@@ -67,55 +67,30 @@ USAGE:
                                                 trace (network/queue/plan/
                                                 execute and children) with the
                                                 planner decision trace
-  ttlg bench-serve [--perms=N] [--rounds=N] [--extents=E]
-                   [--metrics-format=text|json|prom] [--json-out=PATH]
-                                                replay a mixed-permutation
-                                                workload through ttlg-runtime;
-                                                text mode also writes a
-                                                BENCH_serve.json artifact
-  ttlg bench-serve --autotune [--perms=N] [--rounds=N] [--json-out=PATH]
-                                                compare model-only vs
-                                                measure-mode autotuned serving
-                                                and write BENCH_autotune.json
-  ttlg bench-serve --tail [--rounds=N] [--json-out=PATH]
-                                                tail-latency attribution study:
-                                                per-schema p50/p95/p99, the
-                                                dominant phase at p99, slowest
-                                                exemplars, SLO hit ratio;
-                                                writes BENCH_tail.json
-  ttlg bench-serve --trace [--perms=N] [--rounds=N] [--json-out=PATH]
-                                                tracing/alerting study: serve a
-                                                skewed model over loopback
-                                                HTTP, watch the prediction-
-                                                drift alert fire and resolve
-                                                after autotune, and account for
-                                                trace sampling/drops; writes
-                                                BENCH_trace.json
-  ttlg bench-serve --cpu [--seconds=F] [--json-out=PATH]
-                                                CPU-backend study: real
-                                                wall-clock GB/s of the tiled
-                                                multithreaded CPU executor vs
-                                                the naive odometer across the
-                                                schema taxonomy, with thread
-                                                scaling and per-backend
-                                                prediction accuracy; writes
-                                                BENCH_cpu.json
-  ttlg bench-serve --gateway [--seconds=F] [--overload=F] [--json-out=PATH]
-                                                loopback gateway study: drive a
-                                                real ttlg-serve endpoint past
-                                                its per-tenant quotas, report
-                                                fairness, shed rate and
-                                                per-class p50/p95/p99; writes
-                                                BENCH_gateway.json
-  ttlg bench-serve --async [--seconds=F] [--overload=F] [--json-out=PATH]
-                                                async-submission study: hammer
-                                                submit_async with a duplicate-
-                                                heavy overload workload, on
-                                                private vs shared inputs (no
-                                                coalescing vs coalescing);
-                                                reports throughput, executions
-                                                per request and p99 both ways;
-                                                writes BENCH_async.json
+  ttlg bench-serve <study> [--perms=N] [--rounds=N] [--seconds=S]
+                   [--json-out=PATH]
+                                                run a serving study, write its
+                                                BENCH_<study>.json artifact
+                                                (or PATH) and check its gates;
+                                                a failed gate exits non-zero.
+                                                A study takes only its own
+                                                settings:
+     serve    [--perms] [--rounds]              batched runtime vs
+                                                plan-per-call
+     autotune [--perms] [--rounds]              model-only vs autotuned
+                                                serving
+     tail     [--rounds]                        per-schema p50/p95/p99 and the
+                                                dominant phase at p99 over a
+                                                loopback gateway
+     trace    [--perms] [--rounds]              the prediction-drift alert
+                                                fires under a skewed model and
+                                                resolves after autotune
+     gateway  [--seconds]                       shed rate, fairness and
+                                                per-class tails at 2x overload
+     cpu      [--seconds]                       tiled CPU kernel vs the naive
+                                                loop per schema class
+     async    [--seconds]                       coalescing of duplicate async
+                                                submissions at 2x overload
   ttlg serve [--addr=H:P] [--workers=N] [--queue-capacity=N]
              [--interactive-weight=N] [--rate=F] [--burst=F]
              [--max-connections=N] [--port-file=PATH] [--check]
@@ -394,25 +369,15 @@ fn cmd_profile(rest: &[&String]) -> Result<String, CliError> {
 
 /// `profile --tail`: replay the tail-study workload through a service
 /// whose trace window holds the whole run, then render the window as a
-/// flame-style phase profile plus the slowest retained exemplars.
+/// flame-style phase profile plus the slowest records per bucket.
 fn cmd_profile_tail(rest: &[&String]) -> Result<String, CliError> {
-    let mut rounds = 4usize;
-    for a in rest {
-        if a.as_str() == "--tail" {
-            continue;
-        } else if let Some(v) = a.strip_prefix("--rounds=") {
-            rounds = v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("bad --rounds value {v:?}")))?;
-        } else {
-            return Err(CliError::Usage(format!(
-                "profile --tail does not understand {a:?}"
-            )));
-        }
-    }
-    if rounds == 0 {
-        return Err(CliError::Usage("--rounds must be positive".into()));
-    }
+    let args: Vec<&str> = rest
+        .iter()
+        .map(|a| a.as_str())
+        .filter(|a| *a != "--tail")
+        .collect();
+    let tail = ttlg_bench::study::find("tail").expect("the tail study is in the table");
+    let rounds = tail.settings(&args).map_err(CliError::Usage)?.rounds;
     let reqs = ttlg_bench::tail_study::workload(rounds);
     let service = TransposeService::<f64>::with_config(
         Transposer::new_k40c(),
@@ -430,13 +395,13 @@ fn cmd_profile_tail(rest: &[&String]) -> Result<String, CliError> {
     let mut s = String::new();
     writeln!(
         s,
-        "{} requests replayed; phase profile of the trace ring:\n",
+        "{} requests replayed; phase profile of the trace store's recent window:\n",
         reqs.len()
     )
     .unwrap();
     s.push_str(&service.render_profile());
-    writeln!(s, "\nslowest retained exemplars:").unwrap();
-    for ((schema, class), entries) in service.exemplars().into_iter().take(5) {
+    writeln!(s, "\nslowest records per bucket:").unwrap();
+    for ((schema, class), entries) in service.trace_store().buckets().into_iter().take(5) {
         if let Some(e) = entries.first() {
             writeln!(s, "  [{schema} {class}] {}", e.trace.render()).unwrap();
         }
@@ -495,51 +460,6 @@ fn cmd_contract(rest: &[&String]) -> Result<String, CliError> {
     }
     writeln!(s, "output     : {}", c.shape()).unwrap();
     Ok(s)
-}
-
-/// The first `take` permutations of `0..rank` in lexicographic order.
-fn perms_lex(rank: usize, take: usize) -> Vec<Permutation> {
-    fn rec(
-        rank: usize,
-        take: usize,
-        cur: &mut Vec<usize>,
-        used: &mut [bool],
-        out: &mut Vec<Permutation>,
-    ) {
-        if out.len() == take {
-            return;
-        }
-        if cur.len() == rank {
-            out.push(Permutation::new(cur).expect("valid by construction"));
-            return;
-        }
-        for i in 0..rank {
-            if !used[i] {
-                used[i] = true;
-                cur.push(i);
-                rec(rank, take, cur, used, out);
-                cur.pop();
-                used[i] = false;
-            }
-        }
-    }
-    let mut out = Vec::new();
-    rec(
-        rank,
-        take,
-        &mut Vec::new(),
-        &mut vec![false; rank],
-        &mut out,
-    );
-    out
-}
-
-/// Output format of `bench-serve`'s metrics block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MetricsFormat {
-    Text,
-    Json,
-    Prom,
 }
 
 /// `ttlg serve`: run the network gateway until killed. With `--check`,
@@ -862,396 +782,69 @@ fn cmd_trace(rest: &[&String]) -> Result<String, CliError> {
 /// artifacts written by an incompatible binary.
 pub const ARTIFACT_SCHEMA_VERSION: u32 = 1;
 
-/// Prefix a study document with its provenance: schema version, the
-/// writer's thread count, and the study name derived from the default
-/// filename. The stamp rides inside the same JSON object, so existing
-/// consumers keep parsing unchanged.
-fn stamp_provenance(json: &str, default_path: &str) -> String {
-    let study = default_path
-        .trim_start_matches("BENCH_")
-        .trim_end_matches(".json");
-    let Some(body) = json.strip_prefix('{') else {
-        return json.to_string();
-    };
-    format!(
+/// Write study `name`'s artifact to `--json-out=PATH`, or else to
+/// `BENCH_<name>.json`, prefixed with its provenance: schema version,
+/// the writer's thread count, and the study name. The stamp rides inside
+/// the same JSON object, so consumers parse it unchanged.
+fn write_artifact(json_out: Option<String>, name: &str, json: &str) -> Result<String, CliError> {
+    let path = json_out.unwrap_or_else(|| format!("BENCH_{name}.json"));
+    let body = json
+        .strip_prefix('{')
+        .expect("study artifacts are JSON objects");
+    let stamped = format!(
         "{{\n  \"schema_version\": {ARTIFACT_SCHEMA_VERSION},\n  \
-         \"host_threads\": {},\n  \"artifact\": \"{study}\",{body}",
+         \"host_threads\": {},\n  \"artifact\": \"{name}\",{body}",
         ttlg_tensor::parallel::default_threads()
-    )
-}
-
-/// Write a study artifact: `--json-out=PATH` wins, otherwise the
-/// study's default filename. Every bench-serve mode funnels through
-/// this one path so the flag behaves identically everywhere — and every
-/// artifact gets the same provenance stamp.
-fn write_artifact(
-    json_out: Option<String>,
-    default_path: &str,
-    json: &str,
-) -> Result<String, CliError> {
-    let path = json_out.unwrap_or_else(|| default_path.to_string());
-    std::fs::write(&path, stamp_provenance(json, default_path))
+    );
+    std::fs::write(&path, stamped)
         .map_err(|e| CliError::Failed(format!("could not write {path}: {e}")))?;
     Ok(path)
 }
 
-/// Parse a prior `BENCH_serve.json` into a regression baseline:
-/// `(requests_per_s, exec_p99_us)`. Only artifacts carrying the
-/// matching provenance stamp (schema version + `"artifact": "serve"`)
-/// qualify; anything else — other studies, hand-edited files, older
-/// layouts — is silently ignored. `exec_p99_us` is `None` for
-/// artifacts written before the field existed.
-fn parse_serve_baseline(text: &str) -> Option<(f64, Option<f64>)> {
-    let doc = ttlg_serve::json::parse(text.as_bytes()).ok()?;
-    let version = doc.get("schema_version")?.as_usize()?;
-    if version != ARTIFACT_SCHEMA_VERSION as usize {
-        return None;
+/// `bench-serve <study>`: run the study named in the table with the
+/// settings it takes, write its artifact, then check its gates.
+fn cmd_bench_serve(rest: &[&String]) -> Result<String, CliError> {
+    let names: Vec<&str> = ttlg_bench::study::STUDIES.iter().map(|e| e.name).collect();
+    let Some((name, flags)) = rest.split_first() else {
+        return Err(CliError::Usage(format!(
+            "bench-serve needs a study: {}",
+            names.join("|")
+        )));
+    };
+    let entry = ttlg_bench::study::find(name).ok_or_else(|| {
+        CliError::Usage(format!(
+            "unknown study {name:?} (one of {})",
+            names.join("|")
+        ))
+    })?;
+    let mut json_out = None;
+    let mut settings = Vec::new();
+    for a in flags {
+        match a.strip_prefix("--json-out=") {
+            Some(path) => json_out = Some(path.to_string()),
+            None => settings.push(a.as_str()),
+        }
     }
-    if doc.get("artifact")?.as_str()? != "serve" {
-        return None;
-    }
-    let rps = doc.get("requests_per_s")?.as_f64()?;
-    let p99 = doc.get("exec_p99_us").and_then(|v| v.as_f64());
-    Some((rps, p99))
+    let settings = entry.settings(&settings).map_err(CliError::Usage)?;
+    finish_study(entry.name, (entry.run)(&settings).as_ref(), json_out)
 }
 
-fn cmd_bench_serve(rest: &[&String]) -> Result<String, CliError> {
-    let mut distinct = 16usize;
-    let mut rounds = 4usize;
-    let mut extents = vec![8usize, 6, 5, 4];
-    let mut extents_given = false;
-    let mut format = MetricsFormat::Text;
-    let mut autotune = false;
-    let mut tail = false;
-    let mut gateway = false;
-    let mut trace = false;
-    let mut cpu = false;
-    let mut r#async = false;
-    let mut seconds = 1.0f64;
-    let mut overload = 2.0f64;
-    let mut seconds_given = false;
-    let mut overload_given = false;
-    let mut json_out: Option<String> = None;
-    for a in rest {
-        if let Some(v) = a.strip_prefix("--perms=") {
-            distinct = v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("bad --perms value {v:?}")))?;
-        } else if let Some(v) = a.strip_prefix("--rounds=") {
-            rounds = v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("bad --rounds value {v:?}")))?;
-        } else if let Some(v) = a.strip_prefix("--extents=") {
-            extents = parse_usize_list(v, "extents")?;
-            extents_given = true;
-        } else if let Some(v) = a.strip_prefix("--json-out=") {
-            json_out = Some(v.to_string());
-        } else if a.as_str() == "--autotune" {
-            autotune = true;
-        } else if a.as_str() == "--tail" {
-            tail = true;
-        } else if a.as_str() == "--gateway" {
-            gateway = true;
-        } else if a.as_str() == "--trace" {
-            trace = true;
-        } else if a.as_str() == "--cpu" {
-            cpu = true;
-        } else if a.as_str() == "--async" {
-            r#async = true;
-        } else if let Some(v) = a.strip_prefix("--seconds=") {
-            seconds = v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("bad --seconds value {v:?}")))?;
-            seconds_given = true;
-        } else if let Some(v) = a.strip_prefix("--overload=") {
-            overload = v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("bad --overload value {v:?}")))?;
-            overload_given = true;
-        } else if let Some(v) = a.strip_prefix("--metrics-format=") {
-            format = match v {
-                "text" => MetricsFormat::Text,
-                "json" => MetricsFormat::Json,
-                "prom" => MetricsFormat::Prom,
-                other => {
-                    return Err(CliError::Usage(format!(
-                        "bad --metrics-format value {other:?} (text|json|prom)"
-                    )))
-                }
-            };
-        } else {
-            return Err(CliError::Usage(format!(
-                "bench-serve does not understand {a:?}"
-            )));
-        }
+/// Write a finished study's artifact, then check it: a failed gate is an
+/// error carrying the report, the artifact's path and the failed gates.
+fn finish_study(
+    name: &str,
+    study: &dyn ttlg_bench::study::Study,
+    json_out: Option<String>,
+) -> Result<String, CliError> {
+    let path = write_artifact(json_out, name, &study.to_json())?;
+    let mut s = study.render();
+    writeln!(s, "wrote {path}").unwrap();
+    match study.check() {
+        Ok(()) => Ok(s),
+        Err(gates) => Err(CliError::Failed(format!(
+            "{s}{name} study check failed:\n{gates}"
+        ))),
     }
-    if distinct == 0 || rounds == 0 {
-        return Err(CliError::Usage(
-            "--perms and --rounds must be positive".into(),
-        ));
-    }
-    if overload_given && !gateway && !r#async {
-        return Err(CliError::Usage(
-            "--overload only applies with --gateway or --async".into(),
-        ));
-    }
-    if seconds_given && !gateway && !cpu && !r#async {
-        return Err(CliError::Usage(
-            "--seconds only applies with --gateway, --cpu, or --async".into(),
-        ));
-    }
-    if r#async {
-        if cpu || gateway || tail || autotune || trace || extents_given {
-            return Err(CliError::Usage(
-                "--async runs the fixed duplicate-heavy workload; \
-                 --cpu/--gateway/--tail/--autotune/--trace/--extents do not apply"
-                    .into(),
-            ));
-        }
-        if !(seconds.is_finite() && seconds > 0.0 && overload.is_finite() && overload > 0.0) {
-            return Err(CliError::Usage(
-                "--seconds and --overload must be positive".into(),
-            ));
-        }
-        let study = ttlg_bench::async_study::run(seconds, overload);
-        let path = write_artifact(json_out, "BENCH_async.json", &study.to_json())?;
-        let mut s = study.render();
-        writeln!(s, "wrote {path}").unwrap();
-        return Ok(s);
-    }
-    if cpu {
-        if gateway || tail || autotune || trace || extents_given {
-            return Err(CliError::Usage(
-                "--cpu runs the fixed taxonomy sweep; --gateway/--tail/--autotune/--trace/--extents do not apply"
-                    .into(),
-            ));
-        }
-        if !(seconds.is_finite() && seconds > 0.0) {
-            return Err(CliError::Usage("--seconds must be positive".into()));
-        }
-        let study = ttlg_bench::cpu_study::run(seconds);
-        let path = write_artifact(json_out, "BENCH_cpu.json", &study.to_json())?;
-        let mut s = study.render();
-        writeln!(s, "wrote {path}").unwrap();
-        return Ok(s);
-    }
-    if trace {
-        if gateway || tail || autotune || extents_given {
-            return Err(CliError::Usage(
-                "--trace runs its own loopback workload; --gateway/--tail/--autotune/--extents do not apply"
-                    .into(),
-            ));
-        }
-        if distinct > 24 {
-            return Err(CliError::Usage(format!(
-                "the trace study uses rank-4 permutations (max 24), --perms={distinct} asked for more"
-            )));
-        }
-        let study = ttlg_bench::trace_study::run(distinct, rounds);
-        let path = write_artifact(json_out, "BENCH_trace.json", &study.to_json())?;
-        let mut s = study.render();
-        writeln!(s, "wrote {path}").unwrap();
-        return Ok(s);
-    }
-    if gateway {
-        if tail || autotune || extents_given {
-            return Err(CliError::Usage(
-                "--gateway runs its own loopback workload; --tail/--autotune/--extents do not apply"
-                    .into(),
-            ));
-        }
-        if !(seconds.is_finite() && seconds > 0.0 && overload.is_finite() && overload > 0.0) {
-            return Err(CliError::Usage(
-                "--seconds and --overload must be positive".into(),
-            ));
-        }
-        let study = ttlg_bench::gateway_study::run(seconds, overload);
-        let path = write_artifact(json_out, "BENCH_gateway.json", &study.to_json())?;
-        let mut s = study.render();
-        writeln!(s, "wrote {path}").unwrap();
-        return Ok(s);
-    }
-    if tail {
-        if autotune || extents_given {
-            return Err(CliError::Usage(
-                "--tail runs the fixed skewed workload; --autotune and --extents do not apply"
-                    .into(),
-            ));
-        }
-        let study = ttlg_bench::tail_study::run(rounds);
-        let path = write_artifact(json_out, "BENCH_tail.json", &study.to_json())?;
-        let mut s = study.render();
-        writeln!(s, "wrote {path}").unwrap();
-        return Ok(s);
-    }
-    if autotune {
-        if extents_given {
-            return Err(CliError::Usage(
-                "--autotune runs the fixed rank-4 study workload; --extents does not apply".into(),
-            ));
-        }
-        if distinct > 24 {
-            return Err(CliError::Usage(format!(
-                "the autotune study uses rank-4 permutations (max 24), --perms={distinct} asked for more"
-            )));
-        }
-        let study = ttlg_bench::autotune_study::run(distinct, rounds);
-        let path = write_artifact(json_out, "BENCH_autotune.json", &study.to_json())?;
-        let mut s = study.render();
-        writeln!(s, "wrote {path}").unwrap();
-        return Ok(s);
-    }
-    let shape = Shape::new(&extents).map_err(|e| CliError::Usage(e.to_string()))?;
-    let perms = perms_lex(shape.rank(), distinct);
-    if perms.len() < distinct {
-        return Err(CliError::Usage(format!(
-            "rank {} has only {} permutations, --perms={distinct} asked for more",
-            shape.rank(),
-            perms.len()
-        )));
-    }
-
-    // One batch per round: the first round populates the plan cache,
-    // later rounds replay the same keys and should be pure hits.
-    let input = Arc::new(DenseTensor::<f64>::iota(shape.clone()));
-    let reqs: Vec<TransposeRequest<f64>> = perms
-        .iter()
-        .map(|p| TransposeRequest::new(Arc::clone(&input), p.clone()))
-        .collect();
-    let service = TransposeService::<f64>::new_k40c();
-    let t0 = Instant::now();
-    let mut failures = 0usize;
-    for _ in 0..rounds {
-        failures += service
-            .submit_batch(&reqs)
-            .iter()
-            .filter(|r| r.is_err())
-            .count();
-    }
-    let elapsed = t0.elapsed();
-
-    let total = distinct * rounds;
-    let stats = service.cache_stats();
-
-    // The perf-trajectory artifact: written in text mode (the default
-    // invocation) or whenever a destination is named explicitly. A
-    // prior artifact at the same destination becomes the regression
-    // baseline: its throughput and exec p99 are folded into a
-    // `baseline_delta` section before it is overwritten.
-    let mut baseline_note = String::new();
-    let artifact = if json_out.is_some() || format == MetricsFormat::Text {
-        let wall_ms = elapsed.as_secs_f64() * 1e3;
-        let rps = total as f64 / elapsed.as_secs_f64();
-        let prediction = service.metrics().prediction();
-        let p99 = service.metrics().exec_latency.quantile_us(0.99);
-        let exec_p99_us = if p99.is_finite() { p99 } else { 0.0 };
-        let dest = json_out
-            .clone()
-            .unwrap_or_else(|| "BENCH_serve.json".to_string());
-        let baseline = std::fs::read_to_string(&dest)
-            .ok()
-            .and_then(|text| parse_serve_baseline(&text));
-        let mut json = format!(
-            "{{\n  \"study\": \"serve\",\n  \"requests\": {total},\n  \
-             \"distinct_perms\": {distinct},\n  \"rounds\": {rounds},\n  \
-             \"wall_ms\": {wall_ms},\n  \"requests_per_s\": {rps},\n  \
-             \"exec_p99_us\": {exec_p99_us},\n  \
-             \"failures\": {failures},\n  \"cache_hits\": {},\n  \
-             \"cache_misses\": {},\n  \"cache_evictions\": {},\n  \
-             \"prediction_samples\": {},\n  \"geo_mean_error\": {}",
-            stats.hits,
-            stats.misses,
-            stats.evictions,
-            prediction.total_count(),
-            prediction.overall_geo_mean_error(),
-        );
-        if let Some((base_rps, base_p99)) = baseline {
-            let throughput_ratio = if base_rps > 0.0 { rps / base_rps } else { 1.0 };
-            let p99_ratio = base_p99
-                .filter(|b| *b > 0.0 && exec_p99_us > 0.0)
-                .map(|b| exec_p99_us / b);
-            write!(
-                json,
-                ",\n  \"baseline_delta\": {{\n    \
-                 \"baseline_requests_per_s\": {base_rps},\n    \
-                 \"throughput_ratio\": {throughput_ratio},\n    \
-                 \"baseline_exec_p99_us\": {},\n    \
-                 \"p99_ratio\": {}\n  }}",
-                base_p99.map_or("null".to_string(), |b| b.to_string()),
-                p99_ratio.map_or("null".to_string(), |r| r.to_string()),
-            )
-            .unwrap();
-            writeln!(
-                baseline_note,
-                "baseline  : throughput x{throughput_ratio:.2}{} vs prior artifact",
-                p99_ratio.map_or(String::new(), |r| format!(", exec p99 x{r:.2}")),
-            )
-            .unwrap();
-            if throughput_ratio < 0.9 {
-                writeln!(
-                    baseline_note,
-                    "WARNING: throughput regressed {:.0}% vs baseline ({:.0} -> {:.0} req/s)",
-                    (1.0 - throughput_ratio) * 100.0,
-                    base_rps,
-                    rps
-                )
-                .unwrap();
-            }
-            if let Some(r) = p99_ratio {
-                if r > 1.1 {
-                    writeln!(
-                        baseline_note,
-                        "WARNING: exec p99 regressed {:.0}% vs baseline ({:.1} -> {:.1} us)",
-                        (r - 1.0) * 100.0,
-                        base_p99.unwrap_or(0.0),
-                        exec_p99_us
-                    )
-                    .unwrap();
-                }
-            }
-        }
-        json.push_str("\n}\n");
-        Some(write_artifact(json_out, "BENCH_serve.json", &json)?)
-    } else {
-        None
-    };
-
-    // The machine-readable formats are emitted bare so the output can be
-    // piped straight into a scraper or parser.
-    match format {
-        MetricsFormat::Json => return Ok(service.export_json()),
-        MetricsFormat::Prom => return Ok(service.export_prometheus()),
-        MetricsFormat::Text => {}
-    }
-    let mut s = String::new();
-    writeln!(
-        s,
-        "workload  : {total} requests = {rounds} rounds x {distinct} permutations of {shape}"
-    )
-    .unwrap();
-    writeln!(
-        s,
-        "wall-clock: {:.2} ms ({:.0} requests/s)",
-        elapsed.as_secs_f64() * 1e3,
-        total as f64 / elapsed.as_secs_f64()
-    )
-    .unwrap();
-    writeln!(s, "failures  : {failures}").unwrap();
-    writeln!(
-        s,
-        "plan cache: {} hits, {} misses, {} evictions",
-        stats.hits, stats.misses, stats.evictions
-    )
-    .unwrap();
-    if !baseline_note.is_empty() {
-        s.push_str(&baseline_note);
-    }
-    s.push('\n');
-    s.push_str(&service.metrics_report());
-    if let Some(path) = artifact {
-        writeln!(s, "\nwrote {path}").unwrap();
-    }
-    Ok(s)
 }
 
 fn cmd_devices() -> String {
@@ -1338,38 +931,66 @@ mod tests {
         assert!(out.contains("output"));
     }
 
-    #[test]
-    fn bench_serve_command() {
+    /// A study's artifact path in the shared test directory.
+    fn artifact_path(file: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("ttlg-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("serve.json");
+        dir.join(file)
+    }
+
+    /// Read an artifact and check the provenance stamp that leads it.
+    fn read_artifact(path: &std::path::Path, study: &str) -> String {
+        let json = std::fs::read_to_string(path).unwrap();
+        assert!(json.starts_with("{\n  \"schema_version\": 1,"), "{json}");
+        let doc = ttlg_serve::json::parse(json.as_bytes()).unwrap();
+        let threads = doc.get("host_threads").and_then(|v| v.as_usize());
+        assert!(threads.is_some_and(|t| t >= 1), "{json}");
+        for key in ["artifact", "study"] {
+            assert_eq!(doc.get(key).and_then(|v| v.as_str()), Some(study), "{json}");
+        }
+        json
+    }
+
+    /// Run a study whose gates read wall-clock timing: a debug build on
+    /// a loaded host can miss them, and a failed check still carries the
+    /// report and writes the artifact.
+    fn timed_study(args: &[&str]) -> String {
+        match run(args) {
+            Ok(out) => out,
+            Err(CliError::Failed(out)) if out.contains("study check failed") => out,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    #[test]
+    fn bench_serve_command() {
+        let path = artifact_path("serve.json");
         let out = run(&[
             "bench-serve",
+            "serve",
             "--perms=4",
             "--rounds=2",
-            "--extents=6,5,4",
             &format!("--json-out={}", path.display()),
         ])
         .unwrap();
-        assert!(out.contains("8 requests = 2 rounds x 4 permutations"));
-        assert!(out.contains("plan cache: 4 hits, 4 misses"));
-        assert!(out.contains("ttlg-runtime metrics"));
-        assert!(out.contains("failures  : 0"));
+        assert!(
+            out.contains("8 requests over 4 distinct permutations"),
+            "{out}"
+        );
+        assert!(out.contains(" / 4 misses"), "{out}");
+        assert!(out.contains("ttlg-runtime metrics"), "{out}");
         assert!(out.contains("wrote"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"study\": \"serve\""));
+        let json = read_artifact(&path, "serve");
         assert!(json.contains("\"requests\": 8"));
         assert!(json.contains("\"geo_mean_error\""));
     }
 
     #[test]
     fn bench_serve_autotune_writes_artifact() {
-        let dir = std::env::temp_dir().join("ttlg-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("autotune.json");
+        let path = artifact_path("autotune.json");
         let out = run(&[
             "bench-serve",
-            "--autotune",
+            "autotune",
             "--perms=3",
             "--rounds=2",
             &format!("--json-out={}", path.display()),
@@ -1378,7 +999,7 @@ mod tests {
         assert!(out.contains("model-only"), "{out}");
         assert!(out.contains("autotuned"), "{out}");
         assert!(out.contains("wrote"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
+        let json = read_artifact(&path, "autotune");
         assert!(json.contains("\"geo_error_before\""));
         assert!(json.contains("\"geo_error_after\""));
         assert!(json.contains("\"plans_warmed\": 3"));
@@ -1386,12 +1007,10 @@ mod tests {
 
     #[test]
     fn bench_serve_cpu_writes_artifact_with_provenance() {
-        let dir = std::env::temp_dir().join("ttlg-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cpu.json");
+        let path = artifact_path("cpu.json");
         let out = run(&[
             "bench-serve",
-            "--cpu",
+            "cpu",
             "--seconds=1",
             &format!("--json-out={}", path.display()),
         ])
@@ -1400,44 +1019,34 @@ mod tests {
         assert!(out.contains("geo-mean speedup"), "{out}");
         assert!(out.contains("thread scaling"), "{out}");
         assert!(out.contains("wrote"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        // The provenance stamp leads every artifact.
-        assert!(json.starts_with("{\n  \"schema_version\": 1,"), "{json}");
-        assert!(json.contains("\"host_threads\":"));
-        assert!(json.contains("\"artifact\": \"cpu\""));
-        assert!(json.contains("\"study\": \"cpu\""));
+        let json = read_artifact(&path, "cpu");
         assert!(json.contains("\"geo_mean_speedup\""));
         assert!(json.contains("\"classes\""));
         assert!(json.contains("\"scaling\""));
         assert!(json.contains("\"cpu_pred_geo_err\""));
         assert!(json.contains("\"backend_requests_cpu\""));
-        // --seconds gates on --gateway or --cpu; --overload stays
-        // gateway-only; --cpu rejects the other studies' knobs.
-        assert!(matches!(
-            run(&["bench-serve", "--seconds=1"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--cpu", "--overload=2"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--cpu", "--tail"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--cpu", "--seconds=0"]),
-            Err(CliError::Usage(_))
-        ));
+        // The table says which settings a study takes; the rest, and
+        // values out of range, are usage errors.
+        for args in [
+            &["bench-serve", "--seconds=1"][..],
+            &["bench-serve", "cpu", "--overload=2"],
+            &["bench-serve", "cpu", "--perms=4"],
+            &["bench-serve", "cpu", "--seconds=0"],
+        ] {
+            assert!(matches!(run(args), Err(CliError::Usage(_))), "{args:?}");
+        }
     }
 
     #[test]
     fn profile_tail_renders_flame_tree() {
         let out = run(&["profile", "--tail", "--rounds=2"]).unwrap();
-        assert!(out.contains("phase profile of the trace ring"), "{out}");
+        assert!(
+            out.contains("phase profile of the trace store's recent window"),
+            "{out}"
+        );
         assert!(out.contains("execute"), "{out}");
         assert!(out.contains("p99~"), "{out}");
-        assert!(out.contains("slowest retained exemplars:"), "{out}");
+        assert!(out.contains("slowest records per bucket:"), "{out}");
         assert!(matches!(
             run(&["profile", "--tail", "--bogus"]),
             Err(CliError::Usage(_))
@@ -1450,12 +1059,10 @@ mod tests {
 
     #[test]
     fn bench_serve_tail_writes_artifact() {
-        let dir = std::env::temp_dir().join("ttlg-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tail.json");
+        let path = artifact_path("tail.json");
         let out = run(&[
             "bench-serve",
-            "--tail",
+            "tail",
             "--rounds=2",
             &format!("--json-out={}", path.display()),
         ])
@@ -1464,99 +1071,63 @@ mod tests {
         assert!(out.contains("dominant @p99"), "{out}");
         assert!(out.contains("slo:"), "{out}");
         assert!(out.contains("wrote"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"study\": \"tail\""));
+        let json = read_artifact(&path, "tail");
         assert!(json.contains("\"dominant_phase_at_p99\""));
         assert!(json.contains("\"phase_at_p99\""));
-        assert!(json.contains("\"exemplars\": [{"));
+        assert!(json.contains("\"slowest\": [{"));
+        assert!(json.contains("\"coalesced_requests\""));
         assert!(json.contains("\"slo\""));
     }
 
     #[test]
     fn bench_serve_gateway_writes_artifact() {
-        let dir = std::env::temp_dir().join("ttlg-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("gateway.json");
-        let out = run(&[
+        let path = artifact_path("gateway.json");
+        let out = timed_study(&[
             "bench-serve",
-            "--gateway",
+            "gateway",
             "--seconds=0.2",
-            "--overload=2.0",
             &format!("--json-out={}", path.display()),
-        ])
-        .unwrap();
+        ]);
         assert!(out.contains("gateway loopback study"), "{out}");
         assert!(out.contains("shed rate"), "{out}");
         assert!(out.contains("fairness"), "{out}");
         assert!(out.contains("wrote"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"study\": \"gateway\""));
+        let json = read_artifact(&path, "gateway");
+        assert!(json.contains("\"overload\": 2"));
         assert!(json.contains("\"shed_rate\""));
         assert!(json.contains("\"classes\""));
         assert!(json.contains("\"tenants\""));
-        // Conflicts and misuse are usage errors, not silent ignores.
         assert!(matches!(
-            run(&["bench-serve", "--gateway", "--tail"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--seconds=1"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--gateway", "--seconds=0"]),
+            run(&["bench-serve", "gateway", "--rounds=2"]),
             Err(CliError::Usage(_))
         ));
     }
 
     #[test]
     fn bench_serve_async_writes_artifact_with_provenance() {
-        let dir = std::env::temp_dir().join("ttlg-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("async.json");
-        let out = run(&[
+        let path = artifact_path("async.json");
+        let out = timed_study(&[
             "bench-serve",
-            "--async",
+            "async",
             "--seconds=0.2",
-            "--overload=2.0",
             &format!("--json-out={}", path.display()),
-        ])
-        .unwrap();
+        ]);
         assert!(out.contains("async submission coalescing study"), "{out}");
         assert!(out.contains("fewer kernels"), "{out}");
         assert!(out.contains("wrote"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        // The provenance stamp leads every artifact.
-        assert!(json.starts_with("{\n  \"schema_version\": 1,"), "{json}");
-        assert!(json.contains("\"host_threads\":"));
-        assert!(json.contains("\"artifact\": \"async\""));
-        assert!(json.contains("\"study\": \"async\""));
+        let json = read_artifact(&path, "async");
+        assert!(json.contains("\"overload\": 2"));
         assert!(json.contains("\"baseline\""));
         assert!(json.contains("\"coalesced\""));
         assert!(json.contains("\"executions_per_request\""));
         assert!(json.contains("\"p99_ratio\""));
-        // --async is exclusive with the other studies and validates its
-        // knobs like --gateway does.
-        assert!(matches!(
-            run(&["bench-serve", "--async", "--cpu"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--async", "--tail"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--async", "--extents=4,4"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--async", "--seconds=0"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--overload=2"]),
-            Err(CliError::Usage(_))
-        ));
+        for args in [
+            &["bench-serve", "async", "--perms=4"][..],
+            &["bench-serve", "async", "--seconds=0"],
+            &["bench-serve", "async", "--overload=2"],
+        ] {
+            assert!(matches!(run(args), Err(CliError::Usage(_))), "{args:?}");
+        }
     }
 
     #[test]
@@ -1610,12 +1181,10 @@ mod tests {
 
     #[test]
     fn bench_serve_trace_writes_artifact() {
-        let dir = std::env::temp_dir().join("ttlg-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.json");
+        let path = artifact_path("trace.json");
         let out = run(&[
             "bench-serve",
-            "--trace",
+            "trace",
             "--perms=4",
             "--rounds=2",
             &format!("--json-out={}", path.display()),
@@ -1624,112 +1193,81 @@ mod tests {
         assert!(out.contains("tracing & drift-alert study"), "{out}");
         assert!(out.contains("prediction-drift rule"), "{out}");
         assert!(out.contains("wrote"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"study\": \"trace\""));
+        let json = read_artifact(&path, "trace");
         assert!(json.contains("\"drift_fired\": true"));
         assert!(json.contains("\"drift_resolved\": true"));
         assert!(json.contains("\"sampled_traces\""));
-        assert!(json.contains("\"dropped_traces\""));
-        // Conflicts are usage errors, not silent ignores.
-        assert!(matches!(
-            run(&["bench-serve", "--trace", "--gateway"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--trace", "--tail"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--trace", "--extents=6,5,4"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--trace", "--perms=25"]),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
-    fn bench_serve_tail_rejects_bad_flags() {
-        assert!(matches!(
-            run(&["bench-serve", "--tail", "--extents=6,5,4"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--tail", "--autotune"]),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
-    fn bench_serve_autotune_rejects_bad_flags() {
-        assert!(matches!(
-            run(&["bench-serve", "--autotune", "--extents=6,5,4"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--autotune", "--perms=25"]),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
-    fn bench_serve_prometheus_format() {
-        let out = run(&[
-            "bench-serve",
-            "--perms=4",
-            "--rounds=2",
-            "--extents=6,5,4",
-            "--metrics-format=prom",
-        ])
-        .unwrap();
-        assert!(!out.trim().is_empty(), "metrics must be non-empty");
-        assert!(out.contains("# TYPE ttlg_requests_total counter"), "{out}");
-        assert!(out.contains("ttlg_requests_total{schema="), "{out}");
-        assert!(
-            out.contains("ttlg_exec_latency_us_quantile{quantile=\"0.5\"}"),
-            "{out}"
-        );
-        assert!(out.contains("quantile=\"0.95\""), "{out}");
-        assert!(out.contains("quantile=\"0.99\""), "{out}");
-        assert!(out.contains("ttlg_prediction_samples_total"), "{out}");
-        assert!(out.contains("ttlg_prediction_geo_mean_error"), "{out}");
-        // Every non-comment line parses as `name{labels} value`.
-        for line in out.lines().filter(|l| !l.starts_with('#') && !l.is_empty()) {
-            let (_, value) = line.rsplit_once(' ').expect("name value");
-            assert!(value.parse::<f64>().is_ok(), "unparsable value: {line}");
+        assert!(json.contains("\"evicted_traces\""));
+        for args in [
+            &["bench-serve", "trace", "--seconds=1"][..],
+            &["bench-serve", "trace", "--perms=25"],
+        ] {
+            assert!(matches!(run(args), Err(CliError::Usage(_))), "{args:?}");
         }
     }
 
     #[test]
-    fn bench_serve_json_format() {
-        let out = run(&[
-            "bench-serve",
-            "--perms=2",
-            "--rounds=1",
-            "--extents=6,5,4",
-            "--metrics-format=json",
-        ])
-        .unwrap();
-        assert!(out.starts_with('{') && out.trim_end().ends_with('}'));
-        assert!(out.contains("\"ttlg_requests_total\""), "{out}");
-        assert!(out.contains("\"histograms\""), "{out}");
-        assert!(matches!(
-            run(&["bench-serve", "--metrics-format=xml"]),
-            Err(CliError::Usage(_))
-        ));
+    fn bench_serve_tail_rejects_bad_flags() {
+        for args in [
+            &["bench-serve", "tail", "--extents=6,5,4"][..],
+            &["bench-serve", "tail", "--perms=4"],
+            &["bench-serve", "tail", "--rounds=0"],
+            &["bench-serve", "tail", "--autotune"],
+        ] {
+            assert!(matches!(run(args), Err(CliError::Usage(_))), "{args:?}");
+        }
+    }
+
+    #[test]
+    fn bench_serve_autotune_rejects_bad_flags() {
+        for args in [
+            &["bench-serve", "autotune", "--seconds=1"][..],
+            &["bench-serve", "autotune", "--perms=25"],
+            &["bench-serve", "autotune", "--perms=0"],
+        ] {
+            assert!(matches!(run(args), Err(CliError::Usage(_))), "{args:?}");
+        }
     }
 
     #[test]
     fn bench_serve_rejects_impossible_perm_count() {
-        assert!(matches!(
-            run(&["bench-serve", "--perms=9", "--extents=4,4"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--bogus"]),
-            Err(CliError::Usage(_))
-        ));
+        for args in [
+            &["bench-serve", "serve", "--perms=25"][..],
+            &["bench-serve", "serve", "--bogus"],
+            &["bench-serve", "--perms=4"],
+            &["bench-serve"],
+            &["bench-serve", "bogus"],
+        ] {
+            assert!(matches!(run(args), Err(CliError::Usage(_))), "{args:?}");
+        }
+    }
+
+    /// A study that fails its check still writes its artifact; the
+    /// command's error carries the report and names the failed gate.
+    #[test]
+    fn failed_study_check_writes_the_artifact_and_names_the_gate() {
+        struct Broken;
+        impl ttlg_bench::study::Study for Broken {
+            fn render(&self) -> String {
+                "broken report\n".into()
+            }
+            fn to_json(&self) -> String {
+                "{\n  \"study\": \"serve\"\n}\n".into()
+            }
+            fn check(&self) -> Result<(), String> {
+                Err("failed gate: requests > 0".into())
+            }
+        }
+        let path = artifact_path("broken.json");
+        let _ = std::fs::remove_file(&path);
+        let err = finish_study("serve", &Broken, Some(path.display().to_string()));
+        let Err(CliError::Failed(msg)) = err else {
+            panic!("a failed gate must fail the command: {err:?}");
+        };
+        assert!(msg.starts_with("broken report\nwrote "), "{msg}");
+        assert!(msg.contains("serve study check failed"), "{msg}");
+        assert!(msg.contains("failed gate: requests > 0"), "{msg}");
+        read_artifact(&path, "serve");
     }
 
     #[test]
@@ -1813,61 +1351,6 @@ mod tests {
         assert_eq!(line, "▁█", "non-finite skipped, extremes span the bars");
     }
 
-    /// A prior serve artifact at the destination becomes the regression
-    /// baseline: the new artifact carries a `baseline_delta` section
-    /// and the text output warns when throughput or p99 regress >10%.
-    #[test]
-    fn bench_serve_reports_baseline_delta_and_warns_on_regression() {
-        let dir = std::env::temp_dir().join("ttlg-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("serve-baseline.json");
-        // An impossibly fast baseline: any real run regresses >10%.
-        std::fs::write(
-            &path,
-            "{\n  \"schema_version\": 1,\n  \"host_threads\": 8,\n  \
-             \"artifact\": \"serve\",\n  \"study\": \"serve\",\n  \
-             \"requests_per_s\": 1e12,\n  \"exec_p99_us\": 1e-6\n}\n",
-        )
-        .unwrap();
-        let out = run(&[
-            "bench-serve",
-            "--perms=4",
-            "--rounds=2",
-            "--extents=6,5,4",
-            &format!("--json-out={}", path.display()),
-        ])
-        .unwrap();
-        assert!(out.contains("baseline  : throughput x"), "{out}");
-        assert!(out.contains("WARNING: throughput regressed"), "{out}");
-        assert!(out.contains("WARNING: exec p99 regressed"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"exec_p99_us\""), "{json}");
-        assert!(json.contains("\"baseline_delta\""), "{json}");
-        assert!(json.contains("\"throughput_ratio\""), "{json}");
-        assert!(json.contains("\"p99_ratio\""), "{json}");
-        // A non-serve artifact at the destination is not a baseline.
-        let other = dir.join("serve-baseline-other.json");
-        std::fs::write(
-            &other,
-            "{\n  \"schema_version\": 1,\n  \"artifact\": \"cpu\",\n  \
-             \"requests_per_s\": 1e12\n}\n",
-        )
-        .unwrap();
-        let out = run(&[
-            "bench-serve",
-            "--perms=2",
-            "--rounds=1",
-            "--extents=6,5,4",
-            &format!("--json-out={}", other.display()),
-        ])
-        .unwrap();
-        assert!(!out.contains("baseline  :"), "{out}");
-        let json = std::fs::read_to_string(&other).unwrap();
-        assert!(!json.contains("baseline_delta"), "{json}");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&other);
-    }
-
     #[test]
     fn usage_errors() {
         assert!(matches!(run(&[]), Err(CliError::Usage(_))));
@@ -1890,5 +1373,23 @@ mod tests {
     #[test]
     fn help_prints_usage() {
         assert!(run(&["help"]).unwrap().contains("USAGE"));
+    }
+
+    /// USAGE lists every study of the table with exactly the settings
+    /// it takes.
+    #[test]
+    fn usage_lists_every_study_with_its_settings() {
+        for entry in &ttlg_bench::study::STUDIES {
+            let takes: Vec<String> = entry
+                .takes
+                .iter()
+                .map(|t| format!("[{}]", t.flag()))
+                .collect();
+            let line = format!("     {:<8} {}", entry.name, takes.join(" "));
+            assert!(
+                USAGE.contains(&format!("{line} ")),
+                "{line:?} missing from USAGE"
+            );
+        }
     }
 }

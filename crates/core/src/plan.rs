@@ -357,7 +357,7 @@ pub struct Transposer {
     /// When set, every [`Transposer::plan`] retains its full
     /// [`DecisionTrace`] on the returned [`Plan`] (see
     /// [`Plan::decision_trace`]) so serving layers can attach the
-    /// planner's reasoning to slow-request exemplars after the fact.
+    /// planner's reasoning to slow-request records after the fact.
     retain_traces: std::sync::atomic::AtomicBool,
 }
 

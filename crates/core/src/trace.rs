@@ -6,7 +6,7 @@
 //! sizes and both the configured predictor's and the analytic model's
 //! time estimates), the configurations the sweep *rejected* and why, the
 //! analytic-guard band, and the final choice. The trace is plain data —
-//! higher layers (the CLI's `ttlg explain`, the runtime's subscribers)
+//! higher layers (the CLI's `ttlg explain`, the runtime's trace store)
 //! render or export it however they like; [`DecisionTrace::render`] is
 //! the human-readable default.
 

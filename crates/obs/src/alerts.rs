@@ -14,16 +14,14 @@
 //!   e.g. queue depth over queue capacity;
 //! * [`Signal::DeltaRatio`] — `sum(increase(num)) / sum(increase(den))`
 //!   over the store's trailing window `(last_ingest - window_ms,
-//!   last_ingest]`, evaluated by [`eval_range`], e.g. sheds per routed
+//!   last_ingest]`, evaluated by [`eval_range`], e.g. sheds per transpose
 //!   request or SLO misses per request. A numerator with no history in
 //!   the window counts as zero; a denominator with none abstains, and
 //!   one that did not grow reads zero (no requests, so none missed or
 //!   shed), which clears the rule: a firing rule resolves once its
-//!   window ages past the last breach, traffic or not. After a restart
-//!   with a hydrated store the
-//!   store's counter-reset rule turns the new process's counters into
-//!   increments, so the old process's lifetime totals never read as one
-//!   burst.
+//!   window ages past the last breach, traffic or not. A hydrated store
+//!   counts a restarted process's counters from zero, so the old
+//!   process's lifetime totals never read as one burst.
 //!
 //! Each rule runs a firing/resolved state machine with hysteresis: a
 //! rule must breach `for_evals` consecutive evaluations to fire
@@ -64,7 +62,8 @@ pub enum Signal {
     },
     /// `sum(increase(num)) / sum(increase(den))` over the store's
     /// trailing `window_ms`; abstains when the denominator has no
-    /// history in the window and reads `0` when it did not grow.
+    /// history in the window and reads `0` when it did not grow. `num`
+    /// and `den` are query selectors, so they may carry label matchers.
     DeltaRatio {
         num: &'static str,
         den: &'static str,
@@ -413,10 +412,10 @@ pub fn default_rules(slo: SloConfig) -> Vec<AlertRule> {
         },
         AlertRule {
             name: "shed-spike",
-            help: "More than 20% of the last 30 s of requests were shed.",
+            help: "More than 20% of the last 30 s of transpose requests were shed.",
             signal: Signal::DeltaRatio {
                 num: "ttlg_gateway_shed_total",
-                den: "ttlg_gateway_requests_total",
+                den: r#"ttlg_gateway_requests_total{endpoint="transpose"}"#,
                 window_ms: 30_000,
             },
             op: Op::Gt,

@@ -10,16 +10,15 @@
 //!
 //! Pieces:
 //!
-//! * [`span`] — a minimal tracing vocabulary: [`SpanRecord`]s and
-//!   [`Event`]s delivered to a [`Subscriber`], plus a monotonic
-//!   process-relative [`clock_ns`].
+//! * [`span`] — the monotonic process-relative [`clock_ns`] every
+//!   record's timestamps read.
 //! * [`quantile`] — p50/p95/p99 estimation over the runtime's log2
 //!   latency histograms ([`log2_bucket_quantile_us`]).
 //! * [`prediction`] — [`PredictionTracker`]: signed residuals between
 //!   model-predicted and simulator-measured kernel times per schema,
 //!   the training-point feed for a measure-mode autotuner.
-//! * [`snapshot`] / [`prom`] / [`json`] — a renderer-neutral
-//!   [`MetricsSnapshot`] plus Prometheus-text and JSON exporters.
+//! * [`snapshot`] / [`prom`] — a renderer-neutral [`MetricsSnapshot`]
+//!   plus the Prometheus-text exporter.
 //! * [`profile`] — tail-latency attribution: the trace store's recent
 //!   records folded into hierarchical phase profiles keyed by
 //!   `(schema, shape-class)` ([`PhaseProfile`]), including "which phase
@@ -48,7 +47,6 @@
 //! feed it without creating dependency cycles.
 
 pub mod alerts;
-pub mod json;
 pub mod prediction;
 pub mod profile;
 pub mod prom;
@@ -68,7 +66,7 @@ pub use quantile::log2_bucket_quantile_us;
 pub use query::{eval_range, QueryError, QueryResult, QuerySeries};
 pub use slo::{SloConfig, SloSnapshot, SloTracker};
 pub use snapshot::{Histogram, Metric, MetricKind, MetricsSnapshot, Sample};
-pub use span::{clock_ns, AttrValue, CollectingSubscriber, Event, SpanRecord, Subscriber};
+pub use span::clock_ns;
 pub use tracecontext::{next_id, parse_trace_id, TraceContext};
 pub use tracestore::{
     Envelope, SampleReason, SlowestBuckets, SpanNode, TraceRecord, TraceStore, TraceStoreConfig,

@@ -1,10 +1,10 @@
 //! Renderer-neutral metrics snapshot.
 //!
 //! Producers (the runtime service) assemble a [`MetricsSnapshot`] from
-//! their atomics; exporters ([`crate::prom`], [`crate::json`]) render it
-//! without knowing anything about the producer. Histograms carry raw
-//! per-bucket counts with explicit upper bounds; exporters derive the
-//! cumulative form Prometheus wants.
+//! their atomics; the exporter ([`crate::prom`]) and the metrics history
+//! ([`crate::tsdb`]) read it without knowing anything about the producer.
+//! Histograms carry raw per-bucket counts with explicit upper bounds; the
+//! exporter derives the cumulative form Prometheus wants.
 
 /// Kind of a scalar metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -26,7 +26,7 @@
 //! * the **recent window**: the last `capacity` kept records, the source
 //!   of recent-trace listings and phase profiles;
 //! * the **slowest [`SLOWEST_PER_BUCKET`] records per `(schema,
-//!   shape-class)` bucket**, the exemplars that answer "why was p99
+//!   shape-class)` bucket**, the records that answer "why was p99
 //!   slow". At most [`MAX_BUCKETS`] buckets exist; further keys fold into
 //!   [`OVERFLOW_BUCKET`]. Sheds never reached the service, so they join
 //!   the window only.

@@ -414,6 +414,10 @@ impl TimeSeriesStore {
 
     /// Replace the store's contents from a [`Self::save`] dump. Rings are
     /// truncated (oldest first) to this store's configured capacities.
+    /// A dump always comes from an earlier process, whose counters the
+    /// next one restarts from zero, so every series' raw state (a
+    /// counter's last value, a histogram's last bucket counts) starts at
+    /// zero: the new process's first ingest records its whole count.
     /// Returns the number of series restored.
     pub fn hydrate(&self, text: &str) -> Result<usize, String> {
         let mut lines = text.lines();
@@ -454,11 +458,12 @@ impl TimeSeriesStore {
                     name: parts[1].to_string(),
                     labels: parse_labels(parts[2]).ok_or_else(|| err("bad labels"))?,
                 };
+                parts[3].parse::<f64>().map_err(|_| err("bad last_raw"))?;
                 loaded.scalars.insert(
                     key.clone(),
                     ScalarSeries {
                         kind,
-                        last_raw: parts[3].parse().map_err(|_| err("bad last_raw"))?,
+                        last_raw: 0.0,
                         fine: VecDeque::new(),
                         coarse: VecDeque::new(),
                         pending: parts[4].parse().map_err(|_| err("bad pending"))?,
@@ -507,8 +512,8 @@ impl TimeSeriesStore {
                     parse_f64_list(rest).ok_or_else(|| err("bad bounds"))?;
             } else if let Some(rest) = tagged(line, "HL") {
                 let key = pending_hist.as_ref().ok_or_else(|| err("orphan HL"))?;
-                loaded.hists.get_mut(key).unwrap().last_counts =
-                    parse_u64_list(rest).ok_or_else(|| err("bad last counts"))?;
+                let last = parse_u64_list(rest).ok_or_else(|| err("bad last counts"))?;
+                loaded.hists.get_mut(key).unwrap().last_counts = vec![0; last.len()];
             } else if let Some(rest) = tagged(line, "HP") {
                 let key = pending_hist.as_ref().ok_or_else(|| err("orphan HP"))?;
                 loaded.hists.get_mut(key).unwrap().pending =
@@ -968,7 +973,25 @@ mod tests {
         let restored = TimeSeriesStore::default();
         let n = restored.hydrate(&dump).expect("hydrate");
         assert_eq!(n, 3);
-        assert_eq!(restored.save(), dump);
+        // Everything but the raw state round-trips; that restarts at 0.
+        let zeroed: String = dump
+            .lines()
+            .map(|l| match l.split_once(' ') {
+                Some(("S", rest)) => {
+                    let mut f: Vec<&str> = rest.split('|').collect();
+                    f[3] = "0";
+                    format!("S {}\n", f.join("|"))
+                }
+                Some(("HL", rest)) => {
+                    format!(
+                        "HL {}\n",
+                        rest.split(',').map(|_| "0").collect::<Vec<_>>().join(",")
+                    )
+                }
+                _ => format!("{l}\n"),
+            })
+            .collect();
+        assert_eq!(restored.save(), zeroed);
         assert_eq!(restored.last_ingest_ms(), store.last_ingest_ms());
         assert_eq!(
             restored.scalar_data("ttlg_c_total")[0].points,
@@ -978,10 +1001,40 @@ mod tests {
             restored.hist_data("ttlg_lat_us")[0].points,
             store.hist_data("ttlg_lat_us")[0].points
         );
-        // Counter diffing continues seamlessly after hydrate.
-        restored.ingest(&counter_snap("ttlg_c_total", 49.0 * 3.0 + 5.0), 70_000);
+        // The next process's counters count from zero.
+        restored.ingest(&counter_snap("ttlg_c_total", 5.0), 70_000);
         let pts = restored.scalar_data("ttlg_c_total");
         assert_eq!(pts[0].points.last(), Some(&(70_000, 5.0)));
+    }
+
+    /// A store hydrated from a process whose counter last read 5 records
+    /// a fresh process's 10 as an increment of 10, not 5, and the same
+    /// for a histogram bucket; no reset is counted.
+    #[test]
+    fn hydrated_counters_restart_from_zero() {
+        let snap = |v: u64| {
+            let mut snap = counter_snap("ttlg_c_total", v as f64);
+            snap.push_histogram(
+                "ttlg_lat_us",
+                "test",
+                Vec::new(),
+                vec![2.0],
+                vec![v, 0],
+                0.0,
+            );
+            snap
+        };
+        let old = TimeSeriesStore::default();
+        old.ingest(&snap(5), 1_000);
+        let store = TimeSeriesStore::default();
+        store.hydrate(&old.save()).expect("hydrate");
+        store.ingest(&snap(10), 2_000);
+        let counter = &store.scalar_data("ttlg_c_total")[0].points;
+        assert_eq!(counter.last(), Some(&(2_000, 10.0)));
+        let hist = &store.hist_data("ttlg_lat_us")[0].points;
+        assert_eq!(hist.last(), Some(&(2_000, vec![10, 0])));
+        // Two scrapes, no counter reset.
+        assert!(store.save().contains("\nmeta 2 0 "), "{}", store.save());
     }
 
     #[test]

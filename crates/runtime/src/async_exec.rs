@@ -118,7 +118,7 @@ impl<E: Element> TicketHandle<E> {
 }
 
 /// Point-in-time counters of the single-flight table, consumed by
-/// `bench-serve --async`.
+/// `bench-serve async`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PipelineStats {
     /// Requests registered by any entry point (leaders, followers, rejects).

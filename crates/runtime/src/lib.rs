@@ -25,16 +25,14 @@
 //! * **Metrics** — per-schema request counters, bytes-moved totals,
 //!   plan/execute latency histograms with p50/p95/p99 quantiles, and a
 //!   per-schema prediction-accuracy tracker ([`Metrics`]); exported as a
-//!   plain-text report, Prometheus text
-//!   ([`TransposeService::export_prometheus`]), or JSON
-//!   ([`TransposeService::export_json`]).
+//!   plain-text report or Prometheus text
+//!   ([`TransposeService::export_prometheus`]).
 //! * **Tracing** — every request becomes a [`RequestTrace`] decomposed
 //!   into queue-wait / plan-fetch / execute with cache hit-miss
 //!   attribution and the executor's DRAM-efficiency and shared-memory
 //!   replay rates, written once as a record to the service's one
 //!   [`TraceStore`] ([`TransposeService::trace_store`]; the most recent
-//!   via [`TransposeService::recent_traces`]) and emitted as a span to
-//!   an optional [`Subscriber`].
+//!   via [`TransposeService::recent_traces`]).
 //! * **Measure-mode autotuning** — an optional background worker
 //!   ([`TransposeService::start_autotuner`]) re-measures the top-ranked
 //!   candidates for hot plan keys under a thread cap, installs the
@@ -44,7 +42,7 @@
 //!   hierarchical phase profiles keyed by `(schema, shape-class)`
 //!   ([`TransposeService::phase_profiles`]), the store keeps the slowest
 //!   requests per bucket in full with their planner decision traces
-//!   ([`TransposeService::exemplars`]), and a latency SLO is tracked
+//!   ([`TraceStore::buckets`]), and a latency SLO is tracked
 //!   as lifetime hit and miss counts
 //!   ([`TransposeService::slo_snapshot`]).
 //! * **Metrics history and alerting** — a background scraper ingests a
@@ -97,10 +95,10 @@ pub use service::{
 };
 pub use ttlg::{CacheConfig, CacheStats, PlanKey, ShardedPlanCache};
 pub use ttlg_obs::{
-    eval_range, shape_class, AlertEngine, AlertRule, AlertState, AlertStatus, CollectingSubscriber,
-    Envelope, MetricsSnapshot, PhaseProfile, PhaseShares, PredictionStats, PredictionTracker,
-    ProfileOptions, QueryError, QueryResult, QuerySeries, RequestTrace, SampleReason, SloConfig,
-    SloSnapshot, SloTracker, SlowestBuckets, SpanNode, Subscriber, TimeSeriesStore, TraceContext,
-    TraceRecord, TraceStore, TraceStoreConfig, TsdbConfig,
+    eval_range, shape_class, AlertEngine, AlertRule, AlertState, AlertStatus, Envelope,
+    MetricsSnapshot, PhaseProfile, PhaseShares, PredictionStats, PredictionTracker, ProfileOptions,
+    QueryError, QueryResult, QuerySeries, RequestTrace, SampleReason, SloConfig, SloSnapshot,
+    SloTracker, SlowestBuckets, SpanNode, TimeSeriesStore, TraceContext, TraceRecord, TraceStore,
+    TraceStoreConfig, TsdbConfig,
 };
 pub use ttlg_perfmodel::MeasurementSink;

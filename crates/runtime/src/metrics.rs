@@ -6,7 +6,8 @@
 //!
 //! Besides the plain-text report ([`Metrics::render`]), the whole state
 //! can be captured as a renderer-neutral [`ttlg_obs::MetricsSnapshot`]
-//! ([`Metrics::snapshot`]) for the Prometheus-text and JSON exporters.
+//! ([`Metrics::snapshot`]) for the Prometheus-text exporter and the
+//! metrics history.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use ttlg::{Backend, Schema};
@@ -310,7 +311,7 @@ impl Metrics {
     }
 
     /// Capture everything as a renderer-neutral snapshot for the
-    /// Prometheus-text and JSON exporters.
+    /// Prometheus-text exporter and the metrics history.
     pub fn snapshot(&self, cache: &ttlg::CacheStats) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
         let per_schema = |arr: &[AtomicU64; 6]| -> Vec<Sample> {

@@ -17,13 +17,12 @@
 //!    Every request resolves to one [`Outcome`];
 //! 3. lock-free metrics: per-schema request counters, bytes-moved
 //!    totals, plan/execute latency histograms, and a prediction-accuracy
-//!    tracker, rendered as plain text, Prometheus text, or JSON;
+//!    tracker, rendered as plain text or Prometheus text;
 //! 4. tracing: every request becomes a [`RequestTrace`] decomposed into
 //!    queue-wait / plan-fetch / execute with cache hit-miss attribution
 //!    and the executor's DRAM-efficiency and shared-memory replay rates,
 //!    written once to the bounded [`TraceStore`]
-//!    ([`TransposeService::trace_store`]) and emitted as a span to an
-//!    optional [`Subscriber`].
+//!    ([`TransposeService::trace_store`]).
 
 use crate::async_exec::{
     AsyncConfig, Executor, FlightKey, Flights, PipelineStats, Role, Ticket, TicketHandle,
@@ -43,10 +42,10 @@ use ttlg::{
     TransposeOptions, TransposeReport, Transposer,
 };
 use ttlg_obs::{
-    clock_ns, default_rules, profile, shape_class, AlertEngine, AttrValue, Envelope, Event,
-    MetricKind, MetricsSnapshot, PhaseProfile, ProfileOptions, RequestTrace, Sample, SampleReason,
-    SloConfig, SloSnapshot, SloTracker, SlowestBuckets, SpanNode, SpanRecord, Subscriber,
-    TimeSeriesStore, TraceRecord, TraceStore, TraceStoreConfig, TsdbConfig,
+    clock_ns, default_rules, profile, shape_class, AlertEngine, Envelope, MetricKind,
+    MetricsSnapshot, PhaseProfile, ProfileOptions, RequestTrace, Sample, SampleReason, SloConfig,
+    SloSnapshot, SloTracker, SpanNode, TimeSeriesStore, TraceRecord, TraceStore, TraceStoreConfig,
+    TsdbConfig,
 };
 use ttlg_perfmodel::MeasurementSink;
 use ttlg_tensor::{parallel, DenseTensor, Element, Permutation};
@@ -228,40 +227,6 @@ impl<E: Element> Outcome<E> {
     }
 }
 
-/// The `request` span a [`Subscriber`] receives for a finished request.
-fn request_span(trace: &RequestTrace) -> SpanRecord {
-    SpanRecord {
-        name: "request",
-        start_ns: trace.start_ns,
-        duration_ns: trace.total_ns(),
-        attrs: vec![
-            ("id", AttrValue::U64(trace.id)),
-            ("schema", AttrValue::Str(trace.schema.clone())),
-            ("ok", AttrValue::Bool(trace.ok)),
-            (
-                "cache",
-                AttrValue::Str(
-                    match trace.cache_hit {
-                        Some(true) => "hit",
-                        Some(false) => "miss",
-                        None => "none",
-                    }
-                    .to_string(),
-                ),
-            ),
-            ("queue_wait_ns", AttrValue::U64(trace.queue_wait_ns)),
-            ("plan_fetch_ns", AttrValue::U64(trace.plan_fetch_ns)),
-            ("execute_ns", AttrValue::U64(trace.execute_ns)),
-            ("predicted_ns", AttrValue::F64(trace.predicted_ns)),
-            ("measured_ns", AttrValue::F64(trace.measured_ns)),
-            ("dram_efficiency", AttrValue::F64(trace.dram_efficiency)),
-            ("smem_replay_rate", AttrValue::F64(trace.smem_replay_rate)),
-            ("shape_class", AttrValue::Str(trace.shape_class.clone())),
-            ("warmed", AttrValue::Bool(trace.warmed)),
-        ],
-    }
-}
-
 /// Counting semaphore bounding in-flight executions (std has none).
 struct Semaphore {
     permits: Mutex<usize>,
@@ -330,7 +295,6 @@ pub struct TransposeService<E: Element> {
     exec_threads: usize,
     /// The one store of per-request records.
     traces: TraceStore<Arc<DecisionTrace>>,
-    subscriber: Option<Arc<dyn Subscriber>>,
     next_id: AtomicU64,
     autotune: AutotuneConfig,
     hot: Mutex<HashMap<PlanKey, HotKeyState>>,
@@ -396,7 +360,6 @@ impl<E: Element> TransposeService<E> {
             workers,
             exec_threads: (parallel::default_threads() / bound).max(1),
             traces: TraceStore::new(cfg.traces),
-            subscriber: None,
             next_id: AtomicU64::new(0),
             autotune: cfg.autotune,
             hot: Mutex::new(HashMap::new()),
@@ -419,13 +382,6 @@ impl<E: Element> TransposeService<E> {
     /// A service on the paper's K40c with default configuration.
     pub fn new_k40c() -> Self {
         Self::with_config(Transposer::new_k40c(), RuntimeConfig::default())
-    }
-
-    /// Attach a tracing subscriber; every request span and plan-failure
-    /// event is delivered to it.
-    pub fn with_subscriber(mut self, subscriber: Arc<dyn Subscriber>) -> Self {
-        self.subscriber = Some(subscriber);
-        self
     }
 
     /// Attach a measurement sink: every candidate timing the autotuner
@@ -522,12 +478,6 @@ impl<E: Element> TransposeService<E> {
         &self.traces
     }
 
-    /// The slowest records per `(schema, shape-class)` bucket with their
-    /// planner decisions, slowest first within each bucket.
-    pub fn exemplars(&self) -> SlowestBuckets<Arc<DecisionTrace>> {
-        self.traces.buckets()
-    }
-
     /// Lifetime SLO state (hit ratio and violations).
     pub fn slo_snapshot(&self) -> SloSnapshot {
         self.slo.snapshot()
@@ -536,11 +486,6 @@ impl<E: Element> TransposeService<E> {
     /// Export metrics in Prometheus text exposition format.
     pub fn export_prometheus(&self) -> String {
         ttlg_obs::prom::render(&self.metrics_snapshot())
-    }
-
-    /// Export metrics as a JSON document.
-    pub fn export_json(&self) -> String {
-        ttlg_obs::json::render(&self.metrics_snapshot())
     }
 
     /// The `n` most recent request traces, newest first.
@@ -560,19 +505,15 @@ impl<E: Element> TransposeService<E> {
         recent
     }
 
-    /// Emit a finished request's span to the subscriber, if one is
-    /// attached, feed the SLO tracker, and write the request's one
-    /// record to the trace store, which keeps it if the tracker counted
-    /// a miss. Returns the store's sampling decision.
+    /// Feed the SLO tracker and write the request's one record to the
+    /// trace store, which keeps it if the tracker counted a miss.
+    /// Returns the store's sampling decision.
     fn finish_trace(
         &self,
         trace: &RequestTrace,
         envelope: Option<Envelope>,
         decision: Option<&Arc<DecisionTrace>>,
     ) -> Option<SampleReason> {
-        if let Some(subscriber) = &self.subscriber {
-            subscriber.on_span(&request_span(trace));
-        }
         let slo_miss = self.slo.record(trace, envelope.as_ref());
         self.traces.write(trace, envelope, decision, slo_miss)
     }
@@ -732,13 +673,6 @@ impl<E: Element> TransposeService<E> {
                 drop(permit);
                 self.metrics
                     .record_failure(RequestPhase::Plan, trace.plan_fetch_ns);
-                if let Some(subscriber) = &self.subscriber {
-                    subscriber.on_event(&Event {
-                        name: "plan-failure",
-                        at_ns: clock_ns(),
-                        attrs: vec![("error", AttrValue::Str(e.to_string()))],
-                    });
-                }
                 // The cache never answered, so `cache_hit` stays `None`.
                 trace.error = Some(e.to_string());
                 let sampled = self.finish_trace(&trace, req.envelope.clone(), None);
@@ -905,15 +839,8 @@ impl<E: Element> TransposeService<E> {
                         s.measured += measured;
                     }
                 }
-                Err(e) => {
+                Err(_) => {
                     self.tuner_stats.failures.fetch_add(1, Ordering::Relaxed);
-                    if let Some(subscriber) = &self.subscriber {
-                        subscriber.on_event(&Event {
-                            name: "autotune-failure",
-                            at_ns: clock_ns(),
-                            attrs: vec![("error", AttrValue::Str(e.to_string()))],
-                        });
-                    }
                 }
             }
         }
@@ -1191,7 +1118,6 @@ impl<E: Element> Drop for TransposeService<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ttlg_obs::CollectingSubscriber;
     use ttlg_tensor::Shape;
 
     #[test]
@@ -1362,9 +1288,7 @@ mod tests {
 
     #[test]
     fn traces_attribute_cache_and_decompose_phases() {
-        let sub = Arc::new(CollectingSubscriber::new());
-        let svc: TransposeService<f32> =
-            TransposeService::new_k40c().with_subscriber(Arc::clone(&sub) as Arc<dyn Subscriber>);
+        let svc: TransposeService<f32> = TransposeService::new_k40c();
         let shape = Shape::new(&[32, 16, 8]).unwrap();
         let input = Arc::new(DenseTensor::<f32>::iota(shape));
         let req = TransposeRequest::new(input, Permutation::new(&[2, 1, 0]).unwrap());
@@ -1385,20 +1309,11 @@ mod tests {
             assert!(t.smem_replay_rate >= 0.0);
         }
         assert!(traces[0].id != traces[1].id);
-
-        let spans = sub.spans();
-        assert_eq!(spans.len(), 2);
-        assert!(spans.iter().all(|s| s.name == "request"));
-        assert_eq!(spans[0].attr("cache"), Some(&AttrValue::Str("miss".into())));
-        assert_eq!(spans[1].attr("cache"), Some(&AttrValue::Str("hit".into())));
-        assert!(spans[0].attr("execute_ns").is_some());
     }
 
     #[test]
     fn failed_requests_record_latency_and_trace() {
-        let sub = Arc::new(CollectingSubscriber::new());
-        let svc: TransposeService<u32> =
-            TransposeService::new_k40c().with_subscriber(Arc::clone(&sub) as Arc<dyn Subscriber>);
+        let svc: TransposeService<u32> = TransposeService::new_k40c();
         let input = Arc::new(DenseTensor::<u32>::iota(Shape::new(&[8, 8, 8]).unwrap()));
         // Forcing Copy on a non-identity permutation yields no admissible
         // candidate: planning must fail gracefully.
@@ -1416,10 +1331,6 @@ mod tests {
         assert!(!traces[0].ok);
         assert_eq!(traces[0].cache_hit, None);
         assert!(traces[0].error.is_some());
-        // The subscriber saw both the plan-failure event and the span.
-        assert_eq!(sub.events().len(), 1);
-        assert_eq!(sub.events()[0].name, "plan-failure");
-        assert_eq!(sub.spans().len(), 1);
     }
 
     #[test]
@@ -1442,11 +1353,6 @@ mod tests {
             assert!(!name_part.is_empty());
             assert!(value.parse::<f64>().is_ok() || value == "+Inf", "{line}");
         }
-
-        let json = svc.export_json();
-        assert!(json.starts_with('{') && json.ends_with("}\n"));
-        assert!(json.contains("\"ttlg_requests_total\""));
-        assert!(json.contains("\"histograms\""));
 
         // The ratio histogram for the served schema is non-empty.
         let snap = svc.metrics_snapshot();
@@ -1770,11 +1676,11 @@ mod tests {
         let flame = svc.render_profile();
         assert!(flame.contains("execute"), "{flame}");
         assert!(flame.contains(&top.shape_class), "{flame}");
-        // Exemplars were captured per bucket, with the planner decision
-        // attached (retention is on by default).
-        let exemplars = svc.exemplars();
-        assert!(exemplars.len() >= 2);
-        for ((schema, class), entries) in &exemplars {
+        // The slowest records were kept per bucket, with the planner
+        // decision attached (retention is on by default).
+        let buckets = svc.trace_store().buckets();
+        assert!(buckets.len() >= 2);
+        for ((schema, class), entries) in &buckets {
             assert!(!entries.is_empty(), "{schema}/{class} retained nothing");
             for e in entries {
                 assert_eq!(&e.trace.shape_class, class);
@@ -2236,11 +2142,6 @@ mod tests {
             assert!(!name_part.is_empty());
             assert!(value.parse::<f64>().is_ok() || value == "+Inf", "{line}");
         }
-        // JSON renderer carries the same families (NaN -> null there).
-        let json = svc.export_json();
-        assert!(json.contains("\"ttlg_slo_hit_ratio\""));
-        assert!(json.contains("\"ttlg_profile_requests\""));
-        assert!(json.contains("\"ttlg_trace_store_evicted_total\""));
     }
 
     #[test]

@@ -1955,6 +1955,31 @@ mod tests {
             .expect("rule listed")
     }
 
+    /// `shed-spike` divides sheds by transposes only: health and metrics
+    /// polls between scrapes do not dilute the ratio.
+    #[test]
+    fn shed_spike_counts_transposes_not_polls() {
+        let quota = QuotaConfig {
+            rate_per_sec: 0.001,
+            burst: 2.0,
+            max_tenants: 8,
+        };
+        let gw = manual_gateway(SloConfig::default(), quota);
+        for _ in 0..4 {
+            gw.handle(&post_transpose(r#"{"extents":[8,8],"perm":[1,0]}"#, &[]), 0);
+        }
+        assert_eq!(gw.metrics().sheds(), 2);
+        for _ in 0..100 {
+            gw.handle(&get("/healthz"), 0);
+        }
+        gw.service().scrape_history_once();
+        let value = alert_rule(&gw, "shed-spike")
+            .get("value")
+            .and_then(|v| v.as_f64());
+        assert_eq!(value, Some(0.5));
+        gw.stop();
+    }
+
     /// The `state` of the rule called `name` in `/v1/alerts`.
     fn alert_state(gw: &Gateway, name: &str) -> String {
         let rule = alert_rule(gw, name);
