@@ -18,7 +18,7 @@ use crate::study::{gate, p50_p95_p99, Gates, JsonObject, Study};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ttlg::Transposer;
-use ttlg_runtime::{AsyncConfig, RuntimeConfig, TransposeRequest, TransposeService};
+use ttlg_runtime::{RuntimeConfig, TransposeRequest, TransposeService};
 use ttlg_tensor::{DenseTensor, Permutation, Shape};
 
 /// Executor worker threads for both phases (small on purpose: the
@@ -85,9 +85,7 @@ pub struct AsyncStudy {
 fn run_phase(seconds: f64, clients: usize, coalesce: bool) -> PhaseOutcome {
     let cfg = RuntimeConfig {
         workers: WORKERS,
-        async_exec: AsyncConfig {
-            submit_capacity: 4096,
-        },
+        queue_capacity: 4096,
         ..RuntimeConfig::default()
     };
     let svc: Arc<TransposeService<f64>> =

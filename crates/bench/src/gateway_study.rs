@@ -24,7 +24,8 @@
 use crate::study::{gate, p50_p95_p99, Gates, JsonObject, Study};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use ttlg_runtime::TransposeService;
+use ttlg::Transposer;
+use ttlg_runtime::{RuntimeConfig, TransposeService};
 use ttlg_serve::{client::HttpClient, Gateway, GatewayConfig, QuotaConfig, ServerHandle};
 
 /// Outcome for one tenant's client loop.
@@ -135,10 +136,11 @@ pub const OVERLOAD: f64 = 2.0;
 /// per-tenant quota rate.
 pub fn run(seconds: f64) -> GatewayStudy {
     let quota_rate = 150.0;
-    let cfg = GatewayConfig {
-        workers: 4,
+    let rt = RuntimeConfig {
         queue_capacity: 16,
-        interactive_weight: 4,
+        ..RuntimeConfig::default()
+    };
+    let cfg = GatewayConfig {
         quota: QuotaConfig {
             rate_per_sec: quota_rate,
             burst: 10.0,
@@ -146,7 +148,8 @@ pub fn run(seconds: f64) -> GatewayStudy {
         },
         ..GatewayConfig::default()
     };
-    let gw = Gateway::start(Arc::new(TransposeService::new_k40c()), cfg);
+    let svc = TransposeService::with_config(Transposer::new_k40c(), rt);
+    let gw = Gateway::start(Arc::new(svc), cfg);
     let mut server: ServerHandle =
         ttlg_serve::server::spawn(gw, "127.0.0.1:0").expect("bind loopback");
     let addr = server.addr();

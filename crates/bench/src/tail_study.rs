@@ -36,11 +36,12 @@ use ttlg_tensor::{DenseTensor, Permutation, Shape};
 pub struct GatewayPhaseShares {
     /// Share of time on the wire (first byte to parsed request).
     pub network: f64,
-    /// Share of time queued in the gateway (admission to dequeue).
+    /// Share of time queued in the service (admission to the start of
+    /// execution, the execution permit included).
     pub queue: f64,
     /// Share of time fetching or building the plan.
     pub plan: f64,
-    /// Share of time executing the kernel (incl. the execution permit).
+    /// Share of time executing the kernel.
     pub execute: f64,
 }
 
@@ -136,6 +137,8 @@ pub struct WarmthTail {
 /// Outcome of one tail study run.
 #[derive(Debug, Clone)]
 pub struct TailStudy {
+    /// Passes over the workload (see [`workload_specs`]).
+    pub rounds: usize,
     /// Total requests replayed.
     pub requests: usize,
     /// Requests that coalesced onto another identical in-flight
@@ -243,7 +246,6 @@ pub fn workload(rounds: usize) -> Vec<TransposeRequest<f64>> {
 /// attribute the tail from the gateway's per-response phase
 /// decomposition.
 pub fn run(rounds: usize) -> TailStudy {
-    let rounds = rounds.max(2);
     let specs = workload_specs(rounds);
     let cfg = RuntimeConfig {
         // The trace window holds the whole run, so no record is evicted.
@@ -269,7 +271,6 @@ pub fn run(rounds: usize) -> TailStudy {
     let gw = Gateway::start(
         Arc::clone(&svc),
         GatewayConfig {
-            workers: 2,
             quota: QuotaConfig {
                 rate_per_sec: 1e6,
                 burst: 1e6,
@@ -366,6 +367,7 @@ pub fn run(rounds: usize) -> TailStudy {
     schemas.sort_by(|a, b| b.p99_us.total_cmp(&a.p99_us));
 
     TailStudy {
+        rounds,
         requests: samples.len(),
         coalesced_requests: svc.metrics().coalesced_requests(),
         trace_evicted: svc.trace_store().evicted(),
@@ -427,6 +429,7 @@ impl Study for TailStudy {
                 .num("p99_us", w.p99_us)
         };
         JsonObject::study("tail")
+            .val("rounds", self.rounds)
             .val("requests", self.requests)
             .val("coalesced_requests", self.coalesced_requests)
             .val("trace_evicted", self.trace_evicted)
@@ -558,6 +561,17 @@ mod tests {
         );
         assert_eq!(study.slo.total as usize, study.requests);
         assert!(study.flame.contains("execute"));
+    }
+
+    /// The study runs the rounds it is asked for, and its artifact says
+    /// how many.
+    #[test]
+    fn one_round_runs_one_pass_and_checks() {
+        let study = run(1);
+        assert_eq!(study.requests, workload_specs(1).len());
+        assert_eq!(study.requests, 7);
+        assert_eq!(study.check(), Ok(()));
+        assert!(study.to_json().contains("\"rounds\": 1,"));
     }
 
     #[test]

@@ -181,8 +181,6 @@ pub fn run(distinct: usize, rounds: usize) -> TraceStudy {
             .with_measurement_sink(Arc::clone(&online) as Arc<dyn MeasurementSink>),
     );
     let gw_cfg = GatewayConfig {
-        workers: 2,
-        queue_capacity: 32,
         quota: QuotaConfig {
             rate_per_sec: 1e9,
             burst: 1e9,

@@ -92,9 +92,8 @@ USAGE:
      async    [--seconds]                       coalescing of duplicate async
                                                 submissions at 2x overload
   ttlg serve [--addr=H:P] [--workers=N] [--queue-capacity=N]
-             [--interactive-weight=N] [--rate=F] [--burst=F]
-             [--max-connections=N] [--port-file=PATH] [--check]
-             [--history-file=PATH]
+             [--rate=F] [--burst=F] [--max-connections=N]
+             [--port-file=PATH] [--check] [--history-file=PATH]
                                                 serve transposes over HTTP:
                                                 POST /v1/transpose,
                                                 GET /v1/explain, /metrics,
@@ -468,6 +467,7 @@ fn cmd_contract(rest: &[&String]) -> Result<String, CliError> {
 fn cmd_serve(rest: &[&String]) -> Result<String, CliError> {
     use ttlg_serve::{Gateway, GatewayConfig};
     let mut addr = "127.0.0.1:8424".to_string();
+    let mut rt = RuntimeConfig::default();
     let mut cfg = GatewayConfig::default();
     let mut port_file: Option<String> = None;
     let mut history_file: Option<String> = None;
@@ -476,17 +476,13 @@ fn cmd_serve(rest: &[&String]) -> Result<String, CliError> {
         if let Some(v) = a.strip_prefix("--addr=") {
             addr = v.to_string();
         } else if let Some(v) = a.strip_prefix("--workers=") {
-            cfg.workers = v
+            rt.workers = v
                 .parse()
                 .map_err(|_| CliError::Usage(format!("bad --workers value {v:?}")))?;
         } else if let Some(v) = a.strip_prefix("--queue-capacity=") {
-            cfg.queue_capacity = v
+            rt.queue_capacity = v
                 .parse()
                 .map_err(|_| CliError::Usage(format!("bad --queue-capacity value {v:?}")))?;
-        } else if let Some(v) = a.strip_prefix("--interactive-weight=") {
-            cfg.interactive_weight = v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("bad --interactive-weight value {v:?}")))?;
         } else if let Some(v) = a.strip_prefix("--rate=") {
             cfg.quota.rate_per_sec = v
                 .parse()
@@ -509,12 +505,12 @@ fn cmd_serve(rest: &[&String]) -> Result<String, CliError> {
             return Err(CliError::Usage(format!("serve does not understand {a:?}")));
         }
     }
-    if cfg.workers == 0 || cfg.queue_capacity == 0 {
+    if rt.workers == 0 || rt.queue_capacity == 0 {
         return Err(CliError::Usage(
             "--workers and --queue-capacity must be positive".into(),
         ));
     }
-    let service = Arc::new(TransposeService::new_k40c());
+    let service = Arc::new(TransposeService::with_config(Transposer::new_k40c(), rt));
     let mut history_note = String::new();
     if let Some(path) = &history_file {
         let restored = service

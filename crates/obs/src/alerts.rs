@@ -11,7 +11,7 @@
 //!   (aggregated across its samples by sum or max), e.g. the prediction
 //!   geo-mean error;
 //! * [`Signal::Ratio`] — one family divided by another in the snapshot,
-//!   e.g. queue depth over queue capacity;
+//!   e.g. the fullest queue's depth over the per-queue bound;
 //! * [`Signal::DeltaRatio`] — `sum(increase(num)) / sum(increase(den))`
 //!   over the store's trailing window `(last_ingest - window_ms,
 //!   last_ingest]`, evaluated by [`eval_range`], e.g. sheds per transpose
@@ -397,12 +397,12 @@ pub fn default_rules(slo: SloConfig) -> Vec<AlertRule> {
         },
         AlertRule {
             name: "queue-saturation",
-            help: "Scheduler queue above 90% of capacity: admission is about to \
-                   shed.",
+            help: "The fullest (tenant, class) queue is above 90% of its bound: \
+                   that tenant's class is about to shed.",
             signal: Signal::Ratio {
-                num: "ttlg_gateway_queue_depth",
+                num: "ttlg_gateway_queue_fullest",
                 den: "ttlg_gateway_queue_capacity",
-                agg: Agg::Sum,
+                agg: Agg::Max,
             },
             op: Op::Gt,
             threshold: 0.9,
@@ -530,6 +530,32 @@ mod tests {
         // Zero capacity abstains instead of dividing by zero.
         let s = eval(&eng, &snap_with(&[("depth", 60.0), ("cap", 0.0)]));
         assert_eq!(s[0].value, None);
+    }
+
+    /// `queue-saturation` compares the fullest (tenant, class) queue with
+    /// the bound of one queue, not the depth summed over every queue.
+    #[test]
+    fn queue_saturation_reads_the_fullest_queue() {
+        let rules = default_rules(SloConfig::default());
+        let saturation = |depth: f64, fullest: f64| {
+            let eng = AlertEngine::new(rules.clone());
+            let snap = snap_with(&[
+                ("ttlg_gateway_queue_depth", depth),
+                ("ttlg_gateway_queue_fullest", fullest),
+                ("ttlg_gateway_queue_capacity", 16.0),
+            ]);
+            let status = eval(&eng, &snap);
+            let s = status.iter().find(|s| s.name == "queue-saturation");
+            let s = s.expect("default rule").clone();
+            (s.value, s.state)
+        };
+        // Four tenants with 4 queued each: every queue at a quarter.
+        assert_eq!(saturation(16.0, 4.0), (Some(0.25), AlertState::Inactive));
+        // One tenant at 15 of 16 breaches.
+        assert_eq!(
+            saturation(15.0, 15.0),
+            (Some(15.0 / 16.0), AlertState::Pending)
+        );
     }
 
     /// Cumulative-counter snapshot (the real exporter shape for the

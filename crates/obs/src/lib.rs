@@ -69,7 +69,8 @@ pub use snapshot::{Histogram, Metric, MetricKind, MetricsSnapshot, Sample};
 pub use span::clock_ns;
 pub use tracecontext::{next_id, parse_trace_id, TraceContext};
 pub use tracestore::{
-    Envelope, SampleReason, SlowestBuckets, SpanNode, TraceRecord, TraceStore, TraceStoreConfig,
+    Envelope, Priority, SampleReason, SlowestBuckets, SpanNode, TraceRecord, TraceStore,
+    TraceStoreConfig,
 };
 pub use tsdb::{HistPoints, ScalarPoints, TimeSeriesStore, TsdbConfig};
 

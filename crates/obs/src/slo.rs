@@ -2,9 +2,9 @@
 //! lifetime counters behind it.
 //!
 //! A request misses the objective when its service total plus the time
-//! the network edge spent on it (its envelope's network and queue time)
-//! exceeds `target_us`. [`SloTracker::record`] makes that decision once
-//! per request; the service feeds the same answer to the counters here
+//! the network edge spent on it (its envelope's network time) exceeds
+//! `target_us`. [`SloTracker::record`] makes that decision once per
+//! request; the service feeds the same answer to the counters here
 //! and to the trace store's tail forcing, so `ttlg_slo_violations_total`
 //! and `ttlg_trace_store_sampled_total{reason="slo_miss"}` agree.
 //!
@@ -25,8 +25,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Clone, Copy)]
 pub struct SloConfig {
     /// Per-request latency objective in microseconds (service total =
-    /// queue-wait + plan-fetch + execute, plus the edge's network and
-    /// queue time when a gateway received the request).
+    /// queue-wait + plan-fetch + execute, plus the edge's network time
+    /// when a gateway received the request).
     pub target_us: f64,
     /// Objective hit-rate goal, e.g. `0.99` for "99% of requests under
     /// target". The `slo-burn` rule breaches when the windowed miss
@@ -79,10 +79,10 @@ impl SloTracker {
     }
 
     /// Record one finished request and return whether it missed the
-    /// objective: its service total plus the envelope's edge time
+    /// objective: its service total plus the envelope's network time
     /// exceeds the target.
     pub fn record(&self, trace: &RequestTrace, envelope: Option<&Envelope>) -> bool {
-        let total_ns = trace.total_ns() + envelope.map_or(0, Envelope::edge_ns);
+        let total_ns = trace.total_ns() + envelope.map_or(0, |e| e.network_ns);
         let missed = total_ns as f64 > self.cfg.target_us * 1e3;
         self.total.fetch_add(1, Ordering::Relaxed);
         if missed {
@@ -220,21 +220,20 @@ mod tests {
         assert!((burn - 2.0).abs() < 1e-9, "{burn}");
     }
 
-    /// The miss decision counts the edge's network and queue time.
+    /// The miss decision counts the edge's network time.
     #[test]
     fn edge_time_counts_toward_a_miss() {
         let t = tracker(100.0);
-        let edge = |network_ns, queue_ns| Envelope {
+        let edge = |network_ns| Envelope {
             ctx: crate::TraceContext::generate(),
             request_id: "r".into(),
             tenant: "t".into(),
-            priority: "interactive",
+            priority: crate::Priority::Interactive,
             network_ns,
-            queue_ns,
             shed: None,
         };
-        assert!(!t.record(&took(60_000), Some(&edge(20_000, 20_000))));
-        assert!(t.record(&took(60_000), Some(&edge(20_000, 20_001))));
+        assert!(!t.record(&took(60_000), Some(&edge(40_000))));
+        assert!(t.record(&took(60_000), Some(&edge(40_001))));
         assert_eq!(t.snapshot().violations, 1);
     }
 

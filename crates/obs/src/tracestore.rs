@@ -13,7 +13,7 @@
 //! * **Tail forcing**: sheds, errors and SLO misses are always kept, with
 //!   the reason recorded. The writer passes the SLO tracker's miss
 //!   decision ([`crate::SloTracker::record`], whose total includes the
-//!   gateway's network and queue time), so the trace store and
+//!   gateway's network time), so the trace store and
 //!   `ttlg_slo_violations_total` count the same misses.
 //! * **Head sampling** keeps a configured fraction of the rest. It hashes
 //!   the trace id (the service request id when no gateway is involved),
@@ -269,6 +269,35 @@ impl RequestTrace {
     }
 }
 
+/// Priority class of a request, from the `x-ttlg-priority` header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Priority {
+    /// Latency-sensitive traffic; weighted ahead of batch.
+    Interactive,
+    /// Throughput traffic; served with the leftover weight.
+    Batch,
+}
+
+impl Priority {
+    /// Parse a header value. Unknown values are `None` (the gateway
+    /// answers 400 rather than guessing).
+    pub fn parse(s: &str) -> Option<Priority> {
+        match s {
+            "interactive" => Some(Priority::Interactive),
+            "batch" => Some(Priority::Batch),
+            _ => None,
+        }
+    }
+
+    /// Label for metrics and response bodies.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            Priority::Interactive => "interactive",
+            Priority::Batch => "batch",
+        }
+    }
+}
+
 /// What the network edge knows about a request. It travels to the
 /// service with the request and lands in the request's record.
 #[derive(Debug, Clone)]
@@ -280,14 +309,14 @@ pub struct Envelope {
     pub request_id: String,
     /// Sanitized tenant label.
     pub tenant: String,
-    /// Priority class label.
-    pub priority: &'static str,
-    /// First byte to parsed request, ns.
+    /// Priority class: with the tenant, it picks the service queue the
+    /// request waits in.
+    pub priority: Priority,
+    /// First byte to parsed request, ns: the edge's only phase; the
+    /// service's `queue-wait` runs from admission on.
     pub network_ns: u64,
-    /// Admission to worker dequeue, ns.
-    pub queue_ns: u64,
-    /// Why the edge shed the request, if it did. A shed never reached
-    /// the service, so its record holds no service stages.
+    /// Why the edge shed the request, if it did. A shed never ran in the
+    /// service, so its record holds no service stages.
     pub shed: Option<&'static str>,
 }
 
@@ -307,16 +336,20 @@ pub struct TraceRecord<D> {
 
 impl<D> TraceRecord<D> {
     /// End-to-end duration, ns: the service's stages plus the edge's
-    /// network and queue time.
+    /// network time.
     pub fn total_ns(&self) -> u64 {
-        self.trace.total_ns() + self.envelope.as_ref().map_or(0, Envelope::edge_ns)
+        self.trace.total_ns() + self.network_ns()
+    }
+
+    /// The edge's network time, ns (0 without a gateway).
+    fn network_ns(&self) -> u64 {
+        self.envelope.as_ref().map_or(0, |e| e.network_ns)
     }
 
     /// Start of the request, ns: the first byte on the wire when a
     /// gateway is involved, else the service submission.
     fn start_ns(&self) -> u64 {
-        let edge = self.envelope.as_ref().map_or(0, Envelope::edge_ns);
-        self.trace.start_ns.saturating_sub(edge)
+        self.trace.start_ns.saturating_sub(self.network_ns())
     }
 
     /// Whether the gateway shed this request.
@@ -325,9 +358,8 @@ impl<D> TraceRecord<D> {
     }
 
     /// The request's span tree, built on read and rooted at `request`.
-    /// A gateway request adds its `network` and `gateway-queue` spans
-    /// and the tenant/priority attributes; a shed is the root plus its
-    /// `network` span.
+    /// A gateway request adds its `network` span and the tenant/priority
+    /// attributes; a shed is the root plus its `network` span.
     pub fn root(&self) -> SpanNode {
         let start = self.start_ns();
         let mut root = SpanNode::new("request", start, self.total_ns());
@@ -341,13 +373,8 @@ impl<D> TraceRecord<D> {
             return root.with_attr("shed", shed).with_child(network);
         }
         root = root
-            .with_attr("priority", e.priority)
-            .with_child(network)
-            .with_child(SpanNode::new(
-                "gateway-queue",
-                start + e.network_ns,
-                e.queue_ns,
-            ));
+            .with_attr("priority", e.priority.as_str())
+            .with_child(network);
         root.children.extend(self.trace.spans());
         root
     }
@@ -367,14 +394,6 @@ impl<D> TraceRecord<D> {
             s => s,
         };
         Some((schema, &self.trace.shape_class))
-    }
-}
-
-impl Envelope {
-    /// Time the network edge spent on the request: network plus
-    /// gateway queue.
-    pub fn edge_ns(&self) -> u64 {
-        self.network_ns + self.queue_ns
     }
 }
 
@@ -797,9 +816,8 @@ mod tests {
             },
             request_id: format!("req-{trace_id}"),
             tenant: "acme".into(),
-            priority: "interactive",
+            priority: Priority::Interactive,
             network_ns: 0,
-            queue_ns: 0,
             shed: None,
         }
     }
@@ -909,8 +927,7 @@ mod tests {
         let record = |trace: RequestTrace, shed: Option<&'static str>| TraceRecord::<u64> {
             trace,
             envelope: Some(Envelope {
-                network_ns: 700,
-                queue_ns: if shed.is_some() { 0 } else { 200 },
+                network_ns: 900,
                 shed,
                 ..envelope(9)
             }),
@@ -931,8 +948,7 @@ mod tests {
             flatten(&miss.root()),
             vec![
                 row(0, "request", 9_100, 8_000, &gateway),
-                row(1, "network", 9_100, 700, &[]),
-                row(1, "gateway-queue", 9_800, 200, &[]),
+                row(1, "network", 9_100, 900, &[]),
                 row(1, "queue-wait", 10_000, 100, &[]),
                 row(1, "plan", 10_100, 5_000, &[("cache", "miss")]),
                 row(2, "cache-lookup", 10_100, 300, &[]),
@@ -961,10 +977,10 @@ mod tests {
             None,
         );
         let rows = flatten(&hit.root());
-        assert_eq!(rows[4], row(1, "plan", 10_100, 300, &[("cache", "hit")]));
-        assert_eq!(rows[5], row(2, "cache-lookup", 10_100, 300, &[]));
-        assert_eq!(rows[6].1, "execute");
-        assert_eq!(rows.len(), 9);
+        assert_eq!(rows[3], row(1, "plan", 10_100, 300, &[("cache", "hit")]));
+        assert_eq!(rows[4], row(2, "cache-lookup", 10_100, 300, &[]));
+        assert_eq!(rows[5].1, "execute");
+        assert_eq!(rows.len(), 8);
 
         // Coalesced follower: the leader's numbers, no lookup or build of
         // its own, and its whole wait before the shared execute.
@@ -1011,8 +1027,7 @@ mod tests {
             flatten(&record(failed, None).root()),
             vec![
                 row(0, "request", 9_100, 1_900, &gateway),
-                row(1, "network", 9_100, 700, &[]),
-                row(1, "gateway-queue", 9_800, 200, &[]),
+                row(1, "network", 9_100, 900, &[]),
                 row(1, "queue-wait", 10_000, 100, &[]),
                 row(1, "plan", 10_100, 900, &[("error", "no admissible schema")]),
             ]
@@ -1032,11 +1047,11 @@ mod tests {
                 row(
                     0,
                     "request",
-                    9_300,
-                    700,
+                    9_100,
+                    900,
                     &[("tenant", "acme"), ("shed", "quota")]
                 ),
-                row(1, "network", 9_300, 700, &[]),
+                row(1, "network", 9_100, 900, &[]),
             ]
         );
     }

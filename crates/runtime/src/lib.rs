@@ -86,11 +86,11 @@ pub mod autotune;
 pub mod metrics;
 pub mod service;
 
-pub use async_exec::{AsyncConfig, PipelineStats, TicketHandle};
+pub use async_exec::{PipelineStats, QueueStats, TicketHandle};
 pub use autotune::{AutotuneConfig, AutotuneSnapshot, AutotunerHandle};
 pub use metrics::{LatencyHistogram, Metrics, RequestPhase, HIST_BUCKETS};
 pub use service::{
-    HistoryConfig, Outcome, RuntimeConfig, ServeError, ServeResult, TransposeRequest,
+    ErrorKind, HistoryConfig, Outcome, RuntimeConfig, ServeError, ServeResult, TransposeRequest,
     TransposeResponse, TransposeService,
 };
 pub use ttlg::{CacheConfig, CacheStats, PlanKey, ShardedPlanCache};

@@ -25,7 +25,7 @@
 //!    ([`TransposeService::trace_store`]).
 
 use crate::async_exec::{
-    AsyncConfig, Executor, FlightKey, Flights, PipelineStats, Role, Ticket, TicketHandle,
+    Executor, FlightKey, Flights, PipelineStats, QueueStats, Role, Ticket, TicketHandle,
 };
 use crate::autotune::{
     run_worker, AutotuneConfig, AutotuneSnapshot, AutotuneStats, AutotunerHandle,
@@ -53,8 +53,14 @@ use ttlg_tensor::{parallel, DenseTensor, Element, Permutation};
 /// Service configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
-    /// Worker threads used to plan and execute a batch.
+    /// Worker threads: the executor's `ttlg-async-N` pool behind
+    /// [`TransposeService::submit_async`], and the scoped pool that runs
+    /// a batch's leaders.
     pub workers: usize,
+    /// Bound of each (tenant, class) queue of the executor behind
+    /// [`TransposeService::submit_async`]; a full queue refuses the
+    /// request with [`ErrorKind::QueueFull`].
+    pub queue_capacity: usize,
     /// Max requests executing concurrently (backpressure bound). `0`
     /// means "same as `workers`".
     pub max_in_flight: usize,
@@ -69,9 +75,6 @@ pub struct RuntimeConfig {
     /// trace store always keeps requests that miss it, and the goal sets
     /// the `slo-burn` alert threshold.
     pub slo: SloConfig,
-    /// Queue bound of the lazily started executor behind
-    /// [`TransposeService::submit_async`].
-    pub async_exec: AsyncConfig,
     /// Metrics-history capture: scrape cadence and the retention rings
     /// of the in-memory [`TimeSeriesStore`].
     pub history: HistoryConfig,
@@ -102,12 +105,12 @@ impl Default for RuntimeConfig {
         let workers = parallel::default_threads().min(8);
         RuntimeConfig {
             workers,
+            queue_capacity: 64,
             max_in_flight: 0,
             cache: CacheConfig::default(),
             traces: TraceStoreConfig::default(),
             autotune: AutotuneConfig::default(),
             slo: SloConfig::default(),
-            async_exec: AsyncConfig::default(),
             history: HistoryConfig::default(),
         }
     }
@@ -152,10 +155,23 @@ pub struct TransposeResponse<E: Element> {
     pub report: TransposeReport,
 }
 
+/// Why a request has no response.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ErrorKind {
+    /// The executor's queue for the request's tenant and class was full:
+    /// the request was refused and nothing ran.
+    QueueFull,
+    /// Planning or execution failed, the run panicked, or the service
+    /// shut down before it ran.
+    Failed,
+}
+
 /// Service-level error: cloneable so one failed run can be fanned out
 /// to every request that shared it.
 #[derive(Debug, Clone)]
 pub struct ServeError {
+    /// Refused or failed, for callers that answer the two differently.
+    pub kind: ErrorKind,
     /// Human-readable failure description.
     pub message: String,
 }
@@ -171,6 +187,7 @@ impl std::error::Error for ServeError {}
 impl From<PlanError> for ServeError {
     fn from(e: PlanError) -> Self {
         ServeError {
+            kind: ErrorKind::Failed,
             message: e.to_string(),
         }
     }
@@ -199,17 +216,15 @@ pub struct Outcome<E: Element> {
 impl<E: Element> Outcome<E> {
     /// A request that failed without a plan: refused, shut down, or
     /// caught panicking.
-    pub(crate) fn error(message: String, submitted_ns: u64, coalesced: bool) -> Self {
+    pub(crate) fn error(e: ServeError, submitted_ns: u64, coalesced: bool) -> Self {
         Outcome {
-            result: Err(ServeError {
-                message: message.clone(),
-            }),
             trace: RequestTrace {
                 start_ns: submitted_ns,
                 coalesced,
-                error: Some(message),
+                error: Some(e.message.clone()),
                 ..Default::default()
             },
+            result: Err(e),
             coalesced,
             sampled: None,
             plan: None,
@@ -305,7 +320,8 @@ pub struct TransposeService<E: Element> {
     flights: Flights<E>,
     /// The worker pool behind `submit_async`, started on first use.
     executor: OnceLock<Executor<E>>,
-    async_cfg: AsyncConfig,
+    /// Bound of each of the executor's (tenant, class) queues.
+    queue_capacity: usize,
     /// Metrics history: the delta-encoded time-series store fed by
     /// [`Self::scrape_history_once`] / the background scraper. It is
     /// the only windowed state: the alert rules read their windows from
@@ -368,7 +384,7 @@ impl<E: Element> TransposeService<E> {
             slo: SloTracker::new(cfg.slo),
             flights: Flights::new(),
             executor: OnceLock::new(),
-            async_cfg: cfg.async_exec,
+            queue_capacity: cfg.queue_capacity,
             history: TimeSeriesStore::new(cfg.history.tsdb),
             alerts: AlertEngine::new(default_rules(cfg.slo)),
             scrape_interval_ms: cfg.history.scrape_interval_ms,
@@ -536,15 +552,29 @@ impl<E: Element> TransposeService<E> {
     /// Non-blocking submission: run `req` on the executor's workers and
     /// return a [`TicketHandle`] at once, to poll (never blocks) or wait
     /// on. If an identical request is in flight (same plan-key
-    /// fingerprint, same input `Arc`), `req` joins its run, and the
-    /// outcome is marked `coalesced`. A full executor queue completes the
-    /// ticket at once with an overload error instead of blocking.
+    /// fingerprint, same input `Arc`), `req` joins its run without
+    /// taking a queue slot, and the outcome is marked `coalesced`.
+    /// Otherwise `req` joins the queue of its envelope's tenant and
+    /// class; a full queue completes the ticket at once with an
+    /// [`ErrorKind::QueueFull`] error instead of blocking. The trace's
+    /// `queue_wait_ns` runs from this call to the start of execution.
     pub fn submit_async(self: &Arc<Self>, req: TransposeRequest<E>) -> TicketHandle<E> {
-        let executor = self
-            .executor
-            .get_or_init(|| Executor::start(Arc::downgrade(self), self.async_cfg, self.workers));
+        let executor = self.executor.get_or_init(|| {
+            Executor::start(Arc::downgrade(self), self.queue_capacity, self.workers)
+        });
         let key = req.plan_key();
         executor.submit(&self.flights, req, key)
+    }
+
+    /// Occupancy of the executor's queues (empty before the first
+    /// `submit_async`).
+    pub fn queue_stats(&self) -> QueueStats {
+        let (depth, fullest) = self.executor.get().map_or((0, 0), Executor::occupancy);
+        QueueStats {
+            depth,
+            fullest,
+            capacity: self.queue_capacity.max(1),
+        }
     }
 
     /// Serve a batch; results come back in request order. All members
@@ -624,7 +654,7 @@ impl<E: Element> TransposeService<E> {
         coalesced: bool,
         envelope: Option<Envelope>,
     ) -> Outcome<E> {
-        let mut out = Outcome::error(e.message, submitted_ns, coalesced);
+        let mut out = Outcome::error(e, submitted_ns, coalesced);
         out.sampled = self.traces.write(&out.trace, envelope, None, false);
         out
     }
@@ -642,6 +672,7 @@ impl<E: Element> TransposeService<E> {
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_default();
             ServeError {
+                kind: ErrorKind::Failed,
                 message: format!("request panicked: {what}"),
             }
         })
@@ -1762,6 +1793,15 @@ mod tests {
         release: AtomicBool,
     }
 
+    impl Gate {
+        fn wait_entered(&self) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !self.entered.load(Ordering::SeqCst) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
     impl MeasurementSink for Gate {
         fn observe_candidate(&self, _c: &ttlg::Candidate, _measured_ns: f64) {
             if self.entered.swap(true, Ordering::SeqCst) {
@@ -1774,7 +1814,11 @@ mod tests {
         }
     }
 
-    fn enveloped(req: &TransposeRequest<f64>, trace_id: u128) -> TransposeRequest<f64> {
+    fn enveloped(
+        req: &TransposeRequest<f64>,
+        trace_id: u128,
+        tenant: &str,
+    ) -> TransposeRequest<f64> {
         TransposeRequest {
             envelope: Some(Envelope {
                 ctx: ttlg_obs::TraceContext {
@@ -1783,10 +1827,9 @@ mod tests {
                     flags: 1,
                 },
                 request_id: format!("req-{trace_id}"),
-                tenant: "acme".into(),
-                priority: "batch",
+                tenant: tenant.into(),
+                priority: ttlg_obs::Priority::Batch,
                 network_ns: 5,
-                queue_ns: 7,
                 shed: None,
             }),
             ..req.clone()
@@ -1806,35 +1849,76 @@ mod tests {
         let input = Arc::new(DenseTensor::<f64>::iota(Shape::new(&[8, 8, 8]).unwrap()));
         let req = TransposeRequest::new(input, Permutation::new(&[2, 1, 0]).unwrap());
 
-        let leader = svc.submit_async(enveloped(&req, 1));
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !gate.entered.load(Ordering::SeqCst) && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let follower = svc.submit_async(enveloped(&req, 2));
+        let leader = svc.submit_async(enveloped(&req, 1, "acme"));
+        gate.wait_entered();
+        let follower = svc.submit_async(enveloped(&req, 2, "acme"));
         gate.release.store(true, Ordering::SeqCst);
         assert!(!leader.wait().coalesced);
         assert!(
             follower.wait().sampled.is_some(),
             "rate 1 keeps every record"
         );
-        svc.submit_batch(&[enveloped(&req, 3), enveloped(&req, 4)]);
+        svc.submit_batch(&[enveloped(&req, 3, "acme"), enveloped(&req, 4, "acme")]);
 
         let store = svc.trace_store();
         for id in 1..=4u128 {
             let rec = store.get(id).expect("recorded");
             let e = rec.envelope.as_ref().unwrap();
             assert_eq!(e.request_id, format!("req-{id}"));
-            assert_eq!(rec.total_ns(), rec.trace.total_ns() + 12);
+            assert_eq!(rec.total_ns(), rec.trace.total_ns() + 5);
             assert_eq!(rec.trace.coalesced, id % 2 == 0, "request {id}");
         }
+    }
+
+    /// One worker serves the queued requests of two tenants in turn,
+    /// whatever order they arrived in.
+    #[test]
+    fn submit_async_serves_tenants_round_robin() {
+        let gate = Arc::new(Gate::default());
+        let cfg = RuntimeConfig {
+            workers: 1,
+            ..RuntimeConfig::default()
+        };
+        let svc: Arc<TransposeService<f64>> = Arc::new(
+            TransposeService::with_config(Transposer::new_k40c(), cfg)
+                .with_measurement_sink(Arc::clone(&gate) as Arc<dyn MeasurementSink>),
+        );
+        // Each request on its own input: nothing coalesces.
+        let req = || {
+            let input = DenseTensor::<f64>::iota(Shape::new(&[8, 8, 8]).unwrap());
+            TransposeRequest::new(Arc::new(input), Permutation::new(&[2, 1, 0]).unwrap())
+        };
+        let blocker = svc.submit_async(req());
+        gate.wait_entered();
+        let tickets: Vec<_> = ["a", "a", "a", "b", "b"]
+            .iter()
+            .enumerate()
+            .map(|(i, tenant)| {
+                (
+                    *tenant,
+                    svc.submit_async(enveloped(&req(), i as u128, tenant)),
+                )
+            })
+            .collect();
+        assert_eq!(svc.queue_stats().depth, 5);
+        assert_eq!(svc.queue_stats().fullest, 3);
+        gate.release.store(true, Ordering::SeqCst);
+        assert!(blocker.wait().result.is_ok());
+        let mut served: Vec<(u64, &str)> = tickets
+            .iter()
+            .map(|(tenant, t)| (t.wait().trace.id, *tenant))
+            .collect();
+        served.sort_unstable();
+        let order: Vec<&str> = served.into_iter().map(|(_, tenant)| tenant).collect();
+        assert_eq!(order, ["a", "b", "a", "b", "a"]);
+        assert_eq!(svc.queue_stats().depth, 0);
     }
 
     #[test]
     fn submit_async_round_trips_and_never_blocks_the_caller() {
         let cfg = RuntimeConfig {
             workers: 1,
-            async_exec: crate::async_exec::AsyncConfig { submit_capacity: 4 },
+            queue_capacity: 4,
             ..RuntimeConfig::default()
         };
         let svc: Arc<TransposeService<u64>> =
@@ -1884,7 +1968,7 @@ mod tests {
                 }
                 Err(e) => {
                     overloaded += 1;
-                    assert!(e.message.contains("overloaded"), "{}", e.message);
+                    assert_eq!(e.kind, ErrorKind::QueueFull, "{}", e.message);
                 }
             }
         }
@@ -1905,9 +1989,7 @@ mod tests {
     fn coalescing_hammer_executes_each_inflight_key_once() {
         let cfg = RuntimeConfig {
             workers: 1,
-            async_exec: crate::async_exec::AsyncConfig {
-                submit_capacity: 4096,
-            },
+            queue_capacity: 4096,
             ..RuntimeConfig::default()
         };
         let svc: Arc<TransposeService<f64>> =

@@ -7,8 +7,8 @@
 //!    token. Buckets refill continuously at `rate_per_sec` up to a
 //!    `burst` cap, so a tenant can spike briefly but not sustain more
 //!    than its configured rate;
-//! 2. **queue** — the tenant's scheduler queue (see
-//!    [`crate::scheduler`]) has room.
+//! 2. **queue** — the service's executor queue for the tenant and class
+//!    has room ([`ttlg_runtime::ErrorKind::QueueFull`] otherwise).
 //!
 //! Either failure is an explicit [`Shed`] carrying the HTTP 429
 //! `Retry-After` hint: quota sheds report when the next token accrues,
@@ -19,34 +19,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Priority class of a request, from the `x-ttlg-priority` header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Priority {
-    /// Latency-sensitive traffic; weighted ahead of batch.
-    Interactive,
-    /// Throughput traffic; served with the leftover weight.
-    Batch,
-}
-
-impl Priority {
-    /// Parse a header value. Unknown values are `None` (the gateway
-    /// answers 400 rather than guessing).
-    pub fn parse(s: &str) -> Option<Priority> {
-        match s {
-            "interactive" => Some(Priority::Interactive),
-            "batch" => Some(Priority::Batch),
-            _ => None,
-        }
-    }
-
-    /// Label for metrics and response bodies.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Priority::Interactive => "interactive",
-            Priority::Batch => "batch",
-        }
-    }
-}
+pub use ttlg_obs::Priority;
 
 /// Why a request was shed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

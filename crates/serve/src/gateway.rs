@@ -1,21 +1,24 @@
-//! The gateway: routing, admission, scheduling, and metrics for the
-//! network edge.
+//! The gateway: routing, admission and metrics for the network edge.
 //!
 //! A [`Gateway`] owns one [`TransposeService`] plus the machinery that
 //! stands between it and the network:
 //!
 //! ```text
-//!   connection threads (router)          scheduler workers
-//!   ---------------------------          -----------------
-//!   parse HTTP -> route                  weighted dequeue
-//!     POST /v1/transpose                   -> input tensor (cached)
-//!       validate problem                   -> service.submit_async
-//!       quota gate      -> 429             -> wait on the ticket (an
-//!       queue gate      -> 429                executor worker runs it;
-//!       wait completion -> 200/500/503        identical in-flight
-//!                                             problems coalesce)
-//!                                          -> complete slot (the service
-//!                                             wrote the request's record)
+//!   connection thread (router)            service executor
+//!   --------------------------            ----------------
+//!   parse HTTP -> route
+//!     POST /v1/transpose
+//!       validate problem -> 400/413
+//!       stopped gate     -> 503
+//!       quota gate       -> 429
+//!       input tensor (cached)
+//!       submit_async ----------------->   identical problem in flight:
+//!                                           follow it (no queue slot)
+//!                                         else its (tenant, class)
+//!                                           queue, or refuse when full
+//!       refused          -> 429 (queue)   a ttlg-async-N worker picks
+//!       wait on the ticket <-----------     it (weighted, tenant-fair),
+//!         -> 200/500, 503 on timeout        runs it, writes its record
 //!     GET /v1/explain   -> planner decision trace
 //!     GET /v1/query_range -> range queries over the metrics history
 //!     GET /v1/alerts    -> alert rule states as of the last scrape
@@ -23,18 +26,18 @@
 //!     GET /healthz      -> liveness, gated on critical alerts
 //! ```
 //!
-//! A scheduler worker stays busy until its request completes, so the
-//! bounded per-tenant queues fill under overload and the queue gate
-//! sheds. Every admitted request carries a four-phase decomposition in its
+//! The service's executor owns the only queue, so the edge adds no
+//! worker pool of its own: the connection thread submits and waits.
+//! Every admitted request carries a four-phase decomposition in its
 //! response body — `network` (bytes-on-wire to parsed request), `queue`
-//! (admission to dequeue), `plan` (cache fetch/build) and `execute`
-//! (kernel) — the same attribution the service's trace store records,
-//! extended to the network edge. The edge's part of a request (trace id,
-//! request id, tenant, network and queue time) travels to the service as
-//! an [`Envelope`] on the request, so the request's one record is written
-//! once, by the service; sheds never reach the service, so the gateway
-//! writes their records itself. The trace endpoints build span trees and
-//! decision text from those records when they are read.
+//! (admission to the start of execution), `plan` (cache fetch/build)
+//! and `execute` (kernel) — the service's trace extended to the network
+//! edge. The edge's part of a request (trace id, request id, tenant,
+//! priority, network time) travels to the service as an [`Envelope`] on
+//! the request, so the request's one record is written once, by the
+//! service; sheds never run in the service, so the gateway writes their
+//! records itself. The trace endpoints build span trees and decision
+//! text from those records when they are read.
 //!
 //! The service's history scraper ingests the gateway's merged snapshot
 //! (service and `ttlg_gateway_*` families) and steps the service's alert
@@ -42,9 +45,9 @@
 //! rules' state, so polling them never moves an alert.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use ttlg::DecisionTrace;
 use ttlg::TransposeOptions;
@@ -52,24 +55,21 @@ use ttlg_obs::{
     clock_ns, eval_range, next_id, parse_trace_id, AlertState, Envelope, MetricKind, RequestTrace,
     Sample, SpanNode, TraceContext, TraceRecord,
 };
-use ttlg_runtime::{LatencyHistogram, Outcome, TransposeRequest, TransposeService, HIST_BUCKETS};
+use ttlg_runtime::{
+    ErrorKind, LatencyHistogram, QueueStats, TransposeRequest, TransposeService, HIST_BUCKETS,
+};
 use ttlg_tensor::{DenseTensor, Permutation, Shape};
 
 use crate::admission::{AdmissionController, Priority, QuotaConfig, Shed, ShedReason};
 use crate::http::{HttpLimits, HttpRequest, HttpResponse};
 use crate::json::{self, obj, Json};
-use crate::scheduler::{Scheduler, SchedulerConfig, SchedulerWorkers};
 
-/// Gateway configuration: the edge, admission, and scheduling knobs in
-/// one place.
+/// Gateway configuration: the edge and admission knobs. The queue and
+/// its workers are the service's
+/// ([`ttlg_runtime::RuntimeConfig::workers`] and
+/// [`ttlg_runtime::RuntimeConfig::queue_capacity`]).
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
-    /// Scheduler worker threads executing admitted requests.
-    pub workers: usize,
-    /// Per-tenant, per-class queue bound.
-    pub queue_capacity: usize,
-    /// Interactive items served per batch item under contention.
-    pub interactive_weight: u32,
     /// Per-tenant token-bucket quota.
     pub quota: QuotaConfig,
     /// Hard cap on concurrent connections; excess get 503 and close.
@@ -78,8 +78,8 @@ pub struct GatewayConfig {
     pub max_elements: usize,
     /// HTTP parser limits (head/body size).
     pub limits: HttpLimits,
-    /// How long a connection thread waits for its queued request to
-    /// complete before answering 503.
+    /// How long a connection thread waits for its request to complete
+    /// before answering 503.
     pub request_timeout_ms: u64,
     /// Keep-alive idle timeout before the server closes a connection.
     pub idle_timeout_ms: u64,
@@ -88,9 +88,6 @@ pub struct GatewayConfig {
 impl Default for GatewayConfig {
     fn default() -> Self {
         GatewayConfig {
-            workers: 4,
-            queue_capacity: 64,
-            interactive_weight: 4,
             quota: QuotaConfig::default(),
             max_connections: 128,
             max_elements: 1 << 22,
@@ -99,61 +96,6 @@ impl Default for GatewayConfig {
             idle_timeout_ms: 5_000,
         }
     }
-}
-
-/// Completion slot a connection thread waits on while the scheduler
-/// executes its request.
-struct CompletionSlot {
-    state: Mutex<Option<HttpResponse>>,
-    done: Condvar,
-}
-
-impl CompletionSlot {
-    fn new() -> Arc<Self> {
-        Arc::new(CompletionSlot {
-            state: Mutex::new(None),
-            done: Condvar::new(),
-        })
-    }
-
-    fn complete(&self, resp: HttpResponse) {
-        let mut st = self.state.lock().expect("slot poisoned");
-        if st.is_none() {
-            *st = Some(resp);
-            self.done.notify_all();
-        }
-    }
-
-    fn wait(&self, timeout: Duration) -> Option<HttpResponse> {
-        let mut st = self.state.lock().expect("slot poisoned");
-        let deadline = Instant::now() + timeout;
-        while st.is_none() {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            let (g, _) = self
-                .done
-                .wait_timeout(st, left)
-                .expect("slot condvar poisoned");
-            st = g;
-        }
-        st.take()
-    }
-}
-
-/// One admitted transpose request queued for a scheduler worker.
-struct Job {
-    class: Priority,
-    extents: Vec<usize>,
-    perm: Vec<usize>,
-    enqueued: Instant,
-    slot: Arc<CompletionSlot>,
-    /// The edge's view of the request: the W3C trace context it runs
-    /// under (inbound `traceparent`, or a fresh root), the request id
-    /// echoed on the response, tenant and network time. The queue time
-    /// is filled in at dequeue.
-    envelope: Envelope,
 }
 
 /// Tenant label cardinality cap for per-tenant metric families; tenants
@@ -188,8 +130,8 @@ pub struct GatewayMetrics {
     connections_total: AtomicU64,
     connections_active: AtomicU64,
     connections_rejected_total: AtomicU64,
-    /// Network phase (first byte to parsed request), and gateway queue
-    /// phase (admission to dequeue).
+    /// Network phase (first byte to parsed request), and queue phase
+    /// (the service's queue-wait: admission to the start of execution).
     network_hist: LatencyHistogram,
     queue_hist: LatencyHistogram,
     /// Per-tenant admitted/shed counts (bounded label set).
@@ -246,12 +188,7 @@ impl GatewayMetrics {
     }
 
     /// Append the `ttlg_gateway_*` families to a snapshot.
-    fn export_into(
-        &self,
-        snap: &mut ttlg_runtime::MetricsSnapshot,
-        queue_depth: usize,
-        queue_capacity: usize,
-    ) {
+    fn export_into(&self, snap: &mut ttlg_runtime::MetricsSnapshot, queue: QueueStats) {
         snap.push_metric(
             "ttlg_gateway_requests_total",
             "HTTP requests routed, by endpoint.",
@@ -356,18 +293,30 @@ impl GatewayMetrics {
                 self.connections_rejected_total.load(Ordering::Relaxed) as f64,
             )],
         );
-        snap.push_metric(
-            "ttlg_gateway_queue_depth",
-            "Requests currently queued in the scheduler.",
-            MetricKind::Gauge,
-            vec![Sample::plain(queue_depth as f64)],
-        );
-        snap.push_metric(
-            "ttlg_gateway_queue_capacity",
-            "Per-tenant, per-class scheduler queue bound.",
-            MetricKind::Gauge,
-            vec![Sample::plain(queue_capacity as f64)],
-        );
+        for (name, help, value) in [
+            (
+                "ttlg_gateway_queue_depth",
+                "Requests queued in the service's executor, all tenants and classes.",
+                queue.depth,
+            ),
+            (
+                "ttlg_gateway_queue_fullest",
+                "Requests in the executor's fullest (tenant, class) queue.",
+                queue.fullest,
+            ),
+            (
+                "ttlg_gateway_queue_capacity",
+                "Bound of each (tenant, class) queue of the service's executor.",
+                queue.capacity,
+            ),
+        ] {
+            snap.push_metric(
+                name,
+                help,
+                MetricKind::Gauge,
+                vec![Sample::plain(value as f64)],
+            );
+        }
         {
             let tenants = self.tenants.lock().expect("tenant metrics poisoned");
             let mut admitted = Vec::new();
@@ -402,7 +351,7 @@ impl GatewayMetrics {
             (
                 &self.queue_hist,
                 "ttlg_gateway_queue_us",
-                "Gateway queue phase: admission to scheduler dequeue, microseconds.",
+                "Queue phase: admission to the start of execution, microseconds.",
             ),
         ] {
             snap.push_histogram(
@@ -422,8 +371,8 @@ pub struct Gateway {
     cfg: GatewayConfig,
     service: Arc<TransposeService<f64>>,
     admission: AdmissionController,
-    scheduler: Arc<Scheduler<Job>>,
-    workers: Mutex<Option<SchedulerWorkers>>,
+    /// Set by [`Gateway::stop`]: transposes are answered 503.
+    stopped: AtomicBool,
     metrics: GatewayMetrics,
     /// Input tensors cached by extents so repeated problems don't
     /// re-materialize (bounded; cleared wholesale when full).
@@ -433,26 +382,17 @@ pub struct Gateway {
 const MAX_CACHED_INPUTS: usize = 32;
 
 impl Gateway {
-    /// Build a gateway around `service` and start its scheduler
-    /// workers.
+    /// Build a gateway around `service` and start the service's history
+    /// scraper.
     pub fn start(service: Arc<TransposeService<f64>>, cfg: GatewayConfig) -> Arc<Gateway> {
-        let scheduler = Arc::new(Scheduler::new(SchedulerConfig {
-            workers: cfg.workers,
-            queue_capacity: cfg.queue_capacity,
-            interactive_weight: cfg.interactive_weight,
-        }));
         let gw = Arc::new(Gateway {
             admission: AdmissionController::new(cfg.quota),
-            scheduler: Arc::clone(&scheduler),
-            workers: Mutex::new(None),
+            stopped: AtomicBool::new(false),
             metrics: GatewayMetrics::default(),
             inputs: Mutex::new(HashMap::new()),
             service,
             cfg,
         });
-        let worker_gw = Arc::clone(&gw);
-        let workers = scheduler.start_workers(move |job| worker_gw.execute_job(job));
-        *gw.workers.lock().expect("workers poisoned") = Some(workers);
         // Scrape the *merged* snapshot (service + gateway) so the
         // history, and the alert rules stepped over it, cover the
         // `ttlg_gateway_*` families too.
@@ -482,22 +422,18 @@ impl Gateway {
     fn merged_snapshot(&self) -> ttlg_runtime::MetricsSnapshot {
         let mut snap = self.service.metrics_snapshot();
         self.metrics
-            .export_into(&mut snap, self.scheduler.depth(), self.cfg.queue_capacity);
+            .export_into(&mut snap, self.service.queue_stats());
         snap
     }
 
-    /// Stop the scheduler, fail anything still queued with 503, and
-    /// join the workers. Idempotent.
+    /// Stop serving transposes (each is answered 503 from now on) and
+    /// the history scraper. Requests already queued still finish on the
+    /// service's workers, or fail with its shutdown error if the service
+    /// is dropped first. Idempotent.
     pub fn stop(&self) {
+        self.stopped.store(true, Ordering::SeqCst);
         self.service.stop_history_scraper();
         self.service.set_history_source(None);
-        for job in self.scheduler.stop() {
-            job.slot
-                .complete(HttpResponse::error(503, "gateway shutting down"));
-        }
-        if let Some(mut workers) = self.workers.lock().expect("workers poisoned").take() {
-            workers.join();
-        }
     }
 
     /// Route one parsed request. `network_ns` is the edge's measured
@@ -624,9 +560,10 @@ impl Gateway {
         if Shape::new(&extents).is_err() {
             return HttpResponse::error(400, "invalid extents");
         }
-        if perm.len() != extents.len() || Permutation::new(&perm).is_err() {
-            return HttpResponse::error(400, "perm must be a permutation of 0..rank");
-        }
+        let perm = match Permutation::new(&perm) {
+            Ok(p) if p.rank() == extents.len() => p,
+            _ => return HttpResponse::error(400, "perm must be a permutation of 0..rank"),
+        };
         let volume: usize = extents.iter().product();
         if volume > self.cfg.max_elements {
             return HttpResponse::error(
@@ -658,106 +595,76 @@ impl Gateway {
         };
 
         // -- admit ------------------------------------------------------
-        let envelope = Envelope {
+        if self.stopped.load(Ordering::SeqCst) {
+            return HttpResponse::error(503, "gateway shutting down");
+        }
+        let envelope = || Envelope {
             ctx,
             request_id: request_id.to_string(),
             tenant: tenant.clone(),
-            priority: class.as_str(),
+            priority: class,
             network_ns,
-            queue_ns: 0,
             shed: None,
         };
         if let Err(shed) = self.admission.check_quota(&tenant) {
-            return self.shed_response(shed, envelope);
+            return self.shed_response(shed, envelope());
         }
-        let slot = CompletionSlot::new();
-        let job = Job {
-            class,
-            extents,
-            perm,
-            enqueued: Instant::now(),
-            slot: Arc::clone(&slot),
-            envelope,
+        let req = TransposeRequest {
+            envelope: Some(envelope()),
+            ..TransposeRequest::new(self.input_for(&extents), perm)
         };
-        if let Err(job) = self.scheduler.try_enqueue(&tenant, class, job) {
+        // A worker of the service's executor runs the request; identical
+        // in-flight problems coalesce onto one plan and one execution.
+        let timeout = Duration::from_millis(self.cfg.request_timeout_ms);
+        let out = self.service.submit_async(req).wait_timeout(timeout);
+        if out
+            .as_ref()
+            .is_some_and(|o| matches!(&o.result, Err(e) if e.kind == ErrorKind::QueueFull))
+        {
             let shed = Shed {
                 reason: ShedReason::QueueFull,
                 retry_after_secs: 1,
             };
-            return self.shed_response(shed, job.envelope);
+            return self.shed_response(shed, envelope());
         }
         self.metrics.record_tenant(&tenant, true);
-
-        // -- wait -------------------------------------------------------
-        match slot.wait(Duration::from_millis(self.cfg.request_timeout_ms)) {
-            Some(resp) => resp,
-            None => {
-                self.metrics.timeouts_total.fetch_add(1, Ordering::Relaxed);
-                HttpResponse::error(503, "request timed out in the gateway")
-            }
-        }
-    }
-
-    /// Scheduler-worker side: materialize the input, hand the request
-    /// and its envelope to the service's executor, and wait for its
-    /// outcome. The worker stays busy meanwhile, so the scheduler decides
-    /// execution order and its bounded queues shed under overload.
-    /// Identical in-flight problems coalesce onto one plan and one
-    /// execution.
-    fn execute_job(&self, mut job: Job) {
-        let queue_ns = job.enqueued.elapsed().as_nanos() as u64;
-        self.metrics.queue_hist.record_ns(queue_ns);
-        job.envelope.queue_ns = queue_ns;
-        let input = self.input_for(&job.extents);
-        let perm = Permutation::new(&job.perm).expect("perm validated at admission");
-        let req = TransposeRequest {
-            envelope: Some(job.envelope.clone()),
-            ..TransposeRequest::new(input, perm)
+        let Some(out) = out else {
+            self.metrics.timeouts_total.fetch_add(1, Ordering::Relaxed);
+            return HttpResponse::error(503, "request timed out in the gateway");
         };
-        let out = self.service.submit_async(req).wait();
-        self.finish_job(job, &out);
-    }
-
-    /// Build the HTTP response for a finished (possibly shared) run and
-    /// complete the connection thread's slot.
-    fn finish_job(&self, job: Job, out: &Outcome<f64>) {
+        let r = match &out.result {
+            Ok(r) => r,
+            Err(e) => return HttpResponse::error(500, e.message.clone()),
+        };
         let trace = &out.trace;
-        let e = &job.envelope;
-        let resp = match &out.result {
-            Ok(r) => {
-                let phases = obj(vec![
-                    ("network_us", Json::Num(e.network_ns as f64 / 1e3)),
-                    ("queue_us", Json::Num(e.queue_ns as f64 / 1e3)),
-                    ("plan_us", Json::Num(trace.plan_fetch_ns as f64 / 1e3)),
-                    (
-                        "execute_us",
-                        Json::Num((trace.queue_wait_ns + trace.execute_ns) as f64 / 1e3),
-                    ),
-                ]);
-                HttpResponse::json(
-                    obj(vec![
-                        ("ok", Json::Bool(true)),
-                        ("tenant", Json::Str(e.tenant.clone())),
-                        ("priority", Json::Str(job.class.as_str().to_string())),
-                        ("schema", Json::Str(r.report.schema.to_string())),
-                        ("elements", Json::Num(r.output.volume() as f64)),
-                        ("cache_hit", Json::Bool(trace.cache_hit == Some(true))),
-                        ("warmed", Json::Bool(trace.warmed)),
-                        ("coalesced", Json::Bool(out.coalesced)),
-                        ("kernel_us", Json::Num(r.report.kernel_time_ns / 1e3)),
-                        ("predicted_us", Json::Num(r.report.predicted_ns / 1e3)),
-                        ("bandwidth_gbps", Json::Num(r.report.bandwidth_gbps)),
-                        ("trace_id", Json::Str(e.ctx.trace_id_hex())),
-                        ("request_id", Json::Str(e.request_id.clone())),
-                        ("sampled", Json::Bool(out.sampled.is_some())),
-                        ("phases", phases),
-                    ])
-                    .render(),
-                )
-            }
-            Err(e) => HttpResponse::error(500, e.message.clone()),
-        };
-        job.slot.complete(resp);
+        self.metrics.queue_hist.record_ns(trace.queue_wait_ns);
+        let us = |ns: u64| Json::Num(ns as f64 / 1e3);
+        let phases = obj(vec![
+            ("network_us", us(network_ns)),
+            ("queue_us", us(trace.queue_wait_ns)),
+            ("plan_us", us(trace.plan_fetch_ns)),
+            ("execute_us", us(trace.execute_ns)),
+        ]);
+        HttpResponse::json(
+            obj(vec![
+                ("ok", Json::Bool(true)),
+                ("tenant", Json::Str(tenant)),
+                ("priority", Json::Str(class.as_str().to_string())),
+                ("schema", Json::Str(r.report.schema.to_string())),
+                ("elements", Json::Num(r.output.volume() as f64)),
+                ("cache_hit", Json::Bool(trace.cache_hit == Some(true))),
+                ("warmed", Json::Bool(trace.warmed)),
+                ("coalesced", Json::Bool(out.coalesced)),
+                ("kernel_us", Json::Num(r.report.kernel_time_ns / 1e3)),
+                ("predicted_us", Json::Num(r.report.predicted_ns / 1e3)),
+                ("bandwidth_gbps", Json::Num(r.report.bandwidth_gbps)),
+                ("trace_id", Json::Str(ctx.trace_id_hex())),
+                ("request_id", Json::Str(request_id.to_string())),
+                ("sampled", Json::Bool(out.sampled.is_some())),
+                ("phases", phases),
+            ])
+            .render(),
+        )
     }
 
     fn shed_response(&self, shed: Shed, envelope: Envelope) -> HttpResponse {
@@ -773,7 +680,7 @@ impl Gateway {
         };
         self.metrics.record_tenant(&envelope.tenant, false);
         let trace_id = envelope.ctx.trace_id_hex();
-        // A shed never reaches the service, so its record is written
+        // A shed never runs in the service, so its record is written
         // here; the store always keeps it, so overload leaves evidence
         // even at low head-sampling rates.
         let at_shed = RequestTrace {
@@ -1171,12 +1078,27 @@ fn parse_usize_list(s: &str) -> Option<Vec<usize>> {
 mod tests {
     use super::*;
     use crate::http::parse_request;
+    use std::time::Instant;
     use ttlg::Transposer;
     use ttlg_obs::{SampleReason, Signal, TraceStoreConfig};
     use ttlg_runtime::{HistoryConfig, RuntimeConfig, SloConfig};
 
     fn gateway(cfg: GatewayConfig) -> Arc<Gateway> {
         Gateway::start(Arc::new(TransposeService::new_k40c()), cfg)
+    }
+
+    /// A gateway whose quota never sheds, over a service built from `rt`.
+    fn open_gateway_over(rt: RuntimeConfig) -> Arc<Gateway> {
+        let svc = TransposeService::with_config(Transposer::new_k40c(), rt);
+        let cfg = GatewayConfig {
+            quota: QuotaConfig {
+                rate_per_sec: 1e9,
+                burst: 1e9,
+                max_tenants: 8,
+            },
+            ..GatewayConfig::default()
+        };
+        Gateway::start(Arc::new(svc), cfg)
     }
 
     fn header<'a>(resp: &'a HttpResponse, name: &str) -> Option<&'a str> {
@@ -1240,17 +1162,11 @@ mod tests {
     /// makes up the difference.
     #[test]
     fn gateway_coalesces_duplicate_inflight_requests() {
-        let cfg = GatewayConfig {
+        let gw = open_gateway_over(RuntimeConfig {
             workers: 2,
             queue_capacity: 256,
-            quota: QuotaConfig {
-                rate_per_sec: 100_000.0,
-                burst: 100_000.0,
-                ..QuotaConfig::default()
-            },
-            ..GatewayConfig::default()
-        };
-        let gw = gateway(cfg);
+            ..RuntimeConfig::default()
+        });
         const CLIENTS: usize = 8;
         const PER_CLIENT: usize = 16;
         std::thread::scope(|s| {
@@ -1287,45 +1203,63 @@ mod tests {
         gw.stop();
     }
 
-    /// The scheduler bounds admitted work: with one worker and a queue
-    /// of one, while a request runs and one waits, every further request
-    /// of the tenant is shed with 429 and `Retry-After`, never admitted
-    /// and never a 500.
-    #[test]
-    fn queue_bound_sheds_while_the_worker_runs() {
-        let gw = gateway(GatewayConfig {
-            workers: 1,
-            queue_capacity: 1,
-            max_elements: 1 << 19,
-            quota: QuotaConfig {
-                rate_per_sec: 1e9,
-                burst: 1e9,
-                max_tenants: 8,
+    /// A gateway over a service with one worker and a queue of one, and
+    /// a sender of distinct problems at its volume limit (2^19
+    /// elements): none coalesce, and each runs for tens of milliseconds.
+    fn one_slot_gateway() -> (Arc<Gateway>, impl Fn(&str) -> HttpResponse) {
+        let svc = TransposeService::with_config(
+            Transposer::new_k40c(),
+            RuntimeConfig {
+                workers: 1,
+                queue_capacity: 1,
+                ..RuntimeConfig::default()
             },
-            ..GatewayConfig::default()
-        });
-        // Distinct problems at the volume limit (2^19 elements): none
-        // coalesce, and each runs for tens of milliseconds.
-        let send = |p: &str| {
+        );
+        let gw = Gateway::start(
+            Arc::new(svc),
+            GatewayConfig {
+                max_elements: 1 << 19,
+                quota: QuotaConfig {
+                    rate_per_sec: 1e9,
+                    burst: 1e9,
+                    max_tenants: 8,
+                },
+                ..GatewayConfig::default()
+            },
+        );
+        let sender = Arc::clone(&gw);
+        let send = move |p: &str| {
             let body = format!(r#"{{"extents":[128,64,64],"perm":[{p}]}}"#);
-            gw.handle(&post_transpose(&body, &[("x-ttlg-tenant", "solo")]), 0)
+            sender.handle(&post_transpose(&body, &[("x-ttlg-tenant", "solo")]), 0)
         };
         // Build the gateway's input tensor for these extents first, so
-        // the requests below spend their time in the service.
+        // the requests that follow spend their time in the service.
         assert_eq!(send("0,1,2").status, 200);
-        let base = gw.service().pipeline_stats().submitted;
+        (gw, send)
+    }
+
+    fn wait_until(done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+
+    /// The service's queue bounds admitted work: with one worker and a
+    /// queue of one, while a request runs and one waits, every further
+    /// request of the tenant is shed with 429 and `Retry-After`, never
+    /// run and never a 500.
+    #[test]
+    fn queue_bound_sheds_while_the_worker_runs() {
+        let (gw, send) = one_slot_gateway();
+        let stats = || gw.service().pipeline_stats();
+        let base = stats().executed;
         let perms = ["2,1,0", "1,2,0", "2,0,1", "0,2,1", "1,0,2"];
-        let wait_until = |done: &dyn Fn() -> bool| {
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while !done() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        };
         std::thread::scope(|s| {
             let running = s.spawn(|| send(perms[0]));
-            wait_until(&|| gw.service().pipeline_stats().submitted == base + 1);
+            wait_until(|| stats().executed == base + 1);
             let queued = s.spawn(|| send(perms[1]));
-            wait_until(&|| gw.scheduler.depth() == 1);
+            wait_until(|| gw.service().queue_stats().depth == 1);
             for p in &perms[2..] {
                 let resp = send(p);
                 assert_eq!(resp.status, 429, "{}", String::from_utf8_lossy(&resp.body));
@@ -1333,8 +1267,8 @@ mod tests {
                 assert!(retry.is_some_and(|v| v >= 1), "429 carries Retry-After");
             }
             assert_eq!(
-                gw.service().pipeline_stats().submitted,
-                base + 1,
+                (stats().executed, stats().rejected),
+                (base + 1, 3),
                 "the first request was still running while the rest were shed"
             );
             for h in [running, queued] {
@@ -1343,6 +1277,39 @@ mod tests {
             }
         });
         assert_eq!(gw.metrics().sheds(), perms.len() as u64 - 2);
+        let prom = gw.export_prometheus();
+        assert!(
+            prom.contains("ttlg_gateway_shed_total{reason=\"queue\"} 3"),
+            "{prom}"
+        );
+        gw.stop();
+    }
+
+    /// A duplicate of the queued request follows it: it takes no queue
+    /// slot, so a full queue does not shed it.
+    #[test]
+    fn a_duplicate_of_a_queued_request_coalesces_instead_of_shedding() {
+        let (gw, send) = one_slot_gateway();
+        let stats = || gw.service().pipeline_stats();
+        let base = stats();
+        std::thread::scope(|s| {
+            let running = s.spawn(|| send("2,1,0"));
+            wait_until(|| stats().executed == base.executed + 1);
+            let queued = s.spawn(|| send("1,2,0"));
+            wait_until(|| gw.service().queue_stats().depth == 1);
+            let duplicate = s.spawn(|| send("1,2,0"));
+            wait_until(|| stats().coalesced == base.coalesced + 1);
+            assert_eq!(send("2,0,1").status, 429, "the queue is full");
+            let coalesced = |h: std::thread::ScopedJoinHandle<'_, HttpResponse>| {
+                let resp = h.join().unwrap();
+                assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+                json::parse(&resp.body).unwrap().get("coalesced").cloned()
+            };
+            assert_eq!(coalesced(running), Some(Json::Bool(false)));
+            assert_eq!(coalesced(queued), Some(Json::Bool(false)));
+            assert_eq!(coalesced(duplicate), Some(Json::Bool(true)));
+        });
+        assert_eq!(stats().rejected, 1);
         gw.stop();
     }
 
@@ -1463,6 +1430,7 @@ mod tests {
             "ttlg_gateway_requests_total",
             "ttlg_gateway_shed_total",
             "ttlg_gateway_queue_depth",
+            "ttlg_gateway_queue_fullest",
             "ttlg_gateway_queue_capacity",
             "ttlg_gateway_network_us",
             "ttlg_gateway_queue_us",
@@ -1503,6 +1471,24 @@ mod tests {
             Some(trace_id)
         );
         assert_eq!(body.get("sampled"), Some(&Json::Bool(true)));
+        // The four phases are the record's: the edge's network time and
+        // the service's queue-wait, plan and execute.
+        let rec = gw
+            .service()
+            .trace_store()
+            .get(parse_trace_id(trace_id).unwrap());
+        let rec = rec.expect("recorded");
+        let phases = body.get("phases").expect("phases present");
+        let us = |key: &str| phases.get(key).and_then(|v| v.as_f64()).unwrap();
+        assert_eq!(us("network_us"), 1.0);
+        assert_eq!(us("queue_us"), rec.trace.queue_wait_ns as f64 / 1e3);
+        assert_eq!(us("plan_us"), rec.trace.plan_fetch_ns as f64 / 1e3);
+        assert_eq!(us("execute_us"), rec.trace.execute_ns as f64 / 1e3);
+        let sum: f64 = ["network_us", "queue_us", "plan_us", "execute_us"]
+            .map(us)
+            .iter()
+            .sum();
+        assert!((sum - rec.total_ns() as f64 / 1e3).abs() < 1e-6, "{sum}");
 
         // The stored trace comes back as a full span tree.
         let resp = gw.handle(&get(&format!("/v1/trace/{trace_id}")), 0);
@@ -1521,7 +1507,7 @@ mod tests {
                 .collect(),
             _ => panic!("root has children"),
         };
-        for name in ["network", "gateway-queue", "plan", "queue-wait", "execute"] {
+        for name in ["network", "queue-wait", "plan", "execute"] {
             assert!(
                 children.contains(&name.to_string()),
                 "{name} in {children:?}"
@@ -1823,15 +1809,14 @@ mod tests {
         gw.stop();
     }
 
+    /// After stop, a transpose is answered 503 and reaches no queue.
     #[test]
-    fn stop_fails_queued_requests_explicitly() {
-        // Zero-worker config is clamped to one worker, so instead stop
-        // first and verify enqueue after stop is refused.
+    fn stop_answers_new_transposes_with_503() {
         let gw = gateway(GatewayConfig::default());
         gw.stop();
         let resp = gw.handle(&post_transpose(r#"{"extents":[8,8],"perm":[1,0]}"#, &[]), 0);
-        // After stop the scheduler refuses work -> queue-full shed.
-        assert_eq!(resp.status, 429);
+        assert_eq!(resp.status, 503);
+        assert_eq!(gw.service().pipeline_stats().submitted, 0);
         gw.stop();
     }
 
@@ -1839,25 +1824,13 @@ mod tests {
     /// host can miss, so tail forcing and `slo-burn` stay out of the
     /// picture.
     fn open_gateway() -> Arc<Gateway> {
-        let svc = TransposeService::with_config(
-            Transposer::new_k40c(),
-            RuntimeConfig {
-                slo: SloConfig {
-                    target_us: 1e12,
-                    ..SloConfig::default()
-                },
-                ..RuntimeConfig::default()
+        open_gateway_over(RuntimeConfig {
+            slo: SloConfig {
+                target_us: 1e12,
+                ..SloConfig::default()
             },
-        );
-        let cfg = GatewayConfig {
-            quota: QuotaConfig {
-                rate_per_sec: 1e9,
-                burst: 1e9,
-                max_tenants: 8,
-            },
-            ..GatewayConfig::default()
-        };
-        Gateway::start(Arc::new(svc), cfg)
+            ..RuntimeConfig::default()
+        })
     }
 
     /// Steady traffic past the trace window's capacity trips no alert:

@@ -3,8 +3,8 @@
 //! Turns the in-process [`TransposeService`](ttlg_runtime::TransposeService)
 //! into a multi-tenant network service without pulling in an async
 //! runtime or any external crate: a blocking HTTP/1.1 edge over
-//! `std::net`, a router/scheduler split behind it, and explicit
-//! admission control in between.
+//! `std::net` and explicit admission control in front of the service's
+//! own bounded, tenant-fair queues and worker pool.
 //!
 //! The pieces, edge inward:
 //!
@@ -17,12 +17,12 @@
 //!   threads over `TcpListener`;
 //! * [`admission`] — per-tenant token-bucket quotas and the explicit
 //!   [`Shed`] decision (HTTP 429 + `Retry-After`);
-//! * [`scheduler`] — bounded per-tenant queues with class-weighted,
-//!   tenant-fair dequeue feeding a fixed worker pool;
 //! * [`gateway`] — the router: endpoint dispatch, request validation,
-//!   the two admission gates, per-request network/queue/plan/execute
-//!   phase attribution, and the `ttlg_gateway_*` metric families
-//!   layered onto the service's Prometheus snapshot;
+//!   the quota gate, submission to the service's executor (whose full
+//!   (tenant, class) queue is the queue gate), per-request
+//!   network/queue/plan/execute phase attribution, and the
+//!   `ttlg_gateway_*` metric families layered onto the service's
+//!   Prometheus snapshot;
 //! * [`client`] — a tiny blocking keep-alive client for loopback
 //!   tests, the gateway benchmark, and CI smoke checks.
 //!
@@ -35,25 +35,29 @@ pub mod client;
 pub mod gateway;
 pub mod http;
 pub mod json;
-pub mod scheduler;
 pub mod server;
 
 pub use admission::{AdmissionController, Priority, QuotaConfig, Shed, ShedReason};
 pub use client::{ClientResponse, HttpClient};
 pub use gateway::{Gateway, GatewayConfig, GatewayMetrics};
 pub use http::{HttpLimits, HttpRequest, HttpResponse};
-pub use scheduler::{Scheduler, SchedulerConfig};
 pub use server::{spawn, ServerHandle};
 
 #[cfg(test)]
 mod e2e {
     use super::*;
     use std::sync::Arc;
-    use ttlg_runtime::TransposeService;
+    use ttlg::Transposer;
+    use ttlg_runtime::{RuntimeConfig, TransposeService};
+
+    fn serve_over(rt: RuntimeConfig, cfg: GatewayConfig) -> ServerHandle {
+        let svc = TransposeService::with_config(Transposer::new_k40c(), rt);
+        let gw = Gateway::start(Arc::new(svc), cfg);
+        server::spawn(gw, "127.0.0.1:0").expect("bind loopback")
+    }
 
     fn serve(cfg: GatewayConfig) -> ServerHandle {
-        let gw = Gateway::start(Arc::new(TransposeService::new_k40c()), cfg);
-        server::spawn(gw, "127.0.0.1:0").expect("bind loopback")
+        serve_over(RuntimeConfig::default(), cfg)
     }
 
     const BODY: &str = r#"{"extents":[16,8,4],"perm":[2,0,1]}"#;
@@ -106,16 +110,22 @@ mod e2e {
     /// server still responds afterwards.
     #[test]
     fn shed_hammer_never_deadlocks() {
-        let mut h = serve(GatewayConfig {
+        let rt = RuntimeConfig {
             workers: 2,
             queue_capacity: 2,
-            quota: QuotaConfig {
-                rate_per_sec: 50.0,
-                burst: 5.0,
-                max_tenants: 16,
+            ..RuntimeConfig::default()
+        };
+        let mut h = serve_over(
+            rt,
+            GatewayConfig {
+                quota: QuotaConfig {
+                    rate_per_sec: 50.0,
+                    burst: 5.0,
+                    max_tenants: 16,
+                },
+                ..GatewayConfig::default()
             },
-            ..GatewayConfig::default()
-        });
+        );
         let addr = h.addr();
         let outcomes: Vec<(u64, u64)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..12)

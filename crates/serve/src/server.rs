@@ -11,9 +11,11 @@
 //! that arrive back-to-back in one segment.
 //!
 //! Shutdown is cooperative: [`ServerHandle::stop`] flips a flag, nudges
-//! the accept loop awake with a loopback connect, stops the gateway's
-//! scheduler (failing queued work explicitly), and joins the accept
-//! thread. Handler threads notice the flag at their next read timeout.
+//! the accept loop awake with a loopback connect, joins the accept
+//! thread, and stops the gateway, which answers any later transpose 503.
+//! Requests already in the service's queues still run on its workers,
+//! and their handler threads answer them; handler threads notice the
+//! flag at their next read timeout.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
