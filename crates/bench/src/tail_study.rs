@@ -338,10 +338,10 @@ pub fn run(rounds: usize) -> TailStudy {
             let mut slowest: Vec<SlowRecord> = buckets
                 .iter()
                 .filter(|((s, _), _)| *s == schema)
-                .flat_map(|(_, entries)| entries.iter())
-                .map(|e| SlowRecord {
+                .flat_map(|((_, class), entries)| entries.iter().map(move |e| (class, e)))
+                .map(|(class, e)| SlowRecord {
                     id: e.trace.id,
-                    shape_class: e.trace.shape_class.clone(),
+                    shape_class: class.clone(),
                     total_us: e.trace.total_ns() as f64 * 1e-3,
                     queue_wait_us: e.trace.queue_wait_ns as f64 * 1e-3,
                     plan_fetch_us: e.trace.plan_fetch_ns as f64 * 1e-3,

@@ -3,26 +3,21 @@
 //! The paper's evaluation distinguishes single-use (plan + one run) from
 //! repeated-use (plan once, run many times — Fig. 12). This module makes
 //! the repeated-use pattern a one-liner and scales it to many concurrent
-//! clients:
-//!
-//! * [`ShardedPlanCache`] — the concurrent engine: plans keyed by
-//!   `(extents, permutation, options fingerprint)` across N mutex shards,
-//!   **single-flight** planning (concurrent misses on one key block on a
-//!   single builder instead of racing), per-shard LRU eviction under a
-//!   configurable capacity, and lock-free atomic hit/miss/eviction
-//!   counters. `ttlg-runtime` builds its multi-tenant service on this
-//!   type.
-//! * [`PlanCache`] — the original single-tenant API, kept as a thin
-//!   compatibility wrapper over one unbounded shard.
+//! clients: [`ShardedPlanCache`] keys plans by `(extents, permutation,
+//! options fingerprint)` across N mutex shards, with **single-flight**
+//! planning (concurrent misses on one key block on a single builder
+//! instead of racing), per-shard LRU eviction under a configurable
+//! capacity, and lock-free atomic hit/miss/eviction counters.
+//! `ttlg-runtime` builds its multi-tenant service on this type.
 
 use crate::backend::Backend;
-use crate::plan::{Plan, PlanError, TransposeOptions, TransposeReport, Transposer};
+use crate::plan::{Plan, PlanError, TransposeOptions, Transposer};
 use crate::schema::Schema;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use ttlg_tensor::{DenseTensor, Element, Permutation, Shape};
+use ttlg_tensor::{Element, Permutation, Shape};
 
 /// Cache key: extents + permutation + the options that affect planning.
 ///
@@ -245,6 +240,26 @@ impl<E: Element> Drop for BuildSlot<'_, E> {
 /// A sharded, bounded, single-flight cache of transposition plans for one
 /// element type.
 ///
+/// ```
+/// use ttlg::{CacheConfig, ShardedPlanCache, TransposeOptions, Transposer};
+/// use ttlg_tensor::{DenseTensor, Permutation, Shape};
+///
+/// let t = Transposer::new_k40c();
+/// let cache: ShardedPlanCache<f64> = ShardedPlanCache::with_config(CacheConfig {
+///     shards: 1,
+///     capacity_per_shard: 0, // unbounded
+/// });
+/// let input: DenseTensor<f64> = DenseTensor::iota(Shape::new(&[16, 16]).unwrap());
+/// let perm = Permutation::new(&[1, 0]).unwrap();
+/// for _ in 0..3 {
+///     let plan = cache
+///         .get_or_plan(&t, input.shape(), &perm, &TransposeOptions::default())
+///         .unwrap();
+///     t.execute(&plan, &input).unwrap();
+/// }
+/// assert_eq!(cache.stats().misses, 1); // planned once, reused twice
+/// ```
+///
 /// Concurrency contract:
 /// * a hit touches only its shard's mutex (briefly) and one atomic;
 /// * concurrent misses on the *same* key build the plan exactly once —
@@ -292,42 +307,16 @@ impl<E: Element> ShardedPlanCache<E> {
     /// panics, the slot is released, the error (or panic) goes to the
     /// builder, and one waiter takes over as the next builder (so a
     /// transient failure does not wedge the key).
-    pub fn get_or_plan_keyed(
-        &self,
-        t: &Transposer,
-        key: &PlanKey,
-        shape: &Shape,
-        perm: &Permutation,
-        opts: &TransposeOptions,
-    ) -> Result<Arc<Plan<E>>, PlanError> {
-        self.get_or_plan_keyed_flagged(t, key, shape, perm, opts)
-            .map(|(plan, _)| plan)
-    }
-
-    /// [`Self::get_or_plan_keyed`] plus per-call attribution: the returned
-    /// flag is `true` when this call was served from the cache (including
-    /// waiting out another caller's in-flight build) and `false` when this
-    /// call built the plan itself. The aggregate counters in
-    /// [`Self::stats`] cannot tell an individual caller which side it was
-    /// on; the runtime's request traces need to know.
-    pub fn get_or_plan_keyed_flagged(
-        &self,
-        t: &Transposer,
-        key: &PlanKey,
-        shape: &Shape,
-        perm: &Permutation,
-        opts: &TransposeOptions,
-    ) -> Result<(Arc<Plan<E>>, bool), PlanError> {
-        self.get_or_plan_keyed_timed(t, key, shape, perm, opts)
-            .map(|(plan, hit, _)| (plan, hit))
-    }
-
-    /// [`Self::get_or_plan_keyed_flagged`] plus a wall-clock split of
-    /// where the fetch spent its time: the lookup side (shard lock,
-    /// LRU touch, waiting out another caller's single-flight build) vs
-    /// the build side (`Transposer::plan` itself; 0 on a hit). The
-    /// tracing layer renders these as the `cache-lookup` and
-    /// `plan-build` child spans of `plan`.
+    ///
+    /// Besides the plan, the call returns its own attribution, which the
+    /// aggregate counters in [`Self::stats`] cannot give one caller: the
+    /// flag is `true` when this call was served from the cache (waiting
+    /// out another caller's in-flight build included) and `false` when
+    /// it built the plan itself; [`FetchTiming`] splits its wall time
+    /// into the lookup side (shard lock, LRU touch, waiting out another
+    /// caller's build) and the build side (`Transposer::plan` itself; 0
+    /// on a hit). The tracing layer renders these as the `cache-lookup`
+    /// and `plan-build` child spans of `plan`.
     pub fn get_or_plan_keyed_timed(
         &self,
         t: &Transposer,
@@ -416,7 +405,8 @@ impl<E: Element> ShardedPlanCache<E> {
         opts: &TransposeOptions,
     ) -> Result<Arc<Plan<E>>, PlanError> {
         let key = PlanKey::new(shape, perm, opts);
-        self.get_or_plan_keyed(t, &key, shape, perm, opts)
+        self.get_or_plan_keyed_timed(t, &key, shape, perm, opts)
+            .map(|(plan, _, _)| plan)
     }
 
     /// Install (or replace) the resident plan for `key` without touching
@@ -532,17 +522,6 @@ impl<E: Element> ShardedPlanCache<E> {
         }
     }
 
-    /// Transpose with plan reuse.
-    pub fn transpose(
-        &self,
-        t: &Transposer,
-        input: &DenseTensor<E>,
-        perm: &Permutation,
-    ) -> Result<(DenseTensor<E>, TransposeReport), PlanError> {
-        let plan = self.get_or_plan(t, input.shape(), perm, &TransposeOptions::default())?;
-        t.execute(&plan, input)
-    }
-
     /// Number of resident plans (in-flight builds excluded).
     pub fn len(&self) -> usize {
         self.shards
@@ -597,104 +576,33 @@ impl<E: Element> Default for ShardedPlanCache<E> {
     }
 }
 
-/// A concurrent cache of transposition plans for one element type.
-///
-/// Compatibility wrapper over a single unbounded [`ShardedPlanCache`]
-/// shard: same API as the original `PlanCache`, now with single-flight
-/// planning (racing callers no longer build duplicate plans) and atomic
-/// counters (stats can no longer drift from the plan map).
-///
-/// ```
-/// use ttlg::{PlanCache, Transposer};
-/// use ttlg_tensor::{DenseTensor, Permutation, Shape};
-///
-/// let t = Transposer::new_k40c();
-/// let cache: PlanCache<f64> = PlanCache::new();
-/// let input: DenseTensor<f64> = DenseTensor::iota(Shape::new(&[16, 16]).unwrap());
-/// let perm = Permutation::new(&[1, 0]).unwrap();
-/// for _ in 0..3 {
-///     cache.transpose(&t, &input, &perm).unwrap();
-/// }
-/// assert_eq!(cache.stats().misses, 1); // planned once, reused twice
-/// ```
-pub struct PlanCache<E: Element> {
-    inner: ShardedPlanCache<E>,
-}
-
-impl<E: Element> Default for PlanCache<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E: Element> PlanCache<E> {
-    /// An empty cache.
-    pub fn new() -> Self {
-        PlanCache {
-            inner: ShardedPlanCache::with_config(CacheConfig {
-                shards: 1,
-                capacity_per_shard: 0,
-            }),
-        }
-    }
-
-    /// Fetch the plan for `(shape, perm, opts)`, building it on first use.
-    pub fn get_or_plan(
-        &self,
-        t: &Transposer,
-        shape: &Shape,
-        perm: &Permutation,
-        opts: &TransposeOptions,
-    ) -> Result<Arc<Plan<E>>, PlanError> {
-        self.inner.get_or_plan(t, shape, perm, opts)
-    }
-
-    /// Transpose with plan reuse: plans are built once per distinct
-    /// problem and reused on every subsequent call.
-    pub fn transpose(
-        &self,
-        t: &Transposer,
-        input: &DenseTensor<E>,
-        perm: &Permutation,
-    ) -> Result<(DenseTensor<E>, TransposeReport), PlanError> {
-        self.inner.transpose(t, input, perm)
-    }
-
-    /// Number of cached plans.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        self.inner.stats()
-    }
-
-    /// Drop every cached plan.
-    pub fn clear(&self) {
-        self.inner.clear()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ttlg_tensor::reference;
+    use ttlg_tensor::{reference, DenseTensor};
+
+    /// One unbounded shard: nothing is evicted, and every key shares one
+    /// lock.
+    fn unbounded<E: Element>() -> ShardedPlanCache<E> {
+        ShardedPlanCache::with_config(CacheConfig {
+            shards: 1,
+            capacity_per_shard: 0,
+        })
+    }
 
     #[test]
     fn second_call_hits_the_cache() {
         let t = Transposer::new_k40c();
-        let cache: PlanCache<u64> = PlanCache::new();
+        let cache: ShardedPlanCache<u64> = unbounded();
         let shape = Shape::new(&[16, 8, 4]).unwrap();
         let perm = Permutation::new(&[2, 0, 1]).unwrap();
         let input: DenseTensor<u64> = DenseTensor::iota(shape);
-        let (out1, _) = cache.transpose(&t, &input, &perm).unwrap();
-        let (out2, _) = cache.transpose(&t, &input, &perm).unwrap();
+        let opts = TransposeOptions::default();
+        let transpose = || {
+            let plan = cache.get_or_plan(&t, input.shape(), &perm, &opts).unwrap();
+            t.execute(&plan, &input).unwrap().0
+        };
+        let (out1, out2) = (transpose(), transpose());
         assert_eq!(out1.data(), out2.data());
         let expect = reference::transpose_reference(&input, &perm).unwrap();
         assert_eq!(out1.data(), expect.data());
@@ -712,7 +620,7 @@ mod tests {
     #[test]
     fn distinct_problems_get_distinct_plans() {
         let t = Transposer::new_k40c();
-        let cache: PlanCache<f64> = PlanCache::new();
+        let cache: ShardedPlanCache<f64> = unbounded();
         let opts = TransposeOptions::default();
         let s1 = Shape::new(&[8, 8]).unwrap();
         let s2 = Shape::new(&[16, 8]).unwrap();
@@ -732,7 +640,7 @@ mod tests {
     #[test]
     fn clear_resets_plans_but_not_stats() {
         let t = Transposer::new_k40c();
-        let cache: PlanCache<f64> = PlanCache::new();
+        let cache: ShardedPlanCache<f64> = unbounded();
         let s = Shape::new(&[8, 8]).unwrap();
         let p = Permutation::new(&[1, 0]).unwrap();
         cache
@@ -747,7 +655,7 @@ mod tests {
     #[test]
     fn concurrent_access_is_safe() {
         let t = Transposer::new_k40c();
-        let cache: PlanCache<u32> = PlanCache::new();
+        let cache: ShardedPlanCache<u32> = unbounded();
         let shape = Shape::new(&[16, 16]).unwrap();
         let perm = Permutation::new(&[1, 0]).unwrap();
         ttlg_tensor::parallel::parallel_for_threads(8, 1, 4, |_| {
@@ -801,14 +709,16 @@ mod tests {
         let perm = Permutation::new(&[1, 0]).unwrap();
         let opts = TransposeOptions::default();
         let key = PlanKey::new(&shape, &perm, &opts);
-        let (_, hit) = cache
-            .get_or_plan_keyed_flagged(&t, &key, &shape, &perm, &opts)
+        let (_, hit, timing) = cache
+            .get_or_plan_keyed_timed(&t, &key, &shape, &perm, &opts)
             .unwrap();
         assert!(!hit, "first fetch builds");
-        let (_, hit) = cache
-            .get_or_plan_keyed_flagged(&t, &key, &shape, &perm, &opts)
+        assert!(timing.build_ns > 0);
+        let (_, hit, timing) = cache
+            .get_or_plan_keyed_timed(&t, &key, &shape, &perm, &opts)
             .unwrap();
         assert!(hit, "second fetch is served from cache");
+        assert_eq!(timing.build_ns, 0);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
     }

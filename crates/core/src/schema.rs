@@ -33,17 +33,23 @@ pub enum Schema {
     Naive,
 }
 
-impl std::fmt::Display for Schema {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl Schema {
+    /// Stable label for metrics, traces and reports.
+    pub fn label(&self) -> &'static str {
+        match self {
             Schema::Copy => "Copy",
             Schema::FviMatchLarge => "FVI-Match-Large",
             Schema::FviMatchSmall => "FVI-Match-Small",
             Schema::OrthogonalDistinct => "Orthogonal-Distinct",
             Schema::OrthogonalArbitrary => "Orthogonal-Arbitrary",
             Schema::Naive => "Naive",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for Schema {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -215,5 +221,6 @@ mod tests {
             "Orthogonal-Distinct"
         );
         assert_eq!(Schema::FviMatchSmall.to_string(), "FVI-Match-Small");
+        assert_eq!(Schema::Naive.label(), Schema::Naive.to_string());
     }
 }

@@ -19,18 +19,19 @@
 //!   the training-point feed for a measure-mode autotuner.
 //! * [`snapshot`] / [`prom`] — a renderer-neutral [`MetricsSnapshot`]
 //!   plus the Prometheus-text exporter.
-//! * [`profile`] — tail-latency attribution: the trace store's recent
-//!   records folded into hierarchical phase profiles keyed by
-//!   `(schema, shape-class)` ([`PhaseProfile`]), including "which phase
-//!   dominates at p99".
+//! * [`profile`] — tail-latency attribution: hierarchical phase profiles
+//!   ([`PhaseProfile`]) that the trace store keeps per `(schema,
+//!   shape-class)` bucket over its recent records, including "which
+//!   phase dominates at p99".
 //! * [`slo`] — [`SloTracker`]: the one per-request latency-objective
 //!   miss decision and the lifetime counters behind the hit rate.
 //! * [`tracecontext`] — W3C `traceparent` parse/render plus the
 //!   process-global id stream ([`TraceContext`]).
 //! * [`tracestore`] — [`TraceStore`], the one bounded, sampling store of
-//!   per-request [`TraceRecord`]s (a recent window plus the slowest
-//!   records per `(schema, shape-class)` bucket), and the request span
-//!   trees ([`SpanNode`]) built from a record on read.
+//!   per-request [`TraceRecord`]s (a recent window, and per `(schema,
+//!   shape-class)` bucket the slowest records and the window's phase
+//!   profile), and the request span trees ([`SpanNode`]) built from a
+//!   record on read.
 //! * [`alerts`] — [`AlertEngine`]: declarative rules with
 //!   firing/resolved hysteresis, evaluated once per history ingest over
 //!   the ingested [`MetricsSnapshot`] and, for windowed ratios, the
@@ -43,8 +44,8 @@
 //!   over the store.
 //!
 //! The crate deliberately depends on nothing (not even the other ttlg
-//! crates): schemas and phases are plain string labels, so any layer can
-//! feed it without creating dependency cycles.
+//! crates): schemas and phases are plain `&'static str` labels, so any
+//! layer can feed it without creating dependency cycles.
 
 pub mod alerts;
 pub mod prediction;
@@ -61,8 +62,8 @@ pub mod tsdb;
 
 pub use alerts::{default_rules, Agg, AlertEngine, AlertRule, AlertState, AlertStatus, Op, Signal};
 pub use prediction::{PredictionStats, PredictionTracker, RATIO_BUCKETS};
-pub use profile::{shape_class, PhaseProfile, PhaseShares, ProfileOptions};
-pub use quantile::log2_bucket_quantile_us;
+pub use profile::{PhaseProfile, PhaseShares, ShapeClass};
+pub use quantile::{log2_bucket, log2_bucket_quantile_us};
 pub use query::{eval_range, QueryError, QueryResult, QuerySeries};
 pub use slo::{SloConfig, SloSnapshot, SloTracker};
 pub use snapshot::{Histogram, Metric, MetricKind, MetricsSnapshot, Sample};
@@ -78,9 +79,10 @@ pub use tsdb::{HistPoints, ScalarPoints, TimeSeriesStore, TsdbConfig};
 /// service's part of a [`TraceRecord`] and the post-hoc answer to "what
 /// happened to that request?".
 ///
-/// All fields are plain data so the trace survives the request: schema
-/// and error are strings, the executor's counters are pre-digested into
-/// the two rates the paper's Table I reasons about.
+/// All fields are plain data so the trace survives the request: the
+/// schema is a static label, the shape class two integers, the error a
+/// string, and the executor's counters are pre-digested into the two
+/// rates the paper's Table I reasons about.
 #[derive(Debug, Clone, Default)]
 pub struct RequestTrace {
     /// Monotonic per-service request id.
@@ -88,10 +90,11 @@ pub struct RequestTrace {
     /// Process-relative start time, ns (see [`clock_ns`]).
     pub start_ns: u64,
     /// Schema label of the executed plan (empty if planning failed).
-    pub schema: String,
-    /// Bounded-cardinality shape class (see [`profile::shape_class`]),
-    /// e.g. `"r4v12"` = rank 4, ~4k elements.
-    pub shape_class: String,
+    pub schema: &'static str,
+    /// Bounded-cardinality shape class, e.g. `r4v12` = rank 4, ~4k
+    /// elements (`None` when the request failed before the service saw
+    /// its input: a caught panic or a shutdown).
+    pub shape_class: Option<ShapeClass>,
     /// Whether the plan was an autotuner-warmed (measured-best) plan —
     /// lets before/after tail shifts be attributed to warming.
     pub warmed: bool,
@@ -161,7 +164,7 @@ impl RequestTrace {
         format!(
             "#{:<6} {:<22} {:<4} cache={:<4} queue {:>8} ns  plan {:>8} ns  exec {:>8} ns  pred {:>10.0} ns  meas {:>10.0} ns  dram-eff {:.2}  replay {:.2}{}{}{}",
             self.id,
-            if self.schema.is_empty() { "?" } else { &self.schema },
+            if self.schema.is_empty() { "?" } else { self.schema },
             status,
             hit,
             self.queue_wait_ns,
@@ -189,7 +192,7 @@ mod tests {
     fn request_trace_totals_and_render() {
         let t = RequestTrace {
             id: 7,
-            schema: "Orthogonal-Distinct".into(),
+            schema: "Orthogonal-Distinct",
             ok: true,
             cache_hit: Some(true),
             queue_wait_ns: 10,

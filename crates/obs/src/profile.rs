@@ -1,54 +1,66 @@
-//! Hierarchical phase profiles over the trace store's recent records.
+//! Hierarchical phase profiles of the trace store's recent records.
 //!
 //! The service decomposes every request into queue-wait / plan-fetch /
 //! execute and records the result as a [`RequestTrace`] in the
-//! [`crate::TraceStore`]. This module folds the store's recent window
-//! into **phase profiles** keyed by `(schema, shape-class)`:
+//! [`crate::TraceStore`]. Each of the store's `(schema, shape-class)`
+//! buckets keeps a **phase profile** of its key's records in the recent
+//! window ([`crate::TraceStore::profiles`]):
 //!
-//! * a *shape class* ([`shape_class`]) collapses concrete extents into
+//! * a *shape class* ([`ShapeClass`]) collapses concrete extents into
 //!   `r<rank>v<log2 volume>` so the label set stays bounded while still
 //!   separating "rank-4, ~4k elements" from "rank-3, ~64k elements";
-//! * cardinality is additionally capped ([`ProfileOptions::max_keys`]):
-//!   once the cap is reached, new keys fold into the [`OTHER_KEY`]
-//!   bucket instead of growing the label set without bound;
 //! * per key, the profile keeps phase-time totals **and** per
 //!   log2-total-latency-bucket phase accumulators, so it can answer not
 //!   just "where does the *mean* go" but "which phase dominates at p99"
 //!   ([`PhaseProfile::shares_at`]) — the question a tail-latency study
 //!   actually asks.
 //!
-//! Aggregation is offline (over a snapshot), so the request hot path
-//! never touches any of this.
+//! A record's phases are added when it enters the window and taken out
+//! when it leaves, so reading the profiles folds nothing.
 
-use crate::quantile::log2_bucket_quantile_us;
+use crate::quantile::{log2_bucket, log2_bucket_quantile_us};
 use crate::snapshot::{MetricKind, MetricsSnapshot, Sample};
 use crate::RequestTrace;
-use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::ops::{Add, Sub};
 
 /// Number of log2 total-latency buckets a profile keeps per key.
 /// Bucket 0 = `[0, 2)` µs, bucket `i` = `[2^i, 2^{i+1})` µs, the last
-/// bucket is the overflow — the same scheme as the runtime histograms,
-/// so quantiles agree across surfaces.
+/// bucket is the overflow — the same scheme as the runtime histograms
+/// ([`log2_bucket`]), so quantiles agree across surfaces.
 pub const PROFILE_BUCKETS: usize = 20;
 
 /// The phase names, in trace order.
 pub const PHASES: [&str; 3] = ["queue-wait", "plan-fetch", "execute"];
 
-/// Overflow key used once [`ProfileOptions::max_keys`] distinct
-/// `(schema, shape-class)` pairs exist.
-pub const OTHER_KEY: &str = "_other";
+/// A bounded-cardinality shape class: the rank and `floor(log2 volume)`
+/// of a request's extents. Displays as `r<rank>v<log2 volume>`, e.g.
+/// `[6, 5, 4, 3]` (360 elements) is `r4v8`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ShapeClass {
+    /// Number of extents.
+    pub rank: u32,
+    /// `floor(log2(product of extents))`, 0 for a volume of 0 or 1.
+    pub log2_volume: u32,
+}
 
-/// Collapse concrete extents into a bounded-cardinality shape class:
-/// `r<rank>v<floor(log2 volume)>`. Example: `[6, 5, 4, 3]` (360
-/// elements) → `"r4v8"`.
-pub fn shape_class(extents: &[usize]) -> String {
-    let rank = extents.len();
-    let volume = extents
-        .iter()
-        .fold(1u128, |acc, &e| acc.saturating_mul(e as u128));
-    let log2v = 127 - volume.max(1).leading_zeros();
-    format!("r{rank}v{log2v}")
+impl ShapeClass {
+    /// The class of `extents`.
+    pub fn of(extents: &[usize]) -> ShapeClass {
+        let volume = extents
+            .iter()
+            .fold(1u128, |acc, &e| acc.saturating_mul(e as u128));
+        ShapeClass {
+            rank: extents.len() as u32,
+            log2_volume: 127 - volume.max(1).leading_zeros(),
+        }
+    }
+}
+
+impl std::fmt::Display for ShapeClass {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "r{}v{}", self.rank, self.log2_volume)
+    }
 }
 
 /// Per-phase shares of total time, each in `[0, 1]` (all zero when
@@ -86,7 +98,7 @@ impl PhaseShares {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct BucketAccum {
     count: u64,
     queue_ns: u64,
@@ -95,22 +107,23 @@ struct BucketAccum {
 }
 
 /// Aggregated phase timings for one `(schema, shape-class)` key.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseProfile {
     pub schema: String,
     pub shape_class: String,
-    /// Requests folded into this profile.
+    /// Requests of this key in the recent window.
     pub requests: u64,
     /// Requests that ran on an autotuner-warmed (measured) plan.
     pub warmed_requests: u64,
     pub queue_wait_ns: u64,
     pub plan_fetch_ns: u64,
     pub execute_ns: u64,
-    buckets: Vec<BucketAccum>,
+    buckets: [BucketAccum; PROFILE_BUCKETS],
 }
 
 impl PhaseProfile {
-    fn new(schema: String, shape_class: String) -> PhaseProfile {
+    /// An empty profile under the given labels.
+    pub(crate) fn new(schema: String, shape_class: String) -> PhaseProfile {
         PhaseProfile {
             schema,
             shape_class,
@@ -119,24 +132,31 @@ impl PhaseProfile {
             queue_wait_ns: 0,
             plan_fetch_ns: 0,
             execute_ns: 0,
-            buckets: vec![BucketAccum::default(); PROFILE_BUCKETS],
+            buckets: Default::default(),
         }
     }
 
-    fn observe(&mut self, t: &RequestTrace) {
-        self.requests += 1;
-        if t.warmed {
-            self.warmed_requests += 1;
-        }
-        self.queue_wait_ns += t.queue_wait_ns;
-        self.plan_fetch_ns += t.plan_fetch_ns;
-        self.execute_ns += t.execute_ns;
-        let b = bucket_for_ns(t.total_ns());
-        let acc = &mut self.buckets[b];
-        acc.count += 1;
-        acc.queue_ns += t.queue_wait_ns;
-        acc.plan_ns += t.plan_fetch_ns;
-        acc.exec_ns += t.execute_ns;
+    /// Fold one request in.
+    pub(crate) fn observe(&mut self, t: &RequestTrace) {
+        self.apply(t, u64::add);
+    }
+
+    /// Take back a request [`Self::observe`] folded in.
+    pub(crate) fn forget(&mut self, t: &RequestTrace) {
+        self.apply(t, u64::sub);
+    }
+
+    fn apply(&mut self, t: &RequestTrace, op: fn(u64, u64) -> u64) {
+        self.requests = op(self.requests, 1);
+        self.warmed_requests = op(self.warmed_requests, t.warmed as u64);
+        self.queue_wait_ns = op(self.queue_wait_ns, t.queue_wait_ns);
+        self.plan_fetch_ns = op(self.plan_fetch_ns, t.plan_fetch_ns);
+        self.execute_ns = op(self.execute_ns, t.execute_ns);
+        let acc = &mut self.buckets[log2_bucket(t.total_ns(), PROFILE_BUCKETS)];
+        acc.count = op(acc.count, 1);
+        acc.queue_ns = op(acc.queue_ns, t.queue_wait_ns);
+        acc.plan_ns = op(acc.plan_ns, t.plan_fetch_ns);
+        acc.exec_ns = op(acc.exec_ns, t.execute_ns);
     }
 
     /// Total attributed time across all phases.
@@ -152,8 +172,7 @@ impl PhaseProfile {
     /// Estimated total-latency quantile in µs (NaN when empty, per the
     /// [`log2_bucket_quantile_us`] contract).
     pub fn quantile_us(&self, q: f64) -> f64 {
-        let counts: Vec<u64> = self.buckets.iter().map(|b| b.count).collect();
-        log2_bucket_quantile_us(&counts, q)
+        log2_bucket_quantile_us(&self.buckets.map(|b| b.count), q)
     }
 
     /// Phase shares *within the bucket covering quantile `q`* — i.e.
@@ -182,62 +201,6 @@ impl PhaseProfile {
             last.exec_ns,
         ))
     }
-}
-
-fn bucket_for_ns(ns: u64) -> usize {
-    let us = ns / 1_000;
-    if us < 2 {
-        return 0;
-    }
-    let b = (63 - us.leading_zeros()) as usize;
-    b.min(PROFILE_BUCKETS - 1)
-}
-
-/// Aggregation knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct ProfileOptions {
-    /// Maximum distinct `(schema, shape-class)` keys before folding into
-    /// [`OTHER_KEY`].
-    pub max_keys: usize,
-}
-
-impl Default for ProfileOptions {
-    fn default() -> Self {
-        ProfileOptions { max_keys: 64 }
-    }
-}
-
-/// Fold traces into per-`(schema, shape-class)` profiles,
-/// sorted by total attributed time (descending) so the renderers can
-/// print the hottest keys first. Traces that failed before planning
-/// (empty schema) are labelled `"unplanned"`.
-pub fn aggregate<'a>(
-    traces: impl IntoIterator<Item = &'a RequestTrace>,
-    opts: &ProfileOptions,
-) -> Vec<PhaseProfile> {
-    let mut map: HashMap<(String, String), PhaseProfile> = HashMap::new();
-    for t in traces {
-        let schema = if t.schema.is_empty() {
-            "unplanned".to_string()
-        } else {
-            t.schema.clone()
-        };
-        let mut key = (schema, t.shape_class.clone());
-        if !map.contains_key(&key) && map.len() >= opts.max_keys.max(1) {
-            key = (OTHER_KEY.to_string(), OTHER_KEY.to_string());
-        }
-        map.entry(key.clone())
-            .or_insert_with(|| PhaseProfile::new(key.0, key.1))
-            .observe(t);
-    }
-    let mut profiles: Vec<PhaseProfile> = map.into_values().collect();
-    profiles.sort_by(|a, b| {
-        b.total_ns()
-            .cmp(&a.total_ns())
-            .then_with(|| a.schema.cmp(&b.schema))
-            .then_with(|| a.shape_class.cmp(&b.shape_class))
-    });
-    profiles
 }
 
 /// Render profiles as a flame-style text tree: one node per
@@ -313,8 +276,8 @@ fn bar(pct: f64) -> String {
     s
 }
 
-/// Export profiles into a [`MetricsSnapshot`] (bounded cardinality is
-/// guaranteed upstream by [`ProfileOptions::max_keys`]).
+/// Export profiles into a [`MetricsSnapshot`] (the trace store's bucket
+/// cap, [`crate::tracestore::MAX_BUCKETS`], bounds their cardinality).
 pub fn export_into(snap: &mut MetricsSnapshot, profiles: &[PhaseProfile]) {
     let mut requests = Vec::new();
     let mut phase_ns = Vec::new();
@@ -369,10 +332,9 @@ pub fn export_into(snap: &mut MetricsSnapshot, profiles: &[PhaseProfile]) {
 mod tests {
     use super::*;
 
-    fn trace(schema: &str, class: &str, queue: u64, plan: u64, exec: u64) -> RequestTrace {
+    fn trace(queue: u64, plan: u64, exec: u64) -> RequestTrace {
         RequestTrace {
-            schema: schema.to_string(),
-            shape_class: class.to_string(),
+            schema: "Naive",
             ok: true,
             queue_wait_ns: queue,
             plan_fetch_ns: plan,
@@ -381,43 +343,43 @@ mod tests {
         }
     }
 
+    /// A `Naive/r3v12` profile of `traces`.
+    fn profile(traces: &[RequestTrace]) -> PhaseProfile {
+        let mut p = PhaseProfile::new("Naive".into(), "r3v12".into());
+        for t in traces {
+            p.observe(t);
+        }
+        p
+    }
+
     #[test]
     fn shape_class_is_rank_and_log2_volume() {
-        assert_eq!(shape_class(&[6, 5, 4, 3]), "r4v8"); // 360 elements
-        assert_eq!(shape_class(&[16, 16, 16]), "r3v12"); // 4096 elements
-        assert_eq!(shape_class(&[1]), "r1v0");
-        assert_eq!(shape_class(&[]), "r0v0");
+        let class = |extents: &[usize]| ShapeClass::of(extents).to_string();
+        assert_eq!(class(&[6, 5, 4, 3]), "r4v8"); // 360 elements
+        assert_eq!(class(&[16, 16, 16]), "r3v12"); // 4096 elements
+        assert_eq!(class(&[1]), "r1v0");
+        assert_eq!(class(&[]), "r0v0");
+        assert_eq!(
+            ShapeClass::of(&[16, 16, 16]),
+            ShapeClass {
+                rank: 3,
+                log2_volume: 12
+            }
+        );
     }
 
     #[test]
-    fn aggregate_groups_by_schema_and_class() {
-        let traces = vec![
-            trace("Naive", "r3v12", 10, 20, 70),
-            trace("Naive", "r3v12", 10, 20, 70),
-            trace("Copy", "r2v4", 1, 1, 1),
-        ];
-        let profiles = aggregate(&traces, &ProfileOptions::default());
-        assert_eq!(profiles.len(), 2);
-        // Sorted hottest-first.
-        assert_eq!(profiles[0].schema, "Naive");
-        assert_eq!(profiles[0].requests, 2);
-        assert_eq!(profiles[0].execute_ns, 140);
-        assert_eq!(profiles[0].shares().dominant(), "execute");
-    }
-
-    #[test]
-    fn cardinality_cap_folds_into_other() {
-        let mut traces = Vec::new();
-        for i in 0..10 {
-            traces.push(trace("Naive", &format!("r3v{i}"), 1, 1, 1));
-        }
-        let profiles = aggregate(&traces, &ProfileOptions { max_keys: 4 });
-        assert_eq!(profiles.len(), 5); // 4 real keys + _other
-        let other = profiles
-            .iter()
-            .find(|p| p.schema == OTHER_KEY)
-            .expect("overflow key present");
-        assert_eq!(other.requests, 6);
+    fn forget_takes_back_what_observe_folded_in() {
+        let slow = RequestTrace {
+            warmed: true,
+            ..trace(40_000_000, 1_000, 50_000)
+        };
+        let mut p = profile(&[trace(10, 20, 70)]);
+        let before = p.clone();
+        p.observe(&slow);
+        assert_eq!((p.requests, p.warmed_requests), (2, 1));
+        p.forget(&slow);
+        assert_eq!(p, before);
     }
 
     #[test]
@@ -425,13 +387,9 @@ mod tests {
         // 99 fast execute-dominated requests plus one slow queue-wait
         // dominated outlier: the mean says "execute", the p99 bucket
         // says "queue-wait".
-        let mut traces: Vec<RequestTrace> = (0..99)
-            .map(|_| trace("Naive", "r3v12", 1_000, 1_000, 50_000))
-            .collect();
-        traces.push(trace("Naive", "r3v12", 40_000_000, 1_000, 50_000));
-        let profiles = aggregate(&traces, &ProfileOptions::default());
-        assert_eq!(profiles.len(), 1);
-        let p = &profiles[0];
+        let mut traces: Vec<RequestTrace> = (0..99).map(|_| trace(1_000, 1_000, 50_000)).collect();
+        traces.push(trace(40_000_000, 1_000, 50_000));
+        let p = profile(&traces);
         assert_eq!(p.shares().dominant(), "queue-wait"); // outlier dominates the sum
         let tail = p.shares_at(0.999).unwrap();
         assert_eq!(tail.dominant(), "queue-wait");
@@ -442,7 +400,7 @@ mod tests {
 
     #[test]
     fn empty_profile_has_nan_quantile_and_no_tail_shares() {
-        let p = PhaseProfile::new("Naive".into(), "r3v12".into());
+        let p = profile(&[]);
         assert!(p.quantile_us(0.99).is_nan());
         assert!(p.shares_at(0.99).is_none());
         assert_eq!(p.shares(), PhaseShares::default());
@@ -450,9 +408,7 @@ mod tests {
 
     #[test]
     fn flame_tree_renders_keys_and_phases() {
-        let traces = vec![trace("Naive", "r3v12", 10, 20, 70)];
-        let profiles = aggregate(&traces, &ProfileOptions::default());
-        let tree = render_flame(&profiles);
+        let tree = render_flame(&[profile(&[trace(10, 20, 70)])]);
         assert!(tree.contains("Naive/r3v12"), "{tree}");
         for phase in PHASES {
             assert!(tree.contains(phase), "{tree}");
@@ -461,10 +417,8 @@ mod tests {
 
     #[test]
     fn export_emits_bounded_label_sets() {
-        let traces = vec![trace("Naive", "r3v12", 10, 20, 70)];
-        let profiles = aggregate(&traces, &ProfileOptions::default());
         let mut snap = MetricsSnapshot::default();
-        export_into(&mut snap, &profiles);
+        export_into(&mut snap, &[profile(&[trace(10, 20, 70)])]);
         let names: Vec<&str> = snap.metrics.iter().map(|m| m.name.as_str()).collect();
         assert!(names.contains(&"ttlg_profile_requests"));
         assert!(names.contains(&"ttlg_profile_phase_ns"));

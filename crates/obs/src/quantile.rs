@@ -7,6 +7,18 @@
 //! `histogram_quantile` scheme, so the text exporter and the in-process
 //! numbers agree.
 
+/// The bucket, of `n`, that a sample of `ns` nanoseconds lands in: a
+/// sample of `us` whole microseconds with highest set bit `i` lands in
+/// bucket `i` = `[2^i, 2^{i+1})` µs, below 2 µs in bucket 0, and from
+/// `2^{n-1}` µs on in the last bucket.
+pub fn log2_bucket(ns: u64, n: usize) -> usize {
+    let us = ns / 1_000;
+    if us == 0 {
+        return 0;
+    }
+    ((u64::BITS - 1 - us.leading_zeros()) as usize).min(n - 1)
+}
+
 /// Lower bound of bucket `i` in microseconds (0 for bucket 0).
 pub fn log2_bucket_lower_us(i: usize) -> f64 {
     if i == 0 {

@@ -24,12 +24,20 @@
 //! mutex:
 //!
 //! * the **recent window**: the last `capacity` kept records, the source
-//!   of recent-trace listings and phase profiles;
+//!   of recent-trace listings;
 //! * the **slowest [`SLOWEST_PER_BUCKET`] records per `(schema,
 //!   shape-class)` bucket**, the records that answer "why was p99
-//!   slow". At most [`MAX_BUCKETS`] buckets exist; further keys fold into
-//!   [`OVERFLOW_BUCKET`]. Sheds never reached the service, so they join
-//!   the window only.
+//!   slow". Sheds never reached the service, so they join the window
+//!   only.
+//!
+//! The buckets are the one `(schema, shape-class)` grouping. A record
+//! without a schema (planning failed) is labelled `unplanned`. The first
+//! [`MAX_BUCKETS`] keys the store meets get a bucket each; every later
+//! key folds into [`OVERFLOW_BUCKET`]. Beside its slowest records, each
+//! bucket keeps the [`PhaseProfile`] of its key's records in the window:
+//! a record's phases are added when it enters the window and taken out
+//! when it leaves (pushed out, or replaced by a newer record with the
+//! same trace id), so [`TraceStore::profiles`] folds nothing on read.
 //!
 //! A record stays fetchable by trace id while either policy holds it.
 //! One that leaves both is evicted and counted
@@ -38,12 +46,11 @@
 //! `Arc<DecisionTrace>`.
 
 use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::snapshot::{MetricKind, MetricsSnapshot, Sample};
-use crate::{RequestTrace, TraceContext};
+use crate::{PhaseProfile, RequestTrace, ShapeClass, TraceContext};
 
 /// Slowest records kept per `(schema, shape-class)` bucket.
 pub const SLOWEST_PER_BUCKET: usize = 4;
@@ -53,6 +60,13 @@ pub const MAX_BUCKETS: usize = 64;
 
 /// Schema and shape-class label of the overflow bucket.
 pub const OVERFLOW_BUCKET: &str = "_other";
+
+/// A bucket's key: the record's schema (`"unplanned"` when planning
+/// failed) and shape class.
+type BucketKey = (&'static str, Option<ShapeClass>);
+
+/// The key every record past the bucket cap competes under.
+const OVERFLOW_KEY: BucketKey = (OVERFLOW_BUCKET, None);
 
 /// Window capacity and head-sampling rate. `Copy` so it can ride inside
 /// the runtime's `Copy` config.
@@ -247,8 +261,8 @@ impl RequestTrace {
             plan = plan.with_child(build);
         }
         let exec_start = plan_start + self.plan_fetch_ns;
-        let mut exec = SpanNode::new("execute", exec_start, self.execute_ns)
-            .with_attr("schema", self.schema.clone());
+        let mut exec =
+            SpanNode::new("execute", exec_start, self.execute_ns).with_attr("schema", self.schema);
         if self.ok {
             exec = exec
                 .with_child(SpanNode::new("kernel-launch", exec_start, self.launch_ns))
@@ -383,17 +397,17 @@ impl<D> TraceRecord<D> {
         self.envelope.as_ref().map(|e| e.ctx.trace_id)
     }
 
-    /// The `(schema, shape-class)` bucket this record competes in; `None`
+    /// The `(schema, shape-class)` key of this record's bucket; `None`
     /// for sheds.
-    fn bucket_key(&self) -> Option<(&str, &str)> {
+    fn bucket_key(&self) -> Option<BucketKey> {
         if self.is_shed() {
             return None;
         }
-        let schema = match self.trace.schema.as_str() {
+        let schema = match self.trace.schema {
             "" => "unplanned",
             s => s,
         };
-        Some((schema, &self.trace.shape_class))
+        Some((schema, self.trace.shape_class))
     }
 }
 
@@ -405,10 +419,26 @@ type Slot<D> = (u64, Arc<TraceRecord<D>>);
 pub type SlowestBuckets<D> = Vec<((String, String), Vec<Arc<TraceRecord<D>>>)>;
 
 struct Bucket<D> {
-    schema: String,
-    class: String,
     /// At most [`SLOWEST_PER_BUCKET`] records.
     slowest: Vec<Slot<D>>,
+    /// The key's records in the recent window, under the bucket's labels
+    /// (rendered once, when the bucket is created).
+    profile: PhaseProfile,
+}
+
+impl<D> Bucket<D> {
+    fn new((schema, class): BucketKey) -> Bucket<D> {
+        let class = match class {
+            Some(c) => c.to_string(),
+            None if schema == OVERFLOW_BUCKET => OVERFLOW_BUCKET.to_string(),
+            None => String::new(),
+        };
+        let profile = PhaseProfile::new(schema.to_string(), class);
+        Bucket {
+            slowest: Vec::new(),
+            profile,
+        }
+    }
 }
 
 struct Inner<D> {
@@ -416,10 +446,8 @@ struct Inner<D> {
     /// Recent window, oldest first (sequence numbers ascend); the flag
     /// marks a record its bucket holds too.
     window: VecDeque<(Slot<D>, bool)>,
-    /// Buckets under a hash of their labels, so a write hashes the
-    /// labels once; a collision shares the vector.
-    buckets: HashMap<u64, Vec<Bucket<D>>>,
-    bucket_count: usize,
+    /// At most [`MAX_BUCKETS`] buckets plus the overflow bucket.
+    buckets: HashMap<BucketKey, Bucket<D>>,
     /// Trace id -> record, for gateway records the window or a bucket
     /// holds.
     index: HashMap<u128, Arc<TraceRecord<D>>>,
@@ -434,35 +462,15 @@ impl<D> Inner<D> {
     }
 
     /// The bucket `rec` competes in, created on first use while under the
-    /// cap; the overflow bucket after that. `None` for sheds.
-    fn bucket_for(&mut self, rec: &TraceRecord<D>) -> Option<&mut Vec<Slot<D>>> {
-        let (mut schema, mut class) = rec.bucket_key()?;
-        let mut key = label_hash(schema, class);
-        let known =
-            |b: &Bucket<D>, schema: &str, class: &str| b.schema == schema && b.class == class;
-        if self.bucket_count >= MAX_BUCKETS
-            && !self
-                .buckets
-                .get(&key)
-                .is_some_and(|c| c.iter().any(|b| known(b, schema, class)))
-        {
-            (schema, class) = (OVERFLOW_BUCKET, OVERFLOW_BUCKET);
-            key = label_hash(schema, class);
+    /// cap; the overflow bucket after that. Buckets are never removed, so
+    /// a record finds the same bucket for as long as the store holds it.
+    /// `None` for sheds.
+    fn bucket_for(&mut self, rec: &TraceRecord<D>) -> Option<&mut Bucket<D>> {
+        let mut key = rec.bucket_key()?;
+        if self.buckets.len() >= MAX_BUCKETS && !self.buckets.contains_key(&key) {
+            key = OVERFLOW_KEY;
         }
-        let chain = self.buckets.entry(key).or_default();
-        let at = match chain.iter().position(|b| known(b, schema, class)) {
-            Some(at) => at,
-            None => {
-                chain.push(Bucket {
-                    schema: schema.to_string(),
-                    class: class.to_string(),
-                    slowest: Vec::new(),
-                });
-                self.bucket_count += 1;
-                chain.len() - 1
-            }
-        };
-        Some(&mut chain[at].slowest)
+        Some(self.buckets.entry(key).or_insert_with(|| Bucket::new(key)))
     }
 
     /// A record left the store: neither the window nor its bucket holds
@@ -478,10 +486,16 @@ impl<D> Inner<D> {
     }
 
     /// Drop a record a newer one with the same trace id replaced, from
-    /// both policies, so no ghost entry remains.
+    /// both policies and its bucket's profile, so no ghost entry remains.
     fn forget(&mut self, rec: &Arc<TraceRecord<D>>) {
-        self.window.retain(|(s, _)| !Arc::ptr_eq(&s.1, rec));
-        for bucket in self.buckets.values_mut().flatten() {
+        let in_window = self.window.iter().position(|(s, _)| Arc::ptr_eq(&s.1, rec));
+        if let Some(at) = in_window {
+            self.window.remove(at);
+        }
+        if let Some(bucket) = self.bucket_for(rec) {
+            if in_window.is_some() {
+                bucket.profile.forget(&rec.trace);
+            }
             bucket.slowest.retain(|s| !Arc::ptr_eq(&s.1, rec));
         }
         self.resident -= 1;
@@ -492,7 +506,6 @@ impl<D> Inner<D> {
         let bucket_only = self
             .buckets
             .values()
-            .flatten()
             .flat_map(|b| &b.slowest)
             .filter(|s| self.window_pos(s.0).is_none());
         self.window
@@ -501,12 +514,6 @@ impl<D> Inner<D> {
             .chain(bucket_only)
             .map(|s| &s.1)
     }
-}
-
-fn label_hash(schema: &str, class: &str) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    (schema, class).hash(&mut h);
-    h.finish()
 }
 
 /// The bounded, sampling store of per-request records. See the module
@@ -539,7 +546,6 @@ impl<D> TraceStore<D> {
                 next_seq: 0,
                 window: VecDeque::new(),
                 buckets: HashMap::new(),
-                bucket_count: 0,
                 index: HashMap::new(),
                 resident: 0,
                 evicted: 0,
@@ -615,24 +621,27 @@ impl<D> TraceStore<D> {
         let mut displaced = None;
         let bucketed = match inner.bucket_for(&rec) {
             None => false,
-            Some(bucket) if bucket.len() < SLOWEST_PER_BUCKET => {
-                bucket.push((seq, Arc::clone(&rec)));
-                true
-            }
             Some(bucket) => {
-                let (fastest, fastest_ns) = bucket
-                    .iter()
-                    .map(|s| s.1.total_ns())
-                    .enumerate()
-                    .min_by_key(|&(_, ns)| ns)
-                    .expect("bucket is full");
-                if total_ns > fastest_ns {
-                    displaced = Some(std::mem::replace(
-                        &mut bucket[fastest],
-                        (seq, Arc::clone(&rec)),
-                    ));
+                bucket.profile.observe(&rec.trace);
+                let slowest = &mut bucket.slowest;
+                if slowest.len() < SLOWEST_PER_BUCKET {
+                    slowest.push((seq, Arc::clone(&rec)));
+                    true
+                } else {
+                    let (fastest, fastest_ns) = slowest
+                        .iter()
+                        .map(|s| s.1.total_ns())
+                        .enumerate()
+                        .min_by_key(|&(_, ns)| ns)
+                        .expect("bucket is full");
+                    if total_ns > fastest_ns {
+                        displaced = Some(std::mem::replace(
+                            &mut slowest[fastest],
+                            (seq, Arc::clone(&rec)),
+                        ));
+                    }
+                    displaced.is_some()
                 }
-                displaced.is_some()
             }
         };
         if let Some((old_seq, old)) = displaced {
@@ -644,6 +653,9 @@ impl<D> TraceStore<D> {
         inner.window.push_back(((seq, rec), bucketed));
         while inner.window.len() > self.capacity {
             let ((_, old), bucketed) = inner.window.pop_front().expect("window over capacity");
+            if let Some(bucket) = inner.bucket_for(&old) {
+                bucket.profile.forget(&old.trace);
+            }
             if !bucketed {
                 inner.gone(&old);
             }
@@ -695,16 +707,37 @@ impl<D> TraceStore<D> {
         let mut out: SlowestBuckets<D> = inner
             .buckets
             .values()
-            .flatten()
             .filter(|b| !b.slowest.is_empty())
             .map(|b| {
                 let mut recs: Vec<Arc<TraceRecord<D>>> =
                     b.slowest.iter().map(|s| Arc::clone(&s.1)).collect();
                 recs.sort_by_key(|r| std::cmp::Reverse(r.total_ns()));
-                ((b.schema.clone(), b.class.clone()), recs)
+                let labels = (b.profile.schema.clone(), b.profile.shape_class.clone());
+                (labels, recs)
             })
             .collect();
         out.sort_by_key(|(_, recs)| std::cmp::Reverse(recs[0].total_ns()));
+        out
+    }
+
+    /// The phase profile of every bucket with records in the recent
+    /// window, hottest (most attributed time) first.
+    pub fn profiles(&self) -> Vec<PhaseProfile> {
+        let mut out: Vec<PhaseProfile> = self
+            .inner
+            .lock()
+            .expect("trace store poisoned")
+            .buckets
+            .values()
+            .filter(|b| b.profile.requests > 0)
+            .map(|b| b.profile.clone())
+            .collect();
+        out.sort_by(|a, b| {
+            b.total_ns()
+                .cmp(&a.total_ns())
+                .then_with(|| a.schema.cmp(&b.schema))
+                .then_with(|| a.shape_class.cmp(&b.shape_class))
+        });
         out
     }
 
@@ -794,12 +827,22 @@ mod tests {
         })
     }
 
+    /// The shape class `r<rank>v<log2_volume>`.
+    fn class(rank: u32, log2_volume: u32) -> Option<ShapeClass> {
+        Some(ShapeClass { rank, log2_volume })
+    }
+
     /// A successful service trace of `total_ns` in one bucket.
-    fn trace(id: u64, schema: &str, class: &str, total_ns: u64) -> RequestTrace {
+    fn trace(
+        id: u64,
+        schema: &'static str,
+        class: Option<ShapeClass>,
+        total_ns: u64,
+    ) -> RequestTrace {
         RequestTrace {
             id,
-            schema: schema.to_string(),
-            shape_class: class.to_string(),
+            schema,
+            shape_class: class,
             ok: true,
             cache_hit: Some(true),
             execute_ns: total_ns,
@@ -825,7 +868,7 @@ mod tests {
     /// Write a gateway record with trace id `id` and total `total_ns`.
     fn put(s: &TraceStore<u64>, id: u64, total_ns: u64) -> Option<SampleReason> {
         s.write(
-            &trace(id, "Naive", "r3v12", total_ns),
+            &trace(id, "Naive", class(3, 12), total_ns),
             Some(envelope(id as u128)),
             Some(&total_ns),
             false,
@@ -906,8 +949,8 @@ mod tests {
         let served = RequestTrace {
             id: 3,
             start_ns: 10_000,
-            schema: "Orthogonal-Distinct".into(),
-            shape_class: "r3v9".into(),
+            schema: "Orthogonal-Distinct",
+            shape_class: class(3, 9),
             ok: true,
             cache_hit: Some(false),
             queue_wait_ns: 100,
@@ -1094,7 +1137,7 @@ mod tests {
         };
         assert_eq!(
             s.write(
-                &trace(51, "Naive", "r3v12", 1),
+                &trace(51, "Naive", class(3, 12), 1),
                 Some(unsampled_flag),
                 None,
                 true
@@ -1123,7 +1166,7 @@ mod tests {
             },
             ..envelope(7)
         };
-        let t = trace(7, "Naive", "r3v12", 10);
+        let t = trace(7, "Naive", class(3, 12), 10);
         assert_eq!(s.write(&t, Some(unsampled_flag), None, false), None);
         assert!(s.get(7).is_none());
         assert_eq!(s.unsampled(), 1);
@@ -1142,7 +1185,7 @@ mod tests {
         let s = store(8, 0.25);
         let service_only = (1..=4000u64)
             .filter(|&id| {
-                s.write(&trace(id, "Naive", "r3v12", 10), None, None, false)
+                s.write(&trace(id, "Naive", class(3, 12), 10), None, None, false)
                     .is_some()
             })
             .count();
@@ -1171,7 +1214,7 @@ mod tests {
         // Each record in its own bucket, so only the window bound acts.
         for id in 0..10 {
             s.write(
-                &trace(id, "Naive", &format!("r{id}"), 10),
+                &trace(id, "Naive", class(id as u32, 0), 10),
                 None,
                 None,
                 false,
@@ -1242,6 +1285,8 @@ mod tests {
         assert_eq!(s.buckets()[0].1.len(), 1);
         assert_eq!(s.get(7).unwrap().total_ns(), 999);
         assert_eq!(s.evicted(), 0);
+        let profiles = s.profiles();
+        assert_eq!((profiles[0].requests, profiles[0].execute_ns), (1, 999));
     }
 
     #[test]
@@ -1262,8 +1307,8 @@ mod tests {
     #[test]
     fn buckets_are_independent() {
         let s = store(1, 1.0);
-        s.write(&trace(1, "Naive", "r3v12", 100), None, None, false);
-        s.write(&trace(2, "Copy", "r2v4", 5), None, None, false);
+        s.write(&trace(1, "Naive", class(3, 12), 100), None, None, false);
+        s.write(&trace(2, "Copy", class(2, 4), 5), None, None, false);
         let buckets = s.buckets();
         let keys: Vec<(&str, &str)> = buckets
             .iter()
@@ -1277,7 +1322,12 @@ mod tests {
     fn bucket_cap_folds_into_overflow() {
         let s = store(1, 1.0);
         for id in 0..MAX_BUCKETS as u64 + 2 {
-            s.write(&trace(id, &format!("S{id}"), "r1v1", 10), None, None, false);
+            s.write(
+                &trace(id, "Naive", class(1, id as u32), 10),
+                None,
+                None,
+                false,
+            );
         }
         let buckets = s.buckets();
         // The cap's worth of real buckets plus the overflow bucket.
@@ -1293,7 +1343,7 @@ mod tests {
     fn empty_schema_is_labelled_unplanned_and_sheds_join_no_bucket() {
         let s = store(8, 1.0);
         let failed = RequestTrace {
-            shape_class: "r3v12".into(),
+            shape_class: class(3, 12),
             error: Some("no admissible schema".into()),
             ..Default::default()
         };
@@ -1398,7 +1448,12 @@ mod tests {
                         } else {
                             10 + id % 7
                         };
-                        s.write(&trace(id, "Naive", "r3v12", exec), None, Some(&exec), false);
+                        s.write(
+                            &trace(id, "Naive", class(3, 12), exec),
+                            None,
+                            Some(&exec),
+                            false,
+                        );
                     }
                 });
             }
@@ -1422,5 +1477,173 @@ mod tests {
             assert_eq!(r.trace.execute_ns, 1_000_000 + r.trace.id, "torn trace");
             assert_eq!(r.decision, Some(r.trace.execute_ns), "torn decision");
         }
+    }
+
+    /// The profile fold the store replaces, kept as the reference its
+    /// buckets' profiles must equal: group by `(schema, shape-class)`
+    /// labels (`unplanned` without a schema), the first [`MAX_BUCKETS`]
+    /// keys met and then `_other`, hottest first.
+    fn reference_fold<'a>(traces: impl IntoIterator<Item = &'a RequestTrace>) -> Vec<PhaseProfile> {
+        let mut map: HashMap<(String, String), PhaseProfile> = HashMap::new();
+        for t in traces {
+            let schema = if t.schema.is_empty() {
+                "unplanned"
+            } else {
+                t.schema
+            };
+            let class = t.shape_class.map_or_else(String::new, |c| c.to_string());
+            let mut key = (schema.to_string(), class);
+            if !map.contains_key(&key) && map.len() >= MAX_BUCKETS {
+                key = (OVERFLOW_BUCKET.to_string(), OVERFLOW_BUCKET.to_string());
+            }
+            map.entry(key.clone())
+                .or_insert_with(|| PhaseProfile::new(key.0, key.1))
+                .observe(t);
+        }
+        let mut profiles: Vec<PhaseProfile> = map.into_values().collect();
+        profiles.sort_by(|a, b| {
+            b.total_ns()
+                .cmp(&a.total_ns())
+                .then_with(|| a.schema.cmp(&b.schema))
+                .then_with(|| a.shape_class.cmp(&b.shape_class))
+        });
+        profiles
+    }
+
+    /// After every write of a seeded mix (several keys, failures with and
+    /// without a shape class, sheds, trace ids written again, and ten
+    /// times more writes than the window holds), the buckets' profiles
+    /// equal the reference fold of the window's non-shed records.
+    #[test]
+    fn profiles_equal_a_reference_fold_of_the_window() {
+        let s = store(32, 1.0);
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let schemas = ["Naive", "Copy", "Orthogonal-Distinct", ""];
+        let (mut sheds, mut replaced, mut failed) = (0, 0, 0);
+        for id in 0..320u64 {
+            let r = next();
+            let schema = schemas[(r % 4) as usize];
+            let mut t = RequestTrace {
+                id,
+                schema,
+                shape_class: class(3 + (r >> 8) as u32 % 2, 10 + (r >> 12) as u32 % 2),
+                ok: !schema.is_empty(),
+                warmed: (r >> 16) & 1 == 1,
+                queue_wait_ns: (r >> 20) % 40_000,
+                plan_fetch_ns: (r >> 32) % 9_000,
+                execute_ns: 1_000 + (r >> 44) % 3_000_000,
+                ..Default::default()
+            };
+            if !t.ok {
+                failed += 1;
+                t.error = Some("no admissible schema".into());
+                if (r >> 17) & 1 == 1 {
+                    t.shape_class = None;
+                }
+            }
+            // A small pool of trace ids, so ids come back while the
+            // window or a bucket still holds the earlier record.
+            let trace_id = 1 + (r >> 56) as u128 % 24;
+            replaced += s.get(trace_id).is_some() as usize;
+            let env = match (r >> 52) % 8 {
+                0 => {
+                    sheds += 1;
+                    Some(Envelope {
+                        shed: Some("quota"),
+                        ..envelope(trace_id)
+                    })
+                }
+                1..=3 => Some(envelope(trace_id)),
+                _ => None,
+            };
+            s.write(&t, env, None, false);
+            let window = s.recent(usize::MAX);
+            let served = window.iter().filter(|r| !r.is_shed()).map(|r| &r.trace);
+            let want = reference_fold(served);
+            let got = s.profiles();
+            assert_eq!(got, want, "after write {id}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.quantile_us(0.99).to_bits(), w.quantile_us(0.99).to_bits());
+                assert_eq!(g.shares_at(0.99), w.shares_at(0.99));
+            }
+        }
+        assert!(sheds > 10 && replaced > 10 && failed > 10);
+    }
+
+    #[test]
+    fn profiles_group_by_schema_and_class() {
+        let s = store(8, 1.0);
+        let put = |id, schema, class, queue, plan, exec| {
+            let t = RequestTrace {
+                id,
+                schema,
+                shape_class: class,
+                ok: true,
+                queue_wait_ns: queue,
+                plan_fetch_ns: plan,
+                execute_ns: exec,
+                ..Default::default()
+            };
+            s.write(&t, None, None, false);
+        };
+        put(1, "Naive", class(3, 12), 10, 20, 70);
+        put(2, "Naive", class(3, 12), 10, 20, 70);
+        put(3, "Copy", class(2, 4), 1, 1, 1);
+        let profiles = s.profiles();
+        assert_eq!(profiles.len(), 2);
+        // Sorted hottest-first.
+        let top = &profiles[0];
+        assert_eq!(
+            (top.schema.as_str(), top.shape_class.as_str()),
+            ("Naive", "r3v12")
+        );
+        assert_eq!(top.requests, 2);
+        assert_eq!(top.execute_ns, 140);
+        assert_eq!(top.shares().dominant(), "execute");
+    }
+
+    /// The first [`MAX_BUCKETS`] keys the store meets keep their own
+    /// bucket for good; the next key folds into `_other` in both the
+    /// slowest records and the profiles.
+    #[test]
+    fn cardinality_cap_folds_into_other() {
+        let s = store(256, 1.0);
+        for id in 0..=MAX_BUCKETS as u64 {
+            s.write(
+                &trace(id, "Naive", class(1, id as u32), 10 + id),
+                None,
+                None,
+                false,
+            );
+        }
+        let other =
+            |schema: &str, class: &str| schema == OVERFLOW_BUCKET && class == OVERFLOW_BUCKET;
+        let buckets = s.buckets();
+        assert_eq!(buckets.len(), MAX_BUCKETS + 1);
+        let (_, recs) = buckets
+            .iter()
+            .find(|((schema, class), _)| other(schema, class))
+            .expect("overflow bucket");
+        assert_eq!(ids(recs), vec![MAX_BUCKETS as u64]);
+        let profiles = s.profiles();
+        assert_eq!(profiles.len(), MAX_BUCKETS + 1);
+        let overflow = profiles
+            .iter()
+            .find(|p| other(&p.schema, &p.shape_class))
+            .expect("overflow profile");
+        assert_eq!(
+            (overflow.requests, overflow.execute_ns),
+            (1, 10 + MAX_BUCKETS as u64)
+        );
+        // The first key still has its own bucket.
+        s.write(&trace(100, "Naive", class(1, 0), 10), None, None, false);
+        let first = s.profiles().into_iter().find(|p| p.shape_class == "r1v0");
+        assert_eq!(first.map(|p| p.requests), Some(2));
     }
 }

@@ -38,10 +38,10 @@
 //!   candidates for hot plan keys under a thread cap, installs the
 //!   measured-best plan into the cache, and streams every measurement to
 //!   an online model refiner ([`MeasurementSink`]); see [`autotune`].
-//! * **Tail attribution** — the trace store's recent window folds into
-//!   hierarchical phase profiles keyed by `(schema, shape-class)`
-//!   ([`TransposeService::phase_profiles`]), the store keeps the slowest
-//!   requests per bucket in full with their planner decision traces
+//! * **Tail attribution** — per `(schema, shape-class)` bucket, the
+//!   trace store keeps the hierarchical phase profile of its recent
+//!   window ([`TransposeService::phase_profiles`]) and the slowest
+//!   requests in full with their planner decision traces
 //!   ([`TraceStore::buckets`]), and a latency SLO is tracked
 //!   as lifetime hit and miss counts
 //!   ([`TransposeService::slo_snapshot`]).
@@ -95,10 +95,10 @@ pub use service::{
 };
 pub use ttlg::{CacheConfig, CacheStats, PlanKey, ShardedPlanCache};
 pub use ttlg_obs::{
-    eval_range, shape_class, AlertEngine, AlertRule, AlertState, AlertStatus, Envelope,
-    MetricsSnapshot, PhaseProfile, PhaseShares, PredictionStats, PredictionTracker, ProfileOptions,
-    QueryError, QueryResult, QuerySeries, RequestTrace, SampleReason, SloConfig, SloSnapshot,
-    SloTracker, SlowestBuckets, SpanNode, TimeSeriesStore, TraceContext, TraceRecord, TraceStore,
+    eval_range, AlertEngine, AlertRule, AlertState, AlertStatus, Envelope, MetricsSnapshot,
+    PhaseProfile, PhaseShares, PredictionStats, PredictionTracker, QueryError, QueryResult,
+    QuerySeries, RequestTrace, SampleReason, ShapeClass, SloConfig, SloSnapshot, SloTracker,
+    SlowestBuckets, SpanNode, TimeSeriesStore, TraceContext, TraceRecord, TraceStore,
     TraceStoreConfig, TsdbConfig,
 };
 pub use ttlg_perfmodel::MeasurementSink;

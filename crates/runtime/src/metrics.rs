@@ -12,7 +12,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use ttlg::{Backend, Schema};
 use ttlg_obs::{
-    log2_bucket_quantile_us, MetricKind, MetricsSnapshot, PredictionTracker, Sample, RATIO_BUCKETS,
+    log2_bucket, log2_bucket_quantile_us, MetricKind, MetricsSnapshot, PredictionTracker, Sample,
+    RATIO_BUCKETS,
 };
 
 /// All schemas, in display order for the report.
@@ -64,19 +65,9 @@ impl LatencyHistogram {
         Self::default()
     }
 
-    fn bucket_for(ns: u64) -> usize {
-        let us = ns / 1_000;
-        if us == 0 {
-            return 0;
-        }
-        // floor(log2(us)): a sample of `us` microseconds with highest set
-        // bit `i` lands in bucket `i` = `[2^i, 2^{i+1})`.
-        ((u64::BITS - 1 - us.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
-    }
-
     /// Record one sample, in nanoseconds.
     pub fn record_ns(&self, ns: u64) {
-        self.buckets[Self::bucket_for(ns)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[log2_bucket(ns, HIST_BUCKETS)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.total_ns.fetch_add(ns, Ordering::Relaxed);
     }
@@ -605,13 +596,13 @@ mod tests {
     #[test]
     fn bucket_boundaries_are_half_open() {
         // Bucket i must hold exactly [2^i, 2^{i+1}) us.
-        assert_eq!(LatencyHistogram::bucket_for(999), 0); // 0 us
-        assert_eq!(LatencyHistogram::bucket_for(1_000), 0); // 1 us
-        assert_eq!(LatencyHistogram::bucket_for(2_000), 1); // 2 us
-        assert_eq!(LatencyHistogram::bucket_for(3_999), 1); // 3 us
-        assert_eq!(LatencyHistogram::bucket_for(4_000), 2); // 4 us
-        assert_eq!(LatencyHistogram::bucket_for(1_024_000), 10); // 1024 us
-        assert_eq!(LatencyHistogram::bucket_for(u64::MAX), HIST_BUCKETS - 1);
+        assert_eq!(log2_bucket(999, HIST_BUCKETS), 0); // 0 us
+        assert_eq!(log2_bucket(1_000, HIST_BUCKETS), 0); // 1 us
+        assert_eq!(log2_bucket(2_000, HIST_BUCKETS), 1); // 2 us
+        assert_eq!(log2_bucket(3_999, HIST_BUCKETS), 1); // 3 us
+        assert_eq!(log2_bucket(4_000, HIST_BUCKETS), 2); // 4 us
+        assert_eq!(log2_bucket(1_024_000, HIST_BUCKETS), 10); // 1024 us
+        assert_eq!(log2_bucket(u64::MAX, HIST_BUCKETS), HIST_BUCKETS - 1);
     }
 
     #[test]

@@ -42,10 +42,9 @@ use ttlg::{
     TransposeOptions, TransposeReport, Transposer,
 };
 use ttlg_obs::{
-    clock_ns, default_rules, profile, shape_class, AlertEngine, Envelope, MetricKind,
-    MetricsSnapshot, PhaseProfile, ProfileOptions, RequestTrace, Sample, SampleReason, SloConfig,
-    SloSnapshot, SloTracker, SpanNode, TimeSeriesStore, TraceRecord, TraceStore, TraceStoreConfig,
-    TsdbConfig,
+    clock_ns, default_rules, profile, AlertEngine, Envelope, MetricKind, MetricsSnapshot,
+    PhaseProfile, RequestTrace, Sample, SampleReason, ShapeClass, SloConfig, SloSnapshot,
+    SloTracker, SpanNode, TimeSeriesStore, TraceStore, TraceStoreConfig, TsdbConfig,
 };
 use ttlg_perfmodel::MeasurementSink;
 use ttlg_tensor::{parallel, DenseTensor, Element, Permutation};
@@ -55,15 +54,12 @@ use ttlg_tensor::{parallel, DenseTensor, Element, Permutation};
 pub struct RuntimeConfig {
     /// Worker threads: the executor's `ttlg-async-N` pool behind
     /// [`TransposeService::submit_async`], and the scoped pool that runs
-    /// a batch's leaders.
+    /// a batch's leaders. Also the bound on requests executing at once.
     pub workers: usize,
     /// Bound of each (tenant, class) queue of the executor behind
     /// [`TransposeService::submit_async`]; a full queue refuses the
     /// request with [`ErrorKind::QueueFull`].
     pub queue_capacity: usize,
-    /// Max requests executing concurrently (backpressure bound). `0`
-    /// means "same as `workers`".
-    pub max_in_flight: usize,
     /// Plan-cache geometry (shards x per-shard LRU capacity).
     pub cache: CacheConfig,
     /// Recent-window capacity and head-sampling rate of the
@@ -106,7 +102,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             workers,
             queue_capacity: 64,
-            max_in_flight: 0,
             cache: CacheConfig::default(),
             traces: TraceStoreConfig::default(),
             autotune: AutotuneConfig::default(),
@@ -305,7 +300,7 @@ pub struct TransposeService<E: Element> {
     in_flight: Semaphore,
     workers: usize,
     /// Inner-executor thread cap per request while a batch is running:
-    /// the machine's parallelism divided among the in-flight bound, so
+    /// the machine's parallelism divided among the workers, so
     /// concurrent executes share cores instead of oversubscribing.
     exec_threads: usize,
     /// The one store of per-request records.
@@ -358,12 +353,6 @@ impl<E: Element> TransposeService<E> {
     /// Build a service around an existing transposer.
     pub fn with_config(transposer: Transposer, cfg: RuntimeConfig) -> Self {
         let workers = cfg.workers.max(1);
-        let bound = if cfg.max_in_flight == 0 {
-            workers
-        } else {
-            cfg.max_in_flight
-        };
-        let bound = bound.max(1);
         // Plans keep their decision trace, so a slow request's record
         // carries the planning decision: one allocation per planning,
         // not per request.
@@ -372,9 +361,9 @@ impl<E: Element> TransposeService<E> {
             transposer,
             cache: ShardedPlanCache::with_config(cfg.cache),
             metrics: Metrics::new(),
-            in_flight: Semaphore::new(bound),
+            in_flight: Semaphore::new(workers),
             workers,
-            exec_threads: (parallel::default_threads() / bound).max(1),
+            exec_threads: (parallel::default_threads() / workers).max(1),
             traces: TraceStore::new(cfg.traces),
             next_id: AtomicU64::new(0),
             autotune: cfg.autotune,
@@ -475,12 +464,10 @@ impl<E: Element> TransposeService<E> {
         snap
     }
 
-    /// Fold the trace store's recent window into per-`(schema,
-    /// shape-class)` phase profiles (hottest first). Offline
-    /// aggregation: costs nothing on the request path.
+    /// The trace store's per-`(schema, shape-class)` phase profiles of
+    /// its recent window, hottest first ([`TraceStore::profiles`]).
     pub fn phase_profiles(&self) -> Vec<PhaseProfile> {
-        let recent = self.served_records(usize::MAX);
-        profile::aggregate(recent.iter().map(|r| &r.trace), &ProfileOptions::default())
+        self.traces.profiles()
     }
 
     /// Render the phase profiles as a flame-style text tree.
@@ -504,21 +491,16 @@ impl<E: Element> TransposeService<E> {
         ttlg_obs::prom::render(&self.metrics_snapshot())
     }
 
-    /// The `n` most recent request traces, newest first.
+    /// The `n` most recent traces of requests the service ran, newest
+    /// first (the window also holds the gateway's sheds).
     pub fn recent_traces(&self, n: usize) -> Vec<RequestTrace> {
-        self.served_records(n)
-            .into_iter()
+        self.traces
+            .recent(usize::MAX)
+            .iter()
+            .filter(|r| !r.is_shed())
+            .take(n)
             .map(|r| r.trace.clone())
             .collect()
-    }
-
-    /// The `n` newest records of requests the service ran (the window
-    /// also holds the gateway's sheds).
-    fn served_records(&self, n: usize) -> Vec<Arc<TraceRecord<Arc<DecisionTrace>>>> {
-        let mut recent = self.traces.recent(usize::MAX);
-        recent.retain(|r| !r.is_shed());
-        recent.truncate(n);
-        recent
     }
 
     /// Feed the SLO tracker and write the request's one record to the
@@ -686,7 +668,7 @@ impl<E: Element> TransposeService<E> {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
             start_ns: submitted_ns,
             queue_wait_ns: clock_ns().saturating_sub(submitted_ns),
-            shape_class: shape_class(req.input.shape().extents()),
+            shape_class: Some(ShapeClass::of(req.input.shape().extents())),
             ..Default::default()
         };
         let t0 = Instant::now();
@@ -749,7 +731,7 @@ impl<E: Element> TransposeService<E> {
                     self.metrics.record_residual_point();
                 }
                 trace.ok = true;
-                trace.schema = report.schema.to_string();
+                trace.schema = report.schema.label();
                 trace.predicted_ns = report.predicted_ns;
                 trace.measured_ns = report.kernel_time_ns;
                 trace.dram_efficiency = report.stats.dram_efficiency(E::BYTES);
@@ -760,7 +742,7 @@ impl<E: Element> TransposeService<E> {
             Err(e) => {
                 self.metrics
                     .record_failure(RequestPhase::Execute, trace.execute_ns);
-                trace.schema = plan.schema().to_string();
+                trace.schema = plan.schema().label();
                 trace.error = Some(e.to_string());
                 Err(ServeError::from(e))
             }
@@ -1058,8 +1040,10 @@ impl<E: Element> TransposeService<E> {
         Ok(restored)
     }
 
-    /// Best-effort save of the store to the configured history file
-    /// (write-to-temp + rename, so a crash never leaves a torn file).
+    /// Best-effort save of the store to the configured history file:
+    /// written and synced to `<file name>.tmp` beside it, then renamed
+    /// over it, so a crash leaves the old file or the new one, never a
+    /// torn one.
     fn persist_history(&self) {
         let Some(path) = self
             .history_file
@@ -1069,8 +1053,14 @@ impl<E: Element> TransposeService<E> {
         else {
             return;
         };
-        let tmp = path.with_extension("tmp");
-        if std::fs::write(&tmp, self.history.save()).is_ok() {
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let written = std::fs::File::create(&tmp).and_then(|mut f| {
+            std::io::Write::write_all(&mut f, self.history.save().as_bytes())?;
+            f.sync_all()
+        });
+        if written.is_ok() {
             let _ = std::fs::rename(&tmp, &path);
         }
     }
@@ -1695,8 +1685,10 @@ mod tests {
         }
         // Traces carry the new attribution fields.
         let traces = svc.recent_traces(10);
-        assert!(traces.iter().all(|t| !t.shape_class.is_empty()));
-        assert!(traces.iter().any(|t| t.shape_class == "r4v16")); // 65536 elements
+        assert!(traces.iter().all(|t| t.shape_class.is_some()));
+        let r4v16 = ShapeClass::of(&[16, 16, 16, 16]); // 65536 elements
+        assert_eq!(r4v16.to_string(), "r4v16");
+        assert!(traces.iter().any(|t| t.shape_class == Some(r4v16)));
         assert!(traces.iter().all(|t| !t.warmed), "no autotuner ran");
         // Profiles group by (schema, shape-class) and attribute phases.
         let profiles = svc.phase_profiles();
@@ -1714,7 +1706,10 @@ mod tests {
         for ((schema, class), entries) in &buckets {
             assert!(!entries.is_empty(), "{schema}/{class} retained nothing");
             for e in entries {
-                assert_eq!(&e.trace.shape_class, class);
+                assert_eq!(
+                    e.trace.shape_class.map(|c| c.to_string()).as_ref(),
+                    Some(class)
+                );
                 let d = e.decision.as_ref().expect("decision trace retained");
                 assert!(d.chosen.is_some());
             }

@@ -139,19 +139,20 @@ pub struct GatewayMetrics {
 }
 
 impl GatewayMetrics {
-    fn tenant_label(&self, tenant: &str) -> String {
-        let tenants = self.tenants.lock().expect("tenant metrics poisoned");
-        if tenants.contains_key(tenant) || tenants.len() < MAX_TENANT_LABELS {
-            tenant.to_string()
-        } else {
-            OVERFLOW_TENANT.to_string()
-        }
-    }
-
+    /// Count one admitted or shed request under the tenant's label,
+    /// picked and counted under one lock so the label set never passes
+    /// the cap; only a new label allocates.
     fn record_tenant(&self, tenant: &str, admitted: bool) {
-        let label = self.tenant_label(tenant);
         let mut tenants = self.tenants.lock().expect("tenant metrics poisoned");
-        let entry = tenants.entry(label).or_insert((0, 0));
+        let label = if tenants.contains_key(tenant) || tenants.len() < MAX_TENANT_LABELS {
+            tenant
+        } else {
+            OVERFLOW_TENANT
+        };
+        let entry = match tenants.get_mut(label) {
+            Some(entry) => entry,
+            None => tenants.entry(label.to_string()).or_default(),
+        };
         if admitted {
             entry.0 += 1;
         } else {
@@ -650,7 +651,7 @@ impl Gateway {
                 ("ok", Json::Bool(true)),
                 ("tenant", Json::Str(tenant)),
                 ("priority", Json::Str(class.as_str().to_string())),
-                ("schema", Json::Str(r.report.schema.to_string())),
+                ("schema", Json::Str(r.report.schema.label().into())),
                 ("elements", Json::Num(r.output.volume() as f64)),
                 ("cache_hit", Json::Bool(trace.cache_hit == Some(true))),
                 ("warmed", Json::Bool(trace.warmed)),
@@ -1648,13 +1649,14 @@ mod tests {
         for i in 0..40 {
             m.record_tenant(&format!("t{i}"), i % 2 == 0);
         }
-        assert_eq!(m.tenant_label("brand-new"), OVERFLOW_TENANT);
+        m.record_tenant("brand-new", true);
         let tenants = m.tenants.lock().unwrap();
+        assert!(!tenants.contains_key("brand-new"));
         assert_eq!(tenants.len(), MAX_TENANT_LABELS + 1, "32 real + _other");
         assert!(tenants.contains_key(OVERFLOW_TENANT));
-        // Aggregation preserves totals: the series still sum to 40.
+        // Aggregation preserves totals: the series still sum to 41.
         let total: u64 = tenants.values().map(|(a, s)| a + s).sum();
-        assert_eq!(total, 40);
+        assert_eq!(total, 41);
     }
 
     #[test]
@@ -2134,5 +2136,34 @@ mod tests {
         }
         assert!(firing > 0, "the traffic fired no rule");
         gw.stop();
+    }
+
+    /// 64 first-seen tenants, released together, race past the label
+    /// cap: the map ends with at most the cap plus `_other`, and every
+    /// request is counted once.
+    #[test]
+    fn racing_new_tenants_stay_within_the_label_cap() {
+        const THREADS: usize = 64;
+        let metrics = GatewayMetrics::default();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (metrics, start) = (&metrics, &start);
+                scope.spawn(move || {
+                    let tenant = format!("tenant-{t}");
+                    start.wait();
+                    metrics.record_tenant(&tenant, t % 2 == 0);
+                });
+            }
+        });
+        let tenants = metrics.tenants.lock().unwrap();
+        assert!(
+            tenants.len() <= MAX_TENANT_LABELS + 1,
+            "{} labels",
+            tenants.len()
+        );
+        let counted: u64 = tenants.values().map(|(a, s)| a + s).sum();
+        assert_eq!(counted, THREADS as u64);
+        assert_eq!(tenants[OVERFLOW_TENANT].0 + tenants[OVERFLOW_TENANT].1, 32);
     }
 }
