@@ -229,8 +229,15 @@ fn cmd_run(rest: &[&String]) -> Result<String, CliError> {
     let verify = rest.iter().any(|a| a.as_str() == "--verify");
     let t = Transposer::new_k40c();
     let input: DenseTensor<f64> = DenseTensor::iota(shape.clone());
+    // Verifying runs the plan's simulated kernel, not the host kernel
+    // that serves its bytes otherwise.
+    let opts = TransposeOptions {
+        check_disjoint_writes: verify,
+        ..TransposeOptions::default()
+    };
     let (out, report) = t
-        .transpose(&input, &perm)
+        .plan::<f64>(&shape, &perm, &opts)
+        .and_then(|plan| t.execute(&plan, &input))
         .map_err(|e| CliError::Failed(e.to_string()))?;
     let mut s = String::new();
     writeln!(s, "schema    : {}", report.schema).unwrap();

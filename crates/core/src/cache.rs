@@ -19,7 +19,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use ttlg_tensor::{Element, Permutation, Shape};
 
-/// Cache key: extents + permutation + the options that affect planning.
+/// Cache key: extents + permutation + the options that affect planning,
+/// plus `check_disjoint_writes`, which decides how a plan executes.
 ///
 /// Public so higher layers (the runtime's batcher) can group requests by
 /// the plan they will share without re-deriving the fingerprint rules.
@@ -32,6 +33,9 @@ pub struct PlanKey {
     sweep: bool,
     overbooking: usize,
     backend: Option<Backend>,
+    /// A verify-mode plan runs its simulated kernel, a serving plan the
+    /// host kernel, so the two must never share a cache slot.
+    check_disjoint_writes: bool,
 }
 
 impl PlanKey {
@@ -45,6 +49,7 @@ impl PlanKey {
             sweep: opts.model_sweep,
             overbooking: opts.overbooking,
             backend: opts.backend,
+            check_disjoint_writes: opts.check_disjoint_writes,
         }
     }
 
@@ -67,8 +72,7 @@ impl PlanKey {
 
     /// Reconstruct the planning inputs behind this key, so a cached
     /// problem can be re-planned from the key alone (the runtime's
-    /// autotuner re-tunes hot keys this way). `check_disjoint_writes` is
-    /// not part of the fingerprint and comes back as its default.
+    /// autotuner re-tunes hot keys this way).
     pub fn problem_parts(&self) -> (Shape, Permutation, TransposeOptions) {
         let shape = Shape::new(&self.extents).expect("key was built from a valid shape");
         let perm = Permutation::new(&self.perm).expect("key was built from a valid permutation");
@@ -77,7 +81,7 @@ impl PlanKey {
             enable_fusion: self.fusion,
             model_sweep: self.sweep,
             overbooking: self.overbooking,
-            check_disjoint_writes: false,
+            check_disjoint_writes: self.check_disjoint_writes,
             backend: self.backend,
         };
         (shape, perm, opts)
@@ -90,7 +94,7 @@ impl PlanKey {
     }
 
     /// Stable 64-bit identity of the *problem* this key names — FNV-1a
-    /// over every field that affects planning, independent of hasher
+    /// over every field of the key, independent of hasher
     /// seeds and process lifetime. Two requests with equal fingerprints
     /// describe the same transposition problem end-to-end, so runtime
     /// layers can use this as the single-flight coalescing key (combined
@@ -132,6 +136,7 @@ impl PlanKey {
                 Some(Backend::Cpu) => 1,
             },
         );
+        mix(&mut h, self.check_disjoint_writes as u8);
         h
     }
 }
@@ -795,9 +800,38 @@ mod tests {
         assert_eq!(o2.overbooking, opts.overbooking);
         assert_eq!(o2.backend, opts.backend);
         assert_eq!(key.backend(), opts.backend);
-        // Not fingerprinted; comes back as the default.
-        assert!(!o2.check_disjoint_writes);
+        assert_eq!(o2.check_disjoint_writes, opts.check_disjoint_writes);
         assert_eq!(key, PlanKey::new(&s2, &p2, &o2));
+        let unchecked = TransposeOptions {
+            check_disjoint_writes: false,
+            ..opts
+        };
+        let serving = PlanKey::new(&shape, &perm, &unchecked);
+        assert_ne!(key, serving);
+        assert_ne!(key.problem_fingerprint(), serving.problem_fingerprint());
+        assert!(!serving.problem_parts().2.check_disjoint_writes);
+    }
+
+    #[test]
+    fn verify_and_serving_fetches_build_separate_plans() {
+        let t = Transposer::new_k40c();
+        let cache: ShardedPlanCache<u64> = ShardedPlanCache::new();
+        let shape = Shape::new(&[16, 8, 4]).unwrap();
+        let perm = Permutation::new(&[2, 0, 1]).unwrap();
+        let verify = TransposeOptions {
+            check_disjoint_writes: true,
+            ..TransposeOptions::default()
+        };
+        let serving = TransposeOptions::default();
+        let checked = cache.get_or_plan(&t, &shape, &perm, &verify).unwrap();
+        let plain = cache.get_or_plan(&t, &shape, &perm, &serving).unwrap();
+        assert!(!Arc::ptr_eq(&checked, &plain));
+        assert_eq!(cache.stats().misses, 2);
+        assert_eq!(cache.len(), 2);
+        // Each flag value then hits its own plan.
+        let again = cache.get_or_plan(&t, &shape, &perm, &verify).unwrap();
+        assert!(Arc::ptr_eq(&checked, &again));
+        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! [`Transposer::plan`] reproduces the paper's pipeline: fuse indices,
 //! dispatch through the taxonomy (Alg. 1), enumerate slice candidates
 //! (Alg. 3), rank them with the performance model, and build the chosen
-//! kernel (offset arrays included). [`Transposer::execute`] runs the plan
-//! on the simulated device, returning both the transposed tensor and a
-//! timing/bandwidth report in the units the paper's figures use.
+//! kernel (offset arrays included). [`Transposer::execute`] returns the
+//! transposed tensor and the simulated device's timing/bandwidth report
+//! in the units the paper's figures use; a GPU plan's bytes move on the
+//! host's tiled CPU kernel unless the plan verifies its simulated kernel
+//! ([`TransposeOptions::check_disjoint_writes`]).
 
 use crate::backend::Backend;
 use crate::features::{self, Candidate, KernelChoice};
@@ -20,8 +22,8 @@ use crate::slice;
 use crate::trace::{choice_params, CandidateTrace, DecisionTrace};
 use std::sync::{Arc, OnceLock};
 use ttlg_gpu_sim::{
-    executor::LaunchError, Accounting, BlockIo, BlockKernel, DeviceConfig, Executor, KernelTiming,
-    Launch, TimingModel, TransactionStats,
+    executor::LaunchError, Accounting, BlockIo, BlockKernel, DeviceConfig, ExecMode, Executor,
+    KernelTiming, Launch, TimingModel, TransactionStats,
 };
 use ttlg_tensor::{DenseTensor, Element, Permutation, Shape};
 
@@ -54,8 +56,12 @@ pub struct TransposeOptions {
     pub model_sweep: bool,
     /// Overbooking factor bounding the slice volume (Alg. 3).
     pub overbooking: usize,
-    /// Verify that kernel blocks write disjoint output elements (slow;
-    /// for tests).
+    /// Verify the plan's simulated kernel on every execution (slow; for
+    /// tests): a GPU plan then moves its bytes through every block of the
+    /// kernel, asserts that each output element is written exactly once,
+    /// and asserts that the counted statistics equal the cached analysis.
+    /// Off, a GPU plan moves its bytes with the host's tiled CPU kernel.
+    /// CPU plans ignore it.
     pub check_disjoint_writes: bool,
     /// Which execution backend to plan for: `Some(b)` restricts the
     /// sweep to backend `b`; `None` sweeps candidates across *all*
@@ -220,10 +226,16 @@ pub struct Plan<E: Element> {
     decision: Option<Arc<DecisionTrace>>,
     /// A GPU plan's transaction statistics: one `Executor::analyze` run,
     /// made by the plan's first [`Transposer::execute_into`] and reported
-    /// by every execution, which then only moves data. The
-    /// `BlockKernel::block_class` contract makes them equal to a full
-    /// run's. Stays empty for CPU plans.
+    /// by every execution. The `BlockKernel::block_class` contract makes
+    /// them equal to a full run's, which a plan built with
+    /// `check_disjoint_writes` asserts on every execution. Stays empty for
+    /// CPU plans.
     gpu_stats: OnceLock<TransactionStats>,
+    /// The host kernel that moves a GPU plan's bytes when it is not
+    /// verifying: a [`ttlg_cpu::CpuPlan`] of the original shape and
+    /// permutation, built on the plan's first such execution, so plans
+    /// that are only timed never build it. Stays empty for CPU plans.
+    host_kernel: OnceLock<ttlg_cpu::CpuPlan>,
 }
 
 impl<E: Element> Plan<E> {
@@ -579,6 +591,7 @@ impl Transposer {
             sweep_wall_ns: 0,
             decision: None,
             gpu_stats: OnceLock::new(),
+            host_kernel: OnceLock::new(),
         }
     }
 
@@ -743,8 +756,13 @@ impl Transposer {
     }
 
     /// Execute a plan into a pre-allocated output tensor. A GPU plan
-    /// moves the data with a data-only block run and reports the
-    /// statistics its first execution analyzed and cached on the plan.
+    /// reports the statistics its first execution analyzed and cached on
+    /// the plan, and moves the data with the host's tiled CPU kernel
+    /// ([`ttlg_cpu::execute`]). A plan built with
+    /// [`TransposeOptions::check_disjoint_writes`] instead moves the data
+    /// through every block of its simulated kernel, checks that each
+    /// output element is written once, and asserts that the counted
+    /// statistics equal the cached analysis.
     pub fn execute_into<E: Element>(
         &self,
         plan: &Plan<E>,
@@ -778,8 +796,31 @@ impl Transposer {
                         *plan.gpu_stats.get_or_init(|| analyzed)
                     }
                 };
-                self.executor
-                    .copy(k, input.data(), out.data_mut(), plan.check_disjoint_writes)?;
+                if plan.check_disjoint_writes {
+                    let mode = ExecMode::Execute {
+                        check_disjoint_writes: true,
+                    };
+                    let counted = self.executor.run(k, input.data(), out.data_mut(), mode)?;
+                    assert_eq!(
+                        counted.stats,
+                        stats,
+                        "{} kernel: a full count differs from its analysis",
+                        k.name()
+                    );
+                } else {
+                    // Unbounded here: `execute` caps every call at
+                    // `parallel::default_threads()`, so a `with_thread_cap`
+                    // scope or the caller's pinning bounds it.
+                    let host = plan.host_kernel.get_or_init(|| {
+                        ttlg_cpu::CpuPlan::new(
+                            planned,
+                            perm,
+                            ttlg_cpu::pick_tile(E::BYTES),
+                            usize::MAX,
+                        )
+                    });
+                    ttlg_cpu::execute(host, input.data(), out.data_mut());
+                }
                 Ok(self.report(plan, &stats))
             }
             PlanExec::Cpu(cp) => {
@@ -914,6 +955,7 @@ impl Transposer {
             sweep_wall_ns: sweep_started.elapsed().as_nanos() as u64,
             decision: None,
             gpu_stats: OnceLock::new(),
+            host_kernel: OnceLock::new(),
         })
     }
 
@@ -1135,7 +1177,6 @@ fn cpu_report<E: Element>(plan: &Plan<E>, wall_ns: f64) -> TransposeReport {
 mod tests {
     use super::*;
     use ttlg_gpu_sim::executor::PARALLEL_ANALYZE_MIN_CLASSES;
-    use ttlg_gpu_sim::ExecMode;
     use ttlg_tensor::reference;
     use ttlg_tensor::rng::StdRng;
 
@@ -1410,9 +1451,12 @@ mod tests {
 
     /// Every GPU plan of the problem (the default schema, each applicable
     /// schema forced, and Naive) must analyze to an exhaustive count over
-    /// all its blocks, and `Transposer::execute` must move the reference
-    /// bytes and report that count, both when it fills the plan's cache
-    /// and when it reads it.
+    /// all its blocks. Planned with `check_disjoint_writes`,
+    /// `Transposer::execute` must move the reference bytes through those
+    /// blocks and report that count; planned without it, the same plan
+    /// must move the reference bytes with the host kernel and report the
+    /// same. Both hold when the first execution fills the plan's cache and
+    /// when the second reads it.
     fn check_against_exhaustive<E: Element>(t: &Transposer, extents: &[usize], perm: &[usize]) {
         let shape = Shape::new(extents).unwrap();
         let perm = Permutation::new(perm).unwrap();
@@ -1428,16 +1472,21 @@ mod tests {
                 forced_schema,
                 ..opts_checked()
             };
-            let plan = match t.plan::<E>(&shape, &perm, &opts) {
+            let verified = match t.plan::<E>(&shape, &perm, &opts) {
                 Ok(plan) => plan,
                 // A forced schema may admit no candidate for this problem.
                 Err(PlanError::NoCandidate) if forced_schema.is_some() => continue,
                 Err(e) => panic!("{extents:?} {perm}: {e}"),
             };
-            let PlanExec::Gpu(k) = &plan.kernel else {
+            let served_opts = TransposeOptions {
+                check_disjoint_writes: false,
+                ..opts
+            };
+            let served = t.plan::<E>(&shape, &perm, &served_opts).unwrap();
+            let PlanExec::Gpu(k) = &verified.kernel else {
                 panic!("default options plan for the GPU simulator");
             };
-            let case = format!("{extents:?} {perm} {} {}B", plan.schema(), E::BYTES);
+            let case = format!("{extents:?} {perm} {} {}B", verified.schema(), E::BYTES);
             let analyzed = t.executor.analyze(k).unwrap().stats;
             let mut out = vec![E::zero(); shape.volume()];
             let mode = ExecMode::Execute {
@@ -1446,14 +1495,18 @@ mod tests {
             let full = t.executor.run(k, input.data(), &mut out, mode).unwrap();
             assert_eq!(analyzed, full.stats, "analysis is not exact: {case}");
             assert_eq!(out, expect.data(), "{case}");
-            let want = t.report(&plan, &full.stats);
+            let want = t.report(&verified, &full.stats);
             for _ in 0..2 {
-                let (served, report) = t.execute(&plan, &input).unwrap();
-                assert_eq!(served.data(), expect.data(), "{case}");
-                assert_eq!(report.stats, full.stats, "{case}");
-                assert_eq!(report.kernel_time_ns, want.kernel_time_ns, "{case}");
-                assert_eq!(report.bandwidth_gbps, want.bandwidth_gbps, "{case}");
+                for plan in [&verified, &served] {
+                    let (moved, report) = t.execute(plan, &input).unwrap();
+                    assert_eq!(moved.data(), expect.data(), "{case}");
+                    assert_eq!(report.stats, want.stats, "{case}");
+                    assert_eq!(report.kernel_time_ns, want.kernel_time_ns, "{case}");
+                    assert_eq!(report.bandwidth_gbps, want.bandwidth_gbps, "{case}");
+                }
             }
+            assert!(verified.host_kernel.get().is_none(), "{case}");
+            assert!(served.host_kernel.get().is_some(), "{case}");
         }
     }
 

@@ -1,24 +1,21 @@
 //! The block executor: runs a [`BlockKernel`] over its grid.
 //!
-//! Three uses of one kernel body:
+//! Two uses of one kernel body:
 //!
-//! * **Data-only run** ([`Executor::copy`]) — the serving path. Every
-//!   block runs and real elements move from the input buffer to the
-//!   output buffer, with the block's [`Accounting`] switched off, so no
-//!   coalescing or bank-conflict work is done. A served plan reports the
-//!   statistics of one `Analyze` run, cached on the plan.
 //! * **Analyze** ([`ExecMode::Analyze`]) — blocks are grouped into the
 //!   kernel-declared equivalence classes; one representative per class
 //!   runs (moving no data) and its statistics are scaled by the class
 //!   size. Wide analyses run their representatives across worker
 //!   threads. This times plans (the paper's 720-permutation sweeps, model
-//!   training) and fills the per-plan statistics that serving reports.
+//!   training) and supplies the per-plan statistics a served plan
+//!   reports.
 //! * **Execute** ([`ExecMode::Execute`]) — every block runs, moves real
 //!   data and records its transactions, summed over all blocks: the
-//!   exhaustive reference that tests hold `Analyze` to, and the path the
+//!   exhaustive reference that tests hold `Analyze` to, the verify path
+//!   of a plan built with `check_disjoint_writes`, and the path the
 //!   cuTT, TTC and naive baselines execute with.
 //!
-//! The two full runs distribute blocks over host worker threads
+//! An `Execute` run distributes blocks over host worker threads
 //! (`std::thread::scope`), mirroring the GPU's block-level parallelism,
 //! and can verify that every output element is written exactly once.
 //! Every run sums `u64` counters, so its statistics do not depend on how
@@ -142,8 +139,12 @@ impl Executor {
         Ok(())
     }
 
-    /// Run a kernel in the given mode. `Execute` moves `input` into
-    /// `output`; `Analyze` ignores both buffers.
+    /// Run a kernel in the given mode. `Analyze` ignores both buffers.
+    /// `Execute` validates the launch, runs every block over real buffers
+    /// (moving `input` into `output`) and returns the summed statistics;
+    /// with `check_disjoint_writes` it panics unless every output element
+    /// is written exactly once: a second write panics where it happens, a
+    /// missed element after the run.
     pub fn run<E: Element, K: BlockKernel<E> + ?Sized>(
         &self,
         kernel: &K,
@@ -151,54 +152,12 @@ impl Executor {
         output: &mut [E],
         mode: ExecMode,
     ) -> Result<RunOutcome, LaunchError> {
-        match mode {
-            ExecMode::Execute {
-                check_disjoint_writes,
-            } => {
-                let (launch, stats) =
-                    self.run_blocks(kernel, input, output, check_disjoint_writes, true)?;
-                Ok(RunOutcome {
-                    stats,
-                    launch,
-                    blocks_executed: launch.grid_blocks,
-                    classes: None,
-                })
-            }
-            ExecMode::Analyze => self.analyze(kernel),
-        }
-    }
-
-    /// Data-only run: every block moves its elements from `input` to
-    /// `output` exactly as in `Execute` mode, but with recording switched
-    /// off, so no transaction statistics are produced. Callers that need
-    /// the statistics take them from [`Executor::analyze`], which the
-    /// [`BlockKernel::block_class`] contract makes equal to a full run's.
-    /// `check_disjoint_writes` verifies that every output element is
-    /// written exactly once.
-    pub fn copy<E: Element, K: BlockKernel<E> + ?Sized>(
-        &self,
-        kernel: &K,
-        input: &[E],
-        output: &mut [E],
-        check_disjoint_writes: bool,
-    ) -> Result<(), LaunchError> {
-        self.run_blocks(kernel, input, output, check_disjoint_writes, false)
-            .map(|_| ())
-    }
-
-    /// Validate the launch, then run every block of `kernel` over real
-    /// buffers and return the summed statistics (all zero unless
-    /// `record`). With `check_disjoint_writes`, panics unless every output
-    /// element is written exactly once: a second write panics where it
-    /// happens, a missed element after the run.
-    fn run_blocks<E: Element, K: BlockKernel<E> + ?Sized>(
-        &self,
-        kernel: &K,
-        input: &[E],
-        output: &mut [E],
-        check_disjoint_writes: bool,
-        record: bool,
-    ) -> Result<(Launch, TransactionStats), LaunchError> {
+        let ExecMode::Execute {
+            check_disjoint_writes,
+        } = mode
+        else {
+            return self.analyze(kernel);
+        };
         let launch = kernel.launch();
         self.validate(&launch)?;
         let tracker: Option<Vec<AtomicU8>> =
@@ -211,7 +170,7 @@ impl Executor {
             TransactionStats::default,
             |mut acc, b| {
                 let io = BlockIo::new(input, &shared, IoMode::Execute);
-                let mut acct = Accounting::recording(record);
+                let mut acct = Accounting::new();
                 kernel.run_block(b, &io, &mut acct);
                 acc.merge(&acct.stats);
                 acc
@@ -228,7 +187,12 @@ impl Executor {
                 assert!(writes == 1, "output element {off} written {writes} times");
             }
         }
-        Ok((launch, stats))
+        Ok(RunOutcome {
+            stats,
+            launch,
+            blocks_executed: blocks,
+            classes: None,
+        })
     }
 
     /// Run a kernel in `Analyze` mode (no data buffers needed). From
@@ -362,10 +326,16 @@ mod tests {
         // partial access still 1 tx.
         assert_eq!(out.stats.dram_load_tx, out.stats.dram_store_tx);
         assert_eq!(out.stats.dram_load_tx, 32);
-        // The data-only run moves the same elements.
-        let mut copied = vec![0u32; n];
-        ex.copy(&k, &input, &mut copied, true).unwrap();
-        assert_eq!(copied, input);
+        assert_eq!(out.blocks_executed, 16);
+        assert_eq!(out.classes, None);
+        // Unchecked, the run moves the same elements and counts the same.
+        let mut unchecked = vec![0u32; n];
+        let mode = ExecMode::Execute {
+            check_disjoint_writes: false,
+        };
+        let again = ex.run(&k, &input, &mut unchecked, mode).unwrap();
+        assert_eq!(unchecked, input);
+        assert_eq!(again.stats, out.stats);
     }
 
     #[test]
@@ -439,26 +409,24 @@ mod tests {
         let k = SkipOne { n, skip: 777 };
         let input: Vec<u32> = (0..n as u32).collect();
         let ex = Executor::new(DeviceConfig::test_tiny());
-        let execute = std::panic::catch_unwind(|| {
+        let res = std::panic::catch_unwind(|| {
             let mut output = vec![0u32; n];
             let mode = ExecMode::Execute {
                 check_disjoint_writes: true,
             };
             ex.run(&k, &input, &mut output, mode).map(|_| ())
         });
-        let copy = std::panic::catch_unwind(|| {
-            let mut output = vec![0u32; n];
-            ex.copy(&k, &input, &mut output, true)
-        });
-        for res in [execute, copy] {
-            let payload = res.expect_err("a missed output element must panic");
-            let msg = payload.downcast_ref::<String>().expect("formatted message");
-            assert!(msg.contains("output element 777 written 0 times"), "{msg}");
-        }
+        let payload = res.expect_err("a missed output element must panic");
+        let msg = payload.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.contains("output element 777 written 0 times"), "{msg}");
         // Unchecked, the same kernel runs silently.
         let mut output = vec![0u32; n];
-        ex.copy(&k, &input, &mut output, false).unwrap();
+        let mode = ExecMode::Execute {
+            check_disjoint_writes: false,
+        };
+        ex.run(&k, &input, &mut output, mode).unwrap();
         assert_eq!(output[777], 0);
+        assert_eq!(output[776], 776);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! kernels skip their per-element load/store loops when
 //! [`BlockIo::mode`] is [`IoMode::Analyze`] (the accounting calls stay),
 //! so the same kernel code doubles as a fast analytical model of itself.
-//! In the data-only run ([`crate::Executor::copy`]) the executor hands
-//! every block an `Accounting` with recording switched off, so the same
-//! code moves data without paying for the coalescing and bank models.
+//! In `Execute` mode every block runs and records, which is how tests and
+//! verify-mode plans hold the sampled analysis to a full count. Serving
+//! moves a plan's bytes with the host's tiled CPU kernel instead, so no
+//! block here runs on the serving path.
 
 use crate::coalesce;
 use crate::smem;
@@ -48,8 +49,7 @@ impl Launch {
 /// Execution mode chosen by the executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoMode {
-    /// Move real data (whether transactions are counted is up to the
-    /// block's [`Accounting`]).
+    /// Move real data and count every transaction.
     Execute,
     /// Count transactions only. Kernels skip their element loops; a load
     /// that still happens returns zero and a store is discarded.
@@ -58,37 +58,22 @@ pub enum IoMode {
 
 /// Accounting sink passed to `run_block`. All counters are per-block and
 /// merged by the executor.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Accounting {
     /// Accumulated counters for this block.
     pub stats: TransactionStats,
-    /// Whether accesses are recorded. Only the executor's data-only run
-    /// turns it off; every accounting a kernel can build records.
-    record: bool,
 }
 
 impl Accounting {
     /// Fresh accounting for one block.
     pub fn new() -> Self {
-        Self::recording(true)
-    }
-
-    /// Fresh accounting that records accesses only when `record` is set;
-    /// with it off every method returns at once and `stats` stays zero.
-    pub(crate) fn recording(record: bool) -> Self {
-        Accounting {
-            stats: TransactionStats::default(),
-            record,
-        }
+        Self::default()
     }
 
     /// A warp loads `lanes` consecutive elements from global memory
     /// starting at element offset `start_elem`.
     #[inline]
     pub fn global_load_contiguous(&mut self, start_elem: usize, lanes: usize, elem_bytes: usize) {
-        if !self.record {
-            return;
-        }
         self.stats.dram_load_tx +=
             coalesce::transactions_for_contiguous(start_elem * elem_bytes, lanes, elem_bytes);
     }
@@ -96,9 +81,6 @@ impl Accounting {
     /// A warp stores `lanes` consecutive elements to global memory.
     #[inline]
     pub fn global_store_contiguous(&mut self, start_elem: usize, lanes: usize, elem_bytes: usize) {
-        if !self.record {
-            return;
-        }
         self.stats.dram_store_tx +=
             coalesce::transactions_for_contiguous(start_elem * elem_bytes, lanes, elem_bytes);
     }
@@ -112,9 +94,6 @@ impl Accounting {
         stride_elems: usize,
         elem_bytes: usize,
     ) {
-        if !self.record {
-            return;
-        }
         self.stats.dram_load_tx += coalesce::transactions_for_strided(
             start_elem * elem_bytes,
             lanes,
@@ -132,9 +111,6 @@ impl Accounting {
         stride_elems: usize,
         elem_bytes: usize,
     ) {
-        if !self.record {
-            return;
-        }
         self.stats.dram_store_tx += coalesce::transactions_for_strided(
             start_elem * elem_bytes,
             lanes,
@@ -150,9 +126,6 @@ impl Accounting {
     ///
     /// If more than 32 lanes are given.
     pub fn global_access_lanes(&mut self, elem_offsets: &[usize], elem_bytes: usize, load: bool) {
-        if !self.record {
-            return;
-        }
         let n = elem_offsets.len();
         assert!(n <= 32, "a warp access has at most 32 lanes, got {n}");
         // Each lane's first and last byte, so wide elements straddling a
@@ -181,7 +154,7 @@ impl Accounting {
         elem_bytes: usize,
         load: bool,
     ) {
-        if !self.record || lanes == 0 {
+        if lanes == 0 {
             return;
         }
         let degree = smem::conflict_degree_strided(start_elem, lanes, stride_elems, elem_bytes);
@@ -200,7 +173,7 @@ impl Accounting {
     ///
     /// If more than 32 lanes are given.
     pub fn smem_access_lanes(&mut self, elem_offsets: &[usize], elem_bytes: usize, load: bool) {
-        if !self.record || elem_offsets.is_empty() {
+        if elem_offsets.is_empty() {
             return;
         }
         let n = elem_offsets.len();
@@ -223,52 +196,31 @@ impl Accounting {
     /// bound to texture memory.
     #[inline]
     pub fn tex_load_contiguous(&mut self, start_idx: usize, lanes: usize) {
-        if !self.record {
-            return;
-        }
         self.stats.tex_load_tx += coalesce::transactions_for_contiguous(start_idx * 4, lanes, 4);
     }
 
     /// `n` special (mod/div) instructions executed (thread-level count).
     #[inline]
     pub fn special_instr(&mut self, n: u64) {
-        if !self.record {
-            return;
-        }
         self.stats.special_instr += n;
     }
 
     /// `n` ordinary index/address instructions (thread-level count).
     #[inline]
     pub fn index_instr(&mut self, n: u64) {
-        if !self.record {
-            return;
-        }
         self.stats.index_instr += n;
     }
 
     /// One `__syncthreads()` barrier.
     #[inline]
     pub fn barrier(&mut self) {
-        if !self.record {
-            return;
-        }
         self.stats.barriers += 1;
     }
 
     /// `n` elements moved input->output (bookkeeping/sanity).
     #[inline]
     pub fn elements(&mut self, n: u64) {
-        if !self.record {
-            return;
-        }
         self.stats.elements_moved += n;
-    }
-}
-
-impl Default for Accounting {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -399,9 +351,9 @@ pub trait BlockKernel<E: Element>: Sync {
     /// Equivalence class of a block for sampled analysis: blocks in the
     /// same class must have identical transaction statistics. This
     /// contract decides every statistic a plan reports, because serving
-    /// reports the plan's cached analysis rather than counting the
-    /// data-only run; a kernel that cannot class its blocks exactly must
-    /// give each block its own class. The default (one class) is only
+    /// reports the plan's cached analysis and runs no block; a kernel
+    /// that cannot class its blocks exactly must give each block its own
+    /// class. The default (one class) is only
     /// correct for kernels with fully uniform blocks.
     fn block_class(&self, _block: usize) -> u32 {
         0
@@ -465,19 +417,6 @@ mod tests {
     fn smem_lane_access_wider_than_a_warp_panics() {
         let offsets: Vec<usize> = (0..33).collect();
         Accounting::new().smem_access_lanes(&offsets, 4, true);
-    }
-
-    #[test]
-    fn accounting_with_recording_off_stays_zero() {
-        let mut a = Accounting::recording(false);
-        a.global_load_contiguous(0, 32, 4);
-        a.global_access_lanes(&[0, 100, 200], 8, false);
-        a.smem_access_strided(0, 32, 32, 4, true);
-        a.tex_load_contiguous(0, 32);
-        a.special_instr(5);
-        a.barrier();
-        a.elements(32);
-        assert_eq!(a.stats, TransactionStats::default());
     }
 
     #[test]

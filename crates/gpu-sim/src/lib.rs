@@ -16,13 +16,14 @@
 //! * **Texture memory**: read-only offset arrays with a >99% hit-rate cache
 //!   model.
 //! * **Execution**: a kernel is a block-structured program
-//!   ([`kernel::BlockKernel`]) that [`executor::Executor`] runs three ways:
-//!   a data-only run ([`Executor::copy`]: move real host bytes with
-//!   accounting off; what serving does), `Analyze` mode
-//!   (representative-block sampling: times plans for the large evaluation
-//!   sweeps, and once per plan supplies the statistics serving reports),
-//!   and `Execute` mode (move bytes and count every transaction of every
-//!   block; the exhaustive reference for tests and the baselines).
+//!   ([`kernel::BlockKernel`]) that [`executor::Executor`] runs two ways:
+//!   `Analyze` mode (representative-block sampling: times plans for the
+//!   large evaluation sweeps, and once per plan supplies the statistics
+//!   serving reports) and `Execute` mode (move real host bytes and count
+//!   every transaction of every block: the exhaustive reference for
+//!   tests, the verify path of plans built with `check_disjoint_writes`,
+//!   and the baselines' executor). A served plan's bytes are moved by the
+//!   host's tiled CPU kernel, not by simulated blocks.
 //! * **Timing**: [`timing::TimingModel`] converts transaction counts plus
 //!   grid geometry into nanoseconds via a calibrated bandwidth / occupancy
 //!   model of the K40c, and into the paper's "bandwidth usage" metric

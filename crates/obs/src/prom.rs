@@ -3,12 +3,12 @@
 //! Renders a [`MetricsSnapshot`] to the plain-text form a Prometheus
 //! scrape expects: `# HELP` / `# TYPE` headers, labelled samples, and
 //! histograms in cumulative `_bucket{le="..."}` / `_sum` / `_count`
-//! form.
+//! form. Every sample is written straight into the one output `String`.
 
 use crate::snapshot::{Histogram, Metric, MetricsSnapshot};
+use std::fmt::Write as _;
 
-fn escape_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
+fn write_label_value(out: &mut String, v: &str) {
     for c in v.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -17,77 +17,70 @@ fn escape_label_value(v: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
-fn format_value(v: f64) -> String {
+fn write_value(out: &mut String, v: f64) {
     if v.is_infinite() {
-        if v > 0.0 { "+Inf" } else { "-Inf" }.to_string()
+        out.push_str(if v > 0.0 { "+Inf" } else { "-Inf" });
     } else if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
+        write!(out, "{}", v as i64).unwrap();
     } else {
-        format!("{v}")
+        write!(out, "{v}").unwrap();
     }
 }
 
-fn render_labels(pairs: &[(String, String)]) -> String {
-    if pairs.is_empty() {
-        return String::new();
+/// Write a sample's series up to its value: `name` and `suffix`, then
+/// `{k="v",...}` with an `le` pair after the others when given (no
+/// braces when there is no pair), then the separating space.
+fn write_series(
+    out: &mut String,
+    name: &str,
+    suffix: &str,
+    pairs: &[(String, String)],
+    le: Option<f64>,
+) {
+    write!(out, "{name}{suffix}").unwrap();
+    if !pairs.is_empty() || le.is_some() {
+        let mut sep = '{';
+        for (k, v) in pairs {
+            write!(out, "{sep}{k}=\"").unwrap();
+            write_label_value(out, v);
+            out.push('"');
+            sep = ',';
+        }
+        if let Some(le) = le {
+            write!(out, "{sep}le=\"").unwrap();
+            write_value(out, le);
+            out.push('"');
+        }
+        out.push('}');
     }
-    let inner: Vec<String> = pairs
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-        .collect();
-    format!("{{{}}}", inner.join(","))
+    out.push(' ');
 }
 
 fn render_metric(out: &mut String, m: &Metric) {
-    use std::fmt::Write as _;
     writeln!(out, "# HELP {} {}", m.name, m.help).unwrap();
     writeln!(out, "# TYPE {} {}", m.name, m.kind.as_str()).unwrap();
     for s in &m.samples {
-        writeln!(
-            out,
-            "{}{} {}",
-            m.name,
-            render_labels(&s.labels),
-            format_value(s.value)
-        )
-        .unwrap();
+        write_series(out, &m.name, "", &s.labels, None);
+        write_value(out, s.value);
+        out.push('\n');
     }
 }
 
 fn render_histogram(out: &mut String, h: &Histogram) {
-    use std::fmt::Write as _;
     writeln!(out, "# HELP {} {}", h.name, h.help).unwrap();
     writeln!(out, "# TYPE {} histogram", h.name).unwrap();
-    let cum = h.cumulative();
-    for (i, &c) in cum.iter().enumerate() {
-        let le = if i < h.upper_bounds.len() {
-            format_value(h.upper_bounds[i])
-        } else {
-            "+Inf".to_string()
-        };
-        let mut labels = h.labels.clone();
-        labels.push(("le".to_string(), le));
-        writeln!(out, "{}_bucket{} {}", h.name, render_labels(&labels), c).unwrap();
+    for (i, c) in h.cumulative().into_iter().enumerate() {
+        let le = h.upper_bounds.get(i).copied().unwrap_or(f64::INFINITY);
+        write_series(out, &h.name, "_bucket", &h.labels, Some(le));
+        writeln!(out, "{c}").unwrap();
     }
-    writeln!(
-        out,
-        "{}_sum{} {}",
-        h.name,
-        render_labels(&h.labels),
-        format_value(h.sum)
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "{}_count{} {}",
-        h.name,
-        render_labels(&h.labels),
-        h.count()
-    )
-    .unwrap();
+    write_series(out, &h.name, "_sum", &h.labels, None);
+    write_value(out, h.sum);
+    out.push('\n');
+    write_series(out, &h.name, "_count", &h.labels, None);
+    writeln!(out, "{}", h.count()).unwrap();
 }
 
 /// Render the snapshot as Prometheus exposition text.

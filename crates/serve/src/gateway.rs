@@ -2166,4 +2166,167 @@ mod tests {
         assert_eq!(counted, THREADS as u64);
         assert_eq!(tenants[OVERFLOW_TENANT].0 + tenants[OVERFLOW_TENANT].1, 32);
     }
+
+    /// The Prometheus renderer before it wrote into one `String`: an
+    /// escaped `String` and a `format!` per label pair, a `Vec` + `join`
+    /// per sample and a `String` per value. Kept as the reference the
+    /// current renderer's bytes must equal.
+    mod reference_prom {
+        use ttlg_obs::snapshot::{Histogram, Metric, MetricsSnapshot};
+
+        fn escape_label_value(v: &str) -> String {
+            let mut out = String::with_capacity(v.len());
+            for c in v.chars() {
+                match c {
+                    '\\' => out.push_str("\\\\"),
+                    '"' => out.push_str("\\\""),
+                    '\n' => out.push_str("\\n"),
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+
+        fn format_value(v: f64) -> String {
+            if v.is_infinite() {
+                if v > 0.0 { "+Inf" } else { "-Inf" }.to_string()
+            } else if v == v.trunc() && v.abs() < 1e15 {
+                format!("{}", v as i64)
+            } else {
+                format!("{v}")
+            }
+        }
+
+        fn render_labels(pairs: &[(String, String)]) -> String {
+            if pairs.is_empty() {
+                return String::new();
+            }
+            let inner: Vec<String> = pairs
+                .iter()
+                .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
+                .collect();
+            format!("{{{}}}", inner.join(","))
+        }
+
+        fn render_metric(out: &mut String, m: &Metric) {
+            use std::fmt::Write as _;
+            writeln!(out, "# HELP {} {}", m.name, m.help).unwrap();
+            writeln!(out, "# TYPE {} {}", m.name, m.kind.as_str()).unwrap();
+            for s in &m.samples {
+                writeln!(
+                    out,
+                    "{}{} {}",
+                    m.name,
+                    render_labels(&s.labels),
+                    format_value(s.value)
+                )
+                .unwrap();
+            }
+        }
+
+        fn render_histogram(out: &mut String, h: &Histogram) {
+            use std::fmt::Write as _;
+            writeln!(out, "# HELP {} {}", h.name, h.help).unwrap();
+            writeln!(out, "# TYPE {} histogram", h.name).unwrap();
+            let cum = h.cumulative();
+            for (i, &c) in cum.iter().enumerate() {
+                let le = if i < h.upper_bounds.len() {
+                    format_value(h.upper_bounds[i])
+                } else {
+                    "+Inf".to_string()
+                };
+                let mut labels = h.labels.clone();
+                labels.push(("le".to_string(), le));
+                writeln!(out, "{}_bucket{} {}", h.name, render_labels(&labels), c).unwrap();
+            }
+            writeln!(
+                out,
+                "{}_sum{} {}",
+                h.name,
+                render_labels(&h.labels),
+                format_value(h.sum)
+            )
+            .unwrap();
+            writeln!(
+                out,
+                "{}_count{} {}",
+                h.name,
+                render_labels(&h.labels),
+                h.count()
+            )
+            .unwrap();
+        }
+
+        pub fn render(snapshot: &MetricsSnapshot) -> String {
+            let mut out = String::new();
+            for m in &snapshot.metrics {
+                render_metric(&mut out, m);
+            }
+            for h in &snapshot.histograms {
+                render_histogram(&mut out, h);
+            }
+            out
+        }
+    }
+
+    /// A full merged gateway snapshot (service, `ttlg_gateway_*` and
+    /// `ttlg_profile_*` families, histograms) plus samples that need
+    /// escaping, infinities, NaN and fractions renders to the same bytes
+    /// as the reference renderer.
+    #[test]
+    fn prometheus_text_equals_the_reference_renderer() {
+        use ttlg_obs::snapshot::{MetricKind, Sample};
+        let gw = open_gateway_over(RuntimeConfig::default());
+        let bodies = [
+            r#"{"extents":[16,8,4],"perm":[2,0,1]}"#,
+            r#"{"extents":[64,8,8],"perm":[0,2,1]}"#,
+            r#"{"extents":[16,16,16,16],"perm":[3,2,1,0]}"#,
+            r#"{"extents":[32,32],"perm":[0,1]}"#,
+            r#"{"extents":[4,4],"perm":[0,0]}"#,
+        ];
+        for (i, body) in bodies.iter().enumerate() {
+            let tenant = format!("tenant-{}", i % 2);
+            let req = post_transpose(body, &[("x-ttlg-tenant", &tenant)]);
+            gw.handle(&req, 1_000 + i as u64);
+        }
+        let mut snap = gw.merged_snapshot();
+        let odd = |k: &str, v: &str, x: f64| Sample {
+            labels: vec![("schema".into(), "Copy".into()), (k.into(), v.into())],
+            value: x,
+        };
+        snap.push_metric(
+            "ttlg_edge_cases",
+            "Values and labels the text format must escape or spell out.",
+            MetricKind::Gauge,
+            vec![
+                odd("path", "a\"b\\c\nd", 1.0),
+                odd("v", "inf", f64::INFINITY),
+                odd("v", "-inf", f64::NEG_INFINITY),
+                odd("v", "nan", f64::NAN),
+                odd("v", "fraction", 0.125),
+                odd("v", "negative", -2.5e-7),
+                odd("v", "huge", 3.0e21),
+                odd("v", "negative zero", -0.0),
+                Sample::plain(1e15),
+            ],
+        );
+        snap.push_histogram(
+            "ttlg_edge_latency_us",
+            "Fractional bounds with a label that needs escaping.",
+            vec![("tenant".into(), "q\"t".into())],
+            vec![0.5, 1.5, 1e300],
+            vec![1, 2, 3, 4],
+            7.75,
+        );
+        let text = ttlg_obs::prom::render(&snap);
+        for family in ["ttlg_requests_total", "ttlg_gateway_", "ttlg_profile_"] {
+            assert!(text.contains(family), "snapshot lacks {family}");
+        }
+        assert!(snap.histograms.len() > 2, "snapshot lacks histograms");
+        for spelled in ["+Inf", "-Inf", "NaN", r#"a\"b\\c\nd"#, "0.125"] {
+            assert!(text.contains(spelled), "text lacks {spelled}");
+        }
+        assert_eq!(text, reference_prom::render(&snap));
+        gw.stop();
+    }
 }

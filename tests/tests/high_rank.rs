@@ -75,3 +75,49 @@ fn high_rank_prediction_api_works() {
     let ns = t.predict_transpose_ns::<f64>(&shape, &perm).unwrap();
     assert!(ns.is_finite() && ns > 0.0);
 }
+
+/// Verify-mode coverage of the 6D sweep's permutations (every 10th of
+/// the 720, in the paper's order), which the benchmark's sweep check now
+/// executes on the host kernel: at extents 4 and 5, the default plan and
+/// every applicable forced schema run through all their simulated blocks
+/// (each output element written once, the count equal to the analysis)
+/// and must reproduce the reference.
+#[test]
+fn rank6_sweep_permutations_verify_every_schema() {
+    use ttlg::{applicable_schemas, PlanError, Problem};
+    let t = Transposer::new_k40c();
+    let mut runs = 0;
+    for extent in [4, 5] {
+        let shape = Shape::new(&[extent; 6]).unwrap();
+        let input: DenseTensor<f32> = DenseTensor::iota(shape.clone());
+        let cases = ttlg_tensor::generator::all_permutations_suite(6, extent);
+        for case in cases.iter().step_by(10) {
+            let perm = &case.perm;
+            let expect = reference::transpose_reference(&input, perm).unwrap();
+            let problem = Problem::new(&shape, perm).unwrap();
+            let forced = applicable_schemas(&problem).into_iter().map(Some);
+            for forced_schema in std::iter::once(None).chain(forced) {
+                let opts = TransposeOptions {
+                    forced_schema,
+                    check_disjoint_writes: true,
+                    ..Default::default()
+                };
+                let plan = match t.plan::<f32>(&shape, perm, &opts) {
+                    Ok(plan) => plan,
+                    Err(PlanError::NoCandidate) if forced_schema.is_some() => continue,
+                    Err(e) => panic!("extent {extent} perm {perm}: {e}"),
+                };
+                let (out, _) = t.execute(&plan, &input).unwrap();
+                assert_eq!(
+                    out.data(),
+                    expect.data(),
+                    "extent {extent} perm {perm} schema {}",
+                    plan.schema()
+                );
+                runs += 1;
+            }
+        }
+    }
+    // 144 default plans plus the forced ones (430 plans in all today).
+    assert!(runs > 2 * 72, "no forced schema ran: {runs} plans");
+}
