@@ -196,8 +196,8 @@ pub fn model_vs_measured(device: &DeviceConfig) -> Table {
         let opts = TransposeOptions::default();
         let model_plan = t.plan::<f64>(&shape, &perm, &opts).expect("plannable");
         let model_ns = t.time_plan(&model_plan).expect("timeable").kernel_time_ns;
-        let measured_plan = t
-            .plan_measured::<f64>(&shape, &perm, &opts)
+        let (measured_plan, _) = t
+            .plan_measured::<f64>(&shape, &perm, &opts, usize::MAX)
             .expect("measurable");
         let best_ns = t
             .time_plan(&measured_plan)

@@ -23,7 +23,6 @@
 //! table, writes its `BENCH_<study>.json` artifact and checks its gates.
 
 pub mod async_study;
-pub mod autotune_study;
 pub mod cpu_study;
 pub mod figures;
 pub mod gateway_study;

@@ -8,9 +8,7 @@
 //! failed gate. The gates are the study's acceptance conditions; CI runs
 //! each study once on the release binary.
 
-use crate::{
-    async_study, autotune_study, cpu_study, gateway_study, serve_study, tail_study, trace_study,
-};
+use crate::{async_study, cpu_study, gateway_study, serve_study, tail_study, trace_study};
 
 /// Rank-4 permutations available to the studies that take `--perms`.
 pub(crate) const MAX_PERMS: usize = 24;
@@ -120,16 +118,11 @@ impl Entry {
 }
 
 /// Every serving study, in the order `bench-serve` lists them.
-pub const STUDIES: [Entry; 7] = [
+pub const STUDIES: [Entry; 6] = [
     Entry {
         name: "serve",
         takes: &[Setting::Perms, Setting::Rounds],
         run: |s| Box::new(serve_study::run(s.perms, s.rounds)),
-    },
-    Entry {
-        name: "autotune",
-        takes: &[Setting::Perms, Setting::Rounds],
-        run: |s| Box::new(autotune_study::run(s.perms, s.rounds)),
     },
     Entry {
         name: "tail",
@@ -303,10 +296,7 @@ mod tests {
     #[test]
     fn the_table_names_each_study_once_and_rejects_settings_it_does_not_take() {
         let names: Vec<&str> = STUDIES.iter().map(|e| e.name).collect();
-        assert_eq!(
-            names,
-            ["serve", "autotune", "tail", "trace", "gateway", "cpu", "async"]
-        );
+        assert_eq!(names, ["serve", "tail", "trace", "gateway", "cpu", "async"]);
         let tail = find("tail").unwrap();
         assert_eq!(tail.settings(&["--rounds=2"]).unwrap().rounds, 2);
         assert!(tail.settings(&["--perms=4"]).is_err());

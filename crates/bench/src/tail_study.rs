@@ -21,7 +21,6 @@
 use crate::study::{gate, nearest_rank, p50_p95_p99, Gates, JsonObject, Study};
 use std::sync::Arc;
 use ttlg::Transposer;
-use ttlg_runtime::autotune::AutotuneConfig;
 use ttlg_runtime::{
     RuntimeConfig, SloSnapshot, TraceStoreConfig, TransposeRequest, TransposeService,
 };
@@ -253,15 +252,7 @@ pub fn run(rounds: usize) -> TailStudy {
             capacity: specs.len().next_power_of_two(),
             ..TraceStoreConfig::default()
         },
-        autotune: AutotuneConfig {
-            enabled: true,
-            hot_threshold: 2,
-            topk: 4,
-            budget_per_key: 8,
-            threads: 1,
-            poll_interval_ms: 1,
-            ..AutotuneConfig::default()
-        },
+        autotune: Some(2),
         ..RuntimeConfig::default()
     };
     let svc = Arc::new(TransposeService::<f64>::with_config(

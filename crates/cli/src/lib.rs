@@ -77,14 +77,14 @@ USAGE:
                                                 settings:
      serve    [--perms] [--rounds]              batched runtime vs
                                                 plan-per-call
-     autotune [--perms] [--rounds]              model-only vs autotuned
-                                                serving
      tail     [--rounds]                        per-schema p50/p95/p99 and the
                                                 dominant phase at p99 over a
                                                 loopback gateway
      trace    [--perms] [--rounds]              the prediction-drift alert
                                                 fires under a skewed model and
-                                                resolves after autotune
+                                                resolves after one autotune
+                                                pass: model-only vs autotuned
+                                                serving
      gateway  [--seconds]                       shed rate, fairness and
                                                 per-class tails at 2x overload
      cpu      [--seconds]                       tiled CPU kernel vs the naive
@@ -989,26 +989,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_serve_autotune_writes_artifact() {
-        let path = artifact_path("autotune.json");
-        let out = run(&[
-            "bench-serve",
-            "autotune",
-            "--perms=3",
-            "--rounds=2",
-            &format!("--json-out={}", path.display()),
-        ])
-        .unwrap();
-        assert!(out.contains("model-only"), "{out}");
-        assert!(out.contains("autotuned"), "{out}");
-        assert!(out.contains("wrote"), "{out}");
-        let json = read_artifact(&path, "autotune");
-        assert!(json.contains("\"geo_error_before\""));
-        assert!(json.contains("\"geo_error_after\""));
-        assert!(json.contains("\"plans_warmed\": 3"));
-    }
-
-    #[test]
     fn bench_serve_cpu_writes_artifact_with_provenance() {
         let path = artifact_path("cpu.json");
         let out = run(&[
@@ -1195,10 +1175,12 @@ mod tests {
         .unwrap();
         assert!(out.contains("tracing & drift-alert study"), "{out}");
         assert!(out.contains("prediction-drift rule"), "{out}");
+        assert!(out.contains("autotuned"), "{out}");
         assert!(out.contains("wrote"), "{out}");
         let json = read_artifact(&path, "trace");
         assert!(json.contains("\"drift_fired\": true"));
         assert!(json.contains("\"drift_resolved\": true"));
+        assert!(json.contains("\"plans_warmed\": 4"), "{json}");
         assert!(json.contains("\"sampled_traces\""));
         assert!(json.contains("\"evicted_traces\""));
         for args in [
@@ -1222,17 +1204,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_serve_autotune_rejects_bad_flags() {
-        for args in [
-            &["bench-serve", "autotune", "--seconds=1"][..],
-            &["bench-serve", "autotune", "--perms=25"],
-            &["bench-serve", "autotune", "--perms=0"],
-        ] {
-            assert!(matches!(run(args), Err(CliError::Usage(_))), "{args:?}");
-        }
-    }
-
-    #[test]
     fn bench_serve_rejects_impossible_perm_count() {
         for args in [
             &["bench-serve", "serve", "--perms=25"][..],
@@ -1240,6 +1211,7 @@ mod tests {
             &["bench-serve", "--perms=4"],
             &["bench-serve"],
             &["bench-serve", "bogus"],
+            &["bench-serve", "autotune"],
         ] {
             assert!(matches!(run(args), Err(CliError::Usage(_))), "{args:?}");
         }

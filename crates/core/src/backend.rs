@@ -2,12 +2,10 @@
 //!
 //! The original library drives everything through the simulated GPU
 //! ([`ttlg_gpu_sim`]); the CPU backend (`ttlg-cpu`) moves host bytes for
-//! real and is timed by the wall clock. The planner treats the backend
-//! as one more dimension of the Alg. 3 sweep: candidates from every
-//! admissible backend are ranked together, with the analytic guard
-//! applied *within* each backend (a synthetic-GPU nanosecond and a
-//! wall-clock nanosecond are not comparable enough to share one guard
-//! band).
+//! real and is timed by the wall clock. A plan targets one backend
+//! ([`crate::TransposeOptions::backend`]): the Alg. 3 sweep ranks only
+//! that backend's candidates under one analytic guard band, so a
+//! simulated nanosecond is never ranked against a wall-clock one.
 
 /// Which executor a plan runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -37,16 +35,6 @@ impl Backend {
             Backend::Cpu => 1,
         }
     }
-
-    /// Inverse of [`Self::index`].
-    pub fn from_index(i: usize) -> Option<Backend> {
-        Backend::ALL.get(i).copied()
-    }
-
-    /// Parse a [`Self::label`] string.
-    pub fn parse(s: &str) -> Option<Backend> {
-        Backend::ALL.iter().find(|b| b.label() == s).copied()
-    }
 }
 
 impl std::fmt::Display for Backend {
@@ -61,12 +49,11 @@ mod tests {
 
     #[test]
     fn labels_round_trip() {
-        for b in Backend::ALL {
-            assert_eq!(Backend::parse(b.label()), Some(b));
-            assert_eq!(Backend::from_index(b.index()), Some(b));
+        for (i, b) in Backend::ALL.into_iter().enumerate() {
+            assert_eq!(b.index(), i);
             assert_eq!(b.to_string(), b.label());
         }
-        assert_eq!(Backend::parse("tpu"), None);
-        assert_eq!(Backend::from_index(99), None);
+        assert_eq!(Backend::GpuSim.label(), "gpu_sim");
+        assert_eq!(Backend::Cpu.label(), "cpu");
     }
 }

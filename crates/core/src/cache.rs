@@ -32,7 +32,7 @@ pub struct PlanKey {
     fusion: bool,
     sweep: bool,
     overbooking: usize,
-    backend: Option<Backend>,
+    backend: Backend,
     /// A verify-mode plan runs its simulated kernel, a serving plan the
     /// host kernel, so the two must never share a cache slot.
     check_disjoint_writes: bool,
@@ -72,7 +72,7 @@ impl PlanKey {
 
     /// Reconstruct the planning inputs behind this key, so a cached
     /// problem can be re-planned from the key alone (the runtime's
-    /// autotuner re-tunes hot keys this way).
+    /// autotuner measures hot keys this way).
     pub fn problem_parts(&self) -> (Shape, Permutation, TransposeOptions) {
         let shape = Shape::new(&self.extents).expect("key was built from a valid shape");
         let perm = Permutation::new(&self.perm).expect("key was built from a valid permutation");
@@ -85,12 +85,6 @@ impl PlanKey {
             backend: self.backend,
         };
         (shape, perm, opts)
-    }
-
-    /// The backend constraint this key fingerprints (`None` = the caller
-    /// asked for a cross-backend sweep).
-    pub fn backend(&self) -> Option<Backend> {
-        self.backend
     }
 
     /// Stable 64-bit identity of the *problem* this key names — FNV-1a
@@ -131,9 +125,8 @@ impl PlanKey {
         mix(
             &mut h,
             match self.backend {
-                None => 0xff,
-                Some(Backend::GpuSim) => 0,
-                Some(Backend::Cpu) => 1,
+                Backend::GpuSim => 0,
+                Backend::Cpu => 1,
             },
         );
         mix(&mut h, self.check_disjoint_writes as u8);
@@ -460,26 +453,6 @@ impl<E: Element> ShardedPlanCache<E> {
             .sum()
     }
 
-    /// Release the pin on `key`'s resident plan, returning it to the
-    /// ordinary LRU population (it keeps its plan and `last_used` stamp,
-    /// so it is not dropped immediately — just no longer exempt). Used by
-    /// the autotuner's unpin policy: a key that has gone cold no longer
-    /// deserves eviction immunity. Returns `true` only when a pinned
-    /// resident plan was actually unpinned. Eviction runs immediately so
-    /// a shard over capacity shrinks without waiting for the next insert.
-    pub fn unpin(&self, key: &PlanKey) -> bool {
-        let shard = self.shard(key);
-        let mut state = shard.state.lock().expect("cache shard poisoned");
-        match state.map.get_mut(key) {
-            Some(Entry::Ready { pinned, .. }) if *pinned => {
-                *pinned = false;
-                self.evict_locked(&mut state);
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// The resident plan for `key`, if any — no hit/miss accounting and
     /// no LRU touch, so diagnostics (and the autotuner) can inspect the
     /// cache without skewing its behavior.
@@ -786,7 +759,7 @@ mod tests {
             model_sweep: false,
             overbooking: 3,
             check_disjoint_writes: true,
-            backend: Some(Backend::Cpu),
+            backend: Backend::Cpu,
         };
         let key = PlanKey::new(&shape, &perm, &opts);
         assert_eq!(key.extents(), shape.extents());
@@ -799,7 +772,6 @@ mod tests {
         assert_eq!(o2.model_sweep, opts.model_sweep);
         assert_eq!(o2.overbooking, opts.overbooking);
         assert_eq!(o2.backend, opts.backend);
-        assert_eq!(key.backend(), opts.backend);
         assert_eq!(o2.check_disjoint_writes, opts.check_disjoint_writes);
         assert_eq!(key, PlanKey::new(&s2, &p2, &o2));
         let unchecked = TransposeOptions {
@@ -835,43 +807,6 @@ mod tests {
     }
 
     #[test]
-    fn unpin_releases_eviction_immunity() {
-        let t = Transposer::new_k40c();
-        let cache: ShardedPlanCache<u64> = ShardedPlanCache::with_config(CacheConfig {
-            shards: 1,
-            capacity_per_shard: 2,
-        });
-        let opts = TransposeOptions::default();
-        let p = Permutation::new(&[1, 0]).unwrap();
-        let hot_shape = Shape::new(&[16, 8]).unwrap();
-        let hot_key = PlanKey::new(&hot_shape, &p, &opts);
-        let (_, ranked) = t.plan_topk::<u64>(&hot_shape, &p, &opts, 1).unwrap();
-        let warmed = t
-            .plan_for_candidate::<u64>(&hot_shape, &p, &opts, ranked[0].candidate.clone(), 42.0)
-            .unwrap();
-        assert!(cache.warm(&hot_key, Arc::new(warmed)));
-        assert_eq!(cache.pinned_plans(), 1);
-        // Unpinning an absent or already-unpinned key is a no-op.
-        let other = PlanKey::new(&Shape::new(&[8, 8]).unwrap(), &p, &opts);
-        assert!(!cache.unpin(&other));
-        // Unpin the hot key: still resident (under capacity), but no
-        // longer counted as pinned and no longer eviction-exempt.
-        assert!(cache.unpin(&hot_key));
-        assert!(!cache.unpin(&hot_key), "second unpin is a no-op");
-        assert_eq!(cache.pinned_plans(), 0);
-        assert!(cache.peek(&hot_key).is_some());
-        // LRU pressure now evicts it like any modeled plan.
-        for n in 2..=5usize {
-            let s = Shape::new(&[8 * n, 8]).unwrap();
-            cache.get_or_plan(&t, &s, &p, &opts).unwrap();
-        }
-        assert!(
-            cache.peek(&hot_key).is_none(),
-            "unpinned plan falls to LRU under pressure"
-        );
-    }
-
-    #[test]
     fn warm_replaces_resident_plan_without_counting() {
         let t = Transposer::new_k40c();
         let cache: ShardedPlanCache<u64> = ShardedPlanCache::new();
@@ -882,21 +817,18 @@ mod tests {
         assert!(cache.peek(&key).is_none());
         cache.get_or_plan(&t, &shape, &perm, &opts).unwrap();
         let before = cache.stats();
-        // Swap in a plan with a distinctive predicted time, as the
-        // autotuner does with a measured-best candidate.
-        let (_, ranked) = t.plan_topk::<u64>(&shape, &perm, &opts, 2).unwrap();
-        let warmed = t
-            .plan_for_candidate::<u64>(&shape, &perm, &opts, ranked[0].candidate.clone(), 42.0)
-            .unwrap();
-        assert!(cache.warm(&key, Arc::new(warmed)));
+        // Swap in a measured plan, as the autotuner does.
+        let (warmed, _) = t.plan_measured::<u64>(&shape, &perm, &opts, 2).unwrap();
+        let warmed = Arc::new(warmed);
+        assert!(cache.warm(&key, Arc::clone(&warmed)));
         assert_eq!(cache.stats(), before, "warming skews no counters");
         assert_eq!(cache.len(), 1);
         let peeked = cache.peek(&key).expect("warmed plan resident");
-        assert!((peeked.predicted_ns() - 42.0).abs() < 1e-12);
+        assert!(Arc::ptr_eq(&peeked, &warmed));
         assert_eq!(cache.stats(), before, "peek skews no counters either");
         // The next fetch is a hit served from the warmed plan.
         let fetched = cache.get_or_plan(&t, &shape, &perm, &opts).unwrap();
-        assert!((fetched.predicted_ns() - 42.0).abs() < 1e-12);
+        assert!(Arc::ptr_eq(&fetched, &warmed));
         assert_eq!(cache.stats().hits, before.hits + 1);
     }
 
@@ -959,12 +891,10 @@ mod tests {
         // Warm one *measured* plan: it must pin.
         let hot_shape = Shape::new(&[16, 8]).unwrap();
         let hot_key = PlanKey::new(&hot_shape, &p, &opts);
-        let (_, ranked) = t.plan_topk::<u64>(&hot_shape, &p, &opts, 1).unwrap();
-        let warmed = t
-            .plan_for_candidate::<u64>(&hot_shape, &p, &opts, ranked[0].candidate.clone(), 42.0)
-            .unwrap();
+        let (warmed, _) = t.plan_measured::<u64>(&hot_shape, &p, &opts, 1).unwrap();
         assert!(warmed.is_measured());
-        assert!(cache.warm(&hot_key, Arc::new(warmed)));
+        let warmed = Arc::new(warmed);
+        assert!(cache.warm(&hot_key, Arc::clone(&warmed)));
         assert_eq!(cache.pinned_plans(), 1);
         // Flood the shard far past capacity with modeled plans.
         for n in 1..=6usize {
@@ -976,7 +906,7 @@ mod tests {
         assert!(cache.stats().evictions >= 4);
         assert_eq!(cache.pinned_plans(), 1);
         let resident = cache.peek(&hot_key).expect("pinned plan never evicted");
-        assert!((resident.predicted_ns() - 42.0).abs() < 1e-12);
+        assert!(Arc::ptr_eq(&resident, &warmed));
         assert_eq!(cache.len(), 3, "2 modeled (capacity) + 1 pinned");
     }
 

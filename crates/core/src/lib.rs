@@ -42,8 +42,7 @@ pub use backend::Backend;
 pub use cache::{CacheConfig, CacheStats, FetchTiming, PlanKey, ShardedPlanCache};
 pub use model::{cpu_analytic_ns, AnalyticPredictor, Candidate, TimePredictor};
 pub use plan::{
-    CandidateMeasurement, Plan, PlanError, RankedCandidate, TransposeOptions, TransposeReport,
-    Transposer,
+    CandidateMeasurement, Plan, PlanError, TransposeOptions, TransposeReport, Transposer,
 };
 pub use problem::Problem;
 pub use schema::{applicable_schemas, Schema};

@@ -63,11 +63,10 @@ pub struct TransposeOptions {
     /// Off, a GPU plan moves its bytes with the host's tiled CPU kernel.
     /// CPU plans ignore it.
     pub check_disjoint_writes: bool,
-    /// Which execution backend to plan for: `Some(b)` restricts the
-    /// sweep to backend `b`; `None` sweeps candidates across *all*
-    /// backends and lets the model pick. The default pins the GPU
-    /// simulator, preserving the original library behavior.
-    pub backend: Option<Backend>,
+    /// The execution backend to plan for: the sweep ranks only its
+    /// candidates, so simulated and wall-clock nanoseconds never meet in
+    /// one ranking. The default is the GPU simulator.
+    pub backend: Backend,
 }
 
 impl Default for TransposeOptions {
@@ -78,7 +77,7 @@ impl Default for TransposeOptions {
             model_sweep: true,
             overbooking: slice::DEFAULT_OVERBOOKING,
             check_disjoint_writes: false,
-            backend: Some(Backend::GpuSim),
+            backend: Backend::GpuSim,
         }
     }
 }
@@ -87,16 +86,8 @@ impl TransposeOptions {
     /// Default options pinned to one backend.
     pub fn for_backend(backend: Backend) -> Self {
         TransposeOptions {
-            backend: Some(backend),
+            backend,
             ..Default::default()
-        }
-    }
-
-    /// The backends this option set admits, in sweep order.
-    pub fn backends(&self) -> Vec<Backend> {
-        match self.backend {
-            Some(b) => vec![b],
-            None => Backend::ALL.to_vec(),
         }
     }
 }
@@ -213,12 +204,12 @@ pub struct Plan<E: Element> {
     plan_time_ns: f64,
     candidates_evaluated: usize,
     check_disjoint_writes: bool,
-    /// Whether `predicted_ns` is a *measured* time (measure-mode or an
-    /// autotuner-installed candidate) rather than a model prediction.
+    /// Whether `predicted_ns` is a *measured* time
+    /// ([`Transposer::plan_measured`]) rather than a model prediction.
     measured: bool,
     /// Wall-clock time of the Alg. 3 candidate sweep that produced this
-    /// plan (0 when the plan bypassed the sweep) — the planner-side
-    /// span the tracing layer attributes under `plan`.
+    /// plan, measure mode's timed runs included — the planner-side span
+    /// the tracing layer attributes under `plan`.
     sweep_wall_ns: u64,
     /// The planner's full decision trace, retained when
     /// [`Transposer::set_trace_retention`] is on (shared so cached plans
@@ -285,14 +276,13 @@ impl<E: Element> Plan<E> {
     }
 
     /// Wall-clock nanoseconds the Alg. 3 candidate sweep took while
-    /// building this plan; 0 for plans that bypassed the sweep
-    /// (autotuner-installed candidates).
+    /// building this plan, measure mode's timed runs included.
     pub fn sweep_wall_ns(&self) -> u64 {
         self.sweep_wall_ns
     }
 
     /// Whether this plan's time estimate comes from measurement
-    /// (measure mode / autotuner) rather than the model. Lets the
+    /// ([`Transposer::plan_measured`]) rather than the model. Lets the
     /// serving layer tag requests that ran on a warmed plan.
     pub fn is_measured(&self) -> bool {
         self.measured
@@ -342,20 +332,9 @@ pub struct CandidateMeasurement {
     pub timing: KernelTiming,
 }
 
-/// One entry of the ranked candidate list [`Transposer::plan_topk`]
-/// returns: the candidate plus both time estimates the ranking used.
-#[derive(Debug, Clone)]
-pub struct RankedCandidate {
-    /// The candidate (parameters + features).
-    pub candidate: Candidate,
-    /// Configured-predictor estimate, ns (the ranking key).
-    pub predicted_ns: f64,
-    /// Closed-form analytic estimate, ns.
-    pub analytic_ns: f64,
-    /// Whether the analytic guard excluded this candidate from the
-    /// eligible set (rejected candidates rank after all eligible ones).
-    pub guard_rejected: bool,
-}
+/// A measure-mode plan and each timed `(candidate, measured ns)` pair,
+/// in rank order ([`Transposer::plan_measured`]).
+type MeasuredPlan<E> = (Plan<E>, Vec<(Candidate, f64)>);
 
 /// The TTLG library object: owns the device, the executor, and the
 /// performance model.
@@ -495,70 +474,6 @@ impl Transposer {
         Ok(plan)
     }
 
-    /// Like [`Transposer::plan`], but also return the `k` best-ranked
-    /// candidates from the Alg. 3 sweep (best first; guard-eligible
-    /// candidates rank before guard-rejected ones) — the measure-mode
-    /// autotuner re-measures these on the device. The returned plan is
-    /// identical to what [`Transposer::plan`] would pick: it is built
-    /// from the head of the ranking.
-    pub fn plan_topk<E: Element>(
-        &self,
-        shape: &Shape,
-        perm: &Permutation,
-        opts: &TransposeOptions,
-        k: usize,
-    ) -> Result<(Plan<E>, Vec<RankedCandidate>), PlanError> {
-        let problem = build_problem(shape, perm, opts)?;
-        let schemas = match opts.forced_schema {
-            Some(s) => vec![s],
-            None => applicable_schemas(&problem),
-        };
-        let sweep_started = std::time::Instant::now();
-        let sweep = self.sweep_candidates::<E>(&problem, &schemas, opts, None)?;
-        let sweep_wall_ns = sweep_started.elapsed().as_nanos() as u64;
-        let evaluated = sweep.candidates.len();
-        let ranked: Vec<RankedCandidate> = sweep
-            .order
-            .iter()
-            .take(k.max(1))
-            .map(|&i| RankedCandidate {
-                candidate: sweep.candidates[i].clone(),
-                predicted_ns: sweep.scores[i].0,
-                analytic_ns: sweep.scores[i].1,
-                guard_rejected: sweep.rejected[i],
-            })
-            .collect();
-        let head = &ranked[0];
-        let mut plan = self.finish_plan::<E>(
-            problem,
-            head.candidate.clone(),
-            head.predicted_ns,
-            evaluated,
-            opts,
-        );
-        plan.sweep_wall_ns = sweep_wall_ns;
-        Ok((plan, ranked))
-    }
-
-    /// Build a plan directly from a known candidate, bypassing the sweep
-    /// — used by the autotuner to install a *measured*-best candidate.
-    /// `predicted_ns` carries the caller's (typically measured) time
-    /// estimate, so downstream prediction accounting sees the measured
-    /// figure; the plan-time charge covers one candidate evaluation.
-    pub fn plan_for_candidate<E: Element>(
-        &self,
-        shape: &Shape,
-        perm: &Permutation,
-        opts: &TransposeOptions,
-        candidate: Candidate,
-        predicted_ns: f64,
-    ) -> Result<Plan<E>, PlanError> {
-        let problem = build_problem(shape, perm, opts)?;
-        let mut plan = self.finish_plan::<E>(problem, candidate, predicted_ns, 1, opts);
-        plan.measured = true;
-        Ok(plan)
-    }
-
     /// Assemble a [`Plan`] for an already-chosen candidate: build the
     /// kernel and charge the modeled plan time for `evaluated` ranked
     /// candidates plus offset-array construction.
@@ -627,7 +542,7 @@ impl Transposer {
 
     /// Enumerate, score, and order every candidate of the given schemas
     /// — the shared heart of [`Transposer::plan`] and
-    /// [`Transposer::plan_topk`].
+    /// [`Transposer::plan_measured`].
     fn sweep_candidates<E: Element>(
         &self,
         problem: &Problem,
@@ -640,8 +555,7 @@ impl Transposer {
             return Err(PlanError::NoCandidate);
         }
         let scores = self.score_candidates(&candidates, true);
-        let lanes: Vec<Backend> = candidates.iter().map(|c| c.backend()).collect();
-        let (order, analytic_best, rejected) = order_candidates(&scores, &lanes);
+        let (order, analytic_best, rejected) = order_candidates(&scores);
         let best = order[0];
         if let Some(tr) = trace {
             tr.analytic_best_ns = analytic_best;
@@ -670,12 +584,11 @@ impl Transposer {
             candidates,
             scores,
             order,
-            rejected,
         })
     }
 
-    /// Enumerate every candidate of the given schemas (Alg. 3), in the
-    /// deterministic schema-then-sweep order.
+    /// Enumerate every candidate of the given schemas (Alg. 3) on the
+    /// options' backend, in the deterministic schema-then-sweep order.
     fn enumerate_all<E: Element>(
         &self,
         problem: &Problem,
@@ -683,33 +596,30 @@ impl Transposer {
         opts: &TransposeOptions,
         mut trace: Option<&mut DecisionTrace>,
     ) -> Vec<Candidate> {
-        let device = self.executor.device();
-        let backends = opts.backends();
-        let mut cands = Vec::new();
-        if backends.contains(&Backend::GpuSim) {
-            for &schema in schemas {
-                let list = match trace.as_deref_mut() {
-                    Some(tr) => slice::enumerate_candidates_traced::<E>(
-                        problem,
-                        schema,
-                        device,
-                        opts.overbooking,
-                        opts.model_sweep,
-                        &mut tr.rejections,
-                    ),
-                    None => slice::enumerate_candidates::<E>(
-                        problem,
-                        schema,
-                        device,
-                        opts.overbooking,
-                        opts.model_sweep,
-                    ),
-                };
-                cands.extend(list);
-            }
+        if opts.backend == Backend::Cpu {
+            return enumerate_cpu_candidates::<E>(problem, schemas, opts);
         }
-        if backends.contains(&Backend::Cpu) {
-            cands.extend(enumerate_cpu_candidates::<E>(problem, schemas, opts));
+        let device = self.executor.device();
+        let mut cands = Vec::new();
+        for &schema in schemas {
+            let list = match trace.as_deref_mut() {
+                Some(tr) => slice::enumerate_candidates_traced::<E>(
+                    problem,
+                    schema,
+                    device,
+                    opts.overbooking,
+                    opts.model_sweep,
+                    &mut tr.rejections,
+                ),
+                None => slice::enumerate_candidates::<E>(
+                    problem,
+                    schema,
+                    device,
+                    opts.overbooking,
+                    opts.model_sweep,
+                ),
+            };
+            cands.extend(list);
         }
         cands
     }
@@ -854,14 +764,7 @@ impl Transposer {
                 let outcome = self.executor.analyze(k)?;
                 Ok(self.report(plan, &outcome.stats))
             }
-            PlanExec::Cpu(cp) => {
-                let src: DenseTensor<E> = DenseTensor::zeros(plan.problem.orig_shape.clone());
-                let mut dst: DenseTensor<E> = DenseTensor::zeros(plan.out_shape());
-                let started = std::time::Instant::now();
-                ttlg_cpu::execute(cp, src.data(), dst.data_mut());
-                let wall_ns = (started.elapsed().as_nanos() as f64).max(1.0);
-                Ok(cpu_report(plan, wall_ns))
-            }
+            PlanExec::Cpu(cp) => Ok(cpu_report(plan, time_cpu_run::<E>(cp, &plan.problem))),
         }
     }
 
@@ -889,79 +792,53 @@ impl Transposer {
         self.execute(&plan, input)
     }
 
-    /// Measure-mode planning: build *every* candidate kernel, time each on
-    /// the device (sampled analysis), and keep the actually-fastest one —
-    /// the upper bound the regression model is judged against, and the
-    /// TTLG analogue of cuTT's measure mode. The plan-time charge includes
-    /// the measured executions, so single-use comparisons stay honest.
+    /// Measure mode, the TTLG analogue of cuTT's: rank the candidates
+    /// (Alg. 3), time the best `k` of the ranking (at least one) with
+    /// [`Self::measure_candidate`], and build the fastest, the
+    /// better-ranked one on a tie. A `k` of at least the candidate count
+    /// times every candidate: the upper bound the model is judged
+    /// against. Returns the plan and each timed `(candidate, measured
+    /// ns)` pair in rank order.
+    ///
+    /// The plan's `predicted_ns` is the winner's measured time, and its
+    /// plan-time charge adds the `k` measured runs to the model's, so
+    /// single-use comparisons stay honest. Its sweep wall time covers
+    /// the ranking and the timed runs.
     pub fn plan_measured<E: Element>(
         &self,
         shape: &Shape,
         perm: &Permutation,
         opts: &TransposeOptions,
-    ) -> Result<Plan<E>, PlanError> {
-        let problem = if opts.enable_fusion {
-            Problem::new(shape, perm)?
-        } else {
-            Problem::new_unfused(shape, perm)?
-        };
+        k: usize,
+    ) -> Result<MeasuredPlan<E>, PlanError> {
+        let started = std::time::Instant::now();
+        let problem = build_problem(shape, perm, opts)?;
         let schemas = match opts.forced_schema {
             Some(s) => vec![s],
             None => applicable_schemas(&problem),
         };
-        let device = self.executor.device();
-        let sweep_started = std::time::Instant::now();
-        let mut best: Option<(f64, Candidate, PlanExec<E>)> = None;
-        let mut evaluated = 0usize;
-        let mut measured_ns = 0.0;
-        for cand in self.enumerate_all::<E>(&problem, &schemas, opts, None) {
-            let exec = build_exec::<E>(&problem, &cand, device.smem_per_sm);
-            let t = match &exec {
-                PlanExec::Gpu(kernel) => {
-                    let outcome = self.executor.analyze(kernel)?;
-                    self.timing.time(&outcome.stats, &kernel.launch()).time_ns
-                }
-                PlanExec::Cpu(cp) => {
-                    // CPU candidates are timed on real wall clock against
-                    // scratch buffers — their nanoseconds and the synthetic
-                    // GPU nanoseconds only compete when the caller asked
-                    // for a cross-backend sweep.
-                    let src = DenseTensor::<E>::zeros(problem.orig_shape.clone());
-                    let out_shape = problem.orig_perm.apply_to_shape(&problem.orig_shape)?;
-                    let mut dst = DenseTensor::<E>::zeros(out_shape);
-                    let started = std::time::Instant::now();
-                    ttlg_cpu::execute(cp, src.data(), dst.data_mut());
-                    (started.elapsed().as_nanos() as f64).max(1.0)
-                }
-            };
-            evaluated += 1;
-            measured_ns += t;
-            if best.as_ref().map(|(bt, _, _)| t < *bt).unwrap_or(true) {
-                best = Some((t, cand, exec));
-            }
+        let sweep = self.sweep_candidates::<E>(&problem, &schemas, opts, None)?;
+        let mut timed = Vec::with_capacity(k.clamp(1, sweep.order.len()));
+        for &i in sweep.order.iter().take(k.max(1)) {
+            let cand = &sweep.candidates[i];
+            let ns = self.measure_candidate::<E>(&problem, cand)?.timing.time_ns;
+            timed.push((cand.clone(), ns));
         }
-        let (best_ns, candidate, kernel) = best.ok_or(PlanError::NoCandidate)?;
-        let plan_time_ns =
-            self.timing.plan_overhead_ns() + measured_ns + evaluated as f64 * PLAN_PER_CANDIDATE_NS;
-        Ok(Plan {
-            problem,
-            candidate,
-            kernel,
-            predicted_ns: best_ns,
-            plan_time_ns,
-            candidates_evaluated: evaluated,
-            check_disjoint_writes: opts.check_disjoint_writes,
-            measured: true,
-            sweep_wall_ns: sweep_started.elapsed().as_nanos() as u64,
-            decision: None,
-            gpu_stats: OnceLock::new(),
-            host_kernel: OnceLock::new(),
-        })
+        let best = (1..timed.len()).fold(0, |b, j| if timed[j].1 < timed[b].1 { j } else { b });
+        let measured_ns: f64 = timed.iter().map(|&(_, ns)| ns).sum();
+        let (candidate, best_ns) = timed[best].clone();
+        let evaluated = sweep.candidates.len();
+        let mut plan = self.finish_plan::<E>(problem, candidate, best_ns, evaluated, opts);
+        plan.plan_time_ns += measured_ns;
+        plan.measured = true;
+        plan.sweep_wall_ns = started.elapsed().as_nanos() as u64;
+        Ok((plan, timed))
     }
 
-    /// Build and time one specific candidate via sampled analysis —
-    /// the ground-truth generator for offline model training and the
-    /// building block of measure-mode baselines.
+    /// Build and time one specific candidate: sampled analysis on the
+    /// simulated device for a GPU candidate, one wall-clock run over
+    /// scratch buffers for a CPU one. The ground-truth generator for
+    /// offline model training and the timer of [`Self::plan_measured`].
     pub fn measure_candidate<E: Element>(
         &self,
         problem: &Problem,
@@ -976,18 +853,10 @@ impl Transposer {
                     timing,
                 })
             }
-            PlanExec::Cpu(cp) => {
-                let src = DenseTensor::<E>::zeros(problem.orig_shape.clone());
-                let out_shape = problem.orig_perm.apply_to_shape(&problem.orig_shape)?;
-                let mut dst = DenseTensor::<E>::zeros(out_shape);
-                let started = std::time::Instant::now();
-                ttlg_cpu::execute(&cp, src.data(), dst.data_mut());
-                let wall_ns = (started.elapsed().as_nanos() as f64).max(1.0);
-                Ok(CandidateMeasurement {
-                    stats: cpu_stats(problem.volume(), E::BYTES),
-                    timing: cpu_timing(wall_ns),
-                })
-            }
+            PlanExec::Cpu(cp) => Ok(CandidateMeasurement {
+                stats: cpu_stats(problem.volume(), E::BYTES),
+                timing: cpu_timing(time_cpu_run::<E>(&cp, problem)),
+            }),
         }
     }
 
@@ -1015,32 +884,22 @@ struct SweepResult {
     scores: Vec<(f64, f64)>,
     /// Candidate indices, best first (see [`order_candidates`]).
     order: Vec<usize>,
-    /// Per-candidate analytic-guard rejection flag, enumeration order.
-    rejected: Vec<bool>,
 }
 
 /// Order candidate indices best-first: guard-eligible candidates sorted
 /// by predicted time (stable, so ties keep enumeration order and the
 /// head reproduces the sequential argmin), then guard-rejected ones
-/// sorted the same way. The guard band is computed **per backend lane**
-/// (`lanes[i]` is candidate `i`'s backend): a synthetic-GPU nanosecond
-/// and a wall-clock CPU nanosecond live on different scales, and one
-/// shared band would blanket-reject whichever backend models slower.
-/// Returns the order, the overall analytic best, and per-candidate
+/// sorted the same way. A candidate is guard-rejected when its analytic
+/// estimate exceeds [`ANALYTIC_GUARD`] times the analytic best; every
+/// candidate of one sweep runs on one backend, so the estimates share a
+/// clock. Returns the order, the analytic best, and per-candidate
 /// rejection flags.
-fn order_candidates(scores: &[(f64, f64)], lanes: &[Backend]) -> (Vec<usize>, f64, Vec<bool>) {
-    debug_assert_eq!(scores.len(), lanes.len());
-    let mut lane_best = [f64::INFINITY; Backend::ALL.len()];
-    for (i, &(_, a)) in scores.iter().enumerate() {
-        let l = lanes[i].index();
-        lane_best[l] = lane_best[l].min(a);
-    }
+fn order_candidates(scores: &[(f64, f64)]) -> (Vec<usize>, f64, Vec<bool>) {
+    let analytic_best = scores.iter().fold(f64::INFINITY, |m, &(_, a)| m.min(a));
     let rejected: Vec<bool> = scores
         .iter()
-        .enumerate()
-        .map(|(i, &(_, a))| a > ANALYTIC_GUARD * lane_best[lanes[i].index()])
+        .map(|&(_, a)| a > ANALYTIC_GUARD * analytic_best)
         .collect();
-    let analytic_best = scores.iter().fold(f64::INFINITY, |m, &(_, a)| m.min(a));
     let by_predicted =
         |&i: &usize, &j: &usize| scores[i].0.partial_cmp(&scores[j].0).expect("finite");
     let mut order: Vec<usize> = (0..scores.len()).filter(|&i| !rejected[i]).collect();
@@ -1158,6 +1017,16 @@ fn cpu_timing(wall_ns: f64) -> KernelTiming {
     }
 }
 
+/// Wall-clock nanoseconds (at least 1) of one run of a CPU loop nest
+/// over zeroed scratch buffers of the problem's size.
+fn time_cpu_run<E: Element>(cp: &ttlg_cpu::CpuPlan, problem: &Problem) -> f64 {
+    let src = DenseTensor::<E>::zeros(problem.orig_shape.clone());
+    let mut dst = DenseTensor::<E>::zeros(problem.out_shape.clone());
+    let started = std::time::Instant::now();
+    ttlg_cpu::execute(cp, src.data(), dst.data_mut());
+    (started.elapsed().as_nanos() as f64).max(1.0)
+}
+
 /// Assemble a [`TransposeReport`] for a wall-clock-timed CPU execution.
 fn cpu_report<E: Element>(plan: &Plan<E>, wall_ns: f64) -> TransposeReport {
     let vol = plan.problem.volume();
@@ -1253,51 +1122,18 @@ mod tests {
     }
 
     #[test]
-    fn cross_backend_sweep_considers_both_lanes() {
-        let t = Transposer::new_k40c();
-        let shape = Shape::new(&[32, 16, 16]).unwrap();
-        let perm = Permutation::new(&[2, 0, 1]).unwrap();
-        let opts = TransposeOptions {
-            backend: None,
-            ..Default::default()
-        };
-        let problem = Problem::new(&shape, &perm).unwrap();
-        let schemas = applicable_schemas(&problem);
-        let cands = t.enumerate_all::<f64>(&problem, &schemas, &opts, None);
-        assert!(cands.iter().any(|c| c.backend() == Backend::GpuSim));
-        assert!(cands.iter().any(|c| c.backend() == Backend::Cpu));
-        // The auto sweep plans and executes correctly whichever lane wins.
-        let plan = t.plan::<f64>(&shape, &perm, &opts).unwrap();
-        let input: DenseTensor<f64> = DenseTensor::iota(shape.clone());
-        let (out, _) = t.execute(&plan, &input).unwrap();
-        let expect = reference::transpose_reference(&input, &perm).unwrap();
-        assert_eq!(out.data(), expect.data());
-        // Guard flags were computed per lane: within each backend at
-        // least one candidate survives the band.
-        let (_, ranked) = t.plan_topk::<f64>(&shape, &perm, &opts, 32).unwrap();
-        for b in Backend::ALL {
-            let lane: Vec<_> = ranked
-                .iter()
-                .filter(|r| r.candidate.backend() == b)
-                .collect();
-            if !lane.is_empty() {
-                assert!(
-                    lane.iter().any(|r| !r.guard_rejected),
-                    "lane {b} fully guard-rejected"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn cpu_backend_measured_planning_works() {
         let t = Transposer::new_k40c();
         let shape = Shape::new(&[48, 16, 8]).unwrap();
         let perm = Permutation::new(&[2, 0, 1]).unwrap();
         let opts = TransposeOptions::for_backend(Backend::Cpu);
-        let plan = t.plan_measured::<u32>(&shape, &perm, &opts).unwrap();
+        let (plan, timed) = t
+            .plan_measured::<u32>(&shape, &perm, &opts, usize::MAX)
+            .unwrap();
         assert_eq!(plan.backend(), Backend::Cpu);
         assert!(plan.is_measured());
+        assert_eq!(timed.len(), plan.candidates_evaluated());
+        assert!(timed.iter().all(|(c, _)| c.backend() == Backend::Cpu));
         let input: DenseTensor<u32> = DenseTensor::iota(shape);
         let (out, _) = t.execute(&plan, &input).unwrap();
         let expect = reference::transpose_reference(&input, &perm).unwrap();
@@ -1622,17 +1458,51 @@ mod tests {
         let perm = Permutation::new(&[3, 1, 0, 2]).unwrap();
         let opts = TransposeOptions::default();
         let model = t.plan::<f64>(&shape, &perm, &opts).unwrap();
-        let measured = t.plan_measured::<f64>(&shape, &perm, &opts).unwrap();
+        let (measured, timed) = t
+            .plan_measured::<f64>(&shape, &perm, &opts, usize::MAX)
+            .unwrap();
         let tm = t.time_plan(&model).unwrap().kernel_time_ns;
         let tb = t.time_plan(&measured).unwrap().kernel_time_ns;
         assert!(tb <= tm + 1e-9, "measured-best {tb} vs model {tm}");
-        // measure mode pays for what it measured
-        assert!(measured.plan_time_ns() > model.plan_time_ns());
+        // Every candidate was timed, and the plan predicts the fastest.
+        assert_eq!(timed.len(), model.candidates_evaluated());
+        assert_eq!(
+            measured.candidates_evaluated(),
+            model.candidates_evaluated()
+        );
+        let fastest = timed
+            .iter()
+            .map(|&(_, ns)| ns)
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(measured.predicted_ns(), fastest);
+        assert!((tb - fastest).abs() < 1e-9);
+        // Measure mode pays the model's charge plus every timed run.
+        let runs: f64 = timed.iter().map(|&(_, ns)| ns).sum();
+        let charge = model.plan_time_ns() + runs;
+        assert!((measured.plan_time_ns() - charge).abs() < 1e-6 * charge);
         // correctness of the measured plan
         let input: DenseTensor<f64> = DenseTensor::iota(shape);
         let (out, _) = t.execute(&measured, &input).unwrap();
         let expect = reference::transpose_reference(&input, &perm).unwrap();
         assert_eq!(out.data(), expect.data());
+    }
+
+    /// Ranks candidates backwards: the analytically slowest looks
+    /// fastest.
+    struct Inverted(AnalyticPredictor);
+
+    impl TimePredictor for Inverted {
+        fn predict_ns(&self, c: &Candidate) -> f64 {
+            1.0e12 / self.0.predict_ns(c).max(1.0)
+        }
+    }
+
+    fn inverted_k40c() -> Transposer {
+        let device = DeviceConfig::k40c();
+        Transposer::with_predictor(
+            device.clone(),
+            Arc::new(Inverted(AnalyticPredictor::new(device))),
+        )
     }
 
     #[test]
@@ -1641,18 +1511,8 @@ mod tests {
         // candidate) must still end up within the analytic guard band of
         // the best plan — the guard exists for regression models gone
         // wrong far outside their training range.
-        struct Inverted(AnalyticPredictor);
-        impl TimePredictor for Inverted {
-            fn predict_ns(&self, c: &Candidate) -> f64 {
-                1.0e12 / self.0.predict_ns(c).max(1.0)
-            }
-        }
-        let device = DeviceConfig::k40c();
-        let adversarial = Transposer::with_predictor(
-            device.clone(),
-            Arc::new(Inverted(AnalyticPredictor::new(device.clone()))),
-        );
-        let sane = Transposer::new(device);
+        let adversarial = inverted_k40c();
+        let sane = Transposer::new_k40c();
         let shape = Shape::new(&[16, 16, 16, 16, 16, 16]).unwrap();
         let perm = Permutation::new(&[5, 0, 1, 3, 4, 2]).unwrap();
         let opts = TransposeOptions::default();
@@ -1753,9 +1613,8 @@ mod tests {
         let seq = t.score_candidates(&cands, false);
         let par = t.score_candidates(&cands, true);
         assert_eq!(seq, par, "parallel scoring must be bit-identical");
-        let lanes: Vec<Backend> = cands.iter().map(|c| c.backend()).collect();
-        let (seq_order, seq_best, _) = order_candidates(&seq, &lanes);
-        let (par_order, par_best, _) = order_candidates(&par, &lanes);
+        let (seq_order, seq_best, _) = order_candidates(&seq);
+        let (par_order, par_best, _) = order_candidates(&par);
         assert_eq!(seq_order[0], par_order[0], "identical argmin");
         assert_eq!(seq_best, par_best);
         // Under a thread cap of 1 the parallel path degrades to the
@@ -1766,50 +1625,61 @@ mod tests {
 
     #[test]
     fn plan_topk_head_matches_plan() {
+        // The sweep's order heads with the candidate `plan` builds.
         let t = Transposer::new_k40c();
         let shape = Shape::new(&[27, 27, 27, 27]).unwrap();
         let perm = Permutation::new(&[3, 1, 0, 2]).unwrap();
         let opts = TransposeOptions::default();
         let plain = t.plan::<f64>(&shape, &perm, &opts).unwrap();
-        let (plan, ranked) = t.plan_topk::<f64>(&shape, &perm, &opts, 4).unwrap();
-        assert!(!ranked.is_empty() && ranked.len() <= 4);
-        assert_eq!(plan.schema(), plain.schema());
-        assert!((plan.predicted_ns() - plain.predicted_ns()).abs() < 1e-9);
-        assert!((plan.plan_time_ns() - plain.plan_time_ns()).abs() < 1e-9);
-        assert_eq!(plan.candidates_evaluated(), plain.candidates_evaluated());
-        assert!((ranked[0].predicted_ns - plain.predicted_ns()).abs() < 1e-9);
-        assert!(!ranked[0].guard_rejected, "the head is always eligible");
+        let problem = Problem::new(&shape, &perm).unwrap();
+        let schemas = applicable_schemas(&problem);
+        let sweep = t
+            .sweep_candidates::<f64>(&problem, &schemas, &opts, None)
+            .unwrap();
+        assert_eq!(sweep.order.len(), plain.candidates_evaluated());
+        let (_, _, rejected) = order_candidates(&sweep.scores);
+        let head = sweep.order[0];
+        assert_eq!(sweep.candidates[head].schema(), plain.schema());
+        assert!((sweep.scores[head].0 - plain.predicted_ns()).abs() < 1e-9);
+        assert!(!rejected[head], "the head is always eligible");
         // Eligible entries come first, each segment ascending by
         // predicted time.
-        for w in ranked.windows(2) {
-            if w[0].guard_rejected == w[1].guard_rejected {
-                assert!(w[0].predicted_ns <= w[1].predicted_ns);
+        for w in sweep.order.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            if rejected[a] == rejected[b] {
+                assert!(sweep.scores[a].0 <= sweep.scores[b].0);
             } else {
-                assert!(!w[0].guard_rejected && w[1].guard_rejected);
+                assert!(!rejected[a] && rejected[b]);
             }
         }
     }
 
     #[test]
     fn plan_for_candidate_reconstructs_runnable_plan() {
-        let t = Transposer::new_k40c();
+        // Under an inverted ranking, measuring the top three builds a
+        // candidate off the ranking's head, and the plan still runs
+        // bit-equal to the reference through its simulated kernel.
+        let t = inverted_k40c();
         let shape = Shape::new(&[17, 17, 17, 17]).unwrap();
         let perm = Permutation::new(&[3, 1, 0, 2]).unwrap();
         let opts = opts_checked();
-        let (_, ranked) = t.plan_topk::<u64>(&shape, &perm, &opts, 3).unwrap();
-        // Rebuild a plan from the *last* ranked candidate with a made-up
-        // prediction, as the autotuner does with a measured time.
-        let pick = ranked.last().unwrap();
-        let plan = t
-            .plan_for_candidate::<u64>(&shape, &perm, &opts, pick.candidate.clone(), 1234.5)
-            .unwrap();
-        assert_eq!(plan.candidates_evaluated(), 1);
-        assert!((plan.predicted_ns() - 1234.5).abs() < 1e-12);
+        let model = t.plan::<u64>(&shape, &perm, &opts).unwrap();
+        let (plan, timed) = t.plan_measured::<u64>(&shape, &perm, &opts, 3).unwrap();
+        assert_eq!(timed.len(), 3);
+        assert!((timed[0].1 - t.time_plan(&model).unwrap().kernel_time_ns).abs() < 1e-9);
+        assert!(
+            plan.predicted_ns() < timed[0].1,
+            "the ranking's head must lose: {timed:?}"
+        );
+        assert!(timed.iter().any(|&(_, ns)| ns == plan.predicted_ns()));
+        assert!(plan.is_measured());
+        assert_eq!(plan.candidates_evaluated(), model.candidates_evaluated());
         let input: DenseTensor<u64> = DenseTensor::iota(shape);
         let (out, report) = t.execute(&plan, &input).unwrap();
         let expect = reference::transpose_reference(&input, &perm).unwrap();
         assert_eq!(out.data(), expect.data());
-        assert!((report.predicted_ns - 1234.5).abs() < 1e-12);
+        assert_eq!(report.predicted_ns, plan.predicted_ns());
+        assert!((report.kernel_time_ns - plan.predicted_ns()).abs() < 1e-9);
     }
 
     #[test]
@@ -1839,12 +1709,12 @@ mod tests {
         let (explicit, trace) = t.plan_traced::<f64>(&shape, &perm, &opts).unwrap();
         assert!(explicit.decision_trace().is_none());
         assert_eq!(trace.candidates.len(), explicit.candidates_evaluated());
-        // Measured-candidate plans are tagged for warm attribution.
-        let (_, ranked) = t.plan_topk::<f64>(&shape, &perm, &opts, 2).unwrap();
-        let warmed = t
-            .plan_for_candidate::<f64>(&shape, &perm, &opts, ranked[0].candidate.clone(), 99.0)
+        // Measured plans are tagged for warm attribution.
+        let (warmed, timed) = inverted_k40c()
+            .plan_measured::<f64>(&shape, &perm, &opts, 2)
             .unwrap();
         assert!(warmed.is_measured());
+        assert_eq!(timed.len(), 2);
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub use tracestore::{
     Envelope, Priority, SampleReason, SlowestBuckets, SpanNode, TraceRecord, TraceStore,
     TraceStoreConfig,
 };
-pub use tsdb::{HistPoints, ScalarPoints, TimeSeriesStore, TsdbConfig};
+pub use tsdb::{HistPoints, ScalarPoints, TimeSeriesStore};
 
 /// One fully attributed request through the runtime service — the
 /// service's part of a [`TraceRecord`] and the post-hoc answer to "what

@@ -12,12 +12,13 @@
 //! * **log2 histograms** → per-bucket count deltas (so windows can be
 //!   merged for `quantile_over_time`).
 //!
-//! Each series holds two retention rings: a *fine* ring (default 1 s × 600
-//! points = 10 min) and a *coarse* ring (default 30 s × 480 points = 4 h)
-//! fed by downsampling — every `coarse_factor` fine ingests, the pending
+//! Each series holds two retention rings: a *fine* ring of 600 points
+//! (10 min at the default 1 s scrape) and a *coarse* ring of 480 points
+//! (4 h) fed by downsampling — every 30 fine ingests, the pending
 //! accumulator (increments/bucket-deltas summed, gauges averaged) is folded
-//! into one coarse point. Both rings are hard-capped, so memory is bounded
-//! regardless of scrape flood rate.
+//! into one coarse point. Both rings are hard-capped, and the store keeps
+//! at most 2 048 series, so memory is bounded regardless of scrape flood
+//! rate.
 //!
 //! The store also serialises to a line-based text format
 //! ([`TimeSeriesStore::save`] / [`TimeSeriesStore::hydrate`]) so `ttlg
@@ -29,30 +30,15 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::snapshot::{MetricKind, MetricsSnapshot, Sample};
 
-/// Retention / resolution knobs for a [`TimeSeriesStore`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TsdbConfig {
-    /// Number of points kept in the fine ring per series.
-    pub fine_capacity: usize,
-    /// Fine ingests folded into one coarse point.
-    pub coarse_factor: u32,
-    /// Number of points kept in the coarse ring per series.
-    pub coarse_capacity: usize,
-    /// Hard cap on distinct series (scalar + histogram); excess series
-    /// are dropped and counted in `ttlg_tsdb_series_dropped_total`.
-    pub max_series: usize,
-}
-
-impl Default for TsdbConfig {
-    fn default() -> Self {
-        Self {
-            fine_capacity: 600,
-            coarse_factor: 30,
-            coarse_capacity: 480,
-            max_series: 2_048,
-        }
-    }
-}
+/// Points kept in the fine ring per series.
+const FINE_CAPACITY: usize = 600;
+/// Fine ingests folded into one coarse point.
+const COARSE_FACTOR: u32 = 30;
+/// Points kept in the coarse ring per series.
+const COARSE_CAPACITY: usize = 480;
+/// Hard cap on distinct series (scalar + histogram); excess series are
+/// dropped and counted in `ttlg_tsdb_series_dropped_total`.
+const MAX_SERIES: usize = 2_048;
 
 /// A series identity: metric family name plus its label set.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -116,20 +102,18 @@ pub struct HistPoints {
 /// Bounded, thread-safe metrics history store. See module docs.
 #[derive(Debug)]
 pub struct TimeSeriesStore {
-    cfg: TsdbConfig,
     inner: Mutex<StoreInner>,
 }
 
 impl Default for TimeSeriesStore {
     fn default() -> Self {
-        Self::new(TsdbConfig::default())
+        Self::new()
     }
 }
 
 impl TimeSeriesStore {
-    pub fn new(cfg: TsdbConfig) -> Self {
+    pub fn new() -> Self {
         Self {
-            cfg,
             inner: Mutex::new(StoreInner::default()),
         }
     }
@@ -149,7 +133,6 @@ impl TimeSeriesStore {
         let mut inner = self.lock();
         inner.scrapes += 1;
         inner.last_ingest_ms = inner.last_ingest_ms.max(now_ms);
-        let cfg = self.cfg;
 
         for metric in &snap.metrics {
             // The store's own health families would self-reference (the
@@ -166,7 +149,7 @@ impl TimeSeriesStore {
                     labels: sample.labels.clone(),
                 };
                 let at_cap = !inner.scalars.contains_key(&key)
-                    && inner.scalars.len() + inner.hists.len() >= cfg.max_series;
+                    && inner.scalars.len() + inner.hists.len() >= MAX_SERIES;
                 if at_cap {
                     inner.series_dropped += 1;
                     continue;
@@ -196,7 +179,7 @@ impl TimeSeriesStore {
                         sample.value
                     }
                 };
-                push_scalar(series, now_ms, value, &cfg);
+                push_scalar(series, now_ms, value);
                 inner.counter_resets += resets;
             }
         }
@@ -207,7 +190,7 @@ impl TimeSeriesStore {
                 labels: hist.labels.clone(),
             };
             let at_cap = !inner.hists.contains_key(&key)
-                && inner.scalars.len() + inner.hists.len() >= cfg.max_series;
+                && inner.scalars.len() + inner.hists.len() >= MAX_SERIES;
             if at_cap {
                 inner.series_dropped += 1;
                 continue;
@@ -244,7 +227,7 @@ impl TimeSeriesStore {
                     .collect()
             };
             series.last_counts.copy_from_slice(&hist.counts);
-            push_hist(series, now_ms, deltas, &cfg);
+            push_hist(series, now_ms, deltas);
             inner.counter_resets += resets;
         }
     }
@@ -477,12 +460,12 @@ impl TimeSeriesStore {
                 let key = pending_scalar.as_ref().ok_or_else(|| err("orphan SF"))?;
                 let s = loaded.scalars.get_mut(key).unwrap();
                 s.fine = parse_scalar_ring(rest).ok_or_else(|| err("bad SF ring"))?;
-                truncate_front(&mut s.fine, self.cfg.fine_capacity);
+                truncate_front(&mut s.fine, FINE_CAPACITY);
             } else if let Some(rest) = tagged(line, "SC") {
                 let key = pending_scalar.as_ref().ok_or_else(|| err("orphan SC"))?;
                 let s = loaded.scalars.get_mut(key).unwrap();
                 s.coarse = parse_scalar_ring(rest).ok_or_else(|| err("bad SC ring"))?;
-                truncate_front(&mut s.coarse, self.cfg.coarse_capacity);
+                truncate_front(&mut s.coarse, COARSE_CAPACITY);
             } else if let Some(rest) = line.strip_prefix("H ") {
                 let parts: Vec<&str> = rest.split('|').collect();
                 if parts.len() != 3 {
@@ -522,12 +505,12 @@ impl TimeSeriesStore {
                 let key = pending_hist.as_ref().ok_or_else(|| err("orphan HF"))?;
                 let s = loaded.hists.get_mut(key).unwrap();
                 s.fine = parse_hist_ring(rest).ok_or_else(|| err("bad HF ring"))?;
-                truncate_front(&mut s.fine, self.cfg.fine_capacity);
+                truncate_front(&mut s.fine, FINE_CAPACITY);
             } else if let Some(rest) = tagged(line, "HC") {
                 let key = pending_hist.as_ref().ok_or_else(|| err("orphan HC"))?;
                 let s = loaded.hists.get_mut(key).unwrap();
                 s.coarse = parse_hist_ring(rest).ok_or_else(|| err("bad HC ring"))?;
-                truncate_front(&mut s.coarse, self.cfg.coarse_capacity);
+                truncate_front(&mut s.coarse, COARSE_CAPACITY);
             } else {
                 return Err(err("unrecognised record"));
             }
@@ -548,24 +531,24 @@ fn tagged<'a>(line: &'a str, tag: &str) -> Option<&'a str> {
     }
 }
 
-fn push_scalar(series: &mut ScalarSeries, now_ms: u64, value: f64, cfg: &TsdbConfig) {
+fn push_scalar(series: &mut ScalarSeries, now_ms: u64, value: f64) {
     series.fine.push_back((now_ms, value));
-    truncate_front(&mut series.fine, cfg.fine_capacity);
+    truncate_front(&mut series.fine, FINE_CAPACITY);
     series.pending += value;
     series.pending_n += 1;
-    if series.pending_n >= cfg.coarse_factor.max(1) {
+    if series.pending_n >= COARSE_FACTOR {
         let folded = match series.kind {
             MetricKind::Counter => series.pending,
             MetricKind::Gauge => series.pending / series.pending_n as f64,
         };
         series.coarse.push_back((now_ms, folded));
-        truncate_front(&mut series.coarse, cfg.coarse_capacity);
+        truncate_front(&mut series.coarse, COARSE_CAPACITY);
         series.pending = 0.0;
         series.pending_n = 0;
     }
 }
 
-fn push_hist(series: &mut HistSeries, now_ms: u64, deltas: Vec<u64>, cfg: &TsdbConfig) {
+fn push_hist(series: &mut HistSeries, now_ms: u64, deltas: Vec<u64>) {
     if series.pending.len() != deltas.len() {
         series.pending = vec![0; deltas.len()];
         series.pending_n = 0;
@@ -575,11 +558,11 @@ fn push_hist(series: &mut HistSeries, now_ms: u64, deltas: Vec<u64>, cfg: &TsdbC
     }
     series.pending_n += 1;
     series.fine.push_back((now_ms, deltas));
-    truncate_front(&mut series.fine, cfg.fine_capacity);
-    if series.pending_n >= cfg.coarse_factor.max(1) {
+    truncate_front(&mut series.fine, FINE_CAPACITY);
+    if series.pending_n >= COARSE_FACTOR {
         let folded = std::mem::replace(&mut series.pending, vec![0; series.last_counts.len()]);
         series.coarse.push_back((now_ms, folded));
-        truncate_front(&mut series.coarse, cfg.coarse_capacity);
+        truncate_front(&mut series.coarse, COARSE_CAPACITY);
         series.pending_n = 0;
     }
 }
@@ -790,14 +773,10 @@ mod tests {
 
     #[test]
     fn rings_stay_bounded_under_flood() {
-        let cfg = TsdbConfig {
-            fine_capacity: 16,
-            coarse_factor: 4,
-            coarse_capacity: 8,
-            ..TsdbConfig::default()
-        };
-        let store = TimeSeriesStore::new(cfg);
-        for i in 0..10_000u64 {
+        // Past 480 folds of 30 ingests, both rings sit at their caps.
+        let store = TimeSeriesStore::new();
+        let n = (COARSE_CAPACITY as u64 + 20) * COARSE_FACTOR as u64;
+        for i in 0..n {
             let mut snap = counter_snap("ttlg_x_total", i as f64);
             snap.push_histogram(
                 "ttlg_lat_us",
@@ -809,44 +788,34 @@ mod tests {
             );
             store.ingest(&snap, i * 7);
         }
-        assert_eq!(store.scrapes(), 10_000);
+        assert_eq!(store.scrapes(), n);
         let inner = store.inner.lock().unwrap();
+        assert_eq!(inner.scalars.len() + inner.hists.len(), 2);
         for s in inner.scalars.values() {
-            assert!(
-                s.fine.len() <= 16,
-                "fine ring exceeded cap: {}",
-                s.fine.len()
-            );
-            assert!(
-                s.coarse.len() <= 8,
-                "coarse ring exceeded cap: {}",
-                s.coarse.len()
-            );
+            assert_eq!(s.fine.len(), 600, "fine ring at its cap");
+            assert_eq!(s.coarse.len(), 480, "coarse ring at its cap");
         }
         for h in inner.hists.values() {
-            assert!(h.fine.len() <= 16);
-            assert!(h.coarse.len() <= 8);
+            assert_eq!(h.fine.len(), 600);
+            assert_eq!(h.coarse.len(), 480);
         }
     }
 
     #[test]
     fn series_cap_drops_excess_series() {
-        let cfg = TsdbConfig {
-            max_series: 2,
-            ..TsdbConfig::default()
-        };
-        let store = TimeSeriesStore::new(cfg);
+        let store = TimeSeriesStore::new();
         let mut snap = MetricsSnapshot::new();
-        for i in 0..5 {
+        for i in 0..2_049 {
             snap.push_metric(
-                &format!("ttlg_fam_{i}"),
+                &format!("ttlg_fam_{i:04}"),
                 "test",
                 MetricKind::Gauge,
                 vec![Sample::plain(1.0)],
             );
         }
         store.ingest(&snap, 1_000);
-        assert_eq!(store.series_count(), 2);
+        assert_eq!(store.series_count(), 2_048);
+        assert!(store.scalar_data("ttlg_fam_2048").is_empty());
         let mut out = MetricsSnapshot::new();
         store.export_into(&mut out);
         let dropped = out
@@ -854,20 +823,14 @@ mod tests {
             .iter()
             .find(|m| m.name == "ttlg_tsdb_series_dropped_total")
             .unwrap();
-        assert_eq!(dropped.samples[0].value, 3.0);
+        assert_eq!(dropped.samples[0].value, 1.0);
     }
 
     #[test]
     fn downsampling_sums_counters_and_averages_gauges() {
-        let cfg = TsdbConfig {
-            fine_capacity: 4,
-            coarse_factor: 4,
-            coarse_capacity: 100,
-            ..TsdbConfig::default()
-        };
-        let store = TimeSeriesStore::new(cfg);
-        // 8 scrapes: counter +1 each, gauge value = scrape index.
-        for i in 0..8u64 {
+        let store = TimeSeriesStore::new();
+        // 60 scrapes: counter +1 each, gauge value = scrape index.
+        for i in 0..60u64 {
             let mut snap = counter_snap("ttlg_c_total", (i + 1) as f64);
             snap.push_metric(
                 "ttlg_g",
@@ -885,11 +848,11 @@ mod tests {
                 labels: Vec::new(),
             })
             .unwrap();
-        // First fold covers scrapes 1-4: first increment is the raw value
-        // (1.0, no prior baseline) + three +1 increments = 4.0.
+        // Each fold covers 30 scrapes: the first increment is the raw
+        // value (1.0, no prior baseline), the others +1 each.
         assert_eq!(
-            c.coarse.iter().map(|(_, v)| *v).collect::<Vec<_>>(),
-            vec![4.0, 4.0]
+            c.coarse.iter().copied().collect::<Vec<_>>(),
+            vec![(30_000, 30.0), (60_000, 30.0)]
         );
         let g = inner
             .scalars
@@ -898,25 +861,20 @@ mod tests {
                 labels: Vec::new(),
             })
             .unwrap();
-        // Gauge folds average: (0+1+2+3)/4 = 1.5, (4+5+6+7)/4 = 5.5.
+        // Gauge folds average: (0+..+29)/30 = 14.5, (30+..+59)/30 = 44.5.
         assert_eq!(
             g.coarse.iter().map(|(_, v)| *v).collect::<Vec<_>>(),
-            vec![1.5, 5.5]
+            vec![14.5, 44.5]
         );
     }
 
     #[test]
     fn merged_read_spans_coarse_and_fine_without_double_counting() {
-        let cfg = TsdbConfig {
-            fine_capacity: 6,
-            coarse_factor: 3,
-            coarse_capacity: 100,
-            ..TsdbConfig::default()
-        };
-        let store = TimeSeriesStore::new(cfg);
-        // 12 scrapes of +1 increments at 1s cadence. Fine keeps the last 6;
-        // coarse holds folds of scrapes 1-3, 4-6, 7-9, 10-12.
-        for i in 0..12u64 {
+        let store = TimeSeriesStore::new();
+        // 1 215 scrapes of +1 increments at 1s cadence. Fine keeps the
+        // last 600 (616-1215); coarse holds folds of 30 up to 1200, so the
+        // fold of 601-630 straddles the seam.
+        for i in 0..1_215u64 {
             store.ingest(
                 &counter_snap("ttlg_c_total", (i + 1) as f64),
                 (i + 1) * 1_000,
@@ -925,15 +883,15 @@ mod tests {
         let data = store.scalar_data("ttlg_c_total");
         let total: f64 = data[0].points.iter().map(|(_, v)| v).sum();
         // Every unit of the raw counter is represented exactly once.
-        assert_eq!(total, 12.0);
+        assert_eq!(total, 1_215.0);
         // The merged timeline spans back past the fine window.
-        assert!(data[0].points.first().unwrap().0 < 7_000);
+        assert!(data[0].points.first().unwrap().0 < 616_000);
     }
 
     #[test]
     fn ten_minutes_of_history_is_queryable_at_fine_resolution() {
         let store = TimeSeriesStore::default();
-        // Default config: 1s × 600 fine. 700 scrapes → the oldest 100
+        // 1s × 600 fine points. 700 scrapes → the oldest 100
         // intervals live only in the coarse ring.
         for i in 0..700u64 {
             store.ingest(

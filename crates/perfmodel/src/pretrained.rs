@@ -77,7 +77,8 @@ pub fn model_pair_k40c() -> ModelPair {
 }
 
 /// A ready-to-use regression predictor for the simulated K40c, with the
-/// seed CPU-backend model attached for cross-backend planning.
+/// seed CPU-backend model attached, so it also ranks the candidates of
+/// a plan for the CPU backend.
 pub fn predictor_k40c() -> TrainedPredictor {
     TrainedPredictor::from_models(od_model_k40c(), oa_model_k40c(), DeviceConfig::k40c())
         .with_cpu_model(cpu_model_default())

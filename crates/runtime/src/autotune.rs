@@ -1,71 +1,28 @@
 //! Measure-mode autotuning (the paper's cuTT-style "measure" regime,
-//! Sec. VI) as a background activity of the service.
+//! Sec. VI) as a synchronous pass of the service.
 //!
 //! The model-driven planner picks a candidate per problem without ever
 //! running one — right for the single-use regime. For *hot* problems the
 //! service sees again and again, spending a few measured runs is
 //! amortised almost immediately. The autotuner closes that loop:
 //!
-//! 1. the service counts requests per [`ttlg::PlanKey`]; a key crossing
-//!    [`AutotuneConfig::hot_threshold`] becomes due for tuning;
-//! 2. for each due key the tuner re-plans with
-//!    [`ttlg::Transposer::plan_topk`], measures the top candidates with
-//!    `measure_candidate` under a [`ttlg_tensor::parallel::with_thread_cap`]
-//!    budget (so it never steals cores from foreground batches);
-//! 3. the measured-best candidate is rebuilt into a plan whose
-//!    `predicted_ns` *is* its measured time and swapped into the shared
-//!    cache ([`ttlg::ShardedPlanCache::warm`]) — subsequent requests for
-//!    that key run the measured winner;
+//! 1. with [`crate::RuntimeConfig::autotune`] set to `Some(n)`, the
+//!    service counts requests per [`ttlg::PlanKey`]; a key that has
+//!    served `n` requests becomes due for tuning;
+//! 2. [`crate::TransposeService::autotune_once`] tunes every due key once
+//!    with one [`ttlg::Transposer::plan_measured`] call, which times the
+//!    model's four best-ranked candidates under a one-thread
+//!    [`ttlg_tensor::parallel::with_thread_cap`] (so it never steals
+//!    cores from foreground batches) and builds the fastest;
+//! 3. that plan, whose `predicted_ns` *is* its measured time, is swapped
+//!    into the shared cache pinned ([`ttlg::ShardedPlanCache::warm`]) —
+//!    subsequent requests for that key run the measured winner;
 //! 4. every `(candidate, measured)` pair is streamed to an optional
 //!    [`ttlg_perfmodel::MeasurementSink`] (e.g. an
 //!    [`ttlg_perfmodel::OnlinePredictor`]), so the measurements also
 //!    refine the regression models for *cold* keys.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// Autotuner configuration (part of
-/// [`crate::RuntimeConfig`]); disabled by default — the kill switch is
-/// simply `enabled: false`.
-#[derive(Debug, Clone, Copy)]
-pub struct AutotuneConfig {
-    /// Master switch. When `false` the service neither tracks hot keys
-    /// nor measures anything.
-    pub enabled: bool,
-    /// Requests a plan key must accumulate before it is tuned.
-    pub hot_threshold: u64,
-    /// Candidates from the ranked sweep to consider per key.
-    pub topk: usize,
-    /// Maximum measured runs to spend on one key (caps `topk`).
-    pub budget_per_key: usize,
-    /// Thread cap for the tuner's planning and measurement work, so a
-    /// background tuner never oversubscribes against foreground batches.
-    pub threads: usize,
-    /// Idle poll interval of the background worker.
-    pub poll_interval_ms: u64,
-    /// Unpin policy: a tuned key that accumulates no new requests for
-    /// this many consecutive autotune cycles loses its cache pin (and
-    /// its hot-key bookkeeping), so `ttlg_cache_pinned_plans` shrinks
-    /// once traffic moves elsewhere. `0` disables unpinning — tuned
-    /// plans stay pinned for the life of the process.
-    pub unpin_after_idle: u64,
-}
-
-impl Default for AutotuneConfig {
-    fn default() -> Self {
-        AutotuneConfig {
-            enabled: false,
-            hot_threshold: 3,
-            topk: 4,
-            budget_per_key: 8,
-            threads: 1,
-            poll_interval_ms: 2,
-            unpin_after_idle: 0,
-        }
-    }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Lock-free autotuner counters.
 #[derive(Debug, Default)]
@@ -74,7 +31,6 @@ pub struct AutotuneStats {
     pub(crate) candidates_measured: AtomicU64,
     pub(crate) plans_warmed: AtomicU64,
     pub(crate) plans_swapped: AtomicU64,
-    pub(crate) plans_unpinned: AtomicU64,
     pub(crate) points_streamed: AtomicU64,
     pub(crate) failures: AtomicU64,
 }
@@ -87,7 +43,6 @@ impl AutotuneStats {
             candidates_measured: self.candidates_measured.load(Ordering::Relaxed),
             plans_warmed: self.plans_warmed.load(Ordering::Relaxed),
             plans_swapped: self.plans_swapped.load(Ordering::Relaxed),
-            plans_unpinned: self.plans_unpinned.load(Ordering::Relaxed),
             points_streamed: self.points_streamed.load(Ordering::Relaxed),
             failures: self.failures.load(Ordering::Relaxed),
         }
@@ -105,55 +60,8 @@ pub struct AutotuneSnapshot {
     pub plans_warmed: u64,
     /// Tunings where the measured winner differed from the modeled one.
     pub plans_swapped: u64,
-    /// Tuned plans whose cache pin was released by the idle policy.
-    pub plans_unpinned: u64,
     /// Measured points streamed to the model sink.
     pub points_streamed: u64,
     /// Keys whose tuning failed (planning or measurement error).
     pub failures: u64,
-}
-
-/// Handle to a background autotuner thread (see
-/// [`crate::TransposeService::start_autotuner`]). Dropping the handle
-/// stops the worker.
-pub struct AutotunerHandle {
-    stop: Arc<AtomicBool>,
-    join: Option<JoinHandle<()>>,
-}
-
-impl AutotunerHandle {
-    pub(crate) fn new(stop: Arc<AtomicBool>, join: JoinHandle<()>) -> Self {
-        AutotunerHandle {
-            stop,
-            join: Some(join),
-        }
-    }
-
-    /// Signal the worker to stop and wait for it to exit.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(join) = self.join.take() {
-            join.thread().unpark();
-            let _ = join.join();
-        }
-    }
-}
-
-impl Drop for AutotunerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// The worker loop body: drain due keys, park briefly when idle.
-pub(crate) fn run_worker(stop: &AtomicBool, idle: Duration, mut tick: impl FnMut() -> usize) {
-    while !stop.load(Ordering::Acquire) {
-        if tick() == 0 {
-            std::thread::park_timeout(idle);
-        }
-    }
 }

@@ -33,11 +33,13 @@
 //!   replay rates, written once as a record to the service's one
 //!   [`TraceStore`] ([`TransposeService::trace_store`]; the most recent
 //!   via [`TransposeService::recent_traces`]).
-//! * **Measure-mode autotuning** — an optional background worker
-//!   ([`TransposeService::start_autotuner`]) re-measures the top-ranked
-//!   candidates for hot plan keys under a thread cap, installs the
-//!   measured-best plan into the cache, and streams every measurement to
-//!   an online model refiner ([`MeasurementSink`]); see [`autotune`].
+//! * **Measure-mode autotuning** — with [`RuntimeConfig::autotune`] on,
+//!   each [`TransposeService::autotune_once`] pass measures the
+//!   top-ranked candidates of every hot plan key with one
+//!   [`ttlg::Transposer::plan_measured`] call on one thread, installs
+//!   the measured-best plan into the cache, and streams every
+//!   measurement to an online model refiner ([`MeasurementSink`]); see
+//!   [`autotune`].
 //! * **Tail attribution** — per `(schema, shape-class)` bucket, the
 //!   trace store keeps the hierarchical phase profile of its recent
 //!   window ([`TransposeService::phase_profiles`]) and the slowest
@@ -87,7 +89,7 @@ pub mod metrics;
 pub mod service;
 
 pub use async_exec::{PipelineStats, QueueStats, TicketHandle};
-pub use autotune::{AutotuneConfig, AutotuneSnapshot, AutotunerHandle};
+pub use autotune::AutotuneSnapshot;
 pub use metrics::{LatencyHistogram, Metrics, RequestPhase, HIST_BUCKETS};
 pub use service::{
     ErrorKind, HistoryConfig, Outcome, RuntimeConfig, ServeError, ServeResult, TransposeRequest,
@@ -99,6 +101,6 @@ pub use ttlg_obs::{
     PhaseProfile, PhaseShares, PredictionStats, PredictionTracker, QueryError, QueryResult,
     QuerySeries, RequestTrace, SampleReason, ShapeClass, SloConfig, SloSnapshot, SloTracker,
     SlowestBuckets, SpanNode, TimeSeriesStore, TraceContext, TraceRecord, TraceStore,
-    TraceStoreConfig, TsdbConfig,
+    TraceStoreConfig,
 };
 pub use ttlg_perfmodel::MeasurementSink;

@@ -37,7 +37,7 @@ fn schema_index(s: Schema) -> usize {
     }
 }
 
-/// The request phase a latency sample (or failure) belongs to.
+/// The stage a request failed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestPhase {
     /// Plan fetch (cache hit or build).
@@ -211,13 +211,17 @@ impl Metrics {
         &self.backend_exec_latency[backend.index()]
     }
 
-    /// Record a failed request. The phase's wall-clock time still counts
-    /// toward its latency histogram — failures are not free, and dropping
-    /// them would bias the latency figures optimistic.
-    pub fn record_failure(&self, phase: RequestPhase, ns: u64) {
-        match phase {
-            RequestPhase::Plan => self.plan_latency.record_ns(ns),
-            RequestPhase::Execute => self.exec_latency.record_ns(ns),
+    /// Record a failed request. When it failed in a stage of its own,
+    /// `stage` names the stage and its wall-clock time, which still
+    /// counts toward the stage's latency histogram — failures are not
+    /// free, and dropping them would bias the latency figures optimistic.
+    /// A request that shared a failed run, or whose run panicked, ran no
+    /// stage of its own (`None`).
+    pub fn record_failure(&self, stage: Option<(RequestPhase, u64)>) {
+        match stage {
+            Some((RequestPhase::Plan, ns)) => self.plan_latency.record_ns(ns),
+            Some((RequestPhase::Execute, ns)) => self.exec_latency.record_ns(ns),
+            None => {}
         }
         self.failures.fetch_add(1, Ordering::Relaxed);
     }
@@ -637,9 +641,10 @@ mod tests {
     #[test]
     fn failures_still_record_latency() {
         let m = Metrics::new();
-        m.record_failure(RequestPhase::Plan, 3_000);
-        m.record_failure(RequestPhase::Execute, 5_000);
-        assert_eq!(m.failures(), 2);
+        m.record_failure(Some((RequestPhase::Plan, 3_000)));
+        m.record_failure(Some((RequestPhase::Execute, 5_000)));
+        m.record_failure(None);
+        assert_eq!(m.failures(), 3);
         assert_eq!(m.plan_latency.count(), 1);
         assert_eq!(m.exec_latency.count(), 1);
     }
@@ -771,7 +776,7 @@ mod tests {
                         m.exec_latency.record_ns(2_000 * (i % 64));
                         m.record_prediction(schema, 1_100.0, 1_000.0);
                         if i % 100 == 0 {
-                            m.record_failure(RequestPhase::Execute, 5_000);
+                            m.record_failure(Some((RequestPhase::Execute, 5_000)));
                         }
                     }
                 });

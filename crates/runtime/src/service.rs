@@ -27,24 +27,22 @@
 use crate::async_exec::{
     Executor, FlightKey, Flights, PipelineStats, QueueStats, Role, Ticket, TicketHandle,
 };
-use crate::autotune::{
-    run_worker, AutotuneConfig, AutotuneSnapshot, AutotuneStats, AutotunerHandle,
-};
+use crate::autotune::{AutotuneSnapshot, AutotuneStats};
 use crate::metrics::{Metrics, RequestPhase};
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use ttlg::{
-    Backend, CacheConfig, CacheStats, DecisionTrace, Plan, PlanError, PlanKey, ShardedPlanCache,
+    Backend, CacheStats, DecisionTrace, Plan, PlanError, PlanKey, ShardedPlanCache,
     TransposeOptions, TransposeReport, Transposer,
 };
 use ttlg_obs::{
     clock_ns, default_rules, profile, AlertEngine, Envelope, MetricKind, MetricsSnapshot,
     PhaseProfile, RequestTrace, Sample, SampleReason, ShapeClass, SloConfig, SloSnapshot,
-    SloTracker, SpanNode, TimeSeriesStore, TraceStore, TraceStoreConfig, TsdbConfig,
+    SloTracker, SpanNode, TimeSeriesStore, TraceStore, TraceStoreConfig,
 };
 use ttlg_perfmodel::MeasurementSink;
 use ttlg_tensor::{parallel, DenseTensor, Element, Permutation};
@@ -60,19 +58,20 @@ pub struct RuntimeConfig {
     /// [`TransposeService::submit_async`]; a full queue refuses the
     /// request with [`ErrorKind::QueueFull`].
     pub queue_capacity: usize,
-    /// Plan-cache geometry (shards x per-shard LRU capacity).
-    pub cache: CacheConfig,
     /// Recent-window capacity and head-sampling rate of the
     /// [`TraceStore`].
     pub traces: TraceStoreConfig,
-    /// Measure-mode autotuning (disabled by default).
-    pub autotune: AutotuneConfig,
+    /// Measure-mode autotuning ([`crate::autotune`]): `Some(n)` tunes a
+    /// plan key on the first [`TransposeService::autotune_once`] after it
+    /// has served `n` requests; `None`, the default, tracks and tunes
+    /// nothing.
+    pub autotune: Option<u64>,
     /// Latency objective tracked by the built-in [`SloTracker`]; the
     /// trace store always keeps requests that miss it, and the goal sets
     /// the `slo-burn` alert threshold.
     pub slo: SloConfig,
-    /// Metrics-history capture: scrape cadence and the retention rings
-    /// of the in-memory [`TimeSeriesStore`].
+    /// Metrics-history capture: the scrape cadence feeding the
+    /// in-memory [`TimeSeriesStore`].
     pub history: HistoryConfig,
 }
 
@@ -83,15 +82,12 @@ pub struct HistoryConfig {
     /// scrape also steps the alert engine. `0` starts no scraper;
     /// [`TransposeService::scrape_history_once`] then drives both.
     pub scrape_interval_ms: u64,
-    /// Retention rings of the history store.
-    pub tsdb: TsdbConfig,
 }
 
 impl Default for HistoryConfig {
     fn default() -> Self {
         HistoryConfig {
             scrape_interval_ms: 1_000,
-            tsdb: TsdbConfig::default(),
         }
     }
 }
@@ -102,9 +98,8 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             workers,
             queue_capacity: 64,
-            cache: CacheConfig::default(),
             traces: TraceStoreConfig::default(),
-            autotune: AutotuneConfig::default(),
+            autotune: None,
             slo: SloConfig::default(),
             history: HistoryConfig::default(),
         }
@@ -282,15 +277,12 @@ impl Drop for Permit<'_> {
 struct HotKeyState {
     /// Requests observed for this key.
     requests: u64,
-    /// Candidate measurements already spent on this key.
-    measured: usize,
     /// Whether this key has been tuned (or claimed for tuning).
     tuned: bool,
-    /// Request count at the last autotune cycle (idle detection).
-    seen_requests: u64,
-    /// Consecutive autotune cycles with no new requests.
-    idle_cycles: u64,
 }
+
+/// Candidates of the model's ranking one tuning times.
+const TUNE_TOPK: usize = 4;
 
 /// The concurrent transposition service. See the module docs.
 pub struct TransposeService<E: Element> {
@@ -306,7 +298,8 @@ pub struct TransposeService<E: Element> {
     /// The one store of per-request records.
     traces: TraceStore<Arc<DecisionTrace>>,
     next_id: AtomicU64,
-    autotune: AutotuneConfig,
+    /// Requests after which a key is due for tuning (`None`: off).
+    autotune: Option<u64>,
     hot: Mutex<HashMap<PlanKey, HotKeyState>>,
     tuner_stats: AutotuneStats,
     sink: Option<Arc<dyn MeasurementSink>>,
@@ -359,7 +352,7 @@ impl<E: Element> TransposeService<E> {
         transposer.set_trace_retention(true);
         TransposeService {
             transposer,
-            cache: ShardedPlanCache::with_config(cfg.cache),
+            cache: ShardedPlanCache::new(),
             metrics: Metrics::new(),
             in_flight: Semaphore::new(workers),
             workers,
@@ -374,7 +367,7 @@ impl<E: Element> TransposeService<E> {
             flights: Flights::new(),
             executor: OnceLock::new(),
             queue_capacity: cfg.queue_capacity,
-            history: TimeSeriesStore::new(cfg.history.tsdb),
+            history: TimeSeriesStore::new(),
             alerts: AlertEngine::new(default_rules(cfg.slo)),
             scrape_interval_ms: cfg.history.scrape_interval_ms,
             history_source: Mutex::new(None),
@@ -503,19 +496,6 @@ impl<E: Element> TransposeService<E> {
             .collect()
     }
 
-    /// Feed the SLO tracker and write the request's one record to the
-    /// trace store, which keeps it if the tracker counted a miss.
-    /// Returns the store's sampling decision.
-    fn finish_trace(
-        &self,
-        trace: &RequestTrace,
-        envelope: Option<Envelope>,
-        decision: Option<&Arc<DecisionTrace>>,
-    ) -> Option<SampleReason> {
-        let slo_miss = self.slo.record(trace, envelope.as_ref());
-        self.traces.write(trace, envelope, decision, slo_miss)
-    }
-
     // ---- the submission pipeline --------------------------------------
 
     /// Serve one request on the caller's thread. If an identical request
@@ -617,34 +597,35 @@ impl<E: Element> TransposeService<E> {
         let led = self.guarded(|| self.run(req, key, submitted_ns));
         for ticket in self.flights.land(flight) {
             let followed = match &led {
-                Ok(leader) => self.guarded(|| self.follow(req, key, leader, &ticket)),
+                Ok(leader) => self.guarded(|| self.follow(key, leader, &ticket)),
                 Err(e) => Err(e.clone()),
             };
             ticket.complete(followed.unwrap_or_else(|e| {
-                self.panicked(e, ticket.submitted_ns, true, ticket.envelope.clone())
+                self.panicked(e, ticket.submitted_ns, true, key, ticket.envelope.clone())
             }));
         }
-        led.unwrap_or_else(|e| self.panicked(e, submitted_ns, false, req.envelope.clone()))
+        led.unwrap_or_else(|e| self.panicked(e, submitted_ns, false, key, req.envelope.clone()))
     }
 
-    /// The outcome of a request whose run panicked. The trace store keeps
-    /// its record, as it keeps every error's; nothing else records it.
+    /// The outcome of a request whose run panicked, recorded as a failed
+    /// request that ran no stage of its own.
     fn panicked(
         &self,
         e: ServeError,
         submitted_ns: u64,
         coalesced: bool,
+        key: &PlanKey,
         envelope: Option<Envelope>,
     ) -> Outcome<E> {
         let mut out = Outcome::error(e, submitted_ns, coalesced);
-        out.sampled = self.traces.write(&out.trace, envelope, None, false);
+        self.record(&mut out, key, envelope, false);
         out
     }
 
     /// The panic boundary: a panic inside `stage` is counted in
-    /// `ttlg_panics_total` and becomes the request's error. A stage that
-    /// panics records nothing else; [`Self::panicked`] records the
-    /// request.
+    /// `ttlg_panics_total` and becomes the request's error. A run records
+    /// its outcome last, so a stage that panics has recorded nothing;
+    /// [`Self::panicked`] records the request.
     fn guarded(&self, stage: impl FnOnce() -> Outcome<E>) -> Result<Outcome<E>, ServeError> {
         panic::catch_unwind(AssertUnwindSafe(stage)).map_err(|payload| {
             self.metrics.record_panic();
@@ -661,7 +642,8 @@ impl<E: Element> TransposeService<E> {
     }
 
     /// One leader's stages: wait for an execution permit, fetch (or
-    /// build, single-flight) the plan, execute, record.
+    /// build, single-flight) the plan, execute, feed the measurement
+    /// sink, and record the outcome.
     fn run(&self, req: &TransposeRequest<E>, key: &PlanKey, submitted_ns: u64) -> Outcome<E> {
         let permit = self.in_flight.acquire();
         let mut trace = RequestTrace {
@@ -680,96 +662,74 @@ impl<E: Element> TransposeService<E> {
             &req.opts,
         );
         trace.plan_fetch_ns = t0.elapsed().as_nanos() as u64;
-        let (plan, hit, fetch) = match fetched {
-            Ok(fetched) => fetched,
+        let mut out = match fetched {
+            Ok((plan, hit, fetch)) => {
+                trace.cache_hit = Some(hit);
+                trace.lookup_ns = fetch.lookup_ns;
+                trace.build_ns = fetch.build_ns;
+                trace.sweep_ns = plan.sweep_wall_ns();
+                trace.candidates = plan.candidates_evaluated();
+                trace.warmed = plan.is_measured();
+                let t1 = Instant::now();
+                let executed = self.transposer.execute(&plan, &req.input);
+                trace.execute_ns = t1.elapsed().as_nanos() as u64;
+                drop(permit);
+                let result = match executed {
+                    Ok((output, report)) => {
+                        // Every served request is also a (candidate,
+                        // measured) training point, so cold keys refine
+                        // the online model without waiting for the
+                        // autotuner to measure them.
+                        if let Some(sink) = &self.sink {
+                            sink.observe_candidate(plan.candidate(), report.kernel_time_ns);
+                        }
+                        trace.ok = true;
+                        trace.schema = report.schema.label();
+                        trace.predicted_ns = report.predicted_ns;
+                        trace.measured_ns = report.kernel_time_ns;
+                        trace.dram_efficiency = report.stats.dram_efficiency(E::BYTES);
+                        trace.smem_replay_rate = report.stats.smem_replay_rate();
+                        trace.launch_ns = report.timing.launch_ns as u64;
+                        Ok(Arc::new(TransposeResponse { output, report }))
+                    }
+                    Err(e) => {
+                        trace.schema = plan.schema().label();
+                        trace.error = Some(e.to_string());
+                        Err(ServeError::from(e))
+                    }
+                };
+                Outcome {
+                    result,
+                    trace,
+                    coalesced: false,
+                    sampled: None,
+                    plan: Some(plan),
+                }
+            }
             Err(e) => {
                 drop(permit);
-                self.metrics
-                    .record_failure(RequestPhase::Plan, trace.plan_fetch_ns);
                 // The cache never answered, so `cache_hit` stays `None`.
                 trace.error = Some(e.to_string());
-                let sampled = self.finish_trace(&trace, req.envelope.clone(), None);
-                return Outcome {
+                Outcome {
                     result: Err(e.into()),
                     trace,
                     coalesced: false,
-                    sampled,
+                    sampled: None,
                     plan: None,
-                };
-            }
-        };
-        self.metrics.plan_latency.record_ns(trace.plan_fetch_ns);
-        self.note_request(key);
-        trace.cache_hit = Some(hit);
-        trace.lookup_ns = fetch.lookup_ns;
-        trace.build_ns = fetch.build_ns;
-        trace.sweep_ns = plan.sweep_wall_ns();
-        trace.candidates = plan.candidates_evaluated();
-        trace.warmed = plan.is_measured();
-        let t1 = Instant::now();
-        let executed = self.transposer.execute(&plan, &req.input);
-        trace.execute_ns = t1.elapsed().as_nanos() as u64;
-        drop(permit);
-        let result = match executed {
-            Ok((output, report)) => {
-                self.metrics.exec_latency.record_ns(trace.execute_ns);
-                self.metrics
-                    .record_backend(plan.backend(), trace.execute_ns);
-                let bytes = 2 * req.input.volume() as u64 * E::BYTES as u64;
-                self.metrics.record_request(report.schema, bytes);
-                self.metrics.record_prediction(
-                    report.schema,
-                    report.predicted_ns,
-                    report.kernel_time_ns,
-                );
-                // Fold the foreground residual stream into refinement:
-                // every served request is also a (candidate, measured)
-                // training point, so cold keys refine the online model
-                // without waiting for the autotuner to re-measure them.
-                if let Some(sink) = &self.sink {
-                    sink.observe_candidate(plan.candidate(), report.kernel_time_ns);
-                    self.metrics.record_residual_point();
                 }
-                trace.ok = true;
-                trace.schema = report.schema.label();
-                trace.predicted_ns = report.predicted_ns;
-                trace.measured_ns = report.kernel_time_ns;
-                trace.dram_efficiency = report.stats.dram_efficiency(E::BYTES);
-                trace.smem_replay_rate = report.stats.smem_replay_rate();
-                trace.launch_ns = report.timing.launch_ns as u64;
-                Ok(Arc::new(TransposeResponse { output, report }))
-            }
-            Err(e) => {
-                self.metrics
-                    .record_failure(RequestPhase::Execute, trace.execute_ns);
-                trace.schema = plan.schema().label();
-                trace.error = Some(e.to_string());
-                Err(ServeError::from(e))
             }
         };
-        let sampled = self.finish_trace(&trace, req.envelope.clone(), plan.decision_trace());
-        Outcome {
-            result,
-            trace,
-            coalesced: false,
-            sampled,
-            plan: Some(plan),
-        }
+        self.record(&mut out, key, req.envelope.clone(), true);
+        out
     }
 
-    /// Account one follower of a finished leader. It is a served request
-    /// (request counters, SLO, hotness) and leaves its own trace, marked
-    /// `coalesced`, with the leader's measured numbers; nothing executed,
-    /// so no execution-side series move. The trace covers the follower's
-    /// whole wait: its share of the leader's execute time, and queue wait
-    /// before that. Its record carries the envelope its ticket brought.
-    fn follow(
-        &self,
-        req: &TransposeRequest<E>,
-        key: &PlanKey,
-        leader: &Outcome<E>,
-        ticket: &Ticket<E>,
-    ) -> Outcome<E> {
+    /// One follower of a finished leader: a request served (or failed)
+    /// by the leader's run. It leaves its own trace, marked `coalesced`,
+    /// with the leader's measured numbers. The trace covers the
+    /// follower's whole wait: its share of the leader's execute time,
+    /// and queue wait before that. Its record carries the envelope its
+    /// ticket brought.
+    fn follow(&self, key: &PlanKey, leader: &Outcome<E>, ticket: &Ticket<E>) -> Outcome<E> {
         let submitted_ns = ticket.submitted_ns;
         let waited = clock_ns().saturating_sub(submitted_ns);
         let execute_ns = leader.trace.execute_ns.min(waited);
@@ -785,30 +745,70 @@ impl<E: Element> TransposeService<E> {
             coalesced: true,
             ..leader.trace.clone()
         };
-        if let Ok(resp) = &leader.result {
-            let bytes = 2 * req.input.volume() as u64 * E::BYTES as u64;
-            self.metrics.record_request(resp.report.schema, bytes);
-        }
-        if leader.plan.is_some() {
-            self.note_request(key);
-        }
-        self.metrics.record_coalesced();
-        let sampled = self.finish_trace(&trace, ticket.envelope.clone(), leader.decision());
-        Outcome {
+        let mut out = Outcome {
             result: leader.result.clone(),
             trace,
             coalesced: true,
-            sampled,
+            sampled: None,
             plan: leader.plan.clone(),
-        }
+        };
+        self.record(&mut out, key, ticket.envelope.clone(), false);
+        out
     }
+
+    /// Record one request's outcome. Every per-request series, the SLO
+    /// record and the trace-store write derive from the outcome here, and
+    /// nowhere else, once per outcome after every stage that could panic
+    /// has returned. `ran` marks a leader's own run: only it records
+    /// stage latencies (a failed stage's too), the backend that executed,
+    /// the prediction pair and the residual point the sink took. A
+    /// follower or a panicked request ran no stage of its own.
+    fn record(&self, out: &mut Outcome<E>, key: &PlanKey, envelope: Option<Envelope>, ran: bool) {
+        let m = &self.metrics;
+        let trace = &out.trace;
+        match (&out.result, &out.plan) {
+            (Ok(resp), Some(plan)) => {
+                let report = &resp.report;
+                if ran {
+                    m.plan_latency.record_ns(trace.plan_fetch_ns);
+                    m.exec_latency.record_ns(trace.execute_ns);
+                    m.record_backend(plan.backend(), trace.execute_ns);
+                    m.record_prediction(report.schema, report.predicted_ns, report.kernel_time_ns);
+                    if self.sink.is_some() {
+                        m.record_residual_point();
+                    }
+                }
+                let bytes = 2 * resp.output.volume() as u64 * E::BYTES as u64;
+                m.record_request(report.schema, bytes);
+            }
+            // Only a failure lacks a plan: planning failed, or the run
+            // panicked.
+            (_, None) => m.record_failure(ran.then_some((RequestPhase::Plan, trace.plan_fetch_ns))),
+            (Err(_), Some(_)) => {
+                if ran {
+                    m.plan_latency.record_ns(trace.plan_fetch_ns);
+                }
+                m.record_failure(ran.then_some((RequestPhase::Execute, trace.execute_ns)));
+            }
+        }
+        if out.coalesced {
+            m.record_coalesced();
+        }
+        if out.plan.is_some() {
+            self.note_request(key);
+        }
+        let slo_miss = self.slo.record(trace, envelope.as_ref());
+        out.sampled = self
+            .traces
+            .write(&out.trace, envelope, out.decision(), slo_miss);
+    }
+
     // ---- measure-mode autotuning -------------------------------------
 
-    /// Count a successfully planned request toward its key's hotness
-    /// (no-op unless autotuning is enabled — the kill switch costs one
-    /// branch).
+    /// Count a planned request toward its key's hotness (a no-op, one
+    /// branch, unless autotuning is on).
     fn note_request(&self, key: &PlanKey) {
-        if !self.autotune.enabled {
+        if self.autotune.is_none() {
             return;
         }
         let mut hot = self.hot.lock().expect("hot map poisoned");
@@ -820,22 +820,17 @@ impl<E: Element> TransposeService<E> {
         self.tuner_stats.snapshot()
     }
 
-    /// Tune every key currently due (hot and not yet tuned). Returns the
-    /// number of keys tuned. This is the autotuner's unit of work: call
-    /// it directly for deterministic tests/benchmarks, or let the
-    /// background worker of [`Self::start_autotuner`] drive it.
+    /// Tune every key currently due (hot and not yet tuned) and return
+    /// how many there were. The caller decides when tuning runs: between
+    /// batches, from a thread of its own, or not at all.
     pub fn autotune_once(&self) -> usize {
-        if !self.autotune.enabled {
+        let Some(threshold) = self.autotune else {
             return 0;
-        }
+        };
         let due: Vec<PlanKey> = {
             let mut hot = self.hot.lock().expect("hot map poisoned");
             hot.iter_mut()
-                .filter(|(_, s)| {
-                    !s.tuned
-                        && s.requests >= self.autotune.hot_threshold
-                        && s.measured < self.autotune.budget_per_key
-                })
+                .filter(|(_, s)| !s.tuned && s.requests >= threshold)
                 .map(|(k, s)| {
                     // Claim eagerly so concurrent tuners never double-tune.
                     s.tuned = true;
@@ -844,133 +839,43 @@ impl<E: Element> TransposeService<E> {
                 .collect()
         };
         for key in &due {
-            match self.tune_key(key) {
-                Ok(measured) => {
-                    self.tuner_stats.keys_tuned.fetch_add(1, Ordering::Relaxed);
-                    let mut hot = self.hot.lock().expect("hot map poisoned");
-                    if let Some(s) = hot.get_mut(key) {
-                        s.measured += measured;
-                    }
-                }
-                Err(_) => {
-                    self.tuner_stats.failures.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            let counter = match self.tune_key(key) {
+                Ok(()) => &self.tuner_stats.keys_tuned,
+                Err(_) => &self.tuner_stats.failures,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
         }
-        self.unpin_idle_keys();
         due.len()
     }
 
-    /// The unpin half of the autotune cycle: a key that accumulated no
-    /// new requests for [`AutotuneConfig::unpin_after_idle`] consecutive
-    /// cycles is dropped from the hot map, and — if it had been tuned —
-    /// its cache pin is released so the LRU can evict it once capacity
-    /// pressure arrives. Traffic returning later re-heats the key from
-    /// scratch.
-    fn unpin_idle_keys(&self) {
-        if self.autotune.unpin_after_idle == 0 {
-            return;
-        }
-        let mut cold: Vec<PlanKey> = Vec::new();
-        {
-            let mut hot = self.hot.lock().expect("hot map poisoned");
-            hot.retain(|k, s| {
-                if s.requests == s.seen_requests {
-                    s.idle_cycles += 1;
-                } else {
-                    s.idle_cycles = 0;
-                    s.seen_requests = s.requests;
-                }
-                if s.idle_cycles < self.autotune.unpin_after_idle {
-                    return true;
-                }
-                if s.tuned {
-                    cold.push(k.clone());
-                }
-                false
-            });
-        }
-        for key in &cold {
-            if self.cache.unpin(key) {
-                self.tuner_stats
-                    .plans_unpinned
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Measure the top-ranked candidates for one key and install the
-    /// measured-best plan. Returns how many measurements were spent.
-    fn tune_key(&self, key: &PlanKey) -> Result<usize, PlanError> {
+    /// Measure one key's best-ranked candidates, stream every
+    /// measurement to the sink, and install the measured-best plan.
+    fn tune_key(&self, key: &PlanKey) -> Result<(), PlanError> {
         let (shape, perm, opts) = key.problem_parts();
-        let budget = self.autotune.budget_per_key.max(1);
-        let topk = self.autotune.topk.max(1).min(budget);
-        // Cap the tuner's planning sweep and measurement work so it
-        // never competes with foreground batches for the whole machine.
-        let (warmed, swapped, measured) =
-            parallel::with_thread_cap(self.autotune.threads.max(1), || {
-                let (plan, ranked) = self.transposer.plan_topk::<E>(&shape, &perm, &opts, topk)?;
-                let mut best: Option<(f64, usize)> = None;
-                let mut measured = 0usize;
-                for (j, rc) in ranked.iter().enumerate() {
-                    let m = self
-                        .transposer
-                        .measure_candidate::<E>(plan.problem(), &rc.candidate)?;
-                    let t = m.timing.time_ns;
-                    measured += 1;
-                    self.tuner_stats
-                        .candidates_measured
-                        .fetch_add(1, Ordering::Relaxed);
-                    if let Some(sink) = &self.sink {
-                        sink.observe_candidate(&rc.candidate, t);
-                        self.tuner_stats
-                            .points_streamed
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    if best.as_ref().map(|&(bt, _)| t < bt).unwrap_or(true) {
-                        best = Some((t, j));
-                    }
-                }
-                let (best_ns, j) = best.expect("plan_topk returns at least one candidate");
-                // The warmed plan predicts its own measured time, so
-                // subsequent residuals for this key collapse to ~1.0.
-                let warmed = self.transposer.plan_for_candidate::<E>(
-                    &shape,
-                    &perm,
-                    &opts,
-                    ranked[j].candidate.clone(),
-                    best_ns,
-                )?;
-                Ok::<_, PlanError>((warmed, j != 0, measured))
-            })?;
-        if self.cache.warm(key, Arc::new(warmed)) {
-            self.tuner_stats
-                .plans_warmed
-                .fetch_add(1, Ordering::Relaxed);
-            if swapped {
-                self.tuner_stats
-                    .plans_swapped
-                    .fetch_add(1, Ordering::Relaxed);
+        // One thread, so tuning never competes with foreground batches
+        // for the whole machine.
+        let (plan, timed) = parallel::with_thread_cap(1, || {
+            self.transposer
+                .plan_measured::<E>(&shape, &perm, &opts, TUNE_TOPK)
+        })?;
+        let stats = &self.tuner_stats;
+        for (candidate, ns) in &timed {
+            stats.candidates_measured.fetch_add(1, Ordering::Relaxed);
+            if let Some(sink) = &self.sink {
+                sink.observe_candidate(candidate, *ns);
+                stats.points_streamed.fetch_add(1, Ordering::Relaxed);
             }
         }
-        Ok(measured)
-    }
-
-    /// Spawn the background autotuner worker. It drains due keys via
-    /// [`Self::autotune_once`] and parks for
-    /// [`AutotuneConfig::poll_interval_ms`] when idle. Stops when the
-    /// returned handle is dropped (or [`AutotunerHandle::stop`] is
-    /// called).
-    pub fn start_autotuner(self: &Arc<Self>) -> AutotunerHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let svc = Arc::clone(self);
-        let idle = Duration::from_millis(self.autotune.poll_interval_ms.max(1));
-        let join = std::thread::Builder::new()
-            .name("ttlg-autotuner".into())
-            .spawn(move || run_worker(&flag, idle, || svc.autotune_once()))
-            .expect("spawn autotuner thread");
-        AutotunerHandle::new(stop, join)
+        // The winner is the first fastest in rank order, so it is not
+        // the model's pick exactly when the head ran slower.
+        let swapped = timed[0].1 != plan.predicted_ns();
+        if self.cache.warm(key, Arc::new(plan)) {
+            stats.plans_warmed.fetch_add(1, Ordering::Relaxed);
+            if swapped {
+                stats.plans_swapped.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        Ok(())
     }
 
     // ------------------------------------------------- metrics history
@@ -1139,6 +1044,7 @@ impl<E: Element> Drop for TransposeService<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use ttlg_tensor::Shape;
 
     #[test]
@@ -1403,15 +1309,7 @@ mod tests {
 
     fn autotuned_config() -> RuntimeConfig {
         RuntimeConfig {
-            autotune: crate::autotune::AutotuneConfig {
-                enabled: true,
-                hot_threshold: 2,
-                topk: 4,
-                budget_per_key: 8,
-                threads: 1,
-                poll_interval_ms: 1,
-                ..crate::autotune::AutotuneConfig::default()
-            },
+            autotune: Some(2),
             ..RuntimeConfig::default()
         }
     }
@@ -1464,61 +1362,6 @@ mod tests {
             after.report.kernel_time_ns,
             before.report.kernel_time_ns
         );
-    }
-
-    #[test]
-    fn idle_tuned_keys_lose_their_pin_and_become_evictable() {
-        let cfg = RuntimeConfig {
-            cache: CacheConfig {
-                shards: 1,
-                capacity_per_shard: 2,
-            },
-            autotune: crate::autotune::AutotuneConfig {
-                enabled: true,
-                hot_threshold: 2,
-                topk: 2,
-                budget_per_key: 4,
-                threads: 1,
-                poll_interval_ms: 1,
-                unpin_after_idle: 2,
-            },
-            ..RuntimeConfig::default()
-        };
-        let svc: TransposeService<u32> = TransposeService::with_config(Transposer::new_k40c(), cfg);
-        let input = Arc::new(DenseTensor::<u32>::iota(Shape::new(&[8, 8, 8]).unwrap()));
-        let req = TransposeRequest::new(Arc::clone(&input), Permutation::new(&[2, 1, 0]).unwrap());
-
-        // Warm: the key goes hot, gets tuned, and its plan is pinned.
-        svc.submit(&req).unwrap();
-        svc.submit(&req).unwrap();
-        assert_eq!(svc.autotune_once(), 1, "key went hot and got tuned");
-        assert_eq!(svc.cache.pinned_plans(), 1);
-
-        // Fresh traffic between cycles resets the idle counter.
-        svc.submit(&req).unwrap();
-        assert_eq!(svc.autotune_once(), 0);
-        assert_eq!(svc.cache.pinned_plans(), 1, "traffic keeps the pin");
-
-        // Cool: two request-free cycles cross `unpin_after_idle`.
-        assert_eq!(svc.autotune_once(), 0);
-        assert_eq!(svc.autotune_once(), 0);
-        assert_eq!(svc.cache.pinned_plans(), 0, "idle key unpinned");
-        assert_eq!(svc.autotune_stats().plans_unpinned, 1);
-        assert!(svc.hot.lock().unwrap().is_empty(), "bookkeeping dropped");
-
-        // The plan is still resident — unpinning is not eviction...
-        let hits = svc.cache_stats().hits;
-        svc.submit(&req).unwrap();
-        assert_eq!(svc.cache_stats().hits, hits + 1);
-        // ...but it lost its immunity: flooding the single shard past
-        // capacity evicts it like any other LRU entry.
-        for p in [[0usize, 2, 1], [1, 2, 0], [1, 0, 2], [2, 0, 1]] {
-            let other = TransposeRequest::new(Arc::clone(&input), Permutation::new(&p).unwrap());
-            svc.submit(&other).unwrap();
-        }
-        let misses = svc.cache_stats().misses;
-        svc.submit(&req).unwrap();
-        assert_eq!(svc.cache_stats().misses, misses + 1, "evicted: replanned");
     }
 
     #[test]
@@ -1579,45 +1422,54 @@ mod tests {
 
     #[test]
     fn background_autotuner_never_disturbs_foreground_batches() {
-        // Hammer test: the background worker tunes while foreground
-        // threads push batches; totals must come out exact and
-        // failure-free (the tuner's thread cap keeps it out of the way).
-        let svc: Arc<TransposeService<u64>> = Arc::new(TransposeService::with_config(
-            Transposer::new_k40c(),
-            autotuned_config(),
-        ));
-        let handle = svc.start_autotuner();
+        // Hammer test: a tuner thread calls `autotune_once` in a loop
+        // while foreground threads push batches; totals must come out
+        // exact and failure-free (the tuner's one-thread cap keeps it
+        // out of the way).
+        let svc: TransposeService<u64> =
+            TransposeService::with_config(Transposer::new_k40c(), autotuned_config());
         let input = Arc::new(DenseTensor::<u64>::iota(
             ttlg_tensor::Shape::new(&[8, 6, 5, 4]).unwrap(),
         ));
         const THREADS: usize = 4;
         const ROUNDS: usize = 3;
         let perms = [[3usize, 1, 0, 2], [2, 3, 1, 0], [1, 0, 3, 2]];
+        let done = AtomicBool::new(false);
         std::thread::scope(|s| {
-            for _ in 0..THREADS {
-                let svc = Arc::clone(&svc);
-                let input = Arc::clone(&input);
-                s.spawn(move || {
-                    for _ in 0..ROUNDS {
-                        let reqs: Vec<TransposeRequest<u64>> = perms
-                            .iter()
-                            .map(|p| {
-                                TransposeRequest::new(
-                                    Arc::clone(&input),
-                                    Permutation::new(p).unwrap(),
-                                )
-                            })
-                            .collect();
-                        for r in svc.submit_batch(&reqs) {
-                            r.unwrap();
-                        }
+            s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    if svc.autotune_once() == 0 {
+                        std::thread::sleep(Duration::from_millis(1));
                     }
-                });
+                }
+            });
+            let batches: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        for _ in 0..ROUNDS {
+                            let reqs: Vec<TransposeRequest<u64>> = perms
+                                .iter()
+                                .map(|p| {
+                                    TransposeRequest::new(
+                                        Arc::clone(&input),
+                                        Permutation::new(p).unwrap(),
+                                    )
+                                })
+                                .collect();
+                            for r in svc.submit_batch(&reqs) {
+                                r.unwrap();
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for b in batches {
+                b.join().unwrap();
             }
+            done.store(true, Ordering::Release);
         });
-        // Drain any keys that went hot after the last worker pass.
+        // Drain any keys that went hot after the tuner's last pass.
         while svc.autotune_once() > 0 {}
-        handle.stop();
         assert_eq!(
             svc.metrics().total_requests(),
             (THREADS * ROUNDS * perms.len()) as u64,
@@ -2179,6 +2031,77 @@ mod tests {
         let results = svc.submit_batch(&[req.clone(), req]);
         assert!(results.iter().all(|r| r.is_err()));
         assert_eq!(svc.metrics().panics(), 2, "one leader run per call");
+    }
+
+    /// The sum of one metric family's samples.
+    fn family_total(snap: &MetricsSnapshot, name: &str) -> f64 {
+        snap.metrics
+            .iter()
+            .filter(|m| m.name == name)
+            .flat_map(|m| &m.samples)
+            .map(|s| s.value)
+            .sum()
+    }
+
+    /// Every outcome counts once: served plus failed requests, SLO
+    /// records and trace-store offers each equal the outcomes returned,
+    /// and the coalesced counter equals the followers.
+    fn assert_reconciles<E: Element>(svc: &TransposeService<E>, outcomes: u64, followers: u64) {
+        let snap = svc.metrics_snapshot();
+        let served = family_total(&snap, "ttlg_requests_total");
+        let failed = family_total(&snap, "ttlg_failures_total");
+        assert_eq!(
+            served + failed,
+            outcomes as f64,
+            "served {served} + failed {failed}"
+        );
+        for family in ["ttlg_slo_requests_total", "ttlg_trace_store_offered_total"] {
+            assert_eq!(family_total(&snap, family), outcomes as f64, "{family}");
+        }
+        let coalesced = family_total(&snap, "ttlg_coalesced_requests_total");
+        assert_eq!(coalesced, followers as f64);
+    }
+
+    /// Metrics reconcile with outcomes when a run panics, when planning
+    /// fails, and when all goes well.
+    #[test]
+    fn every_outcome_is_recorded_exactly_once() {
+        struct AlwaysPanics;
+        impl MeasurementSink for AlwaysPanics {
+            fn observe_candidate(&self, _c: &ttlg::Candidate, _measured_ns: f64) {
+                panic!("sink always panics");
+            }
+        }
+        let input = Arc::new(DenseTensor::<u32>::iota(Shape::new(&[8, 8, 8]).unwrap()));
+        let req = TransposeRequest::new(Arc::clone(&input), Permutation::new(&[2, 1, 0]).unwrap());
+
+        // A leader whose sink panics, and its follower.
+        let svc: TransposeService<u32> =
+            TransposeService::new_k40c().with_measurement_sink(Arc::new(AlwaysPanics));
+        let results = svc.submit_batch(&[req.clone(), req.clone()]);
+        assert!(results.iter().all(|r| r.is_err()));
+        assert_reconciles(&svc, 2, 1);
+        let snap = svc.metrics_snapshot();
+        assert_eq!(family_total(&snap, "ttlg_failures_total"), 2.0);
+        assert_eq!(family_total(&snap, "ttlg_prediction_samples_total"), 0.0);
+        assert_eq!(family_total(&snap, "ttlg_backend_requests_total"), 0.0);
+
+        // A plan that fails, shared by two followers.
+        let svc: TransposeService<u32> = TransposeService::new_k40c();
+        let mut bad = req.clone();
+        bad.opts.forced_schema = Some(ttlg::Schema::Copy);
+        let results = svc.submit_batch(&[bad.clone(), bad.clone(), bad]);
+        assert!(results.iter().all(|r| r.is_err()));
+        assert_reconciles(&svc, 3, 2);
+        assert_eq!(svc.metrics().failures(), 3);
+        assert_eq!(svc.metrics().plan_latency.count(), 1, "one stage ran");
+
+        // A clean batch on the same service: four requests, two problems.
+        let other = TransposeRequest::new(input, Permutation::new(&[1, 0, 2]).unwrap());
+        let results = svc.submit_batch(&[req.clone(), other.clone(), req, other]);
+        assert!(results.iter().all(|r| r.is_ok()));
+        assert_reconciles(&svc, 7, 4);
+        assert_eq!(svc.metrics().total_requests(), 4);
     }
 
     /// Prometheus golden test for the new SLO/profile/tail families.

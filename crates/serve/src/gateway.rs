@@ -1901,7 +1901,6 @@ mod tests {
                 slo,
                 history: HistoryConfig {
                     scrape_interval_ms: 0,
-                    ..HistoryConfig::default()
                 },
                 ..RuntimeConfig::default()
             },

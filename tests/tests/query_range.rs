@@ -19,7 +19,6 @@ fn query_range_reports_nonnegative_increase_matching_traffic() {
     let rt = RuntimeConfig {
         history: HistoryConfig {
             scrape_interval_ms: 50,
-            ..HistoryConfig::default()
         },
         ..RuntimeConfig::default()
     };
