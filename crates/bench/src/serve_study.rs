@@ -1,19 +1,20 @@
-//! Throughput study: the batched `ttlg-runtime` service vs a naive
+//! Throughput study: one `ttlg-runtime` service's `submit` vs a naive
 //! plan-per-call loop on a mixed-permutation workload.
 //!
 //! The naive loop is what a caller without the runtime would write:
-//! every request plans from scratch (full model sweep) and executes
-//! serially. The runtime groups the same workload by plan key, plans
-//! each distinct problem exactly once (single-flight, cached), and
-//! fans execution out over its worker pool. On a workload with
-//! repeated permutations the runtime amortizes away almost all
-//! planning, which dominates host-side cost.
+//! every request plans from scratch (full model sweep) and executes.
+//! The service path sends the same requests, on the same thread and in
+//! the same order, through one service's `submit`, which plans each
+//! distinct problem once and replays the plan from its cache. The
+//! difference is plan caching alone; on a workload with repeated
+//! permutations it amortizes away almost all planning, which dominates
+//! host-side cost.
 
 use crate::study::{gate, Gates, JsonObject, Study, MAX_PERMS};
 use std::sync::Arc;
 use std::time::Instant;
 use ttlg::{CacheStats, TransposeOptions, Transposer};
-use ttlg_runtime::{RuntimeConfig, TransposeRequest, TransposeService};
+use ttlg_runtime::{TransposeRequest, TransposeService};
 use ttlg_tensor::rng::StdRng;
 use ttlg_tensor::{DenseTensor, Permutation, Shape};
 
@@ -26,21 +27,19 @@ pub struct ServeStudy {
     pub distinct_perms: usize,
     /// Naive plan-per-call wall-clock, ns.
     pub naive_ns: f64,
-    /// Batched runtime wall-clock, ns.
-    pub batched_ns: f64,
-    /// naive_ns / batched_ns.
+    /// Cached-service wall-clock, ns.
+    pub service_ns: f64,
+    /// naive_ns / service_ns.
     pub speedup: f64,
-    /// Plan-cache counters after the batched run.
+    /// Plan-cache counters after the service run.
     pub cache: CacheStats,
-    /// The runtime's plain-text metrics report after the batched run.
-    pub metrics_report: String,
     /// Per-schema prediction-accuracy table (signed residuals and the
-    /// paper's Table II geometric-mean error) from the batched run.
+    /// paper's Table II geometric-mean error) from the service run.
     pub prediction_summary: String,
-    /// Prediction samples recorded during the batched run.
+    /// Prediction samples recorded during the service run.
     pub prediction_samples: u64,
     /// The paper's Table II geometric-mean prediction error over the
-    /// batched run (1.0 = exact).
+    /// service run (1.0 = exact).
     pub geo_mean_error: f64,
 }
 
@@ -50,17 +49,17 @@ impl ServeStudy {
         self.requests as f64 / (self.naive_ns * 1e-9)
     }
 
-    /// Requests per second for the batched runtime.
-    pub fn batched_rps(&self) -> f64 {
-        self.requests as f64 / (self.batched_ns * 1e-9)
+    /// Requests per second for the cached service.
+    pub fn service_rps(&self) -> f64 {
+        self.requests as f64 / (self.service_ns * 1e-9)
     }
 }
 
 impl Study for ServeStudy {
-    /// The comparison table, then the runtime's metrics report.
+    /// The comparison table, then the per-schema prediction table.
     fn render(&self) -> String {
         let mut s = String::new();
-        s.push_str("== batched runtime vs plan-per-call ==\n");
+        s.push_str("== cached service vs plan-per-call ==\n");
         s.push_str(&format!(
             "workload: {} requests over {} distinct permutations\n",
             self.requests, self.distinct_perms
@@ -77,9 +76,9 @@ impl Study for ServeStudy {
         ));
         s.push_str(&format!(
             "{:<22} {:>14.2} {:>14.0}\n",
-            "batched runtime",
-            self.batched_ns * 1e-6,
-            self.batched_rps()
+            "cached service",
+            self.service_ns * 1e-6,
+            self.service_rps()
         ));
         s.push_str(&format!(
             "speedup: {:.2}x (cache: {} hits / {} misses)\n",
@@ -91,8 +90,6 @@ impl Study for ServeStudy {
                 self.prediction_samples, self.prediction_summary
             ));
         }
-        s.push('\n');
-        s.push_str(&self.metrics_report);
         s
     }
 
@@ -101,10 +98,10 @@ impl Study for ServeStudy {
             .val("requests", self.requests)
             .val("distinct_perms", self.distinct_perms)
             .num("naive_ms", self.naive_ns * 1e-6)
-            .num("batched_ms", self.batched_ns * 1e-6)
+            .num("service_ms", self.service_ns * 1e-6)
             .num("speedup", self.speedup)
             .num("naive_rps", self.naive_rps())
-            .num("batched_rps", self.batched_rps())
+            .num("service_rps", self.service_rps())
             .val("cache_hits", self.cache.hits)
             .val("cache_misses", self.cache.misses)
             .val("cache_evictions", self.cache.evictions)
@@ -164,29 +161,25 @@ pub fn run(distinct: usize, rounds: usize) -> ServeStudy {
     }
     let naive_ns = t0.elapsed().as_nanos() as f64;
 
-    // Batched: one service, one submit_batch call.
-    let service =
-        TransposeService::<f64>::with_config(Transposer::new_k40c(), RuntimeConfig::default());
+    // Cached: the same requests, in the same order, through one service.
+    let service = TransposeService::<f64>::new_k40c();
     let t0 = Instant::now();
-    let responses = service.submit_batch(&reqs);
-    let batched_ns = t0.elapsed().as_nanos() as f64;
-    assert!(
-        responses.iter().all(|r| r.is_ok()),
-        "batched run had failures"
-    );
+    for req in &reqs {
+        service.submit(req).expect("service run");
+    }
+    let service_ns = t0.elapsed().as_nanos() as f64;
 
-    let cache = service.cache_stats();
+    let prediction = service.metrics().prediction();
     ServeStudy {
         requests: reqs.len(),
         distinct_perms: distinct,
         naive_ns,
-        batched_ns,
-        speedup: naive_ns / batched_ns,
-        cache,
-        metrics_report: service.metrics_report(),
-        prediction_summary: service.metrics().prediction().render(),
-        prediction_samples: service.metrics().prediction().total_count(),
-        geo_mean_error: service.metrics().prediction().overall_geo_mean_error(),
+        service_ns,
+        speedup: naive_ns / service_ns,
+        cache: service.cache_stats(),
+        prediction_summary: prediction.render(),
+        prediction_samples: prediction.total_count(),
+        geo_mean_error: prediction.overall_geo_mean_error(),
     }
 }
 
@@ -198,9 +191,9 @@ mod tests {
     #[test]
     fn batched_runtime_beats_plan_per_call() {
         // The acceptance workload: >= 16 distinct permutations,
-        // repeated. The cached+parallel path must not lose to the
-        // serial plan-per-call loop. Wall-clock under a loaded test
-        // harness is noisy, so allow one retry before declaring a loss.
+        // repeated. The cached service must not lose to the
+        // plan-per-call loop. Wall-clock under a loaded test harness is
+        // noisy, so allow one retry before declaring a loss.
         let mut study = run(16, 4);
         if study.speedup < 1.0 {
             study = run(16, 4);
@@ -208,24 +201,23 @@ mod tests {
         assert_eq!(study.requests, 64);
         assert!(
             study.speedup >= 1.0,
-            "batched runtime slower than plan-per-call: {:.3}x",
+            "cached service slower than plan-per-call: {:.3}x",
             study.speedup
         );
-        // One plan per distinct problem; repeats inside the batch share
-        // the planned Arc directly, without re-touching the cache.
+        // One plan per distinct problem; every repeat hits it.
         assert_eq!(study.cache.misses, 16);
-        assert!(study.metrics_report.contains("requests"));
-        // Duplicates inside the batch coalesce onto one execution per
-        // unique problem, so only the 16 real executions feed the
-        // prediction tracker.
-        assert_eq!(study.prediction_samples, 16);
+        assert_eq!(study.cache.hits, 48);
+        // Every request executes, so each feeds the prediction tracker.
+        assert_eq!(study.prediction_samples, 64);
         let rendered = study.render();
+        assert!(rendered.contains("cached service vs plan-per-call"));
         assert!(rendered.contains("speedup"));
-        assert!(rendered.contains("prediction accuracy (16 samples)"));
+        assert!(rendered.contains("prediction accuracy (64 samples)"));
         assert!(rendered.contains("geo-mean error"));
         let json = study.to_json();
         assert!(json.contains("\"speedup\""));
-        assert!(json.contains("\"prediction_samples\": 16"));
+        assert!(json.contains("\"service_ms\""));
+        assert!(json.contains("\"prediction_samples\": 64"));
         assert!(json.contains("\"geo_mean_error\""));
         assert_eq!(study.check(), Ok(()));
     }
@@ -257,11 +249,12 @@ mod tests {
     fn second_batch_is_all_cache_hits() {
         let reqs = workload(8, 1);
         let service = TransposeService::<f64>::new_k40c();
-        assert!(service.submit_batch(&reqs).iter().all(|r| r.is_ok()));
+        let replay = || reqs.iter().all(|r| service.submit(r).is_ok());
+        assert!(replay());
         assert_eq!(service.cache_stats().misses, 8);
-        assert!(service.submit_batch(&reqs).iter().all(|r| r.is_ok()));
+        assert!(replay());
         let stats = service.cache_stats();
-        assert_eq!(stats.misses, 8, "replayed batch must not re-plan");
+        assert_eq!(stats.misses, 8, "a replayed workload must not re-plan");
         assert_eq!(stats.hits, 8);
     }
 
@@ -269,8 +262,8 @@ mod tests {
     fn workload_outputs_match_reference() {
         let reqs = workload(6, 1);
         let service = TransposeService::<f64>::new_k40c();
-        for (req, resp) in reqs.iter().zip(service.submit_batch(&reqs)) {
-            let got = resp.expect("serve ok");
+        for req in &reqs {
+            let got = service.submit(req).expect("serve ok");
             let expect = transpose_reference(&req.input, &req.perm).unwrap();
             assert_eq!(got.output.data(), expect.data());
         }

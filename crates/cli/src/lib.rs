@@ -30,6 +30,11 @@ pub enum CliError {
     Failed(String),
 }
 
+/// A library error as [`CliError::Failed`].
+fn failed(e: impl std::fmt::Display) -> CliError {
+    CliError::Failed(e.to_string())
+}
+
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -75,7 +80,7 @@ USAGE:
                                                 a failed gate exits non-zero.
                                                 A study takes only its own
                                                 settings:
-     serve    [--perms] [--rounds]              batched runtime vs
+     serve    [--perms] [--rounds]              cached service vs
                                                 plan-per-call
      tail     [--rounds]                        per-schema p50/p95/p99 and the
                                                 dominant phase at p99 over a
@@ -183,9 +188,7 @@ fn cmd_plan(rest: &[&String]) -> Result<String, CliError> {
         model_sweep: sweep,
         ..Default::default()
     };
-    let plan = t
-        .plan::<f64>(&shape, &perm, &opts)
-        .map_err(|e| CliError::Failed(e.to_string()))?;
+    let plan = t.plan::<f64>(&shape, &perm, &opts).map_err(failed)?;
     let launch = plan.launch();
     let mut s = String::new();
     writeln!(s, "problem    : {shape} perm {perm}").unwrap();
@@ -217,9 +220,7 @@ fn cmd_explain(rest: &[&String]) -> Result<String, CliError> {
         model_sweep: sweep,
         ..Default::default()
     };
-    let (_, trace) = t
-        .plan_traced::<f64>(&shape, &perm, &opts)
-        .map_err(|e| CliError::Failed(e.to_string()))?;
+    let (_, trace) = t.plan_traced::<f64>(&shape, &perm, &opts).map_err(failed)?;
     Ok(trace.render())
 }
 
@@ -238,7 +239,7 @@ fn cmd_run(rest: &[&String]) -> Result<String, CliError> {
     let (out, report) = t
         .plan::<f64>(&shape, &perm, &opts)
         .and_then(|plan| t.execute(&plan, &input))
-        .map_err(|e| CliError::Failed(e.to_string()))?;
+        .map_err(failed)?;
     let mut s = String::new();
     writeln!(s, "schema    : {}", report.schema).unwrap();
     writeln!(s, "kernel    : {:.2} us", report.kernel_time_ns / 1e3).unwrap();
@@ -257,8 +258,7 @@ fn cmd_run(rest: &[&String]) -> Result<String, CliError> {
     )
     .unwrap();
     if verify {
-        let expect = reference::transpose_reference(&input, &perm)
-            .map_err(|e| CliError::Failed(e.to_string()))?;
+        let expect = reference::transpose_reference(&input, &perm).map_err(failed)?;
         if out.data() == expect.data() {
             writeln!(s, "verify    : OK ({} elements)", out.volume()).unwrap();
         } else {
@@ -274,7 +274,7 @@ fn cmd_predict(rest: &[&String]) -> Result<String, CliError> {
     let t = Transposer::new_k40c();
     let ns = t
         .predict_transpose_ns::<f64>(&shape, &perm)
-        .map_err(|e| CliError::Failed(e.to_string()))?;
+        .map_err(failed)?;
     let bw = 2.0 * shape.volume() as f64 * 8.0 / ns;
     Ok(format!(
         "predicted: {:.2} us (~{:.1} GB/s) for {shape} perm {perm}\n",
@@ -300,10 +300,8 @@ fn cmd_compare(rest: &[&String]) -> Result<String, CliError> {
     let t = Transposer::new_k40c();
     let plan = t
         .plan::<f64>(&shape, &perm, &TransposeOptions::default())
-        .map_err(|e| CliError::Failed(e.to_string()))?;
-    let r = t
-        .time_plan(&plan)
-        .map_err(|e| CliError::Failed(e.to_string()))?;
+        .map_err(failed)?;
+    let r = t.time_plan(&plan).map_err(failed)?;
     writeln!(
         s,
         "{:<16} {:>12.2} {:>12.1} {:>14.2}",
@@ -366,10 +364,8 @@ fn cmd_profile(rest: &[&String]) -> Result<String, CliError> {
     let t = Transposer::new_k40c();
     let plan = t
         .plan::<f64>(&shape, &perm, &TransposeOptions::default())
-        .map_err(|e| CliError::Failed(e.to_string()))?;
-    let prof = t
-        .profile_plan(&plan)
-        .map_err(|e| CliError::Failed(e.to_string()))?;
+        .map_err(failed)?;
+    let prof = t.profile_plan(&plan).map_err(failed)?;
     Ok(prof.render())
 }
 
@@ -395,8 +391,8 @@ fn cmd_profile_tail(rest: &[&String]) -> Result<String, CliError> {
             ..RuntimeConfig::default()
         },
     );
-    for r in service.submit_batch(&reqs) {
-        r.map_err(|e| CliError::Failed(e.to_string()))?;
+    for req in &reqs {
+        service.submit(req).map_err(failed)?;
     }
     let mut s = String::new();
     writeln!(
@@ -428,14 +424,10 @@ fn cmd_contract(rest: &[&String]) -> Result<String, CliError> {
     let sb = Shape::new(&parse_usize_list(pos[2], "extentsB")?)
         .map_err(|e| CliError::Usage(e.to_string()))?;
     let engine = ContractionEngine::new_k40c();
-    let plan = engine
-        .plan(&spec, &sa, &sb)
-        .map_err(|e| CliError::Failed(e.to_string()))?;
+    let plan = engine.plan(&spec, &sa, &sb).map_err(failed)?;
     let a: DenseTensor<f64> = DenseTensor::iota(sa);
     let b: DenseTensor<f64> = DenseTensor::iota(sb);
-    let (c, report) = engine
-        .execute(&plan, &a, &b)
-        .map_err(|e| CliError::Failed(e.to_string()))?;
+    let (c, report) = engine.execute(&plan, &a, &b).map_err(failed)?;
     let mut s = String::new();
     writeln!(s, "spec       : {}", pos[0]).unwrap();
     writeln!(
@@ -981,7 +973,8 @@ mod tests {
             "{out}"
         );
         assert!(out.contains(" / 4 misses"), "{out}");
-        assert!(out.contains("ttlg-runtime metrics"), "{out}");
+        assert!(out.contains("cached service vs plan-per-call"), "{out}");
+        assert!(out.contains("prediction accuracy (8 samples)"), "{out}");
         assert!(out.contains("wrote"), "{out}");
         let json = read_artifact(&path, "serve");
         assert!(json.contains("\"requests\": 8"));

@@ -4,10 +4,10 @@
 //! repeated-use (plan once, run many times — Fig. 12). This module makes
 //! the repeated-use pattern a one-liner and scales it to many concurrent
 //! clients: [`ShardedPlanCache`] keys plans by `(extents, permutation,
-//! options fingerprint)` across N mutex shards, with **single-flight**
+//! options fingerprint)` across 8 mutex shards, with **single-flight**
 //! planning (concurrent misses on one key block on a single builder
-//! instead of racing), per-shard LRU eviction under a configurable
-//! capacity, and lock-free atomic hit/miss/eviction counters.
+//! instead of racing), per-shard LRU eviction past 64 plans, and
+//! lock-free atomic hit/miss/eviction counters.
 //! `ttlg-runtime` builds its multi-tenant service on this type.
 
 use crate::backend::Backend;
@@ -157,23 +157,12 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// Configuration for a [`ShardedPlanCache`].
-#[derive(Debug, Clone, Copy)]
-pub struct CacheConfig {
-    /// Number of mutex shards (keys are hash-distributed across them).
-    pub shards: usize,
-    /// Max resident plans per shard; `0` means unbounded.
-    pub capacity_per_shard: usize,
-}
+/// Mutex shards of a [`ShardedPlanCache`]; keys are hash-distributed
+/// across them.
+const SHARDS: usize = 8;
 
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            shards: 8,
-            capacity_per_shard: 64,
-        }
-    }
-}
+/// Unpinned resident plans a shard keeps before LRU eviction.
+const CAPACITY_PER_SHARD: usize = 64;
 
 /// Slot state within a shard: either a resident plan (with its LRU stamp)
 /// or a build in flight that waiters block on.
@@ -239,14 +228,11 @@ impl<E: Element> Drop for BuildSlot<'_, E> {
 /// element type.
 ///
 /// ```
-/// use ttlg::{CacheConfig, ShardedPlanCache, TransposeOptions, Transposer};
+/// use ttlg::{ShardedPlanCache, TransposeOptions, Transposer};
 /// use ttlg_tensor::{DenseTensor, Permutation, Shape};
 ///
 /// let t = Transposer::new_k40c();
-/// let cache: ShardedPlanCache<f64> = ShardedPlanCache::with_config(CacheConfig {
-///     shards: 1,
-///     capacity_per_shard: 0, // unbounded
-/// });
+/// let cache: ShardedPlanCache<f64> = ShardedPlanCache::new();
 /// let input: DenseTensor<f64> = DenseTensor::iota(Shape::new(&[16, 16]).unwrap());
 /// let perm = Permutation::new(&[1, 0]).unwrap();
 /// for _ in 0..3 {
@@ -267,34 +253,25 @@ impl<E: Element> Drop for BuildSlot<'_, E> {
 /// * planning happens outside the shard lock, so a slow build never
 ///   blocks hits on other keys in the same shard.
 pub struct ShardedPlanCache<E: Element> {
-    shards: Vec<Shard<E>>,
-    capacity_per_shard: usize,
+    shards: [Shard<E>; SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
 impl<E: Element> ShardedPlanCache<E> {
-    /// An empty cache with the given shard count and per-shard capacity.
-    pub fn with_config(cfg: CacheConfig) -> Self {
-        let n = cfg.shards.max(1);
+    /// An empty cache: 8 shards of 64 plans each.
+    pub fn new() -> Self {
         ShardedPlanCache {
-            shards: (0..n).map(|_| Shard::new()).collect(),
-            capacity_per_shard: cfg.capacity_per_shard,
+            shards: std::array::from_fn(|_| Shard::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
 
-    /// An empty cache with the default configuration.
-    pub fn new() -> Self {
-        Self::with_config(CacheConfig::default())
-    }
-
     fn shard(&self, key: &PlanKey) -> &Shard<E> {
-        let n = self.shards.len();
-        &self.shards[(key.shard_hash() % n as u64) as usize]
+        &self.shards[(key.shard_hash() % SHARDS as u64) as usize]
     }
 
     /// Fetch the plan for `key`, building it with `t` on first use.
@@ -469,16 +446,13 @@ impl<E: Element> ShardedPlanCache<E> {
     /// In-flight builds and pinned (measured-best) plans never count
     /// against capacity nor fall to eviction.
     fn evict_locked(&self, state: &mut ShardState<E>) {
-        if self.capacity_per_shard == 0 {
-            return;
-        }
         loop {
             let resident = state
                 .map
                 .values()
                 .filter(|e| matches!(e, Entry::Ready { pinned: false, .. }))
                 .count();
-            if resident <= self.capacity_per_shard {
+            if resident <= CAPACITY_PER_SHARD {
                 return;
             }
             let oldest = state
@@ -494,7 +468,7 @@ impl<E: Element> ShardedPlanCache<E> {
                 })
                 .min_by_key(|(stamp, _)| *stamp)
                 .map(|(_, k)| k)
-                .expect("resident > capacity >= 1 implies an unpinned Ready entry");
+                .expect("resident > capacity implies an unpinned Ready entry");
             state.map.remove(&oldest);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -523,7 +497,7 @@ impl<E: Element> ShardedPlanCache<E> {
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        SHARDS
     }
 
     /// Hit/miss/eviction counters (atomic snapshot of each).
@@ -559,19 +533,29 @@ mod tests {
     use super::*;
     use ttlg_tensor::{reference, DenseTensor};
 
-    /// One unbounded shard: nothing is evicted, and every key shares one
-    /// lock.
-    fn unbounded<E: Element>() -> ShardedPlanCache<E> {
-        ShardedPlanCache::with_config(CacheConfig {
-            shards: 1,
-            capacity_per_shard: 0,
-        })
+    /// `n` distinct 2-D problems (`[m, 8]` transposed) whose keys all
+    /// land in one shard, so a test can fill that shard past its
+    /// capacity.
+    fn one_shard_problems(n: usize) -> Vec<(Shape, PlanKey)> {
+        let opts = TransposeOptions::default();
+        let p = Permutation::new(&[1, 0]).unwrap();
+        let shard = |key: &PlanKey| key.shard_hash() % SHARDS as u64;
+        let problems = (2..).map(|m| {
+            let s = Shape::new(&[m, 8]).unwrap();
+            let key = PlanKey::new(&s, &p, &opts);
+            (s, key)
+        });
+        let target = shard(&problems.clone().next().unwrap().1);
+        problems
+            .filter(|(_, key)| shard(key) == target)
+            .take(n)
+            .collect()
     }
 
     #[test]
     fn second_call_hits_the_cache() {
         let t = Transposer::new_k40c();
-        let cache: ShardedPlanCache<u64> = unbounded();
+        let cache: ShardedPlanCache<u64> = ShardedPlanCache::new();
         let shape = Shape::new(&[16, 8, 4]).unwrap();
         let perm = Permutation::new(&[2, 0, 1]).unwrap();
         let input: DenseTensor<u64> = DenseTensor::iota(shape);
@@ -598,7 +582,7 @@ mod tests {
     #[test]
     fn distinct_problems_get_distinct_plans() {
         let t = Transposer::new_k40c();
-        let cache: ShardedPlanCache<f64> = unbounded();
+        let cache: ShardedPlanCache<f64> = ShardedPlanCache::new();
         let opts = TransposeOptions::default();
         let s1 = Shape::new(&[8, 8]).unwrap();
         let s2 = Shape::new(&[16, 8]).unwrap();
@@ -618,7 +602,7 @@ mod tests {
     #[test]
     fn clear_resets_plans_but_not_stats() {
         let t = Transposer::new_k40c();
-        let cache: ShardedPlanCache<f64> = unbounded();
+        let cache: ShardedPlanCache<f64> = ShardedPlanCache::new();
         let s = Shape::new(&[8, 8]).unwrap();
         let p = Permutation::new(&[1, 0]).unwrap();
         cache
@@ -633,7 +617,7 @@ mod tests {
     #[test]
     fn concurrent_access_is_safe() {
         let t = Transposer::new_k40c();
-        let cache: ShardedPlanCache<u32> = unbounded();
+        let cache: ShardedPlanCache<u32> = ShardedPlanCache::new();
         let shape = Shape::new(&[16, 16]).unwrap();
         let perm = Permutation::new(&[1, 0]).unwrap();
         ttlg_tensor::parallel::parallel_for_threads(8, 1, 4, |_| {
@@ -653,29 +637,26 @@ mod tests {
     #[test]
     fn sharded_cache_evicts_lru() {
         let t = Transposer::new_k40c();
-        let cache: ShardedPlanCache<u64> = ShardedPlanCache::with_config(CacheConfig {
-            shards: 1,
-            capacity_per_shard: 2,
-        });
+        let cache: ShardedPlanCache<u64> = ShardedPlanCache::new();
         let opts = TransposeOptions::default();
         let p = Permutation::new(&[1, 0]).unwrap();
-        let s1 = Shape::new(&[8, 8]).unwrap();
-        let s2 = Shape::new(&[16, 8]).unwrap();
-        let s3 = Shape::new(&[32, 8]).unwrap();
-        cache.get_or_plan(&t, &s1, &p, &opts).unwrap();
-        cache.get_or_plan(&t, &s2, &p, &opts).unwrap();
-        // Touch s1 so s2 becomes the LRU entry.
-        cache.get_or_plan(&t, &s1, &p, &opts).unwrap();
-        cache.get_or_plan(&t, &s3, &p, &opts).unwrap();
+        let problems = one_shard_problems(CAPACITY_PER_SHARD + 1);
+        let fetch = |i: usize| {
+            cache.get_or_plan(&t, &problems[i].0, &p, &opts).unwrap();
+        };
+        (0..CAPACITY_PER_SHARD).for_each(fetch);
+        // Touch the first so the second becomes the LRU entry.
+        fetch(0);
+        fetch(CAPACITY_PER_SHARD);
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
-        assert_eq!(cache.len(), 2);
-        // s1 survived (recently used): hitting it builds nothing new.
+        assert_eq!(cache.len(), CAPACITY_PER_SHARD);
+        // The first survived (recently used): hitting it builds nothing new.
         let misses_before = cache.stats().misses;
-        cache.get_or_plan(&t, &s1, &p, &opts).unwrap();
+        fetch(0);
         assert_eq!(cache.stats().misses, misses_before);
-        // s2 was evicted: asking again rebuilds.
-        cache.get_or_plan(&t, &s2, &p, &opts).unwrap();
+        // The second was evicted: asking again rebuilds.
+        fetch(1);
         assert_eq!(cache.stats().misses, misses_before + 1);
     }
 
@@ -863,90 +844,85 @@ mod tests {
     #[test]
     fn warm_respects_capacity() {
         let t = Transposer::new_k40c();
-        let cache: ShardedPlanCache<u64> = ShardedPlanCache::with_config(CacheConfig {
-            shards: 1,
-            capacity_per_shard: 2,
-        });
+        let cache: ShardedPlanCache<u64> = ShardedPlanCache::new();
         let opts = TransposeOptions::default();
         let p = Permutation::new(&[1, 0]).unwrap();
-        for n in 1..=3usize {
-            let s = Shape::new(&[8 * n, 8]).unwrap();
-            let key = PlanKey::new(&s, &p, &opts);
+        for (s, key) in one_shard_problems(CAPACITY_PER_SHARD + 1) {
             let plan = Arc::new(t.plan::<u64>(&s, &p, &opts).unwrap());
             assert!(cache.warm(&key, plan));
         }
-        assert_eq!(cache.len(), 2, "warming still enforces the LRU bound");
+        assert_eq!(
+            cache.len(),
+            CAPACITY_PER_SHARD,
+            "warming still enforces the LRU bound"
+        );
         assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
     fn measured_plans_pin_and_survive_lru_pressure() {
         let t = Transposer::new_k40c();
-        let cache: ShardedPlanCache<u64> = ShardedPlanCache::with_config(CacheConfig {
-            shards: 1,
-            capacity_per_shard: 2,
-        });
+        let cache: ShardedPlanCache<u64> = ShardedPlanCache::new();
         let opts = TransposeOptions::default();
         let p = Permutation::new(&[1, 0]).unwrap();
+        let problems = one_shard_problems(CAPACITY_PER_SHARD + 5);
         // Warm one *measured* plan: it must pin.
-        let hot_shape = Shape::new(&[16, 8]).unwrap();
-        let hot_key = PlanKey::new(&hot_shape, &p, &opts);
-        let (warmed, _) = t.plan_measured::<u64>(&hot_shape, &p, &opts, 1).unwrap();
+        let (hot_shape, hot_key) = &problems[0];
+        let (warmed, _) = t.plan_measured::<u64>(hot_shape, &p, &opts, 1).unwrap();
         assert!(warmed.is_measured());
         let warmed = Arc::new(warmed);
-        assert!(cache.warm(&hot_key, Arc::clone(&warmed)));
+        assert!(cache.warm(hot_key, Arc::clone(&warmed)));
         assert_eq!(cache.pinned_plans(), 1);
-        // Flood the shard far past capacity with modeled plans.
-        for n in 1..=6usize {
-            let s = Shape::new(&[8, 8 * n]).unwrap();
-            cache.get_or_plan(&t, &s, &p, &opts).unwrap();
+        // Flood its shard past capacity with modeled plans.
+        for (s, _) in &problems[1..] {
+            cache.get_or_plan(&t, s, &p, &opts).unwrap();
         }
         // LRU churned the modeled plans but the pinned plan survived
         // untouched, still predicting its measured time.
         assert!(cache.stats().evictions >= 4);
         assert_eq!(cache.pinned_plans(), 1);
-        let resident = cache.peek(&hot_key).expect("pinned plan never evicted");
+        let resident = cache.peek(hot_key).expect("pinned plan never evicted");
         assert!(Arc::ptr_eq(&resident, &warmed));
-        assert_eq!(cache.len(), 3, "2 modeled (capacity) + 1 pinned");
+        assert_eq!(
+            cache.len(),
+            CAPACITY_PER_SHARD + 1,
+            "64 modeled (capacity) + 1 pinned"
+        );
     }
 
     #[test]
     fn modeled_warm_stays_unpinned_and_evictable() {
         let t = Transposer::new_k40c();
-        let cache: ShardedPlanCache<u64> = ShardedPlanCache::with_config(CacheConfig {
-            shards: 1,
-            capacity_per_shard: 2,
-        });
+        let cache: ShardedPlanCache<u64> = ShardedPlanCache::new();
         let opts = TransposeOptions::default();
         let p = Permutation::new(&[1, 0]).unwrap();
-        let s = Shape::new(&[16, 8]).unwrap();
-        let key = PlanKey::new(&s, &p, &opts);
-        let plan = Arc::new(t.plan::<u64>(&s, &p, &opts).unwrap());
+        let problems = one_shard_problems(CAPACITY_PER_SHARD + 1);
+        let (s, key) = &problems[0];
+        let plan = Arc::new(t.plan::<u64>(s, &p, &opts).unwrap());
         assert!(!plan.is_measured());
-        assert!(cache.warm(&key, plan));
+        assert!(cache.warm(key, plan));
         assert_eq!(cache.pinned_plans(), 0, "modeled plans never pin");
-        for n in 2..=4usize {
-            let sn = Shape::new(&[8 * n, 8]).unwrap();
-            cache.get_or_plan(&t, &sn, &p, &opts).unwrap();
+        for (sn, _) in &problems[1..] {
+            cache.get_or_plan(&t, sn, &p, &opts).unwrap();
         }
-        assert!(cache.peek(&key).is_none(), "unpinned warm falls to LRU");
+        assert!(cache.peek(key).is_none(), "unpinned warm falls to LRU");
     }
 
     #[test]
     fn sharded_cache_distributes_keys() {
         let t = Transposer::new_k40c();
-        let cache: ShardedPlanCache<f64> = ShardedPlanCache::with_config(CacheConfig {
-            shards: 4,
-            capacity_per_shard: 0,
-        });
+        let cache: ShardedPlanCache<f64> = ShardedPlanCache::new();
         let opts = TransposeOptions::default();
         let p = Permutation::new(&[1, 0]).unwrap();
+        let mut shards = std::collections::BTreeSet::new();
         for n in 1..=16usize {
             let s = Shape::new(&[8 * n, 8]).unwrap();
+            shards.insert(PlanKey::new(&s, &p, &opts).shard_hash() % SHARDS as u64);
             cache.get_or_plan(&t, &s, &p, &opts).unwrap();
         }
         assert_eq!(cache.len(), 16);
         assert_eq!(cache.stats().misses, 16);
-        assert_eq!(cache.shard_count(), 4);
+        assert_eq!(cache.shard_count(), SHARDS);
+        assert!(shards.len() > 1, "16 keys spread over {shards:?}");
     }
 }

@@ -39,7 +39,7 @@ pub mod slice;
 pub mod trace;
 
 pub use backend::Backend;
-pub use cache::{CacheConfig, CacheStats, FetchTiming, PlanKey, ShardedPlanCache};
+pub use cache::{CacheStats, FetchTiming, PlanKey, ShardedPlanCache};
 pub use model::{cpu_analytic_ns, AnalyticPredictor, Candidate, TimePredictor};
 pub use plan::{
     CandidateMeasurement, Plan, PlanError, TransposeOptions, TransposeReport, Transposer,

@@ -2,13 +2,13 @@
 //! [`TransposeService::submit_async`].
 //!
 //! Every request registers in one **single-flight table** keyed by
-//! `(PlanKey problem fingerprint, input identity)`, whichever of
-//! `submit`, `submit_async` or `submit_batch` brought it in. The first
-//! registration of a problem leads: it runs the service's staged
-//! pipeline. Identical registrations that arrive while it is in flight
-//! follow: they attach a ticket to the leader's entry and run nothing.
-//! Whichever thread finishes a leader completes its followers' tickets
-//! itself.
+//! `(PlanKey problem fingerprint, input identity)` through one function,
+//! `Flights::register`, whether `submit` or `submit_async` brought it
+//! in. The first registration of a problem leads: it runs the service's
+//! staged pipeline. Identical registrations that arrive while it is in
+//! flight follow: they attach a ticket to the leader's entry and run
+//! nothing. Whichever thread finishes a leader completes its followers'
+//! tickets itself.
 //!
 //! `submit_async` hands its leaders to a small executor: bounded
 //! per-(tenant, class) queues drained by `ttlg-async-N` workers. A
@@ -33,13 +33,14 @@
 //! worker, which then skips joining itself.
 
 use crate::service::{ErrorKind, Outcome, ServeError, TransposeRequest, TransposeService};
+use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 use ttlg::PlanKey;
-use ttlg_obs::{clock_ns, Envelope, Priority};
+use ttlg_obs::{Envelope, Priority};
 use ttlg_tensor::Element;
 
 /// Lock `m`, ignoring poison: every critical section here leaves its
@@ -50,8 +51,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// One request's completion slot.
 pub(crate) struct Ticket<E: Element> {
-    /// Clock reading ([`clock_ns`]) at submission: the request's trace
-    /// starts here.
+    /// Clock reading ([`ttlg_obs::clock_ns`]) at submission: the
+    /// request's trace starts here.
     pub(crate) submitted_ns: u64,
     /// A follower's gateway envelope, for its trace record (a leader's
     /// rides on its request).
@@ -61,7 +62,7 @@ pub(crate) struct Ticket<E: Element> {
 }
 
 impl<E: Element> Ticket<E> {
-    fn new(submitted_ns: u64, envelope: Option<Envelope>) -> Arc<Self> {
+    pub(crate) fn new(submitted_ns: u64, envelope: Option<Envelope>) -> Arc<Self> {
         Arc::new(Ticket {
             submitted_ns,
             envelope,
@@ -84,6 +85,12 @@ impl<E: Element> Ticket<E> {
 /// The caller's side of one submission: poll it, or wait for it.
 pub struct TicketHandle<E: Element> {
     ticket: Arc<Ticket<E>>,
+}
+
+impl<E: Element> From<Arc<Ticket<E>>> for TicketHandle<E> {
+    fn from(ticket: Arc<Ticket<E>>) -> Self {
+        TicketHandle { ticket }
+    }
 }
 
 impl<E: Element> TicketHandle<E> {
@@ -117,7 +124,8 @@ impl<E: Element> TicketHandle<E> {
 /// `bench-serve async`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PipelineStats {
-    /// Requests registered by any entry point (leaders, followers, rejects).
+    /// Requests registered by either entry point (leaders, followers,
+    /// rejects).
     pub submitted: u64,
     /// Leader runs; each plans and executes once.
     pub executed: u64,
@@ -134,14 +142,15 @@ pub struct PipelineStats {
 /// other tensor can reuse the address meanwhile.
 pub(crate) type FlightKey = (u64, usize);
 
-fn flight_key<E: Element>(req: &TransposeRequest<E>, key: &PlanKey) -> FlightKey {
+pub(crate) fn flight_key<E: Element>(req: &TransposeRequest<E>, key: &PlanKey) -> FlightKey {
     (key.problem_fingerprint(), Arc::as_ptr(&req.input) as usize)
 }
 
 /// What registering a request made it.
-pub(crate) enum Role<E: Element> {
-    /// Run the pipeline, then complete the followers of this key.
-    Lead(FlightKey),
+pub(crate) enum Role<E: Element, T> {
+    /// The entry is made, and `T` is what the registration's `lead`
+    /// started: run the pipeline (or let it run), then land the entry.
+    Lead(T),
     /// Wait: an identical leader is in flight.
     Follow(TicketHandle<E>),
 }
@@ -169,33 +178,39 @@ impl<E: Element> Flights<E> {
         }
     }
 
-    /// Register requests in order under one lock. Each follows an
-    /// identical in-flight leader (an earlier request of the same call
-    /// included) or leads.
-    pub(crate) fn register<'a>(
+    /// Register one request under its flight key: count it, then follow
+    /// an identical in-flight leader, or lead. A follower gets a ticket
+    /// carrying its own envelope. A leader runs `lead` with the request
+    /// while the table lock is held, so whatever `lead` starts (a queued
+    /// job) cannot land the entry before it exists; if `lead` refuses,
+    /// no entry is made, the request counts as rejected, and the refusal
+    /// comes back.
+    pub(crate) fn register<R: Borrow<TransposeRequest<E>>, T, X>(
         &self,
-        reqs: impl IntoIterator<Item = (&'a TransposeRequest<E>, &'a PlanKey)>,
+        req: R,
+        flight: FlightKey,
         submitted_ns: u64,
-    ) -> Vec<Role<E>> {
+        lead: impl FnOnce(R) -> Result<T, X>,
+    ) -> Result<Role<E, T>, X> {
         let mut table = lock(&self.table);
-        reqs.into_iter()
-            .map(|(req, key)| {
-                let key = flight_key(req, key);
-                self.submitted.fetch_add(1, Ordering::Relaxed);
-                match table.get_mut(&key) {
-                    Some(followers) => {
-                        self.coalesced.fetch_add(1, Ordering::Relaxed);
-                        let ticket = Ticket::new(submitted_ns, req.envelope.clone());
-                        followers.push(Arc::clone(&ticket));
-                        Role::Follow(TicketHandle { ticket })
-                    }
-                    None => {
-                        table.insert(key, Vec::new());
-                        Role::Lead(key)
-                    }
-                }
-            })
-            .collect()
+        self.submitted.fetch_add(1, Ordering::Relaxed);
+        if let Some(followers) = table.get_mut(&flight) {
+            self.coalesced.fetch_add(1, Ordering::Relaxed);
+            let ticket = Ticket::new(submitted_ns, req.borrow().envelope.clone());
+            followers.push(Arc::clone(&ticket));
+            return Ok(Role::Follow(ticket.into()));
+        }
+        match lead(req) {
+            Ok(led) => {
+                table.insert(flight, Vec::new());
+                Ok(Role::Lead(led))
+            }
+            Err(refused) => {
+                drop(table);
+                self.rejected.fetch_add(1, Ordering::Relaxed);
+                Err(refused)
+            }
+        }
     }
 
     /// Count one leader run.
@@ -419,11 +434,11 @@ pub struct QueueStats {
 }
 
 /// One `submit_async` leader waiting for a worker.
-struct Job<E: Element> {
-    req: TransposeRequest<E>,
-    key: PlanKey,
-    flight: FlightKey,
-    ticket: Arc<Ticket<E>>,
+pub(crate) struct Job<E: Element> {
+    pub(crate) req: TransposeRequest<E>,
+    pub(crate) key: PlanKey,
+    pub(crate) flight: FlightKey,
+    pub(crate) ticket: Arc<Ticket<E>>,
 }
 
 /// The worker pool behind `submit_async`. Owned by the service, started
@@ -459,57 +474,12 @@ impl<E: Element> Executor<E> {
         Executor { queue, workers }
     }
 
-    /// Issue a ticket for `req` without blocking: follow an identical
-    /// in-flight leader, or queue `req` as a leader, or (its queue full)
-    /// complete the ticket at once with an [`ErrorKind::QueueFull`]
-    /// error.
-    pub(crate) fn submit(
-        &self,
-        flights: &Flights<E>,
-        req: TransposeRequest<E>,
-        key: PlanKey,
-    ) -> TicketHandle<E> {
-        let flight = flight_key(&req, &key);
-        let submitted_ns = clock_ns();
-        // Queue under the table lock, so the entry exists before a
-        // worker can finish the job and land it.
-        let mut table = lock(&flights.table);
-        flights.submitted.fetch_add(1, Ordering::Relaxed);
-        if let Some(followers) = table.get_mut(&flight) {
-            flights.coalesced.fetch_add(1, Ordering::Relaxed);
-            let ticket = Ticket::new(submitted_ns, req.envelope);
-            followers.push(Arc::clone(&ticket));
-            return TicketHandle { ticket };
-        }
-        let ticket = Ticket::new(submitted_ns, None);
-        let handle = TicketHandle {
-            ticket: Arc::clone(&ticket),
-        };
-        let (tenant, class) = queue_of(req.envelope.as_ref());
-        let job = Job {
-            req,
-            key,
-            flight,
-            ticket,
-        };
-        match self.queue.push(tenant, class, job) {
-            Ok(()) => {
-                table.insert(flight, Vec::new());
-            }
-            Err(job) => {
-                drop(table);
-                flights.rejected.fetch_add(1, Ordering::Relaxed);
-                let e = ServeError {
-                    kind: ErrorKind::QueueFull,
-                    message: format!(
-                        "queue full: {} requests of this tenant and class are queued",
-                        self.queue.capacity
-                    ),
-                };
-                job.ticket.complete(Outcome::error(e, submitted_ns, false));
-            }
-        }
-        handle
+    /// Queue `job` under its envelope's tenant and class without
+    /// blocking, or hand it back (boxed: a refusal is the rare path) if
+    /// that queue is full.
+    pub(crate) fn submit(&self, job: Job<E>) -> Result<(), Box<Job<E>>> {
+        let (tenant, class) = queue_of(job.req.envelope.as_ref());
+        self.queue.push(tenant, class, job).map_err(Box::new)
     }
 
     /// Queued requests in all, and in the fullest (tenant, class) queue.

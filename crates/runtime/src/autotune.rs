@@ -13,7 +13,10 @@
 //!    with one [`ttlg::Transposer::plan_measured`] call, which times the
 //!    model's four best-ranked candidates under a one-thread
 //!    [`ttlg_tensor::parallel::with_thread_cap`] (so it never steals
-//!    cores from foreground batches) and builds the fastest;
+//!    cores from foreground requests) and builds the fastest. Each key
+//!    tunes inside the service's panic boundary: a panic fails that
+//!    key's tuning, counted in `failures` and `ttlg_panics_total`, and
+//!    the pass goes on;
 //! 3. that plan, whose `predicted_ns` *is* its measured time, is swapped
 //!    into the shared cache pinned ([`ttlg::ShardedPlanCache::warm`]) —
 //!    subsequent requests for that key run the measured winner;
@@ -62,6 +65,7 @@ pub struct AutotuneSnapshot {
     pub plans_swapped: u64,
     /// Measured points streamed to the model sink.
     pub points_streamed: u64,
-    /// Keys whose tuning failed (planning or measurement error).
+    /// Keys whose tuning failed (planning or measurement error, or a
+    /// caught panic).
     pub failures: u64,
 }

@@ -4,7 +4,7 @@
 //! the `ttlg` core — the paper's repeated-use scenario (plan once, run
 //! many times, Fig. 12) industrialised for many concurrent clients.
 //!
-//! Five pieces:
+//! Seven pieces:
 //!
 //! * **Sharded plan cache** — [`ttlg::ShardedPlanCache`] (re-exported
 //!   here): N mutex shards keyed by problem fingerprint, per-shard LRU
@@ -13,20 +13,18 @@
 //!   in one single-flight table ([`async_exec`]), and, if no identical
 //!   request is in flight, run through the stages: execution permit,
 //!   plan fetch, execute, record. A panic inside a run fails its
-//!   requests, not the service. Three entry points feed the pipeline and all
-//!   resolve to one [`Outcome`]: [`TransposeService::submit`] runs on
-//!   the caller's thread, [`TransposeService::submit_async`] returns a
-//!   poll/wait [`TicketHandle`] at once and runs on a small in-tree
-//!   executor (no external async runtime), and
-//!   [`TransposeService::submit_batch`] registers a whole batch under
-//!   one lock and runs its leaders on a scoped worker pool. Identical
-//!   in-flight problems share one plan, one execution and one `Arc`'d
-//!   response.
+//!   requests, not the service. Two entry points register through one
+//!   function and resolve to one [`Outcome`]:
+//!   [`TransposeService::submit`] runs on the caller's thread, and
+//!   [`TransposeService::submit_async`] returns a poll/wait
+//!   [`TicketHandle`] at once and runs on a small in-tree executor (no
+//!   external async runtime). Identical in-flight problems share one
+//!   plan, one execution and one `Arc`'d response, whichever entry
+//!   point brought each in.
 //! * **Metrics** — per-schema request counters, bytes-moved totals,
 //!   plan/execute latency histograms with p50/p95/p99 quantiles, and a
-//!   per-schema prediction-accuracy tracker ([`Metrics`]); exported as a
-//!   plain-text report or Prometheus text
-//!   ([`TransposeService::export_prometheus`]).
+//!   per-schema prediction-accuracy tracker ([`Metrics`]); exported as
+//!   Prometheus text ([`TransposeService::export_prometheus`]).
 //! * **Tracing** — every request becomes a [`RequestTrace`] decomposed
 //!   into queue-wait / plan-fetch / execute with cache hit-miss
 //!   attribution and the executor's DRAM-efficiency and shared-memory
@@ -60,27 +58,28 @@
 //! use ttlg_runtime::{TransposeRequest, TransposeService};
 //! use ttlg_tensor::{DenseTensor, Permutation, Shape};
 //!
-//! let svc: TransposeService<f64> = TransposeService::new_k40c();
+//! let svc = Arc::new(TransposeService::<f64>::new_k40c());
 //! let input = Arc::new(DenseTensor::<f64>::iota(Shape::new(&[16, 16, 16]).unwrap()));
 //! let reqs: Vec<_> = [[2, 1, 0], [1, 0, 2], [2, 1, 0]]
 //!     .iter()
 //!     .map(|p| TransposeRequest::new(Arc::clone(&input), Permutation::new(p).unwrap()))
 //!     .collect();
-//! let results = svc.submit_batch(&reqs);
-//! assert!(results.iter().all(|r| r.is_ok()));
+//! for req in &reqs {
+//!     assert!(svc.submit(req).is_ok());
+//! }
 //! // Three requests, but only two distinct problems were planned.
 //! assert_eq!(svc.cache_stats().misses, 2);
-//! println!("{}", svc.metrics_report());
 //! // Each request left a fully attributed trace, and the same state
-//! // exports as Prometheus text or JSON.
+//! // exports as Prometheus text.
 //! assert_eq!(svc.recent_traces(10).len(), 3);
 //! assert!(svc.export_prometheus().contains("ttlg_requests_total"));
-//! // Non-blocking submission: poll or wait on the returned ticket.
-//! let svc = Arc::new(svc);
-//! let ticket = svc.submit_async(reqs[0].clone());
-//! let outcome = ticket.wait();
-//! assert!(outcome.result.is_ok());
-//! assert!(!outcome.spans().is_empty());
+//! // Non-blocking submission: poll or wait on the returned tickets.
+//! let tickets: Vec<_> = reqs.iter().map(|r| svc.submit_async(r.clone())).collect();
+//! for ticket in &tickets {
+//!     let outcome = ticket.wait();
+//!     assert!(outcome.result.is_ok());
+//!     assert!(!outcome.spans().is_empty());
+//! }
 //! ```
 
 pub mod async_exec;
@@ -95,7 +94,7 @@ pub use service::{
     ErrorKind, HistoryConfig, Outcome, RuntimeConfig, ServeError, ServeResult, TransposeRequest,
     TransposeResponse, TransposeService,
 };
-pub use ttlg::{CacheConfig, CacheStats, PlanKey, ShardedPlanCache};
+pub use ttlg::{CacheStats, PlanKey, ShardedPlanCache};
 pub use ttlg_obs::{
     eval_range, AlertEngine, AlertRule, AlertState, AlertStatus, Envelope, MetricsSnapshot,
     PhaseProfile, PhaseShares, PredictionStats, PredictionTracker, QueryError, QueryResult,

@@ -4,10 +4,9 @@
 //! lock-free (plain atomics), so recording from the worker pool never
 //! serializes the hot path.
 //!
-//! Besides the plain-text report ([`Metrics::render`]), the whole state
-//! can be captured as a renderer-neutral [`ttlg_obs::MetricsSnapshot`]
-//! ([`Metrics::snapshot`]) for the Prometheus-text exporter and the
-//! metrics history.
+//! The whole state is captured as a renderer-neutral
+//! [`ttlg_obs::MetricsSnapshot`] ([`Metrics::snapshot`]) for the
+//! Prometheus-text exporter and the metrics history.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use ttlg::{Backend, Schema};
@@ -16,7 +15,7 @@ use ttlg_obs::{
     RATIO_BUCKETS,
 };
 
-/// All schemas, in display order for the report.
+/// All schemas, in export order.
 const SCHEMAS: [Schema; 6] = [
     Schema::Copy,
     Schema::FviMatchLarge,
@@ -82,48 +81,12 @@ impl LatencyHistogram {
         self.total_ns.load(Ordering::Relaxed)
     }
 
-    /// Mean sample, nanoseconds (0 if empty).
-    pub fn mean_ns(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.total_ns() as f64 / n as f64
-        }
-    }
-
     /// Per-bucket counts, in bucket order.
     pub fn bucket_counts(&self) -> Vec<u64> {
         self.buckets
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// Estimate quantile `q` in microseconds. An empty histogram yields
-    /// `f64::NAN` — the explicit "no data" sentinel of
-    /// [`log2_bucket_quantile_us`] — never a misleading bucket bound.
-    pub fn quantile_us(&self, q: f64) -> f64 {
-        log2_bucket_quantile_us(&self.bucket_counts(), q)
-    }
-
-    /// Render non-empty buckets as `  [lo, hi) us : count` lines.
-    pub fn render(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        for (i, b) in self.buckets.iter().enumerate() {
-            let c = b.load(Ordering::Relaxed);
-            if c == 0 {
-                continue;
-            }
-            let label = if i == 0 {
-                "[0, 2) us".to_string()
-            } else if i == HIST_BUCKETS - 1 {
-                format!("[{}, inf) us", 1u64 << (HIST_BUCKETS - 1))
-            } else {
-                format!("[{}, {}) us", 1u64 << i, 1u64 << (i + 1))
-            };
-            writeln!(out, "    {label:<18} {c:>10}").unwrap();
-        }
     }
 }
 
@@ -144,7 +107,6 @@ pub struct Metrics {
     /// Wall-clock latency of the execute phase.
     pub exec_latency: LatencyHistogram,
     failures: AtomicU64,
-    batches: AtomicU64,
     prediction: PredictionTracker,
     /// Foreground predicted/measured pairs streamed to the measurement
     /// sink (autotuner-streamed points are counted separately in
@@ -155,8 +117,9 @@ pub struct Metrics {
     /// own kernel. Counted in `requests_by_schema` too: a coalesced
     /// request is still a served request.
     coalesced_requests: AtomicU64,
-    /// Pipeline stages and history scrapes that panicked; the panic was
-    /// caught and turned into its requests' error, or skipped the scrape.
+    /// Pipeline stages, tuning passes and history scrapes that panicked;
+    /// the panic was caught and turned into its requests' error, failed
+    /// its key's tuning, or skipped the scrape.
     panics: AtomicU64,
 }
 
@@ -177,7 +140,6 @@ impl Metrics {
             plan_latency: LatencyHistogram::new(),
             exec_latency: LatencyHistogram::new(),
             failures: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
             prediction: PredictionTracker::new(SCHEMAS.iter().map(|s| s.to_string())),
             residual_points: AtomicU64::new(0),
             coalesced_requests: AtomicU64::new(0),
@@ -224,11 +186,6 @@ impl Metrics {
             None => {}
         }
         self.failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one processed batch.
-    pub fn record_batch(&self) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one model-predicted vs simulator-measured kernel time pair.
@@ -293,11 +250,6 @@ impl Metrics {
     /// Failed requests.
     pub fn failures(&self) -> u64 {
         self.failures.load(Ordering::Relaxed)
-    }
-
-    /// Batches processed.
-    pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
     }
 
     /// Requests recorded for one schema.
@@ -368,16 +320,11 @@ impl Metrics {
         );
         snap.push_metric(
             "ttlg_panics_total",
-            "Pipeline stages and history scrapes that panicked; each panic was caught \
-             and failed its requests or skipped its scrape.",
+            "Pipeline stages, tuning passes and history scrapes that panicked; each \
+             panic was caught and failed its requests, failed its key's tuning or \
+             skipped its scrape.",
             MetricKind::Counter,
             vec![Sample::plain(self.panics() as f64)],
-        );
-        snap.push_metric(
-            "ttlg_batches_total",
-            "Batches processed.",
-            MetricKind::Counter,
-            vec![Sample::plain(self.batches() as f64)],
         );
         let coalesced = self.coalesced_requests();
         let total = self.total_requests();
@@ -505,74 +452,6 @@ impl Metrics {
         );
         snap
     }
-
-    /// Plain-text report: per-schema counters, bytes moved, both latency
-    /// histograms with quantiles, and prediction accuracy.
-    pub fn render(&self, cache: &ttlg::CacheStats) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        writeln!(s, "== ttlg-runtime metrics ==").unwrap();
-        writeln!(
-            s,
-            "requests : {} ok, {} failed, {} batches",
-            self.total_requests(),
-            self.failures(),
-            self.batches()
-        )
-        .unwrap();
-        writeln!(
-            s,
-            "cache    : {} hits, {} misses, {} evictions",
-            cache.hits, cache.misses, cache.evictions
-        )
-        .unwrap();
-        let backend_totals: Vec<String> = Backend::ALL
-            .iter()
-            .map(|b| {
-                format!(
-                    "{} {}",
-                    self.requests_by_backend[b.index()].load(Ordering::Relaxed),
-                    b.label()
-                )
-            })
-            .collect();
-        writeln!(s, "backends : {}", backend_totals.join(", ")).unwrap();
-        writeln!(s, "by schema:").unwrap();
-        for schema in SCHEMAS {
-            let i = schema_index(schema);
-            let n = self.requests_by_schema[i].load(Ordering::Relaxed);
-            if n == 0 {
-                continue;
-            }
-            let b = self.bytes_by_schema[i].load(Ordering::Relaxed);
-            writeln!(
-                s,
-                "  {:<24} {:>8} requests  {:>14} bytes moved",
-                schema.to_string(),
-                n,
-                b
-            )
-            .unwrap();
-        }
-        for (hist, label) in [(&self.plan_latency, "plan"), (&self.exec_latency, "exec")] {
-            writeln!(
-                s,
-                "{label} latency  (n = {}, mean {:.1} us, p50 {:.1} / p95 {:.1} / p99 {:.1} us):",
-                hist.count(),
-                hist.mean_ns() / 1e3,
-                hist.quantile_us(0.5),
-                hist.quantile_us(0.95),
-                hist.quantile_us(0.99)
-            )
-            .unwrap();
-            hist.render(&mut s);
-        }
-        if self.prediction.total_count() > 0 {
-            writeln!(s, "prediction accuracy (predicted vs measured):").unwrap();
-            s.push_str(&self.prediction.render());
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -589,12 +468,13 @@ mod tests {
         h.record_ns(1_000_000); // 1000 us -> bucket 9
         h.record_ns(u64::MAX / 2); // overflow bucket
         assert_eq!(h.count(), 5);
-        let mut out = String::new();
-        h.render(&mut out);
-        assert!(out.contains("[0, 2) us"));
-        assert!(out.contains("[2, 4) us"));
-        assert!(out.contains("[512, 1024) us"), "{out}");
-        assert!(out.contains("inf"));
+        let counts = h.bucket_counts();
+        assert_eq!(counts.len(), HIST_BUCKETS);
+        assert_eq!(counts[0], 2, "[0, 2) us");
+        assert_eq!(counts[1], 1, "[2, 4) us");
+        assert_eq!(counts[9], 1, "[512, 1024) us");
+        assert_eq!(counts[HIST_BUCKETS - 1], 1, "overflow");
+        assert_eq!(counts.iter().sum::<u64>(), 5, "nothing else");
     }
 
     #[test]
@@ -618,8 +498,8 @@ mod tests {
         for _ in 0..10 {
             h.record_ns(1_500_000); // [1024, 2048) us
         }
-        let p50 = h.quantile_us(0.5);
-        let p99 = h.quantile_us(0.99);
+        let p50 = log2_bucket_quantile_us(&h.bucket_counts(), 0.5);
+        let p99 = log2_bucket_quantile_us(&h.bucket_counts(), 0.99);
         assert!((2.0..4.0).contains(&p50), "p50 {p50}");
         assert!((1024.0..2048.0).contains(&p99), "p99 {p99}");
     }
@@ -633,9 +513,20 @@ mod tests {
         assert_eq!(m.total_requests(), 3);
         assert_eq!(m.total_bytes(), 250);
         assert_eq!(m.requests_for(Schema::Copy), 2);
-        let text = m.render(&ttlg::CacheStats::default());
-        assert!(text.contains("requests"));
-        assert!(text.contains("Copy") || text.contains("copy"));
+        let snap = m.snapshot(&ttlg::CacheStats::default());
+        let copy = |name: &str| {
+            snap.metrics
+                .iter()
+                .find(|x| x.name == name)
+                .and_then(|x| {
+                    x.samples
+                        .iter()
+                        .find(|s| s.labels == [("schema".to_string(), "Copy".to_string())])
+                })
+                .map(|s| s.value)
+        };
+        assert_eq!(copy("ttlg_requests_total"), Some(2.0));
+        assert_eq!(copy("ttlg_bytes_moved_total"), Some(200.0));
     }
 
     #[test]
@@ -656,11 +547,30 @@ mod tests {
         m.plan_latency.record_ns(10_000);
         m.exec_latency.record_ns(20_000);
         m.record_prediction(Schema::Naive, 1_000.0, 900.0);
-        let text = m.render(&ttlg::CacheStats::default());
-        assert!(text.contains("p50"), "{text}");
-        assert!(text.contains("p99"), "{text}");
-        assert!(text.contains("prediction accuracy"), "{text}");
-        assert!(text.contains("geo-mean error"), "{text}");
+        let snap = m.snapshot(&ttlg::CacheStats::default());
+        let samples = |name: &str| {
+            snap.metrics
+                .iter()
+                .find(|x| x.name == name)
+                .unwrap_or_else(|| panic!("missing {name}"))
+                .samples
+                .clone()
+        };
+        // One sample each in [8, 16) and [16, 32) us; the estimate
+        // interpolates within the bucket, up to its upper bound.
+        for (name, lo, hi) in [
+            ("ttlg_plan_latency_us_quantile", 8.0, 16.0),
+            ("ttlg_exec_latency_us_quantile", 16.0, 32.0),
+        ] {
+            let quantiles = samples(name);
+            assert_eq!(quantiles.len(), 3, "p50, p95, p99");
+            for q in &quantiles {
+                assert!(q.value > lo && q.value <= hi, "{name} {q:?}");
+            }
+        }
+        let geo = samples("ttlg_prediction_geo_mean_error");
+        assert_eq!(geo.len(), 1);
+        assert!((geo[0].value - 1_000.0 / 900.0).abs() < 1e-3, "{geo:?}");
     }
 
     #[test]
@@ -755,9 +665,6 @@ mod tests {
             .find(|s| s.labels.iter().any(|(_, v)| v == "cpu"))
             .unwrap();
         assert_eq!(cpu.value, 2.0);
-        let text = m.render(&ttlg::CacheStats::default());
-        assert!(text.contains("backends"), "{text}");
-        assert!(text.contains("cpu"), "{text}");
     }
 
     #[test]

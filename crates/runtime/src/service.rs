@@ -10,14 +10,13 @@
 //!    record, complete. A request registers in the single-flight table
 //!    ([`crate::async_exec`]); a leader runs the stages (execution
 //!    permit, plan fetch, execute, record) inside a panic boundary and
-//!    then completes the followers that joined it. Three entry points feed
+//!    then completes the followers that joined it. Two entry points feed
 //!    the same stages: [`TransposeService::submit`] on the caller's
-//!    thread, [`TransposeService::submit_async`] on the executor's
-//!    workers, and [`TransposeService::submit_batch`] on a scoped pool.
-//!    Every request resolves to one [`Outcome`];
+//!    thread and [`TransposeService::submit_async`] on the executor's
+//!    workers. Every request resolves to one [`Outcome`];
 //! 3. lock-free metrics: per-schema request counters, bytes-moved
 //!    totals, plan/execute latency histograms, and a prediction-accuracy
-//!    tracker, rendered as plain text or Prometheus text;
+//!    tracker, exported as Prometheus text;
 //! 4. tracing: every request becomes a [`RequestTrace`] decomposed into
 //!    queue-wait / plan-fetch / execute with cache hit-miss attribution
 //!    and the executor's DRAM-efficiency and shared-memory replay rates,
@@ -25,11 +24,13 @@
 //!    ([`TransposeService::trace_store`]).
 
 use crate::async_exec::{
-    Executor, FlightKey, Flights, PipelineStats, QueueStats, Role, Ticket, TicketHandle,
+    flight_key, Executor, FlightKey, Flights, Job, PipelineStats, QueueStats, Role, Ticket,
+    TicketHandle,
 };
 use crate::autotune::{AutotuneSnapshot, AutotuneStats};
 use crate::metrics::{Metrics, RequestPhase};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,9 +51,9 @@ use ttlg_tensor::{parallel, DenseTensor, Element, Permutation};
 /// Service configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
-    /// Worker threads: the executor's `ttlg-async-N` pool behind
-    /// [`TransposeService::submit_async`], and the scoped pool that runs
-    /// a batch's leaders. Also the bound on requests executing at once.
+    /// Worker threads of the executor's `ttlg-async-N` pool behind
+    /// [`TransposeService::submit_async`]. Also the bound on requests
+    /// executing at once, whichever entry point brought them in.
     pub workers: usize,
     /// Bound of each (tenant, class) queue of the executor behind
     /// [`TransposeService::submit_async`]; a full queue refuses the
@@ -109,7 +110,7 @@ impl Default for RuntimeConfig {
 /// One unit of client work: transpose `input` by `perm` under `opts`.
 #[derive(Clone)]
 pub struct TransposeRequest<E: Element> {
-    /// Input tensor (shared; batches often reuse one tensor).
+    /// Input tensor (shared; many requests may reuse one tensor).
     pub input: Arc<DenseTensor<E>>,
     /// The permutation to apply.
     pub perm: Permutation,
@@ -291,10 +292,6 @@ pub struct TransposeService<E: Element> {
     metrics: Metrics,
     in_flight: Semaphore,
     workers: usize,
-    /// Inner-executor thread cap per request while a batch is running:
-    /// the machine's parallelism divided among the workers, so
-    /// concurrent executes share cores instead of oversubscribing.
-    exec_threads: usize,
     /// The one store of per-request records.
     traces: TraceStore<Arc<DecisionTrace>>,
     next_id: AtomicU64,
@@ -356,7 +353,6 @@ impl<E: Element> TransposeService<E> {
             metrics: Metrics::new(),
             in_flight: Semaphore::new(workers),
             workers,
-            exec_threads: (parallel::default_threads() / workers).max(1),
             traces: TraceStore::new(cfg.traces),
             next_id: AtomicU64::new(0),
             autotune: cfg.autotune,
@@ -409,11 +405,6 @@ impl<E: Element> TransposeService<E> {
     /// Service metrics (counters + histograms + prediction tracker).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Render the plain-text metrics report.
-    pub fn metrics_report(&self) -> String {
-        self.metrics.render(&self.cache.stats())
     }
 
     /// Capture metrics as a renderer-neutral snapshot, including the
@@ -504,10 +495,14 @@ impl<E: Element> TransposeService<E> {
     pub fn submit(&self, req: &TransposeRequest<E>) -> ServeResult<E> {
         let submitted_ns = clock_ns();
         let key = req.plan_key();
-        let mut roles = self.flights.register([(req, &key)], submitted_ns);
-        match roles.pop().expect("one registration") {
-            Role::Lead(flight) => self.lead(req, &key, flight, submitted_ns).result,
-            Role::Follow(ticket) => ticket.wait().result.clone(),
+        let flight = flight_key(req, &key);
+        match self
+            .flights
+            .register(req, flight, submitted_ns, |_| Ok::<_, Infallible>(()))
+        {
+            Ok(Role::Lead(())) => self.lead(req, &key, flight, submitted_ns).result,
+            Ok(Role::Follow(ticket)) => ticket.wait().result.clone(),
+            Err(never) => match never {},
         }
     }
 
@@ -525,7 +520,33 @@ impl<E: Element> TransposeService<E> {
             Executor::start(Arc::downgrade(self), self.queue_capacity, self.workers)
         });
         let key = req.plan_key();
-        executor.submit(&self.flights, req, key)
+        let flight = flight_key(&req, &key);
+        let submitted_ns = clock_ns();
+        let queued = self.flights.register(req, flight, submitted_ns, |req| {
+            let ticket = Ticket::new(submitted_ns, None);
+            let job = Job {
+                req,
+                key,
+                flight,
+                ticket: Arc::clone(&ticket),
+            };
+            executor.submit(job).map(|()| ticket)
+        });
+        match queued {
+            Ok(Role::Lead(ticket)) => ticket.into(),
+            Ok(Role::Follow(handle)) => handle,
+            Err(job) => {
+                let e = ServeError {
+                    kind: ErrorKind::QueueFull,
+                    message: format!(
+                        "queue full: {} requests of this tenant and class are queued",
+                        self.queue_capacity.max(1)
+                    ),
+                };
+                job.ticket.complete(Outcome::error(e, submitted_ns, false));
+                job.ticket.into()
+            }
+        }
     }
 
     /// Occupancy of the executor's queues (empty before the first
@@ -539,46 +560,7 @@ impl<E: Element> TransposeService<E> {
         }
     }
 
-    /// Serve a batch; results come back in request order. All members
-    /// register under one lock, so a duplicate always joins the first
-    /// identical member (or an identical request already in flight) and
-    /// shares its response. The leaders run on a scoped pool of
-    /// `workers` threads, each under an inner-parallelism cap. No member
-    /// goes through the executor's bounded queue.
-    pub fn submit_batch(&self, reqs: &[TransposeRequest<E>]) -> Vec<ServeResult<E>> {
-        self.metrics.record_batch();
-        let submitted_ns = clock_ns();
-        let keys: Vec<PlanKey> = reqs.iter().map(TransposeRequest::plan_key).collect();
-        let roles = self.flights.register(reqs.iter().zip(&keys), submitted_ns);
-        let leaders: Vec<(usize, FlightKey)> = roles
-            .iter()
-            .enumerate()
-            .filter_map(|(i, role)| match role {
-                Role::Lead(flight) => Some((i, *flight)),
-                Role::Follow(_) => None,
-            })
-            .collect();
-        let led: Vec<OnceLock<ServeResult<E>>> = reqs.iter().map(|_| OnceLock::new()).collect();
-        parallel::parallel_for_threads(leaders.len(), 1, self.workers, |x| {
-            let (i, flight) = leaders[x];
-            let out = parallel::with_thread_cap(self.exec_threads, || {
-                self.lead(&reqs[i], &keys[i], flight, submitted_ns)
-            });
-            let _ = led[i].set(out.result);
-        });
-        // Every leader of this batch has finished, so waiting on the
-        // followers cannot close a cycle with another batch.
-        roles
-            .into_iter()
-            .zip(led)
-            .map(|(role, led)| match role {
-                Role::Lead(_) => led.into_inner().expect("every leader ran"),
-                Role::Follow(ticket) => ticket.wait().result.clone(),
-            })
-            .collect()
-    }
-
-    /// Counters of the single-flight table, across all three entry points.
+    /// Counters of the single-flight table, across both entry points.
     pub fn pipeline_stats(&self) -> PipelineStats {
         self.flights.stats()
     }
@@ -623,10 +605,10 @@ impl<E: Element> TransposeService<E> {
     }
 
     /// The panic boundary: a panic inside `stage` is counted in
-    /// `ttlg_panics_total` and becomes the request's error. A run records
-    /// its outcome last, so a stage that panics has recorded nothing;
-    /// [`Self::panicked`] records the request.
-    fn guarded(&self, stage: impl FnOnce() -> Outcome<E>) -> Result<Outcome<E>, ServeError> {
+    /// `ttlg_panics_total` and becomes the request's (or the tuning's)
+    /// error. A run records its outcome last, so a stage that panics has
+    /// recorded nothing; [`Self::panicked`] records the request.
+    fn guarded<T>(&self, stage: impl FnOnce() -> T) -> Result<T, ServeError> {
         panic::catch_unwind(AssertUnwindSafe(stage)).map_err(|payload| {
             self.metrics.record_panic();
             let what = payload
@@ -821,8 +803,12 @@ impl<E: Element> TransposeService<E> {
     }
 
     /// Tune every key currently due (hot and not yet tuned) and return
-    /// how many there were. The caller decides when tuning runs: between
-    /// batches, from a thread of its own, or not at all.
+    /// how many there were. Each key tunes inside the panic boundary: a
+    /// panic (in the planner or the measurement sink) counts in
+    /// `ttlg_panics_total` and as a failed tuning, like a planning error,
+    /// and the pass goes on with the next key. The caller decides when
+    /// tuning runs: between requests, from a thread of its own, or not
+    /// at all.
     pub fn autotune_once(&self) -> usize {
         let Some(threshold) = self.autotune else {
             return 0;
@@ -839,9 +825,9 @@ impl<E: Element> TransposeService<E> {
                 .collect()
         };
         for key in &due {
-            let counter = match self.tune_key(key) {
-                Ok(()) => &self.tuner_stats.keys_tuned,
-                Err(_) => &self.tuner_stats.failures,
+            let counter = match self.guarded(|| self.tune_key(key)) {
+                Ok(Ok(())) => &self.tuner_stats.keys_tuned,
+                Ok(Err(_)) | Err(_) => &self.tuner_stats.failures,
             };
             counter.fetch_add(1, Ordering::Relaxed);
         }
@@ -852,7 +838,7 @@ impl<E: Element> TransposeService<E> {
     /// measurement to the sink, and install the measured-best plan.
     fn tune_key(&self, key: &PlanKey) -> Result<(), PlanError> {
         let (shape, perm, opts) = key.problem_parts();
-        // One thread, so tuning never competes with foreground batches
+        // One thread, so tuning never competes with foreground requests
         // for the whole machine.
         let (plan, timed) = parallel::with_thread_cap(1, || {
             self.transposer
@@ -1151,66 +1137,48 @@ mod tests {
         assert_eq!(svc.cache_stats().hits, 1);
     }
 
+    /// Twelve requests over three problems, one `submit` after another:
+    /// each problem plans once, and the other nine hit its plan.
     #[test]
     fn batch_plans_each_distinct_problem_once() {
         let svc: TransposeService<u32> = TransposeService::new_k40c();
         let shape = Shape::new(&[8, 8, 8]).unwrap();
         let input = Arc::new(DenseTensor::<u32>::iota(shape));
         let perms = [[2usize, 1, 0], [1, 0, 2], [0, 2, 1]];
-        // 12 requests over 3 distinct problems.
-        let reqs: Vec<TransposeRequest<u32>> = (0..12)
-            .map(|i| {
-                TransposeRequest::new(
-                    Arc::clone(&input),
-                    Permutation::new(&perms[i % perms.len()]).unwrap(),
-                )
-            })
-            .collect();
-        let results = svc.submit_batch(&reqs);
-        assert!(results.iter().all(|r| r.is_ok()));
-        assert_eq!(svc.cache_stats().misses, 3, "one plan per distinct problem");
+        for i in 0..12 {
+            let perm = Permutation::new(&perms[i % perms.len()]).unwrap();
+            svc.submit(&TransposeRequest::new(Arc::clone(&input), perm))
+                .unwrap();
+        }
+        let cache = svc.cache_stats();
+        assert_eq!(cache.misses, 3, "one plan per distinct problem");
+        assert_eq!(cache.hits, 9);
         assert_eq!(svc.metrics().total_requests(), 12);
         assert!(svc.metrics().total_bytes() > 0);
-        // Every request left a trace; 3 were misses, 9 shared the plans.
+        // Every request left a trace; 3 were misses, 9 reused the plans.
         let traces = svc.recent_traces(100);
         assert_eq!(traces.len(), 12);
         let misses = traces.iter().filter(|t| t.cache_hit == Some(false)).count();
-        assert_eq!(misses, 3, "batch attribution: one miss per distinct plan");
+        assert_eq!(misses, 3, "one miss per distinct plan");
         assert!(traces.iter().all(|t| t.ok && t.measured_ns > 0.0));
     }
 
     #[test]
-    fn batch_responses_keep_request_order() {
-        let svc: TransposeService<u64> = TransposeService::new_k40c();
-        let s1 = Shape::new(&[8, 8]).unwrap();
-        let s2 = Shape::new(&[4, 4, 4]).unwrap();
-        let p1 = Permutation::new(&[1, 0]).unwrap();
-        let p2 = Permutation::new(&[2, 0, 1]).unwrap();
-        let reqs = vec![
-            TransposeRequest::new(Arc::new(DenseTensor::<u64>::iota(s1)), p1),
-            TransposeRequest::new(Arc::new(DenseTensor::<u64>::iota(s2)), p2),
-        ];
-        let results = svc.submit_batch(&reqs);
-        for (req, res) in reqs.iter().zip(results.iter()) {
-            let out = &res.as_ref().unwrap().output;
-            let expect =
-                ttlg_tensor::reference::transpose_reference(&req.input, &req.perm).unwrap();
-            assert_eq!(out.data(), expect.data());
-        }
-    }
-
-    #[test]
-    fn metrics_report_mentions_schemas_and_latency() {
+    fn prometheus_mentions_schemas_and_latency() {
         let svc: TransposeService<f64> = TransposeService::new_k40c();
         let shape = Shape::new(&[16, 16]).unwrap();
         let input = Arc::new(DenseTensor::<f64>::iota(shape));
         let req = TransposeRequest::new(input, Permutation::new(&[1, 0]).unwrap());
-        svc.submit(&req).unwrap();
-        let report = svc.metrics_report();
-        assert!(report.contains("ttlg-runtime metrics"));
-        assert!(report.contains("plan latency"));
-        assert!(report.contains("exec latency"));
-        assert!(report.contains("requests"));
+        let resp = svc.submit(&req).unwrap();
+        let prom = svc.export_prometheus();
+        let schema = resp.report.schema.label();
+        assert!(
+            prom.contains(&format!("ttlg_requests_total{{schema=\"{schema}\"}} 1")),
+            "{prom}"
+        );
+        assert!(prom.contains("ttlg_plan_latency_us_count 1"), "{prom}");
+        assert!(prom.contains("ttlg_exec_latency_us_count 1"), "{prom}");
+        assert!(prom.contains("ttlg_exec_latency_us_quantile{quantile=\"0.5\"}"));
     }
 
     #[test]
@@ -1423,7 +1391,7 @@ mod tests {
     #[test]
     fn background_autotuner_never_disturbs_foreground_batches() {
         // Hammer test: a tuner thread calls `autotune_once` in a loop
-        // while foreground threads push batches; totals must come out
+        // while four foreground threads `submit`; totals must come out
         // exact and failure-free (the tuner's one-thread cap keeps it
         // out of the way).
         let svc: TransposeService<u64> =
@@ -1443,28 +1411,21 @@ mod tests {
                     }
                 }
             });
-            let batches: Vec<_> = (0..THREADS)
+            let clients: Vec<_> = (0..THREADS)
                 .map(|_| {
                     s.spawn(|| {
                         for _ in 0..ROUNDS {
-                            let reqs: Vec<TransposeRequest<u64>> = perms
-                                .iter()
-                                .map(|p| {
-                                    TransposeRequest::new(
-                                        Arc::clone(&input),
-                                        Permutation::new(p).unwrap(),
-                                    )
-                                })
-                                .collect();
-                            for r in svc.submit_batch(&reqs) {
-                                r.unwrap();
+                            for p in &perms {
+                                let perm = Permutation::new(p).unwrap();
+                                svc.submit(&TransposeRequest::new(Arc::clone(&input), perm))
+                                    .unwrap();
                             }
                         }
                     })
                 })
                 .collect();
-            for b in batches {
-                b.join().unwrap();
+            for c in clients {
+                c.join().unwrap();
             }
             done.store(true, Ordering::Release);
         });
@@ -1598,12 +1559,14 @@ mod tests {
 
     #[test]
     fn batch_duplicates_execute_once() {
-        let svc: TransposeService<u32> = TransposeService::new_k40c();
+        let gate = Arc::new(Gate::default());
+        let svc = gated::<u32>(&gate);
         let shape = Shape::new(&[8, 8, 8]).unwrap();
         let input = Arc::new(DenseTensor::<u32>::iota(shape));
         let perms = [[2usize, 1, 0], [1, 0, 2], [0, 2, 1]];
-        // 12 requests, but only 3 unique in-flight problems: duplicates
-        // share the representative's execution.
+        // 12 requests, but only 3 unique in-flight problems: the first
+        // runs held in the gate, the other two leaders wait in the queue,
+        // and every duplicate shares its problem's execution.
         let reqs: Vec<TransposeRequest<u32>> = (0..12)
             .map(|i| {
                 TransposeRequest::new(
@@ -1612,9 +1575,9 @@ mod tests {
                 )
             })
             .collect();
-        let results = svc.submit_batch(&reqs);
-        for (req, res) in reqs.iter().zip(results.iter()) {
-            let out = &res.as_ref().unwrap().output;
+        let outcomes = behind_held_worker(&svc, &gate, reqs.clone());
+        for (req, out) in reqs.iter().zip(&outcomes) {
+            let out = &out.result.as_ref().unwrap().output;
             let expect =
                 ttlg_tensor::reference::transpose_reference(&req.input, &req.perm).unwrap();
             assert_eq!(out.data(), expect.data(), "coalesced copies stay correct");
@@ -1632,33 +1595,88 @@ mod tests {
         assert!(prom.contains("ttlg_coalesced_ratio 0.75"), "{prom}");
     }
 
-    /// Holds the first sink call until released, so a test can attach a
-    /// follower to a running leader.
+    /// Holds the first sink call (since it was made or re-armed) until
+    /// released, so a test can attach a follower to a running leader, or
+    /// queue requests behind the one worker it holds. A panicking gate
+    /// panics in every call, the held one once it is released.
     #[derive(Default)]
     struct Gate {
         entered: AtomicBool,
         release: AtomicBool,
+        panics: bool,
     }
 
     impl Gate {
+        fn panicking() -> Self {
+            Gate {
+                panics: true,
+                ..Gate::default()
+            }
+        }
+
         fn wait_entered(&self) {
             let deadline = Instant::now() + Duration::from_secs(10);
             while !self.entered.load(Ordering::SeqCst) && Instant::now() < deadline {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
+
+        /// Hold the next call again.
+        fn rearm(&self) {
+            self.release.store(false, Ordering::SeqCst);
+            self.entered.store(false, Ordering::SeqCst);
+        }
     }
 
     impl MeasurementSink for Gate {
         fn observe_candidate(&self, _c: &ttlg::Candidate, _measured_ns: f64) {
-            if self.entered.swap(true, Ordering::SeqCst) {
-                return;
+            if !self.entered.swap(true, Ordering::SeqCst) {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !self.release.load(Ordering::SeqCst) && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
             }
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while !self.release.load(Ordering::SeqCst) && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
+            if self.panics {
+                panic!("sink always panics");
             }
         }
+    }
+
+    /// A one-worker service whose measurement sink is `gate`.
+    fn gated<E: Element>(gate: &Arc<Gate>) -> Arc<TransposeService<E>> {
+        let cfg = RuntimeConfig {
+            workers: 1,
+            ..RuntimeConfig::default()
+        };
+        Arc::new(
+            TransposeService::with_config(Transposer::new_k40c(), cfg)
+                .with_measurement_sink(Arc::clone(gate) as Arc<dyn MeasurementSink>),
+        )
+    }
+
+    /// A request on an input of its own, so it coalesces with nothing.
+    fn blocker<E: Element>() -> TransposeRequest<E> {
+        let input = DenseTensor::<E>::iota(Shape::new(&[8, 4]).unwrap());
+        TransposeRequest::new(Arc::new(input), Permutation::new(&[1, 0]).unwrap())
+    }
+
+    /// Send `reqs` through `submit_async` to a [`gated`] service: the
+    /// first runs held in the gate until the rest have registered, so a
+    /// request follows an identical earlier one deterministically.
+    /// Returns the outcomes in request order.
+    fn behind_held_worker<E: Element>(
+        svc: &Arc<TransposeService<E>>,
+        gate: &Gate,
+        reqs: Vec<TransposeRequest<E>>,
+    ) -> Vec<Arc<Outcome<E>>> {
+        gate.rearm();
+        let mut reqs = reqs.into_iter();
+        let first = reqs.next().expect("a request to hold the worker");
+        let mut tickets = vec![svc.submit_async(first)];
+        gate.wait_entered();
+        tickets.extend(reqs.map(|r| svc.submit_async(r)));
+        gate.release.store(true, Ordering::SeqCst);
+        tickets.iter().map(TicketHandle::wait).collect()
     }
 
     fn enveloped(
@@ -1684,15 +1702,12 @@ mod tests {
     }
 
     /// Each request's one record carries its own envelope: a leader's
-    /// rides on its request, a coalesced follower's on its ticket, in
-    /// batches and through the async executor alike.
+    /// rides on its request, a coalesced follower's on its ticket,
+    /// whether it follows a running leader or a queued one.
     #[test]
     fn every_record_carries_its_own_envelope() {
         let gate = Arc::new(Gate::default());
-        let svc: Arc<TransposeService<f64>> = Arc::new(
-            TransposeService::new_k40c()
-                .with_measurement_sink(Arc::clone(&gate) as Arc<dyn MeasurementSink>),
-        );
+        let svc = gated::<f64>(&gate);
         let input = Arc::new(DenseTensor::<f64>::iota(Shape::new(&[8, 8, 8]).unwrap()));
         let req = TransposeRequest::new(input, Permutation::new(&[2, 1, 0]).unwrap());
 
@@ -1705,7 +1720,12 @@ mod tests {
             follower.wait().sampled.is_some(),
             "rate 1 keeps every record"
         );
-        svc.submit_batch(&[enveloped(&req, 3, "acme"), enveloped(&req, 4, "acme")]);
+        let reqs = vec![
+            blocker(),
+            enveloped(&req, 3, "acme"),
+            enveloped(&req, 4, "acme"),
+        ];
+        behind_held_worker(&svc, &gate, reqs);
 
         let store = svc.trace_store();
         for id in 1..=4u128 {
@@ -1722,14 +1742,7 @@ mod tests {
     #[test]
     fn submit_async_serves_tenants_round_robin() {
         let gate = Arc::new(Gate::default());
-        let cfg = RuntimeConfig {
-            workers: 1,
-            ..RuntimeConfig::default()
-        };
-        let svc: Arc<TransposeService<f64>> = Arc::new(
-            TransposeService::with_config(Transposer::new_k40c(), cfg)
-                .with_measurement_sink(Arc::clone(&gate) as Arc<dyn MeasurementSink>),
-        );
+        let svc = gated::<f64>(&gate);
         // Each request on its own input: nothing coalesces.
         let req = || {
             let input = DenseTensor::<f64>::iota(Shape::new(&[8, 8, 8]).unwrap());
@@ -2008,8 +2021,8 @@ mod tests {
         assert!(prom.contains("ttlg_panics_total 1"), "{prom}");
     }
 
-    /// `submit` and `submit_batch` return a panic as an error instead of
-    /// unwinding into the caller.
+    /// `submit` returns a panic as an error instead of unwinding into the
+    /// caller.
     #[test]
     fn sync_entry_points_return_a_panic_as_an_error() {
         struct AlwaysPanics;
@@ -2028,8 +2041,7 @@ mod tests {
             "{}",
             err.message
         );
-        let results = svc.submit_batch(&[req.clone(), req]);
-        assert!(results.iter().all(|r| r.is_err()));
+        assert!(svc.submit(&req).is_err());
         assert_eq!(svc.metrics().panics(), 2, "one leader run per call");
     }
 
@@ -2063,45 +2075,147 @@ mod tests {
     }
 
     /// Metrics reconcile with outcomes when a run panics, when planning
-    /// fails, and when all goes well.
+    /// fails, and when all goes well. Each probe queues its requests
+    /// behind a blocker held on the one worker, and the blocker's outcome
+    /// counts too.
     #[test]
     fn every_outcome_is_recorded_exactly_once() {
-        struct AlwaysPanics;
-        impl MeasurementSink for AlwaysPanics {
-            fn observe_candidate(&self, _c: &ttlg::Candidate, _measured_ns: f64) {
-                panic!("sink always panics");
-            }
-        }
         let input = Arc::new(DenseTensor::<u32>::iota(Shape::new(&[8, 8, 8]).unwrap()));
         let req = TransposeRequest::new(Arc::clone(&input), Permutation::new(&[2, 1, 0]).unwrap());
 
-        // A leader whose sink panics, and its follower.
-        let svc: TransposeService<u32> =
-            TransposeService::new_k40c().with_measurement_sink(Arc::new(AlwaysPanics));
-        let results = svc.submit_batch(&[req.clone(), req.clone()]);
-        assert!(results.iter().all(|r| r.is_err()));
-        assert_reconciles(&svc, 2, 1);
+        // A leader whose sink panics, and its follower; the blocker's
+        // sink call panics too.
+        let gate = Arc::new(Gate::panicking());
+        let svc = gated::<u32>(&gate);
+        let outcomes = behind_held_worker(&svc, &gate, vec![blocker(), req.clone(), req.clone()]);
+        assert!(outcomes.iter().all(|o| o.result.is_err()));
+        assert_reconciles(&svc, 3, 1);
         let snap = svc.metrics_snapshot();
-        assert_eq!(family_total(&snap, "ttlg_failures_total"), 2.0);
+        assert_eq!(family_total(&snap, "ttlg_failures_total"), 3.0);
+        assert_eq!(family_total(&snap, "ttlg_panics_total"), 2.0);
         assert_eq!(family_total(&snap, "ttlg_prediction_samples_total"), 0.0);
         assert_eq!(family_total(&snap, "ttlg_backend_requests_total"), 0.0);
 
         // A plan that fails, shared by two followers.
-        let svc: TransposeService<u32> = TransposeService::new_k40c();
+        let gate = Arc::new(Gate::default());
+        let svc = gated::<u32>(&gate);
         let mut bad = req.clone();
         bad.opts.forced_schema = Some(ttlg::Schema::Copy);
-        let results = svc.submit_batch(&[bad.clone(), bad.clone(), bad]);
-        assert!(results.iter().all(|r| r.is_err()));
-        assert_reconciles(&svc, 3, 2);
+        let outcomes =
+            behind_held_worker(&svc, &gate, vec![blocker(), bad.clone(), bad.clone(), bad]);
+        assert!(outcomes[1..].iter().all(|o| o.result.is_err()));
+        assert_reconciles(&svc, 4, 2);
         assert_eq!(svc.metrics().failures(), 3);
-        assert_eq!(svc.metrics().plan_latency.count(), 1, "one stage ran");
+        assert_eq!(
+            svc.metrics().plan_latency.count(),
+            2,
+            "the blocker's plan stage and one failed one ran"
+        );
 
-        // A clean batch on the same service: four requests, two problems.
+        // A clean run on the same service: four requests, two problems.
         let other = TransposeRequest::new(input, Permutation::new(&[1, 0, 2]).unwrap());
-        let results = svc.submit_batch(&[req.clone(), other.clone(), req, other]);
-        assert!(results.iter().all(|r| r.is_ok()));
-        assert_reconciles(&svc, 7, 4);
-        assert_eq!(svc.metrics().total_requests(), 4);
+        let reqs = vec![blocker(), req.clone(), other.clone(), req, other];
+        let outcomes = behind_held_worker(&svc, &gate, reqs);
+        assert!(outcomes.iter().all(|o| o.result.is_ok()));
+        assert_reconciles(&svc, 9, 4);
+        assert_eq!(svc.metrics().total_requests(), 6);
+    }
+
+    /// `submit` and `submit_async` register in one table: a `submit`
+    /// that arrives while an identical `submit_async` leader waits in the
+    /// queue follows it, and a `submit_async` that arrives while an
+    /// identical `submit` runs follows that. Each pair runs once.
+    #[test]
+    fn submit_and_submit_async_follow_each_other() {
+        let input = Arc::new(DenseTensor::<f64>::iota(Shape::new(&[8, 8, 8]).unwrap()));
+        let req = TransposeRequest::new(input, Permutation::new(&[2, 1, 0]).unwrap());
+
+        // A `submit` behind a `submit_async` leader queued behind a
+        // blocker.
+        let gate = Arc::new(Gate::default());
+        let svc = gated::<f64>(&gate);
+        let held = svc.submit_async(blocker());
+        gate.wait_entered();
+        let queued = svc.submit_async(req.clone());
+        assert_eq!(svc.queue_stats().depth, 1, "the leader waits in the queue");
+        std::thread::scope(|s| {
+            let sync = s.spawn(|| svc.submit(&req));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while svc.pipeline_stats().coalesced == 0 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            gate.release.store(true, Ordering::SeqCst);
+            let followed = sync.join().unwrap().expect("the follower is served");
+            let led = queued.wait();
+            assert!(!led.coalesced);
+            let led = led.result.as_ref().expect("the leader is served");
+            assert!(Arc::ptr_eq(led, &followed), "one shared response");
+        });
+        assert!(held.wait().result.is_ok());
+        let stats = svc.pipeline_stats();
+        assert_eq!((stats.submitted, stats.executed), (3, 2));
+        assert_eq!(stats.coalesced, 1);
+
+        // A `submit_async` while an identical `submit` runs.
+        let gate = Arc::new(Gate::default());
+        let svc = gated::<f64>(&gate);
+        std::thread::scope(|s| {
+            let sync = s.spawn(|| svc.submit(&req));
+            gate.wait_entered();
+            let follower = svc.submit_async(req.clone());
+            gate.release.store(true, Ordering::SeqCst);
+            let led = sync.join().unwrap().expect("the leader is served");
+            let followed = follower.wait();
+            assert!(followed.coalesced);
+            let followed = followed.result.as_ref().expect("the follower is served");
+            assert!(Arc::ptr_eq(followed, &led), "one shared response");
+        });
+        let stats = svc.pipeline_stats();
+        assert_eq!((stats.submitted, stats.executed), (2, 1));
+        assert_eq!(stats.coalesced, 1);
+        assert_eq!(
+            svc.queue_stats().depth,
+            0,
+            "the follower took no queue slot"
+        );
+    }
+
+    /// A panic inside a tuning pass fails that key's tuning and is
+    /// counted as a caught panic; the pass goes on with the next key.
+    #[test]
+    fn a_panicking_tuning_fails_its_key_and_the_pass_goes_on() {
+        /// Panics in its first call after it is armed.
+        #[derive(Default)]
+        struct ArmedPanic(AtomicBool);
+        impl MeasurementSink for ArmedPanic {
+            fn observe_candidate(&self, _c: &ttlg::Candidate, _measured_ns: f64) {
+                if self.0.swap(false, Ordering::SeqCst) {
+                    panic!("injected tuning panic");
+                }
+            }
+        }
+        let sink = Arc::new(ArmedPanic::default());
+        let cfg = RuntimeConfig {
+            autotune: Some(1),
+            ..RuntimeConfig::default()
+        };
+        let svc: TransposeService<f64> = TransposeService::with_config(Transposer::new_k40c(), cfg)
+            .with_measurement_sink(Arc::clone(&sink) as Arc<dyn MeasurementSink>);
+        let input = Arc::new(DenseTensor::<f64>::iota(Shape::new(&[16, 8, 4]).unwrap()));
+        for perm in [[2, 0, 1], [1, 2, 0]] {
+            let perm = Permutation::new(&perm).unwrap();
+            svc.submit(&TransposeRequest::new(Arc::clone(&input), perm))
+                .unwrap();
+        }
+        sink.0.store(true, Ordering::SeqCst);
+        assert_eq!(svc.autotune_once(), 2, "both hot keys were due");
+        let stats = svc.autotune_stats();
+        assert_eq!(stats.keys_tuned, 1);
+        assert_eq!(stats.failures, 1);
+        assert_eq!(stats.plans_warmed, 1);
+        let prom = svc.export_prometheus();
+        assert!(prom.contains("ttlg_panics_total 1"), "{prom}");
+        assert_eq!(svc.autotune_once(), 0, "a failed key is not claimed again");
     }
 
     /// Prometheus golden test for the new SLO/profile/tail families.

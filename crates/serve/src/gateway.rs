@@ -107,18 +107,36 @@ const MAX_TENANT_LABELS: usize = 32;
 /// (32).
 pub const OVERFLOW_TENANT: &str = "_other";
 
+/// What `route` counts a request under, in label order.
+#[derive(Clone, Copy)]
+enum Endpoint {
+    Transpose,
+    Explain,
+    Traces,
+    Alerts,
+    Query,
+    Metrics,
+    Healthz,
+    NotFound,
+}
+
+/// The `endpoint` label of each [`Endpoint`], indexed by it.
+const ENDPOINT_LABELS: [&str; 8] = [
+    "transpose",
+    "explain",
+    "traces",
+    "alerts",
+    "query",
+    "metrics",
+    "healthz",
+    "not_found",
+];
+
 /// Counters and histograms for the `ttlg_gateway_*` families.
 #[derive(Default)]
 pub struct GatewayMetrics {
-    /// Requests routed, by endpoint.
-    transpose_total: AtomicU64,
-    explain_total: AtomicU64,
-    traces_total: AtomicU64,
-    alerts_total: AtomicU64,
-    query_total: AtomicU64,
-    metrics_total: AtomicU64,
-    healthz_total: AtomicU64,
-    not_found_total: AtomicU64,
+    /// Requests routed, indexed by [`Endpoint`].
+    requests: [AtomicU64; ENDPOINT_LABELS.len()],
     /// Requests refused at the edge before routing (parse errors).
     parse_errors_total: AtomicU64,
     /// Sheds, by reason.
@@ -194,48 +212,13 @@ impl GatewayMetrics {
             "ttlg_gateway_requests_total",
             "HTTP requests routed, by endpoint.",
             MetricKind::Counter,
-            vec![
-                Sample::labelled(
-                    "endpoint",
-                    "transpose",
-                    self.transpose_total.load(Ordering::Relaxed) as f64,
-                ),
-                Sample::labelled(
-                    "endpoint",
-                    "explain",
-                    self.explain_total.load(Ordering::Relaxed) as f64,
-                ),
-                Sample::labelled(
-                    "endpoint",
-                    "traces",
-                    self.traces_total.load(Ordering::Relaxed) as f64,
-                ),
-                Sample::labelled(
-                    "endpoint",
-                    "alerts",
-                    self.alerts_total.load(Ordering::Relaxed) as f64,
-                ),
-                Sample::labelled(
-                    "endpoint",
-                    "query",
-                    self.query_total.load(Ordering::Relaxed) as f64,
-                ),
-                Sample::labelled(
-                    "endpoint",
-                    "metrics",
-                    self.metrics_total.load(Ordering::Relaxed) as f64,
-                ),
-                Sample::labelled(
-                    "endpoint",
-                    "healthz",
-                    self.healthz_total.load(Ordering::Relaxed) as f64,
-                ),
-                Sample::labelled(
-                    "endpoint",
-                    "not_found",
-                    self.not_found_total.load(Ordering::Relaxed) as f64,
-                ),
-            ],
+            ENDPOINT_LABELS
+                .iter()
+                .zip(&self.requests)
+                .map(|(label, n)| {
+                    Sample::labelled("endpoint", label, n.load(Ordering::Relaxed) as f64)
+                })
+                .collect(),
         );
         snap.push_metric(
             "ttlg_gateway_shed_total",
@@ -466,41 +449,32 @@ impl Gateway {
         ctx: TraceContext,
         request_id: &str,
     ) -> HttpResponse {
-        match (req.method.as_str(), req.path.as_str()) {
-            ("POST", "/v1/transpose") => {
-                self.metrics.transpose_total.fetch_add(1, Ordering::Relaxed);
-                self.handle_transpose(req, network_ns, ctx, request_id)
-            }
-            ("GET", "/v1/explain") => {
-                self.metrics.explain_total.fetch_add(1, Ordering::Relaxed);
-                self.handle_explain(req)
-            }
-            ("GET", "/v1/traces") => {
-                self.metrics.traces_total.fetch_add(1, Ordering::Relaxed);
-                self.handle_traces_list(req)
-            }
-            ("GET", "/v1/alerts") => {
-                self.metrics.alerts_total.fetch_add(1, Ordering::Relaxed);
-                self.handle_alerts()
-            }
-            ("GET", "/v1/query_range") => {
-                self.metrics.query_total.fetch_add(1, Ordering::Relaxed);
-                self.handle_query_range(req)
-            }
-            ("GET", "/metrics") => {
-                self.metrics.metrics_total.fetch_add(1, Ordering::Relaxed);
-                HttpResponse::text(self.export_prometheus())
-            }
-            ("GET", "/healthz") => {
-                self.metrics.healthz_total.fetch_add(1, Ordering::Relaxed);
-                self.handle_healthz()
-            }
-            ("GET", path) if path.starts_with("/v1/trace/") => {
-                self.metrics.traces_total.fetch_add(1, Ordering::Relaxed);
-                self.handle_trace_get(&path["/v1/trace/".len()..], req)
-            }
-            _ => {
-                self.metrics.not_found_total.fetch_add(1, Ordering::Relaxed);
+        let trace_id = req.path.strip_prefix("/v1/trace/");
+        let endpoint = match (req.method.as_str(), req.path.as_str()) {
+            ("POST", "/v1/transpose") => Endpoint::Transpose,
+            ("GET", "/v1/explain") => Endpoint::Explain,
+            ("GET", "/v1/traces") => Endpoint::Traces,
+            ("GET", _) if trace_id.is_some() => Endpoint::Traces,
+            ("GET", "/v1/alerts") => Endpoint::Alerts,
+            ("GET", "/v1/query_range") => Endpoint::Query,
+            ("GET", "/metrics") => Endpoint::Metrics,
+            ("GET", "/healthz") => Endpoint::Healthz,
+            _ => Endpoint::NotFound,
+        };
+        // Counted before the handler runs, so a scrape counts itself.
+        self.metrics.requests[endpoint as usize].fetch_add(1, Ordering::Relaxed);
+        match endpoint {
+            Endpoint::Transpose => self.handle_transpose(req, network_ns, ctx, request_id),
+            Endpoint::Explain => self.handle_explain(req),
+            Endpoint::Traces => match trace_id {
+                Some(id) => self.handle_trace_get(id, req),
+                None => self.handle_traces_list(req),
+            },
+            Endpoint::Alerts => self.handle_alerts(),
+            Endpoint::Query => self.handle_query_range(req),
+            Endpoint::Metrics => HttpResponse::text(self.export_prometheus()),
+            Endpoint::Healthz => self.handle_healthz(),
+            Endpoint::NotFound => {
                 HttpResponse::error(404, format!("no route for {} {}", req.method, req.path))
             }
         }
